@@ -1,16 +1,19 @@
 """Projections onto the per-cell dual balls {p : |p diag(a)^{-1}|_F <= r}.
 
 The ball is an axis-aligned ellipsoid whose semiaxis for every column j
-(repeated over the m rows) is r * a_j.  The general projection solves
-for the Lagrange multiplier nu of
+(repeated over the m rows) is r * a_j.  The general projection finds
+the Lagrange multiplier nu >= 0 of
 
-    phi(nu) = sum_ij (p_ij * s_j / (s_j^2 + nu))^2 = 1,    s_j = r * a_j,
+    phi(nu) = sum_ij (p_ij * s_j / (s_j^2 + nu))^2 = 1,    s_j = r * a_j.
 
-by safeguarded Newton iteration; phi is decreasing and convex, so
-Newton from nu = 0 increases monotonically toward the root and the
-bracket [lo, hi] only catches floating-point stalls.  When all semiaxes
-of a cell agree the ellipsoid is a sphere and the projection is the
-closed-form radial shrinkage.
+Newton runs on the secular form phi(nu)^(-1/2) = 1 (More & Sorensen,
+"Computing a trust region step", 1983).  phi^(-1/2) is increasing and
+concave, so Newton from nu = 0 climbs to the root without overshooting
+and needs a handful of steps even where phi spans many decades.  Each
+cell is frozen as soon as |phi - 1| <= _NEWTON_RTOL; a step that does
+not land in the bracket (lo, hi] (roundoff, non-finite values) falls
+back to bisection.  When all semiaxes of a cell agree the ellipsoid is
+a sphere and the projection is the closed-form radial shrinkage.
 """
 
 from __future__ import annotations
@@ -43,35 +46,30 @@ def project_ellipsoid(p: np.ndarray, axes: np.ndarray, radius: float = 1.0) -> n
     if np.all(inside):
         return p.copy()
 
-    out = p.copy()
-    mask = ~inside
-    pm = np.moveaxis(p, (0, 1), (-2, -1))[mask]      # (k, m, d)
-    sm = np.moveaxis(s, 0, -1)[mask]                 # (k, d)
-    s2 = sm[:, None, :] ** 2
-    c = pm * pm * s2                                 # (p_ij s_j)^2
-
-    lo = np.zeros(len(pm))
-    hi = np.sqrt(c.sum(axis=(1, 2)))  # phi(hi) <= sum c / hi^2 = 1
+    s2 = s * s
+    c = p * p * s2[None]  # (p_ij s_j)^2
+    lo = np.zeros(inside.shape)
+    hi = np.sqrt(c.sum(axis=(0, 1)))  # phi(hi) <= sum c / hi^2 = 1
     nu = lo.copy()
+    alive = ~inside
     for _ in range(_NEWTON_MAX):
-        denom = s2 + nu[:, None, None]
-        phi = (c / denom**2).sum(axis=(1, 2))
-        err = phi - 1.0
-        if np.all(np.abs(err) <= _NEWTON_RTOL):
+        denom = s2 + nu
+        w = c / denom**2
+        phi = w.sum(axis=(0, 1))
+        alive &= np.abs(phi - 1.0) > _NEWTON_RTOL
+        if not alive.any():
             break
-        lo = np.where(err >= 0.0, np.maximum(lo, nu), lo)
-        hi = np.where(err < 0.0, np.minimum(hi, nu), hi)
-        dphi = -2.0 * (c / denom**3).sum(axis=(1, 2))
-        cand = nu - err / dphi
+        lo = np.where(phi >= 1.0, nu, lo)
+        hi = np.where(phi < 1.0, nu, hi)
+        # Newton on phi^(-1/2) = 1: nu -= (phi^(-1/2) - 1) / (phi^(-1/2))';
+        # the floor spares zero blocks (inside, never updated) a 0/0
+        slope = np.maximum((w / denom).sum(axis=(0, 1)), 1e-300)
+        cand = nu + phi * (np.sqrt(phi) - 1.0) / slope
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand > hi)
-        cand[bad] = 0.5 * (lo[bad] + hi[bad])
-        nu = cand
+        nu = np.where(alive, np.where(bad, 0.5 * (lo + hi), cand), nu)
 
-    proj = pm * (s2 / (s2 + nu[:, None, None]))
+    proj = p * (s2 / (s2 + nu))
     # Force strict feasibility against roundoff (dual values must certify).
-    nrm = np.sqrt(((proj / sm[:, None, :]) ** 2).sum(axis=(1, 2)))
-    proj *= np.minimum(1.0, 1.0 / np.maximum(nrm, 1e-300))[:, None, None]
-
-    view = np.moveaxis(out, (0, 1), (-2, -1))
-    view[mask] = proj
-    return out
+    nrm = np.sqrt(np.sum((proj / s[None]) ** 2, axis=(0, 1)))
+    proj *= np.minimum(1.0, 1.0 / np.maximum(nrm, 1e-300))
+    return np.where(inside, p, proj)

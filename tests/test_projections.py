@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import homlab.projections
 from homlab.projections import project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
@@ -120,3 +121,42 @@ def test_ellipsoid_randomized_feasibility(seed, m, d):
     assert np.array_equal(q[:, :, inside], p[:, :, inside])
     # projection never increases the distance-to-origin in ball metric
     assert np.all(nrm <= ell_norm(p, axes) + 1e-12)
+
+
+def scaled_brentq_projection(p, s):
+    """Single-cell oracle whose tolerance is relative to the multiplier.
+
+    ``brentq_projection`` stops at an absolute 1e-15 in nu, which is far
+    from exact once the semiaxes are small; here nu is resolved to a few
+    ulp whatever its size.
+    """
+    c = (p * s[None]) ** 2
+    hi = float(np.sqrt(c.sum()))
+    nu = brentq(lambda x: float((c / (s[None] ** 2 + x) ** 2).sum()) - 1.0,
+                0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return p * (s[None] ** 2 / (s[None] ** 2 + nu))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ellipsoid_exact_on_extreme_outside_cells(m, d):
+    cells = 200
+    rng = np.random.default_rng(100 * m + d)
+    axes = 10.0 ** rng.uniform(-4.0, 0.0, (d, cells))
+    # entries of p/s spread over ten decades, so the multiplier sits far
+    # from most s_j^2 and phi spans many orders of magnitude
+    spread = 10.0 ** rng.uniform(-10.0, 0.0, (m, d, cells))
+    dirs = rng.normal(size=(m, d, cells)) * spread
+    dirs /= np.sqrt(np.sum(dirs ** 2, axis=(0, 1)))
+    ratio = 10.0 ** rng.uniform(1e-3, 10.0, cells)  # |p/s|_F of each cell
+    p = dirs * axes[None] * ratio
+    q = project_ellipsoid(p, axes)
+    for cell in range(cells):
+        want = scaled_brentq_projection(p[:, :, cell], axes[:, cell])
+        err = np.abs(q[:, :, cell] - want).max() / np.abs(want).max()
+        assert err <= 1e-12, (cell, err)
+
+
+def test_ellipsoid_oracle_inputs_need_few_newton_trips(monkeypatch):
+    monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 16)
+    test_ellipsoid_against_brentq_oracle()
