@@ -13,10 +13,10 @@ arbitrarily small energy.
 
 from .fields import (DistributionSpec, FieldSpec, FieldSample, IidCubes,
                      Laminate, Periodic, birkhoff_average, sample_field, shift)
-from .integrand import (GrowthConstants, IntegrandModel, coercivity_constant,
-                        growth_constants, make_model)
-from .cell import (CellProblem, Grid, SolveReport, assemble, cell_problem_on_cube,
-                   cube_grid, load_minimizer, mu_xi, save_minimizer, solve_cell)
+from .integrand import GrowthConstants, coercivity_constant, growth_constants
+from .cell import (CellProblem, Grid, SolveReport, SolveTask, assemble,
+                   cell_problem_on_cube, cube_grid, load_minimizer, save_minimizer,
+                   solve_cell, solve_many)
 from .glue import GlueGeometryError, GlueReport, affine_field, glue_with_cutoff
 from .homogenize import (HomEstimate, PropertyReport, check_rank_one_convexity,
                          check_stationarity_in_law, check_subadditivity,

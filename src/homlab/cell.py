@@ -24,6 +24,7 @@ import json
 import math
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fields import FieldSample
+from .fields import FieldSample, FieldSpec, sample_field
 from .projections import project_ellipsoid, project_radial
 
 MAGIC = b"HLMF"
@@ -161,11 +162,14 @@ class SolveReport:
     iterations: int
     converged: bool
     minimizer: np.ndarray
-    grid: Grid
-    xi: np.ndarray
+    problem: CellProblem
     tol: float
     wall_time: float
     gap_checks: int
+
+    @property
+    def grid(self) -> Grid:
+        return self.problem.grid
 
     @property
     def flagged(self) -> bool:
@@ -371,18 +375,55 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5, max_iter: int = 150_000,
         iterations=it,
         converged=converged,
         minimizer=best_v,
-        grid=grid,
-        xi=xi.copy(),
+        problem=problem,
         tol=tol,
         wall_time=time.perf_counter() - t0,
         gap_checks=checks,
     )
 
 
-def mu_xi(problem: CellProblem, tol: float = 1e-5, **solver_kwargs):
-    """Normalized cell energy primal / t^d together with its report."""
-    report = solve_cell(problem, tol=tol, **solver_kwargs)
-    return report.normalized, report
+@dataclass(frozen=True, eq=False)
+class SolveTask:
+    """One cell solve, the step behind every Monte Carlo estimate.
+
+    Realization ``realization`` of ``spec`` under ``seed`` is assembled on
+    the cube of side ``t`` centered at ``center`` (the origin if None)
+    with slope ``xi``, and solved to the relative gap ``tol``.
+    """
+
+    spec: FieldSpec
+    seed: int
+    realization: int
+    t: float
+    xi: np.ndarray
+    center: tuple = None
+    cells_per_unit: int = 2
+    tol: float = 1e-5
+    max_iter: int = 150_000
+
+
+def _solve_task(task: SolveTask) -> SolveReport:
+    fld = sample_field(task.spec, task.seed, task.realization)
+    problem = cell_problem_on_cube(fld, task.t, task.xi, task.cells_per_unit,
+                                   center=task.center)
+    return solve_cell(problem, tol=task.tol, max_iter=task.max_iter)
+
+
+def solve_many(tasks, workers: int = 1):
+    """Yield one SolveReport per task, in task order.
+
+    With one worker this is a plain generator that solves each task when
+    it is asked for, so a caller that reduces as it goes holds a single
+    minimizer at a time.  More workers share a thread pool; solves
+    mostly hold the GIL, so this rarely shortens a run.  Every solve
+    goes through this module's ``solve_cell``, which is what
+    instrumentation that rebinds it sees.
+    """
+    if workers <= 1:
+        yield from map(_solve_task, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_solve_task, tasks)
 
 
 def save_minimizer(report: SolveReport, path) -> Path:
@@ -406,7 +447,7 @@ def save_minimizer(report: SolveReport, path) -> Path:
         "cells": grid.cells,
         "side": grid.side,
         "center": list(grid.center),
-        "xi": report.xi.tolist(),
+        "xi": report.problem.xi.tolist(),
         "primal": report.primal,
         "dual": report.dual,
         "gap": report.gap,

@@ -22,7 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: HOMLAB_WORKERS or 1)")
+                       help="worker threads (default: HOMLAB_WORKERS or 1); "
+                            "solves hold the GIL, so more are rarely faster")
         p.add_argument("--out", default=None, help="output directory")
     return parser
 

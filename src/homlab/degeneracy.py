@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import cell_problem_on_cube, solve_cell
+from .cell import SolveTask, solve_many
 from .fields import FieldSpec, Laminate, sample_field
 from .integrand import growth_constants
 from .stats import mean_ci
@@ -54,7 +54,7 @@ class DivergenceReport:
 
 def divergence_experiment(spec: FieldSpec, xi=None, t_list=(8, 32, 128),
                           n_real: int = 20, seed: int = 0, tol: float = 1e-5,
-                          cells_per_unit: int = 2, pmap=None) -> DivergenceReport:
+                          cells_per_unit: int = 2, workers: int = 1) -> DivergenceReport:
     """Cell energies on (0,t)^d for a laminate weight a(x_axis) I.
 
     For slopes with no component along the lamination axis the discrete
@@ -82,32 +82,14 @@ def divergence_experiment(spec: FieldSpec, xi=None, t_list=(8, 32, 128),
         raise ValueError("slope must be nonzero")
     t_list = tuple(float(t) for t in t_list)
 
-    tasks = [(ti, r) for ti in range(len(t_list)) for r in range(n_real)]
-
-    def work(task):
-        ti, r = task
-        t = t_list[ti]
-        fld = sample_field(spec, seed, r)
-        center = tuple(0.5 * t for _ in range(d))
-        prob = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=center)
-        rep = solve_cell(prob, tol=tol)
-        bound = xin * float(prob.lam[0].mean())
-        return ti, r, rep.normalized, bound, rep.converged
-
-    results = []
-    mapper = map if pmap is None else pmap
-    results = list(mapper(work, tasks))
-
-    vals = np.empty((len(t_list), n_real))
-    bounds = np.empty_like(vals)
-    n_flagged = 0
-    margin = math.inf
-    for ti, r, v, b, ok in results:
-        vals[ti, r] = v
-        bounds[ti, r] = b
-        if not ok:
-            n_flagged += 1
-        margin = min(margin, v - b)
+    tasks = [SolveTask(spec, seed, r, t, xi, center=(0.5 * t,) * d,
+                       cells_per_unit=cells_per_unit, tol=tol)
+             for t in t_list for r in range(n_real)]
+    rows = [(rep.normalized, xin * float(rep.problem.lam[0].mean()), rep.converged)
+            for rep in solve_many(tasks, workers)]
+    vals, bounds, ok = (np.array(col).reshape(len(t_list), n_real) for col in zip(*rows))
+    n_flagged = int((~ok).sum())
+    margin = (vals - bounds).min()
     means = vals.mean(axis=1)
     cis = np.array([mean_ci(vals[ti])[1] for ti in range(len(t_list))])
     slack = _JENSEN_RTOL * np.maximum(1.0, bounds)

@@ -1,4 +1,4 @@
-"""Gluing two competitors across a layered cutoff, with a verified bound.
+r"""Gluing two competitors across a layered cutoff, with a verified bound.
 
 Given fields u (on an outer box) and v (on another box), the glued
 field w = v + phi_i (u - v) uses the best of N cutoff layers between an

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .cell import Grid, assemble, cell_problem_on_cube, solve_cell
+from .cell import SolveTask, cell_problem_on_cube, solve_cell, solve_many
 from .fields import FieldSpec, Periodic, sample_field, shift
 from .integrand import growth_constants
 from .randomness import keyed_uniform
@@ -81,22 +81,9 @@ def _as_xi(xi) -> np.ndarray:
     return np.atleast_2d(np.asarray(xi, dtype=float))
 
 
-def _run_tasks(fn, items, pmap=None):
-    mapper = map if pmap is None else pmap
-    return list(mapper(fn, items))
-
-
-def _solve_on_cube(spec, seed, index, t, xi, tol, cells_per_unit, center=None,
-                   max_iter=150_000):
-    fld = sample_field(spec, seed, index)
-    prob = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=center)
-    rep = solve_cell(prob, tol=tol, max_iter=max_iter)
-    return rep
-
-
 def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int = 0,
                    tol: float = 1e-5, cells_per_unit: int = 2, max_iter: int = 150_000,
-                   pmap=None) -> HomEstimate:
+                   workers: int = 1) -> HomEstimate:
     """Monte Carlo estimate of the effective density at slope xi.
 
     Realizations are indexed 0..n_real-1 under ``seed`` and reused for
@@ -113,23 +100,14 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
     if isinstance(spec.structure, Periodic):
         n_real = 1  # deterministic field
 
-    tasks = [(ti, r) for ti in range(len(t_list)) for r in range(n_real)]
-
-    def work(task):
-        ti, r = task
-        rep = _solve_on_cube(spec, seed, r, t_list[ti], xi, tol, cells_per_unit,
-                             max_iter=max_iter)
-        return ti, r, rep.normalized, rep.converged, rep.gap, rep.iterations
-
-    results = _run_tasks(work, tasks, pmap)
+    tasks = [SolveTask(spec, seed, r, t, xi, cells_per_unit=cells_per_unit, tol=tol,
+                       max_iter=max_iter) for t in t_list for r in range(n_real)]
+    rows = [(rep.normalized, rep.converged, rep.gap, rep.iterations)
+            for rep in solve_many(tasks, workers)]
     levels = []
     flags = []
     for ti, t in enumerate(t_list):
-        rows = sorted(x for x in results if x[0] == ti)
-        all_vals = np.array([x[2] for x in rows])
-        ok = np.array([x[3] for x in rows], dtype=bool)
-        gaps = np.array([x[4] for x in rows])
-        iters = np.array([x[5] for x in rows])
+        all_vals, ok, gaps, iters = map(np.array, zip(*rows[ti * n_real:(ti + 1) * n_real]))
         vals = all_vals[ok]
         n_flagged = int((~ok).sum())
         mean, half = mean_ci(vals)
@@ -158,7 +136,7 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
 
 def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 50,
                            seed: int = 0, tol: float = 1e-5, cells_per_unit: int = 2,
-                           pmap=None):
+                           workers: int = 1):
     """Check alpha c0 |xi| - slack <= f_hom(xi) <= C0 |xi| + C1 + slack.
 
     slack = tol * |xi| + CI of the estimate.  Infinite upper constants
@@ -170,7 +148,7 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 
     for xi in xi_list:
         xi = _as_xi(xi)
         est = estimate_f_hom(spec, xi, t_list=t_list, n_real=n_real, seed=seed,
-                             tol=tol, cells_per_unit=cells_per_unit, pmap=pmap)
+                             tol=tol, cells_per_unit=cells_per_unit, workers=workers)
         xin = float(np.sqrt((xi * xi).sum()))
         slack = tol * xin + est.ci_half
         lower_margin = est.value - (consts.lower_bound(xin) - slack)
@@ -198,7 +176,8 @@ def _random_xi(seed, tag, index, m, d) -> np.ndarray:
 
 def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
                         n_instances: int = 100, seed: int = 0, tol: float = 1e-5,
-                        cells_per_unit: int = 2, m: int = 1, pmap=None) -> PropertyReport:
+                        cells_per_unit: int = 2, m: int = 1,
+                        workers: int = 1) -> PropertyReport:
     """Verify mu(Q_t) <= sum of dyadic subcube energies per realization.
 
     The subcubes partition Q_t with the same mesh, so the discrete
@@ -211,30 +190,37 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
     n = max(2, int(round(cells_per_unit * t)))
     if n % parts != 0:
         raise ValueError(f"cells per side {n} must be divisible by 2^depth={parts}")
+    if n // parts < 2:
+        raise ValueError(f"subcubes get {n // parts} cells per side; a grid needs "
+                         "at least 2")
     s = t / parts
-    n_sub = n // parts
     budget = (2.0 ** d) * tol * t ** d
+    # n is a multiple of parts, so each subcube gets n / parts cells from
+    # the same resolution policy and the subcubes partition Q_t's mesh
+    centers = [tuple(-0.5 * t + 0.5 * s + ki * s for ki in k)
+               for k in np.ndindex(*(parts,) * d)]
 
-    def work(r):
-        fld = sample_field(spec, seed, r)
+    tasks = []
+    for r in range(n_instances):
         xi_r = _as_xi(xi) if xi is not None else _random_xi(seed, "subadd-xi", r, m, d)
-        big = cell_problem_on_cube(fld, t, xi_r, cells_per_unit)
-        rep = solve_cell(big, tol=tol)
+        tasks.append(SolveTask(spec, seed, r, t, xi_r, cells_per_unit=cells_per_unit,
+                               tol=tol))
+        tasks.extend(SolveTask(spec, seed, r, s, xi_r, center=c,
+                               cells_per_unit=cells_per_unit, tol=tol) for c in centers)
+    reports = solve_many(tasks, workers)
+    slacks = np.empty(n_instances)
+    n_flagged = 0
+    for r in range(n_instances):
+        big = next(reports)
         total = 0.0
-        ok = rep.converged
-        for k in np.ndindex(*(parts,) * d):
-            center = tuple(-0.5 * t + 0.5 * s + ki * s for ki in k)
-            sub_grid = Grid(dimension=d, side=s, cells=n_sub,
-                            components=xi_r.shape[0], center=center)
-            sub = assemble(fld, sub_grid, xi_r)
-            sub_rep = solve_cell(sub, tol=tol)
-            ok = ok and sub_rep.converged
-            total += sub_rep.primal
-        return total - rep.primal, ok
-
-    results = _run_tasks(work, range(n_instances), pmap)
-    slacks = np.array([r[0] for r in results])
-    n_flagged = sum(1 for r in results if not r[1])
+        ok = big.converged
+        for _ in centers:
+            sub = next(reports)
+            ok = ok and sub.converged
+            total += sub.primal
+        slacks[r] = total - big.primal
+        if not ok:
+            n_flagged += 1
     worst = float(slacks.min())
     return PropertyReport(name="subadditivity", n_instances=n_instances,
                           worst_slack=worst, budget=budget,
@@ -255,7 +241,7 @@ class StationarityReport:
 def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
                               n_matched: int = 5, n_real: int = 50, seed: int = 0,
                               tol: float = 1e-5, cells_per_unit: int = 2,
-                              pmap=None) -> StationarityReport:
+                              workers: int = 1) -> StationarityReport:
     """Stationarity of the cell energy under lattice shifts.
 
     Matched realizations: mu_xi(omega, Q_t + z) must equal
@@ -284,15 +270,10 @@ def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
         max_diff = max(max_diff, diff)
         exact = exact and (diff == 0.0)
 
-    def work(task):
-        r, placed = task
-        center = tuple(z) if placed else None
-        rep = _solve_on_cube(spec, seed, r, t, xi, tol, cells_per_unit, center=center)
-        return rep.normalized
-
-    vals_a = _run_tasks(work, [(r, True) for r in range(n_real)], pmap)
-    vals_b = _run_tasks(work, [(n_real + r, False) for r in range(n_real)], pmap)
-    ts = two_sample_test(vals_a, vals_b)
+    tasks = [SolveTask(spec, seed, r, t, xi, center=tuple(z) if r < n_real else None,
+                       cells_per_unit=cells_per_unit, tol=tol) for r in range(2 * n_real)]
+    vals = [rep.normalized for rep in solve_many(tasks, workers)]
+    ts = two_sample_test(vals[:n_real], vals[n_real:])
     return StationarityReport(matched_max_diff=max_diff, matched_exact=exact,
                               two_sample=ts, passed=exact and ts.same_law,
                               n_matched=n_matched)
@@ -312,7 +293,7 @@ class RecessionReport:
 
 def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
               n_real: int = 20, seed: int = 0, tol: float = 1e-5,
-              cells_per_unit: int = 2, pmap=None) -> RecessionReport:
+              cells_per_unit: int = 2, workers: int = 1) -> RecessionReport:
     """Normalized estimates f_hom(s xi)/s along a ray.
 
     Without a lower-order term the cell energy is 1-homogeneous, so the
@@ -325,17 +306,10 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
     if isinstance(spec.structure, Periodic):
         n_real = 1
 
-    tasks = [(si, r) for si in range(len(s_list)) for r in range(n_real)]
-
-    def work(task):
-        si, r = task
-        rep = _solve_on_cube(spec, seed, r, t, s_list[si] * xi, tol, cells_per_unit)
-        return si, r, rep.normalized / s_list[si]
-
-    results = _run_tasks(work, tasks, pmap)
-    vals = np.empty((len(s_list), n_real))
-    for si, r, v in results:
-        vals[si, r] = v
+    tasks = [SolveTask(spec, seed, r, t, s * xi, cells_per_unit=cells_per_unit, tol=tol)
+             for s in s_list for r in range(n_real)]
+    vals = np.array([rep.normalized for rep in solve_many(tasks, workers)])
+    vals = vals.reshape(len(s_list), n_real) / np.array(s_list)[:, None]
     means = vals.mean(axis=1)
     cis = np.array([mean_ci(vals[si])[1] for si in range(len(s_list))])
     scale = max(1.0, float(np.abs(means).max()))
@@ -367,7 +341,7 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
 def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
                              n_grid: int = 5, n_real: int = 20, seed: int = 0,
                              tol: float = 1e-5, cells_per_unit: int = 2,
-                             pmap=None) -> PropertyReport:
+                             workers: int = 1) -> PropertyReport:
     """Midpoint convexity of the estimate along a rank-one segment.
 
     The segment endpoint difference must be rank one (checked to 1e-12
@@ -386,18 +360,11 @@ def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
         n_real = 1
     lambdas = np.linspace(0.0, 1.0, n_grid)
 
-    tasks = [(ki, r) for ki in range(n_grid) for r in range(n_real)]
-
-    def work(task):
-        ki, r = task
-        xi = lambdas[ki] * xi_a + (1.0 - lambdas[ki]) * xi_b
-        rep = _solve_on_cube(spec, seed, r, t, xi, tol, cells_per_unit)
-        return ki, r, rep.normalized
-
-    results = _run_tasks(work, tasks, pmap)
-    vals = np.empty((n_grid, n_real))
-    for ki, r, v in results:
-        vals[ki, r] = v
+    tasks = [SolveTask(spec, seed, r, t, lam * xi_a + (1.0 - lam) * xi_b,
+                       cells_per_unit=cells_per_unit, tol=tol)
+             for lam in lambdas for r in range(n_real)]
+    vals = np.array([rep.normalized for rep in solve_many(tasks, workers)])
+    vals = vals.reshape(n_grid, n_real)
     means = vals.mean(axis=1)
     slack_r = 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]
     slack_means = slack_r.mean(axis=1)

@@ -1,8 +1,9 @@
-"""Pointwise energy density f(x, xi) = |xi Lambda(x)|_F (+ lam(x)).
+"""Growth constants of the energy density f(x, xi) = |xi Lambda(x)|_F (+ lam(x)).
 
 ``xi`` is an m x d matrix; the diagonal weight scales columns:
 ``(xi Lambda)_{ij} = xi_ij Lambda_jj(x)``.  The Frobenius norm is used
-throughout the package.  Growth constants for the sandwich
+throughout the package, and ``CellProblem.energy_density`` evaluates f
+cell by cell.  Growth constants for the sandwich
 
     alpha * c0 * |xi|  <=  f_hom(xi)  <=  C0 * |xi| + C1
 
@@ -19,38 +20,10 @@ from itertools import product
 
 import numpy as np
 
-from .fields import DistributionSpec, FieldSample, FieldSpec, Periodic
+from .fields import FieldSpec, Periodic
 from .randomness import keyed_uniform
 
 ALPHA = 1.0  # f == |xi Lambda| + lam bounds itself from below with constant 1
-
-
-@dataclass(frozen=True, eq=False)
-class IntegrandModel:
-    """Evaluatable integrand attached to one field realization."""
-
-    field: FieldSample
-    m: int = 1
-    include_lambda: bool = True
-
-    def eval(self, x, xi) -> np.ndarray:
-        """f at batched points x (..., d) for one matrix xi (m, d)."""
-        xi = np.asarray(xi, dtype=float)
-        d = self.field.spec.dimension
-        if xi.shape != (self.m, d):
-            raise ValueError(f"xi must have shape ({self.m}, {d}), got {xi.shape}")
-        diag = self.field.lambda_diag(x)
-        scaled = xi * diag[..., None, :]
-        out = np.sqrt(np.sum(scaled * scaled, axis=(-2, -1)))
-        if self.include_lambda and self.field.spec.lower_order is not None:
-            out = out + self.field.lower(x)
-        return out
-
-
-def make_model(field: FieldSample, m: int = 1, include_lambda=None) -> IntegrandModel:
-    if include_lambda is None:
-        include_lambda = field.spec.lower_order is not None
-    return IntegrandModel(field=field, m=m, include_lambda=bool(include_lambda))
 
 
 def coercivity_constant(spec: FieldSpec) -> float:

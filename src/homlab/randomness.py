@@ -1,7 +1,7 @@
 """Keyed counter-based randomness.
 
 Every random quantity in the package is a pure function of a 64-bit key
-chain, so any single value (a field cell, a task seed) is computable
+chain, so any single value (a field cell, a random slope) is computable
 without enumerating a stream and is identical under any execution order
 or worker count.
 
@@ -86,7 +86,3 @@ def keyed_uniform(seed, *components):
     """Uniform (0, 1) variates keyed by the component tuple."""
     return uniform01(key_chain(seed, *components))
 
-
-def derive_seed(master, *components) -> int:
-    """Derive a child 64-bit task seed; documented in the module header."""
-    return int(key_chain(master, *components))

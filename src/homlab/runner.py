@@ -1,10 +1,19 @@
 """Deterministic experiment execution: tasks in, CSV + JSON summary out.
 
-Every command builds an immutable task list, maps pure work functions
-over a bounded thread pool (numpy releases the GIL in the kernels that
-matter), and a single writer serializes the results.  All randomness is
-keyed, so outputs are byte-identical across worker counts; only the
-wall-time and timestamp fields vary between reruns.
+Every command that solves cell problems builds an immutable list of
+``SolveTask``s, runs it through ``cell.solve_many`` and records the
+reports in task order; a single writer serializes the results.  All
+randomness is keyed, so outputs are byte-identical across worker
+counts; only the wall-time and timestamp fields vary between reruns.
+
+Workers are threads, and a solve spends most of its time in small numpy
+calls that hold the GIL, so more workers usually make a run slower.  On
+2 Xeon vCPUs the 12 solves of ``perfbench/configs/iso2d-sandwich.json``
+took 3.5-4.2 s serially and 7.0-8.8 s on two threads, over two seeds.
+A two-process fork pool took 2.1-3.1 s with identical results, but a
+solve in a child process escapes every in-process hook on
+``homlab.cell.solve_cell`` (the test suite's certificate audit, the
+benchmark's tracer), so threads stay.
 """
 
 from __future__ import annotations
@@ -14,13 +23,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 from scipy.special import ndtri
 
-from .cell import assemble, cell_problem_on_cube, cube_grid, save_minimizer, solve_cell
+from .cell import SolveTask, assemble, cube_grid, save_minimizer, solve_many
 from .config import RunConfig
 from .degeneracy import (cheap_interface, divergence_experiment, hitting_stats,
                          interface_limit_check)
@@ -84,9 +92,6 @@ class _Ctx:
         kw.setdefault("timestamp", self.timestamp)
         self.records.append(ResultRecord(**kw))
 
-    def pmap(self, executor):
-        return executor.map if self.workers > 1 else None
-
 
 def _estimate_records(ctx, label, est):
     for lv in est.levels:
@@ -104,7 +109,7 @@ def _estimate_records(ctx, label, est):
             ci_half=est.ci_half, flags=";".join(est.flags))
 
 
-def _cmd_field_stats(ctx, executor):
+def _cmd_field_stats(ctx):
     cfg = ctx.cfg
     ctx.constants = growth_constants(cfg.spec)
     obs = cfg.options.get("observable", "entry")
@@ -120,22 +125,15 @@ def _cmd_field_stats(ctx, executor):
     ctx.flags.extend(ctx.constants.flags)
 
 
-def _cmd_solve_cell(ctx, executor):
+def _cmd_solve_cell(ctx):
     cfg = ctx.cfg
     t = float(cfg.options.get("t", cfg.t_list[0]))
 
-    def work(task):
-        label, xi, r = task
-        fld = sample_field(cfg.spec, cfg.seed, r)
-        prob = cell_problem_on_cube(fld, t, xi, cfg.cells_per_unit)
-        rep = solve_cell(prob, tol=cfg.tol)
-        return label, xi, r, rep
-
-    tasks = [(label, xi, r) for label, xi in zip(cfg.xi_labels, cfg.xi_list)
-             for r in range(cfg.n_real)]
-    mapper = ctx.pmap(executor) or map
+    keys = [(label, r) for label in cfg.xi_labels for r in range(cfg.n_real)]
+    tasks = [SolveTask(cfg.spec, cfg.seed, r, t, xi, cells_per_unit=cfg.cells_per_unit,
+                       tol=cfg.tol) for xi in cfg.xi_list for r in range(cfg.n_real)]
     worst_gap = 0.0
-    for label, xi, r, rep in mapper(work, tasks):
+    for (label, r), rep in zip(keys, solve_many(tasks, ctx.workers)):
         ctx.rec(xi_label=label, t=t, realization=r, kind="solve",
                 value=rep.normalized, gap=rep.gap, iterations=rep.iterations,
                 wall_time_s=rep.wall_time,
@@ -152,14 +150,14 @@ def _cmd_solve_cell(ctx, executor):
     ctx.report["t"] = t
 
 
-def _cmd_estimate(ctx, executor):
+def _cmd_estimate(ctx):
     cfg = ctx.cfg
     out = {}
     for label, xi in zip(cfg.xi_labels, cfg.xi_list):
         est = estimate_f_hom(cfg.spec, xi, t_list=cfg.t_list, n_real=cfg.n_real,
                              seed=cfg.seed, tol=cfg.tol,
                              cells_per_unit=cfg.cells_per_unit,
-                             pmap=ctx.pmap(executor))
+                             workers=ctx.workers)
         _estimate_records(ctx, label, est)
         out[label] = est
         if est.flagged:
@@ -170,12 +168,12 @@ def _cmd_estimate(ctx, executor):
     ctx.constants = growth_constants(cfg.spec)
 
 
-def _cmd_verify_bounds(ctx, executor):
+def _cmd_verify_bounds(ctx):
     cfg = ctx.cfg
     rep = verify_growth_sandwich(cfg.spec, cfg.xi_list, t_list=cfg.t_list,
                                  n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
                                  cells_per_unit=cfg.cells_per_unit,
-                                 pmap=ctx.pmap(executor))
+                                 workers=ctx.workers)
     ctx.constants = rep.details["constants"]
     for label, per in zip(cfg.xi_labels, rep.details["per_xi"]):
         _estimate_records(ctx, label, per["estimate"])
@@ -188,7 +186,7 @@ def _cmd_verify_bounds(ctx, executor):
     ctx.verdict = ctx.verdict and rep.passed
 
 
-def _cmd_subadditivity(ctx, executor):
+def _cmd_subadditivity(ctx):
     cfg = ctx.cfg
     xi = cfg.xi_list[0] if cfg.xi_list else None
     rep = check_subadditivity(cfg.spec, xi=xi,
@@ -199,7 +197,7 @@ def _cmd_subadditivity(ctx, executor):
                               seed=cfg.seed, tol=cfg.tol,
                               cells_per_unit=cfg.cells_per_unit,
                               m=int(cfg.options.get("m", 1)),
-                              pmap=ctx.pmap(executor))
+                              workers=ctx.workers)
     for i, s in enumerate(rep.details["slacks"]):
         ctx.rec(xi_label=cfg.xi_labels[0] if cfg.xi_labels else "random",
                 t=rep.details["t"], realization=i, kind="subadd_slack",
@@ -210,14 +208,14 @@ def _cmd_subadditivity(ctx, executor):
     ctx.verdict = ctx.verdict and rep.passed
 
 
-def _cmd_stationarity(ctx, executor):
+def _cmd_stationarity(ctx):
     cfg = ctx.cfg
     label, xi = cfg.xi_labels[0], cfg.xi_list[0]
     rep = check_stationarity_in_law(
         cfg.spec, xi, t=float(cfg.options.get("t", cfg.t_list[0])),
         z=cfg.options.get("z"), n_matched=int(cfg.options.get("n_matched", 5)),
         n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
-        cells_per_unit=cfg.cells_per_unit, pmap=ctx.pmap(executor))
+        cells_per_unit=cfg.cells_per_unit, workers=ctx.workers)
     ctx.rec(xi_label=label, kind="matched_max_diff", value=rep.matched_max_diff)
     ctx.rec(xi_label=label, kind="two_sample_stat",
             value=rep.two_sample.statistic, ci_half=rep.two_sample.threshold)
@@ -225,14 +223,14 @@ def _cmd_stationarity(ctx, executor):
     ctx.verdict = ctx.verdict and rep.passed
 
 
-def _cmd_recession(ctx, executor):
+def _cmd_recession(ctx):
     cfg = ctx.cfg
     label, xi = cfg.xi_labels[0], cfg.xi_list[0]
     s_list = tuple(cfg.options.get("s_list", (1.0, 2.0, 5.0)))
     rep = recession(cfg.spec, xi, s_list=s_list,
                     t=float(cfg.options.get("t", cfg.t_list[0])),
                     n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
-                    cells_per_unit=cfg.cells_per_unit, pmap=ctx.pmap(executor))
+                    cells_per_unit=cfg.cells_per_unit, workers=ctx.workers)
     for s, mean, ci in zip(rep.s_list, rep.means, rep.ci_halves):
         ctx.rec(xi_label=label, kind=f"ray_mean:s={s:g}", value=float(mean),
                 ci_half=float(ci))
@@ -242,7 +240,7 @@ def _cmd_recession(ctx, executor):
     ctx.verdict = ctx.verdict and rep.passed
 
 
-def _cmd_rank_one(ctx, executor):
+def _cmd_rank_one(ctx):
     cfg = ctx.cfg
     from .config import parse_xi
     xi_a, la = parse_xi(cfg.options["xi_a"], cfg.spec.dimension, "options.xi_a")
@@ -251,7 +249,7 @@ def _cmd_rank_one(ctx, executor):
         cfg.spec, xi_a, xi_b, t=float(cfg.options.get("t", cfg.t_list[0])),
         n_grid=int(cfg.options.get("n_grid", 5)), n_real=cfg.n_real,
         seed=cfg.seed, tol=cfg.tol, cells_per_unit=cfg.cells_per_unit,
-        pmap=ctx.pmap(executor))
+        workers=ctx.workers)
     for lam, mean in zip(rep.details["lambdas"], rep.details["means"]):
         ctx.rec(xi_label=f"{la}|{lb}", kind=f"segment_mean:lambda={lam:g}",
                 value=float(mean))
@@ -260,13 +258,13 @@ def _cmd_rank_one(ctx, executor):
     ctx.verdict = ctx.verdict and rep.passed
 
 
-def _cmd_divergence(ctx, executor):
+def _cmd_divergence(ctx):
     cfg = ctx.cfg
     xi = cfg.xi_list[0] if cfg.xi_list else None
     rep = divergence_experiment(cfg.spec, xi=xi, t_list=cfg.t_list,
                                 n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
                                 cells_per_unit=cfg.cells_per_unit,
-                                pmap=ctx.pmap(executor))
+                                workers=ctx.workers)
     label = cfg.xi_labels[0] if cfg.xi_labels else "e_transverse"
     for t, mean, ci, jb in zip(rep.t_list, rep.means, rep.ci_halves,
                                rep.jensen_bounds):
@@ -279,7 +277,7 @@ def _cmd_divergence(ctx, executor):
     ctx.verdict = ctx.verdict and rep.jensen_ok and rep.n_flagged == 0
 
 
-def _cmd_interface(ctx, executor):
+def _cmd_interface(ctx):
     cfg = ctx.cfg
     deltas = cfg.options.get("delta_list", [0.1, 0.01])
     limit = int(cfg.options.get("search_limit", 10_000))
@@ -338,20 +336,16 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
     return delta, rep
 
 
-def _cmd_glue(ctx, executor):
+def _cmd_glue(ctx):
     cfg = ctx.cfg
     n_inst = int(cfg.options.get("n_instances", 20))
     side = float(cfg.options.get("side", 32.0))
     dr = cfg.options.get("delta_range", [0.3, 0.6])
 
-    def work(i):
-        return i, _glue_instance(cfg.spec, cfg.seed, i, side,
-                                 cfg.cells_per_unit, dr)
-
-    mapper = ctx.pmap(executor) or map
     worst = math.inf
     layer_ok = True
-    for i, (delta, rep) in mapper(work, range(n_inst)):
+    for i in range(n_inst):
+        delta, rep = _glue_instance(cfg.spec, cfg.seed, i, side, cfg.cells_per_unit, dr)
         ctx.rec(realization=i, kind="glue_slack", value=rep.slack,
                 flags=f"layers={rep.n_layers}")
         worst = min(worst, rep.slack)
@@ -387,8 +381,7 @@ def run(cfg: RunConfig, workers: int = None, out_dir: str = None):
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(cfg, workers, out_dir)
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as executor:
-        _DISPATCH[cfg.command](ctx, executor)
+    _DISPATCH[cfg.command](ctx)
     wall = time.perf_counter() - t0
     ctx.rec(kind="run", value=None, wall_time_s=wall,
             flags=";".join(ctx.flags))

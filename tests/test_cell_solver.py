@@ -7,9 +7,9 @@ import pytest
 from scipy.optimize import minimize
 
 from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
-                    Laminate, assemble, cell_problem_on_cube, cube_grid,
-                    load_minimizer, mu_xi, sample_field, save_minimizer,
-                    solve_cell)
+                    Laminate, SolveTask, assemble, cell_problem_on_cube, cube_grid,
+                    load_minimizer, sample_field, save_minimizer, solve_cell,
+                    solve_many)
 from homlab.cell import _grad, _grad_adjoint
 from homlab.randomness import keyed_uniform
 
@@ -130,7 +130,8 @@ def test_constant_field_solve_is_exact():
     for xi, want in ((np.array([[1.0, 0.0]]), 2.0),
                      (np.array([[1.0, 1.0]]), 2.0 * math.sqrt(2.0))):
         prob = cell_problem_on_cube(fld, 8.0, xi)
-        val, rep = mu_xi(prob, tol=1e-5)
+        rep = solve_cell(prob, tol=1e-5)
+        val = rep.normalized
         assert rep.converged
         assert rep.dual <= rep.primal
         assert rep.gap <= 1e-5
@@ -209,11 +210,11 @@ def test_positive_homogeneity_of_solves():
     fld = sample_field(spec, 3)
     xi = np.array([[1.0, 0.5]])
     tol = 1e-6
-    base, rep1 = mu_xi(cell_problem_on_cube(fld, 8.0, xi), tol=tol)
+    rep1 = solve_cell(cell_problem_on_cube(fld, 8.0, xi), tol=tol)
     for s in (2.0, 5.0):
-        val, rep = mu_xi(cell_problem_on_cube(fld, 8.0, s * xi), tol=tol)
+        rep = solve_cell(cell_problem_on_cube(fld, 8.0, s * xi), tol=tol)
         assert rep.converged and rep1.converged
-        assert val / s == pytest.approx(base, rel=2.0 * tol * 2.0)
+        assert rep.normalized / s == pytest.approx(rep1.normalized, rel=2.0 * tol * 2.0)
 
 
 def test_mesh_refinement_stays_within_five_percent():
@@ -222,17 +223,17 @@ def test_mesh_refinement_stays_within_five_percent():
     xi = np.array([[0.0, 1.0]])
     vals = []
     for cpu in (2, 4):
-        val, rep = mu_xi(cell_problem_on_cube(fld, 8.0, xi, cells_per_unit=cpu),
+        rep = solve_cell(cell_problem_on_cube(fld, 8.0, xi, cells_per_unit=cpu),
                          tol=1e-6)
         assert rep.converged
-        vals.append(val)
+        vals.append(rep.normalized)
     assert abs(vals[1] - vals[0]) < 0.05 * vals[0]
 
 
 def test_zero_slope_gives_zero():
     fld = sample_field(const_spec(2.0), 0)
-    val, rep = mu_xi(cell_problem_on_cube(fld, 4.0, np.zeros((1, 2))))
-    assert val == pytest.approx(0.0, abs=1e-12)
+    rep = solve_cell(cell_problem_on_cube(fld, 4.0, np.zeros((1, 2))))
+    assert rep.normalized == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lower_order_term_adds_cell_average():
@@ -240,8 +241,8 @@ def test_lower_order_term_adds_cell_average():
     spec = FieldSpec(dimension=2, structure=IidCubes(),
                      diagonal=DistributionSpec.constant(2.0), lower_order=lower)
     fld = sample_field(spec, 0)
-    val, rep = mu_xi(cell_problem_on_cube(fld, 4.0, np.array([[1.0, 0.0]])))
-    assert val == pytest.approx(2.5, rel=1e-6)
+    rep = solve_cell(cell_problem_on_cube(fld, 4.0, np.array([[1.0, 0.0]])))
+    assert rep.normalized == pytest.approx(2.5, rel=1e-6)
 
 
 def test_two_component_solve_certifies():
@@ -284,6 +285,35 @@ def test_solver_input_validation():
                       lam=np.zeros((1, 4)))
     with pytest.raises(ValueError):
         solve_cell(bad)
+
+
+def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):
+    import homlab.cell
+
+    finished = []
+    inner = homlab.cell.solve_cell
+
+    def recording_solve_cell(problem, **kwargs):
+        rep = inner(problem, **kwargs)
+        finished.append(problem.grid.side)
+        return rep
+
+    monkeypatch.setattr(homlab.cell, "solve_cell", recording_solve_cell)
+    spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=TP)
+    sides = (12.0, 1.0, 2.0, 1.5, 1.0, 3.0)
+    tasks = [SolveTask(spec, 4, r, t, np.array([[1.0, 0.5]]))
+             for r, t in enumerate(sides)]
+    serial = list(solve_many(tasks))
+    assert finished == list(sides)
+    finished.clear()
+    threaded = list(solve_many(tasks, workers=3))
+    # the big first cube finishes last, yet its report still comes first
+    assert sorted(finished) == sorted(sides) and finished != list(sides)
+    assert [rep.grid.side for rep in threaded] == list(sides)
+    for a, b in zip(serial, threaded):
+        assert (a.primal, a.dual, a.gap, a.iterations) == (b.primal, b.dual, b.gap,
+                                                           b.iterations)
+        assert a.minimizer.tobytes() == b.minimizer.tobytes()
 
 
 # ------------------------------------------------------------ minimizers

@@ -223,11 +223,31 @@ def test_cli_seed_override_changes_run_id(tmp_path):
                       )["config"]["seed"] == 5
 
 
-def test_outputs_identical_across_workers_and_reruns(tmp_path, monkeypatch):
-    raw = base_config(
-        field={"dimension": 2, "structure": {"kind": "iid_cubes"},
-               "diagonal": {"kind": "uniform", "a": 1.0, "b": 2.0}},
-        t_list=[4], n_real=3)
+UNIFORM = {"dimension": 2, "structure": {"kind": "iid_cubes"},
+           "diagonal": {"kind": "uniform", "a": 1.0, "b": 2.0}}
+PARETO_LAMINATE = {"dimension": 2, "structure": {"kind": "laminate", "axis": 1},
+                   "diagonal": {"kind": "pareto", "x_m": 1.0, "alpha_tail": 1.0}}
+
+# one tiny config for every command that fans out over realizations
+FAN_OUT = {
+    "estimate-fhom": dict(t_list=[4], n_real=3),
+    "solve-cell": dict(t_list=[4], n_real=3, xi=["e1", "e1+e2"]),
+    "subadditivity": dict(xi=None, options={"t": 4, "n_instances": 2}),
+    "stationarity": dict(t_list=[4], n_real=3, options={"n_matched": 1}),
+    "recession": dict(n_real=2, options={"t": 4, "s_list": [1, 2]}),
+    "rank-one": dict(xi=None, n_real=2,
+                     options={"t": 4, "xi_a": "e1", "xi_b": "e2", "n_grid": 3}),
+    "degenerate-divergence": dict(field=PARETO_LAMINATE, xi="e2", t_list=[2, 4],
+                                  n_real=2),
+    "glue-check": dict(xi=None, options={"n_instances": 3}),
+}
+
+
+@pytest.mark.parametrize("command", list(FAN_OUT))
+def test_outputs_identical_across_workers_and_reruns(command, tmp_path, monkeypatch):
+    raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command]})
+    if raw["xi"] is None:
+        del raw["xi"]
     paths = []
     for sub, workers in (("w1", 1), ("w3", 3)):
         cfg = parse_config_dict(raw)
@@ -242,7 +262,7 @@ def test_outputs_identical_across_workers_and_reruns(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps(raw))
     monkeypatch.setenv("HOMLAB_WORKERS", "2")
     out_env = tmp_path / "env"
-    assert main(["estimate-fhom", "--config", str(cfg_path), "--out",
+    assert main([command, "--config", str(cfg_path), "--out",
                  str(out_env)]) == 0
     env_csv = next(out_env.glob("*.csv"))
     assert canonical_csv_bytes(env_csv) == canonical_csv_bytes(paths[0])

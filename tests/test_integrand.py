@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
-                    Periodic, coercivity_constant, growth_constants,
-                    make_model, sample_field)
+                    Periodic, assemble, coercivity_constant, cube_grid,
+                    growth_constants, sample_field)
 from homlab.randomness import keyed_uniform
 
 U12 = DistributionSpec.uniform(1.0, 2.0)
@@ -21,60 +21,62 @@ def const_field(values, lower=None):
     return sample_field(spec, 0)
 
 
+def density(field, xi, include_lambda=None):
+    """f(x, xi) at the cell centers of Q_4, from the cell energy of v = 0."""
+    xi = np.atleast_2d(xi)
+    grid = cube_grid(field.spec.dimension, 4.0, components=xi.shape[0])
+    prob = assemble(field, grid, xi, include_lambda=include_lambda)
+    v = np.zeros((grid.components,) + grid.node_shape)
+    return prob.energy_density(v) / grid.h ** grid.dimension
+
+
 def test_eval_zero_slope():
-    model = make_model(const_field((2.0, 3.0)))
-    assert model.eval(np.zeros(2), np.zeros((1, 2))) == 0.0
+    assert np.all(density(const_field((2.0, 3.0)), np.zeros((1, 2))) == 0.0)
 
 
 def test_eval_column_scaling_hand_value():
-    model = make_model(const_field((2.0, 3.0)))
-    val = model.eval(np.array([0.3, 0.7]), np.array([[1.0, 1.0]]))
-    assert val == pytest.approx(math.sqrt(13.0), abs=1e-14)
+    val = density(const_field((2.0, 3.0)), np.array([[1.0, 1.0]]))
+    assert np.allclose(val, math.sqrt(13.0), rtol=0.0, atol=1e-14)
 
 
 def test_eval_two_components():
-    model = make_model(const_field((2.0, 3.0)), m=2)
     xi = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert model.eval(np.zeros(2), xi) == pytest.approx(math.sqrt(13.0))
+    assert np.allclose(density(const_field((2.0, 3.0)), xi), math.sqrt(13.0))
+    grid = cube_grid(2, 4.0, components=2)
     with pytest.raises(ValueError):
-        model.eval(np.zeros(2), np.array([[1.0, 0.0]]))
+        assemble(const_field((2.0, 3.0)), grid, np.array([[1.0, 0.0]]))
 
 
 def test_eval_lower_order_flag():
     lower = DistributionSpec.constant(0.25)
-    on = make_model(const_field((2.0, 2.0), lower=lower))
-    off = make_model(const_field((2.0, 2.0), lower=lower), include_lambda=False)
-    x = np.array([0.1, 0.9])
+    fld = const_field((2.0, 2.0), lower=lower)
     xi = np.array([[1.0, 0.0]])
-    assert on.eval(x, xi) == pytest.approx(2.25)
-    assert off.eval(x, xi) == pytest.approx(2.0)
+    assert np.allclose(density(fld, xi), 2.25)
+    assert np.allclose(density(fld, xi, include_lambda=False), 2.0)
 
 
 def test_eval_one_homogeneous_and_convex_on_random_probes():
     spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=(U12, TP))
-    model = make_model(sample_field(spec, 3))
-    x = keyed_uniform(1, "x", np.arange(40)).reshape(20, 2) * 10
+    fld = sample_field(spec, 3)
     g = keyed_uniform(1, "xi", np.arange(80)).reshape(20, 2, 2) - 0.5
     for k in range(20):
         xi1, xi2 = g[k, 0][None], g[k, 1][None]
-        f1 = model.eval(x[k], xi1)
-        assert model.eval(x[k], 3.0 * xi1) == pytest.approx(3.0 * f1, rel=1e-12)
-        mid = model.eval(x[k], 0.5 * (xi1 + xi2))
-        assert mid <= 0.5 * (f1 + model.eval(x[k], xi2)) + 1e-12
+        f1 = density(fld, xi1)
+        assert np.allclose(density(fld, 3.0 * xi1), 3.0 * f1, rtol=1e-12, atol=0.0)
+        mid = density(fld, 0.5 * (xi1 + xi2))
+        assert np.all(mid <= 0.5 * (f1 + density(fld, xi2)) + 1e-12)
 
 
 def test_eval_stays_inside_its_own_bounds():
     spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=U12,
                      lower_order=TP)
     fld = sample_field(spec, 11)
-    model = make_model(fld)
-    x = keyed_uniform(2, "x", np.arange(30)).reshape(15, 2) * 6
     xi = np.array([[0.4, -1.1]])
-    for k in range(15):
-        diag = fld.lambda_diag(x[k])
-        norm = float(np.sqrt(((xi * diag) ** 2).sum()))
-        val = float(model.eval(x[k], xi))
-        assert norm <= val <= norm + float(fld.lower(x[k])) + 1e-12
+    centers = cube_grid(2, 4.0).cell_centers()
+    norm = np.sqrt(((xi[0] * fld.lambda_diag(centers)) ** 2).sum(axis=-1))
+    val = density(fld, xi)
+    assert np.all(norm <= val)
+    assert np.all(val <= norm + fld.lower(centers) + 1e-12)
 
 
 # ------------------------------------------------------------- constants

@@ -15,19 +15,19 @@ def ell_norm(q, s):
     return np.sqrt(np.sum((q / s) ** 2, axis=(0, 1)))
 
 
-def brentq_projection(p, s):
-    """Independent single-cell oracle: root of the multiplier equation."""
+def scaled_brentq_projection(p, s):
+    """Independent single-cell oracle: root of the multiplier equation.
+
+    The tolerance is relative to the multiplier nu, so nu is resolved to
+    a few ulp whatever its size; an absolute one is far from exact once
+    the semiaxes, and with them nu, are small.
+    """
     if float(np.sqrt(np.sum((p / s[None]) ** 2))) <= 1.0:
         return p.copy()
     c = (p * s[None]) ** 2
-
-    def phi(nu):
-        return float((c / (s[None] ** 2 + nu) ** 2).sum()) - 1.0
-
     hi = float(np.sqrt(c.sum()))
-    while phi(hi) > 0:
-        hi *= 2.0
-    nu = brentq(phi, 0.0, hi, xtol=1e-15, rtol=1e-15)
+    nu = brentq(lambda x: float((c / (s[None] ** 2 + x) ** 2).sum()) - 1.0,
+                0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
     return p * (s[None] ** 2 / (s[None] ** 2 + nu))
 
 
@@ -85,7 +85,7 @@ def test_ellipsoid_against_brentq_oracle():
     axes = keyed_uniform(10, "oa", np.arange(3 * 25)).reshape(3, 25) * 3.0 + 0.05
     q = project_ellipsoid(p, axes)
     for cell in range(25):
-        want = brentq_projection(p[:, :, cell], axes[:, cell])
+        want = scaled_brentq_projection(p[:, :, cell], axes[:, cell])
         assert np.allclose(q[:, :, cell], want, atol=1e-9, rtol=1e-9)
 
 
@@ -121,20 +121,6 @@ def test_ellipsoid_randomized_feasibility(seed, m, d):
     assert np.array_equal(q[:, :, inside], p[:, :, inside])
     # projection never increases the distance-to-origin in ball metric
     assert np.all(nrm <= ell_norm(p, axes) + 1e-12)
-
-
-def scaled_brentq_projection(p, s):
-    """Single-cell oracle whose tolerance is relative to the multiplier.
-
-    ``brentq_projection`` stops at an absolute 1e-15 in nu, which is far
-    from exact once the semiaxes are small; here nu is resolved to a few
-    ulp whatever its size.
-    """
-    c = (p * s[None]) ** 2
-    hi = float(np.sqrt(c.sum()))
-    nu = brentq(lambda x: float((c / (s[None] ** 2 + x) ** 2).sum()) - 1.0,
-                0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
-    return p * (s[None] ** 2 / (s[None] ** 2 + nu))
 
 
 @pytest.mark.parametrize("m", [1, 2])
