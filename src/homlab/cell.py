@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,14 +79,16 @@ class Grid:
 
     def cell_centers(self) -> np.ndarray:
         """Physical coordinates of cell centers, shape (*cells, d)."""
-        axes = [self.center[j] - 0.5 * self.side + (np.arange(self.cells) + 0.5) * self.h
-                for j in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return self._lattice(self.cells, 0.5)
 
-    def domain(self) -> tuple:
-        return tuple((self.center[j] - 0.5 * self.side, self.center[j] + 0.5 * self.side)
-                     for j in range(self.dimension))
+    def nodes(self) -> np.ndarray:
+        """Physical coordinates of grid nodes, shape (*(cells + 1), d)."""
+        return self._lattice(self.cells + 1, 0.0)
+
+    def _lattice(self, count: int, shift: float) -> np.ndarray:
+        axes = [c - 0.5 * self.side + (np.arange(count) + shift) * self.h
+                for c in self.center]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 @dataclass(eq=False)
@@ -116,7 +119,7 @@ class CellProblem:
         return float(dens.sum())
 
 
-def assemble(field: FieldSample, grid: Grid, xi, include_lambda=None) -> CellProblem:
+def assemble(field: FieldSample, grid: Grid, xi) -> CellProblem:
     """Sample the field at cell centers and freeze a CellProblem.
 
     Piecewise-constant fields make center sampling exact as soon as the
@@ -130,9 +133,7 @@ def assemble(field: FieldSample, grid: Grid, xi, include_lambda=None) -> CellPro
         raise ValueError("field dimension does not match grid dimension")
     centers = grid.cell_centers()
     lam = np.moveaxis(field.lambda_diag(centers), -1, 0).copy()
-    if include_lambda is None:
-        include_lambda = field.spec.lower_order is not None
-    lam0 = field.lower(centers) if include_lambda and field.spec.lower_order is not None else None
+    lam0 = field.lower(centers) if field.spec.lower_order is not None else None
     return CellProblem(grid=grid, xi=xi, lam=lam, lam0=lam0)
 
 
@@ -145,11 +146,11 @@ def cube_grid(dimension: int, t: float, cells_per_unit: int = 2,
 
 
 def cell_problem_on_cube(field: FieldSample, t: float, xi, cells_per_unit: int = 2,
-                         center=None, include_lambda=None) -> CellProblem:
+                         center=None) -> CellProblem:
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     grid = cube_grid(field.spec.dimension, t, cells_per_unit,
                      components=xi.shape[0], center=center)
-    return assemble(field, grid, xi, include_lambda=include_lambda)
+    return assemble(field, grid, xi)
 
 
 @dataclass(eq=False)
@@ -224,6 +225,10 @@ def _grad_adjoint(p: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
+# serializes cache misses, so concurrent solves of one size factor it once
+_LU_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=32)
 def _laplacian_lu(d: int, n: int):
     """Sparse LU of the Dirichlet graph Laplacian on the interior lattice."""
@@ -282,8 +287,8 @@ def default_step_ratio(grid: Grid, xi: np.ndarray) -> float:
     return max(2.0, grid.cells / 16.0 * max(1.0, xin))
 
 
-def solve_cell(problem: CellProblem, tol: float = 1e-5, max_iter: int = 150_000,
-               step_ratio: float = None, check_every: int = 20) -> SolveReport:
+def solve_cell(problem: CellProblem, tol: float = 1e-5,
+               max_iter: int = 150_000) -> SolveReport:
     """Minimize the cell energy with a certified relative duality gap.
 
     Never raises on slow convergence: if ``max_iter`` is hit before the
@@ -306,11 +311,12 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5, max_iter: int = 150_000,
     lam0_total = hd * float(problem.lam0.sum()) if problem.lam0 is not None else 0.0
 
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
-    ratio = default_step_ratio(grid, xi) if step_ratio is None else float(step_ratio)
+    ratio = default_step_ratio(grid, xi)
     tau = ratio / L
     sigma = 1.0 / (ratio * L)
 
-    lu = _laplacian_lu(d, n)
+    with _LU_LOCK:
+        lu = _laplacian_lu(d, n)
     v = np.zeros((m,) + grid.node_shape)
     vbar = v.copy()
     # Dual warm start: exact maximizer of <p, xi> over the ball, cellwise.
@@ -336,7 +342,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5, max_iter: int = 150_000,
     best_v = v.copy()
     it = 0
     next_check = 0
-    interval = max(1, int(check_every))
+    interval = 20  # iterations to the second gap check, then 1.3x per check
     checks = 0
     converged = False
     gap = math.inf
@@ -399,14 +405,13 @@ class SolveTask:
     center: tuple = None
     cells_per_unit: int = 2
     tol: float = 1e-5
-    max_iter: int = 150_000
 
 
 def _solve_task(task: SolveTask) -> SolveReport:
     fld = sample_field(task.spec, task.seed, task.realization)
     problem = cell_problem_on_cube(fld, task.t, task.xi, task.cells_per_unit,
                                    center=task.center)
-    return solve_cell(problem, tol=task.tol, max_iter=task.max_iter)
+    return solve_cell(problem, tol=task.tol)
 
 
 def solve_many(tasks, workers: int = 1):

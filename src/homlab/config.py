@@ -27,8 +27,7 @@ DEFAULT_T_LIST = (16.0, 64.0, 256.0)
 
 _TOP_KEYS = {"schema_version", "command", "seed", "tol", "workers", "out_dir",
              "field", "xi", "t_list", "n_real", "cells_per_unit", "options"}
-_FIELD_KEYS = {"dimension", "structure", "diagonal", "lower_order",
-               "continuum_offset"}
+_FIELD_KEYS = {"dimension", "structure", "diagonal", "lower_order"}
 _DIST_KEYS = {
     "constant": {"value"},
     "uniform": {"a", "b"},
@@ -42,24 +41,29 @@ _STRUCT_KEYS = {
     "periodic": {"tile"},
 }
 
-# which commands consume the xi key, and the extra option keys they accept
+# which commands consume the xi key, and each command's options with JSON types
 _XI_COMMANDS = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
                 "recession", "subadditivity", "degenerate-divergence"}
 _XI_REQUIRED = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
                 "recession"}
 _OPTION_KEYS = {
-    "field-stats": {"observable", "entry", "box"},
-    "solve-cell": {"t", "save_minimizer"},
-    "estimate-fhom": set(),
-    "verify-bounds": set(),
-    "subadditivity": {"t", "depth", "n_instances", "m"},
-    "stationarity": {"t", "z", "n_matched"},
-    "recession": {"s_list", "t"},
-    "rank-one": {"xi_a", "xi_b", "n_grid", "t"},
-    "degenerate-divergence": set(),
-    "degenerate-interface": {"delta_list", "search_limit", "n_scans"},
-    "glue-check": {"n_instances", "side", "delta_range"},
+    "field-stats": {"observable": "string", "entry": "integer", "box": "array"},
+    "solve-cell": {"t": "number", "save_minimizer": "boolean"},
+    "estimate-fhom": {},
+    "verify-bounds": {},
+    "subadditivity": {"t": "number", "depth": "integer", "n_instances": "integer",
+                      "m": "integer"},
+    "stationarity": {"t": "number", "z": "array", "n_matched": "integer"},
+    "recession": {"s_list": "array", "t": "number"},
+    "rank-one": {"xi_a": "slope", "xi_b": "slope", "n_grid": "integer", "t": "number"},
+    "degenerate-divergence": {},
+    "degenerate-interface": {"delta_list": "array", "search_limit": "integer",
+                             "n_scans": "integer"},
+    "glue-check": {"n_instances": "integer", "side": "number", "delta_range": "array"},
 }
+# a slope is shorthand like "e1" or a numeric row/matrix (see parse_xi)
+_JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float),
+               "string": str, "array": list, "slope": (str, list)}
 
 
 class ConfigError(ValueError):
@@ -178,11 +182,10 @@ def _parse_field(obj, errors):
     if obj.get("lower_order") is not None:
         lower = _parse_distribution(obj["lower_order"], "field.lower_order",
                                     errors)
-    offset = obj.get("continuum_offset", False)
     if structure is None:
         return None
     spec = FieldSpec(dimension=dim, structure=structure, diagonal=diagonal,
-                     lower_order=lower, continuum_offset=offset)
+                     lower_order=lower)
     for msg in spec.validate():
         errors.append(f"field: {msg}")
     return spec
@@ -255,10 +258,17 @@ def _check_options(command, opts, errors):
     if not isinstance(opts, dict):
         errors.append("options: expected an object")
         return {}
-    unknown = set(opts) - _OPTION_KEYS[command]
+    accepted = _OPTION_KEYS[command]
+    unknown = set(opts) - set(accepted)
     if unknown:
         errors.append(f"options: keys {sorted(unknown)} not accepted by "
                       f"command {command!r}")
+    for key in sorted(set(opts) & set(accepted)):
+        value, want = opts[key], accepted[key]
+        # JSON true/false are not numbers, though Python bools are ints
+        if isinstance(value, bool) != (want == "boolean") or not isinstance(
+                value, _JSON_TYPES[want]):
+            errors.append(f"options.{key}: expected {want}, got {value!r}")
     return opts
 
 

@@ -118,7 +118,6 @@ class InterfaceProbe:
     delta: float
     success: bool
     k_index: int
-    k_relative: int
     epsilon: float
     interface_pos: float
     energy: float
@@ -135,65 +134,51 @@ class InterfaceProbe:
         return np.interp(np.asarray(x1, dtype=float), self.breaks_x, self.breaks_y)
 
 
-def _scan_for_cheap_cell(fld, axis, delta, start, search_limit):
-    """First cell index k >= start with weight strictly below delta."""
+def _scan_for_cheap_cell(fld, axis, delta, search_limit):
+    """First cell index k >= 0 with weight strictly below delta."""
     d = fld.spec.dimension
     scanned = 0
     hits = 0
     k_hit = -1
     value = math.nan
-    k = start
     while scanned < search_limit:
         count = min(_SCAN_CHUNK, search_limit - scanned)
         pts = np.zeros((count, d))
-        pts[:, axis - 1] = np.arange(k, k + count) + 0.5
+        pts[:, axis - 1] = np.arange(scanned, scanned + count) + 0.5
         a = fld.lambda_diag(pts)[:, axis - 1]
         below = a < delta
-        hits += int(below.sum())
         if below.any():
             j = int(np.argmax(below))
-            k_hit = k + j
+            k_hit = scanned + j
             value = float(a[j])
             scanned += j + 1
             hits = int(below[:j + 1].sum())
             break
         scanned += count
-        k += count
     return k_hit, value, scanned, hits
 
 
 def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0,
-                    search_limit: int = 10_000, r: float = 0.0,
-                    epsilon: float = None) -> InterfaceProbe:
+                    search_limit: int = 10_000) -> InterfaceProbe:
     """Locate a stripe with weight below delta and ramp across it.
 
     Scans laminate cells k = 0, 1, 2, ... of one realization for the
-    first weight strictly below delta (for offset r > 0 the scan starts
-    at ceil(r/epsilon), which requires epsilon to be given).  On success
-    epsilon defaults to 1/(k+2) so the stripe sits strictly inside the
-    unit cube, and the exact ramp energy equals the stripe weight.  On
-    failure the probe carries the empirical hit frequency over the
-    scanned prefix.
+    first weight strictly below delta.  On success epsilon = 1/(k+2), so
+    the stripe [eps*k, eps*(k+1)] sits strictly inside the unit cube,
+    and the exact ramp energy equals the stripe weight.  On failure the
+    probe carries the empirical hit frequency over the scanned prefix.
     """
     axis = _require_isotropic_laminate(spec, "cheap_interface")
     if spec.lower_order is not None:
         raise ValueError("cheap_interface requires no lower-order term")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if r < 0:
-        raise ValueError("interface offset r must be nonnegative")
-    if r > 0 and epsilon is None:
-        raise ValueError("offset interfaces need an explicit epsilon to place "
-                         "the scan start")
 
     fld = sample_field(spec, seed, index)
-    start = 0 if r == 0.0 else int(math.ceil(r / epsilon))
-    k_hit, a_hit, scanned, hits = _scan_for_cheap_cell(fld, axis, delta, start,
-                                                       search_limit)
+    k_hit, a_hit, scanned, hits = _scan_for_cheap_cell(fld, axis, delta, search_limit)
     p_delta = spec.diagonal_laws()[axis - 1].mass_below(delta)
     if k_hit < 0:
-        return InterfaceProbe(delta=delta, success=False, k_index=-1,
-                              k_relative=-1, epsilon=math.nan,
+        return InterfaceProbe(delta=delta, success=False, k_index=-1, epsilon=math.nan,
                               interface_pos=math.nan, energy=math.nan,
                               l1_distance=math.nan, bv_limit=1.0,
                               cells_scanned=scanned,
@@ -201,12 +186,9 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
                               p_delta=p_delta, breaks_x=np.array([]),
                               breaks_y=np.array([]))
 
-    eps = 1.0 / (k_hit + 2.0) if epsilon is None else float(epsilon)
+    eps = 1.0 / (k_hit + 2.0)
     lo = eps * k_hit
     hi = eps * (k_hit + 1)
-    if not (0.0 <= lo and hi <= 1.0):
-        raise ValueError(f"stripe [{lo:g}, {hi:g}] does not fit in the unit cube; "
-                         "decrease epsilon")
     # exact integration: gradient eps^{-1} on one stripe of width eps,
     # unit cross-section, piecewise-constant weight a_hit there
     energy = a_hit
@@ -214,8 +196,7 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
     l1 = eps / 4.0
     breaks_x = np.array([0.0, lo, hi, 1.0])
     breaks_y = np.array([0.0, 0.0, 1.0, 1.0])
-    return InterfaceProbe(delta=delta, success=True, k_index=k_hit,
-                          k_relative=k_hit - start, epsilon=eps,
+    return InterfaceProbe(delta=delta, success=True, k_index=k_hit, epsilon=eps,
                           interface_pos=mid, energy=energy, l1_distance=l1,
                           bv_limit=1.0, cells_scanned=scanned,
                           p_hit_empirical=hits / max(scanned, 1),
@@ -294,7 +275,7 @@ def hitting_stats(spec: FieldSpec, delta: float, n_scans: int = 1000,
     n_failed = 0
     for i in range(n_scans):
         fld = sample_field(spec, seed, i)
-        k_hit, _, _, _ = _scan_for_cheap_cell(fld, axis, delta, 0, search_limit)
+        k_hit, _, _, _ = _scan_for_cheap_cell(fld, axis, delta, search_limit)
         if k_hit < 0:
             n_failed += 1
         else:

@@ -21,7 +21,6 @@ from .randomness import key_chain, uniform01
 
 _REALM_DIAG = 1
 _REALM_LOWER = 2
-_REALM_OFFSET = 3
 _ISO_SLOT = -1
 
 # Hard cap on cells enumerated by exact spatial integration.
@@ -140,25 +139,6 @@ class DistributionSpec:
             return math.exp(mu + 0.5 * sigma * sigma)
         raise ValueError(f"unknown distribution kind {k!r}")
 
-    def variance(self) -> float:
-        k, p = self.kind, self.params
-        if k == "constant":
-            return 0.0
-        if k == "uniform":
-            return (p[1] - p[0]) ** 2 / 12.0
-        if k == "two_point":
-            v1, pr, v2 = p
-            return pr * (1.0 - pr) * (v1 - v2) ** 2
-        if k == "pareto":
-            xm, al = p
-            if al <= 2.0:
-                return math.inf
-            return xm * xm * al / ((al - 1.0) ** 2 * (al - 2.0))
-        if k == "lognormal":
-            mu, sigma = p
-            return (math.exp(sigma * sigma) - 1.0) * math.exp(2 * mu + sigma * sigma)
-        raise ValueError(f"unknown distribution kind {k!r}")
-
     def support_inf(self) -> float:
         k, p = self.kind, self.params
         if k == "constant":
@@ -251,7 +231,6 @@ class FieldSpec:
     structure: Structure
     diagonal: object = None
     lower_order: DistributionSpec = None
-    continuum_offset: bool = False
 
     def validate(self) -> list:
         errs = []
@@ -305,8 +284,6 @@ class FieldSpec:
                 errs.extend(f"lower_order: {e}" for e in self.lower_order.validate())
                 if isinstance(st, Periodic) and self.lower_order.kind != "constant":
                     errs.append("periodic fields are deterministic: lower_order must be constant or None")
-        if not isinstance(self.continuum_offset, bool):
-            errs.append("continuum_offset must be a bool")
         return errs
 
     @property
@@ -328,7 +305,6 @@ class FieldSample:
     seed: int
     index: int
     origin: np.ndarray
-    offset: np.ndarray
 
     def lambda_diag(self, x) -> np.ndarray:
         """Diagonal entries at points x of shape (..., d) -> (..., d)."""
@@ -344,10 +320,7 @@ class FieldSample:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.spec.dimension,):
             raise ValueError(f"points must have trailing dimension {self.spec.dimension}")
-        y = x + self.origin
-        if self.spec.continuum_offset:
-            y = y + self.offset
-        return np.floor(y).astype(np.int64)
+        return np.floor(x + self.origin).astype(np.int64)
 
     def _structure_coords(self, cells) -> tuple:
         st = self.spec.structure
@@ -394,13 +367,8 @@ def sample_field(spec: FieldSpec, seed: int, index: int = 0) -> FieldSample:
     errs = spec.validate()
     if errs:
         raise ValueError("invalid FieldSpec: " + "; ".join(errs))
-    d = spec.dimension
-    if spec.continuum_offset:
-        offset = uniform01(key_chain(seed, _REALM_OFFSET, index, np.arange(d)))
-    else:
-        offset = np.zeros(d)
     return FieldSample(spec=spec, seed=int(seed), index=int(index),
-                       origin=np.zeros(d), offset=offset)
+                       origin=np.zeros(spec.dimension))
 
 
 def shift(sample: FieldSample, z) -> FieldSample:
@@ -435,14 +403,12 @@ def birkhoff_average(sample: FieldSample, t_list, observable: str = "entry",
     average over ``t * B`` is the overlap-volume-weighted cell sum,
     computed exactly.  Returns a list of (t, average) pairs.
     """
-    spec = sample.spec
-    d = spec.dimension
+    d = sample.spec.dimension
     if box is None:
         box = tuple((0.0, 1.0) for _ in range(d))
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != d or any(hi <= lo for lo, hi in box):
         raise ValueError("box must give d nondegenerate (lo, hi) intervals")
-    shift_total = sample.origin + (sample.offset if spec.continuum_offset else 0.0)
 
     out = []
     for t in t_list:
@@ -453,8 +419,8 @@ def birkhoff_average(sample: FieldSample, t_list, observable: str = "entry",
         axes_weights = []
         total = 1
         for j, (lo, hi) in enumerate(box):
-            a = t * lo + shift_total[j]
-            b = t * hi + shift_total[j]
+            a = t * lo + sample.origin[j]
+            b = t * hi + sample.origin[j]
             k0 = int(math.floor(a))
             k1 = int(math.ceil(b))
             ks = np.arange(k0, k1, dtype=np.int64)

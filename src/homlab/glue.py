@@ -10,7 +10,8 @@ inner box and the outer box.  The construction certifies
 
 with S the overlap (outer \ closure(inner)) ^ other and
 dist = dist(inner, boundary of outer).  The layer count is
-N = ceil(max(1/alpha, 1) / delta); each cutoff transitions over the
+N = ceil(max(1/alpha, 1) / delta), with alpha = ``integrand.ALPHA`` the
+constant in f >= alpha |xi Lambda|; each cutoff transitions over the
 middle half of its layer, so its slope stays within the 2N/R budget
 (R = dist/2) while cells classify cleanly as u-cells, v-cells or
 transition cells.  That classification needs layers at least
@@ -56,10 +57,7 @@ class GlueReport:
 def affine_field(grid, xi, origin_value: float = 0.0) -> np.ndarray:
     """Nodal values of the affine map x -> xi x (+ constant), (m, nodes)."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    axes = [grid.center[j] - 0.5 * grid.side + np.arange(grid.cells + 1) * grid.h
-            for j in range(grid.dimension)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return np.moveaxis(mesh @ xi.T, -1, 0) + origin_value
+    return np.moveaxis(grid.nodes() @ xi.T, -1, 0) + origin_value
 
 
 def _box_array(box, d):
@@ -82,7 +80,7 @@ def _in_open_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
 
 
 def glue_with_cutoff(u: np.ndarray, v: np.ndarray, problem: CellProblem,
-                     inner, outer, other, delta: float, alpha: float = ALPHA):
+                     inner, outer, other, delta: float):
     """Glue u and v across cutoff layers between inner and outer boxes.
 
     u, v are nodal fields on problem.grid; inner strictly inside outer;
@@ -104,18 +102,14 @@ def glue_with_cutoff(u: np.ndarray, v: np.ndarray, problem: CellProblem,
     gaps = np.concatenate([inner_b[:, 0] - outer_b[:, 0], outer_b[:, 1] - inner_b[:, 1]])
     dist = float(gaps.min())
     R = 0.5 * dist
-    n_layers = math.ceil(max(1.0 / alpha, 1.0) / delta)
+    n_layers = math.ceil(max(1.0 / ALPHA, 1.0) / delta)
     layer = R / n_layers
     if layer < 2.0 * math.sqrt(d) * h:
         raise GlueGeometryError(
             f"layers of thickness {layer:.3g} cannot resolve cells of size {h:.3g}; "
             "enlarge the margin between boxes or increase delta")
 
-    # Node geometry.
-    axes = [grid.center[j] - 0.5 * grid.side + np.arange(grid.cells + 1) * h
-            for j in range(d)]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    node_dist = _dist_to_box(nodes, inner_b)
+    node_dist = _dist_to_box(grid.nodes(), inner_b)
     centers = grid.cell_centers()
     center_dist = _dist_to_box(centers, inner_b)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .cell import SolveTask, cell_problem_on_cube, solve_cell, solve_many
+from .cell import SolveTask, cell_problem_on_cube, cube_grid, solve_cell, solve_many
 from .fields import FieldSpec, Periodic, sample_field, shift
 from .integrand import growth_constants
 from .randomness import keyed_uniform
@@ -82,7 +82,7 @@ def _as_xi(xi) -> np.ndarray:
 
 
 def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int = 0,
-                   tol: float = 1e-5, cells_per_unit: int = 2, max_iter: int = 150_000,
+                   tol: float = 1e-5, cells_per_unit: int = 2,
                    workers: int = 1) -> HomEstimate:
     """Monte Carlo estimate of the effective density at slope xi.
 
@@ -100,8 +100,8 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
     if isinstance(spec.structure, Periodic):
         n_real = 1  # deterministic field
 
-    tasks = [SolveTask(spec, seed, r, t, xi, cells_per_unit=cells_per_unit, tol=tol,
-                       max_iter=max_iter) for t in t_list for r in range(n_real)]
+    tasks = [SolveTask(spec, seed, r, t, xi, cells_per_unit=cells_per_unit, tol=tol)
+             for t in t_list for r in range(n_real)]
     rows = [(rep.normalized, rep.converged, rep.gap, rep.iterations)
             for rep in solve_many(tasks, workers)]
     levels = []
@@ -186,8 +186,10 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
     2^d tol t^d.  xi=None draws a random unit slope per instance.
     """
     d = spec.dimension
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     parts = 2 ** depth
-    n = max(2, int(round(cells_per_unit * t)))
+    n = cube_grid(d, t, cells_per_unit).cells
     if n % parts != 0:
         raise ValueError(f"cells per side {n} must be divisible by 2^depth={parts}")
     if n // parts < 2:

@@ -22,8 +22,12 @@ import numpy as np
 
 from .fields import FieldSpec, Periodic
 from .randomness import keyed_uniform
+from .stats import Z99
 
 ALPHA = 1.0  # f == |xi Lambda| + lam bounds itself from below with constant 1
+_MC_BUDGET = 20000  # Monte Carlo samples per probe for laws without atoms
+_N_PROBES = 16  # random column-mass probes beyond the axes and the center
+_SEED = 0  # key of the probe and Monte Carlo draws
 
 
 def coercivity_constant(spec: FieldSpec) -> float:
@@ -65,17 +69,17 @@ class GrowthConstants:
         return self.C0 * xi_norm + self.C1
 
 
-def _column_mass_probes(d: int, n_probes: int, seed: int) -> np.ndarray:
+def _column_mass_probes(d: int) -> np.ndarray:
     """Axes, simplex center and random points of the column-mass simplex."""
     probes = [np.eye(d)[j] for j in range(d)]
     probes.append(np.full(d, 1.0 / d))
-    u = keyed_uniform(seed, "C0-probes", np.arange(n_probes * d)).reshape(n_probes, d)
+    u = keyed_uniform(_SEED, "C0-probes", np.arange(_N_PROBES * d)).reshape(_N_PROBES, d)
     g = -np.log(u)
     probes.extend(g / g.sum(axis=1, keepdims=True))
     return np.array(probes)
 
 
-def _expected_weighted_norm(laws, c, mc_budget, seed, probe_id):
+def _expected_weighted_norm(laws, c, probe_id):
     """E[sqrt(sum_j c_j Lambda_j^2)] exactly for finite-support laws, else MC."""
     atoms = [law.atoms() for law in laws]
     if all(a is not None for a in atoms):
@@ -89,18 +93,17 @@ def _expected_weighted_norm(laws, c, mc_budget, seed, probe_id):
                 s += c[j] * vals[idx] ** 2
             value += pr * math.sqrt(s)
         return value, 0.0
-    samples = np.empty((mc_budget, len(laws)))
+    samples = np.empty((_MC_BUDGET, len(laws)))
     for j, law in enumerate(laws):
-        u = keyed_uniform(seed, "C0-mc", probe_id, j, np.arange(mc_budget))
+        u = keyed_uniform(_SEED, "C0-mc", probe_id, j, np.arange(_MC_BUDGET))
         samples[:, j] = law.sample(u)
     vals = np.sqrt(samples ** 2 @ c)
     mean = float(vals.mean())
-    half = 2.58 * float(vals.std(ddof=1)) / math.sqrt(mc_budget)
+    half = Z99 * float(vals.std(ddof=1)) / math.sqrt(_MC_BUDGET)
     return mean, half
 
 
-def growth_constants(spec: FieldSpec, mc_budget: int = 20000,
-                     n_probes: int = 16, seed: int = 0) -> GrowthConstants:
+def growth_constants(spec: FieldSpec) -> GrowthConstants:
     """Sandwich constants for the law of the field.
 
     c0 = 1 / esssup |Lambda^{-1}|_F (0 when the weight degenerates),
@@ -126,7 +129,7 @@ def growth_constants(spec: FieldSpec, mc_budget: int = 20000,
         vals = tile[..., None] * np.ones(d) if tile.ndim == d else tile
         vals = vals.reshape(-1, d)
         best = -math.inf
-        for c in _column_mass_probes(d, n_probes, seed):
+        for c in _column_mass_probes(d):
             best = max(best, float(np.mean(np.sqrt(vals ** 2 @ c))))
         C0 = best
         method = "probe_exact"
@@ -144,8 +147,8 @@ def growth_constants(spec: FieldSpec, mc_budget: int = 20000,
             best = -math.inf
             best_ci = 0.0
             exact = all(law.atoms() is not None for law in laws)
-            for pid, c in enumerate(_column_mass_probes(spec.dimension, n_probes, seed)):
-                val, half = _expected_weighted_norm(laws, c, mc_budget, seed, pid)
+            for pid, c in enumerate(_column_mass_probes(spec.dimension)):
+                val, half = _expected_weighted_norm(laws, c, pid)
                 if val > best:
                     best, best_ci = val, half
             C0 = best

@@ -325,11 +325,9 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
     gv = ndtri(keyed_uniform(seed, "glue-xi-v", i, np.arange(d)))[None]
     prob = assemble(fld, grid, gu)
     nodes = np.prod(grid.node_shape)
-    mesh = np.stack(np.meshgrid(*[grid.center[j] - 0.5 * side
-                                  + grid.h * np.arange(grid.cells + 1)
-                                  for j in range(d)], indexing="ij"), axis=-1)
-    u = np.tensordot(gu[0], np.moveaxis(mesh, -1, 0), axes=1)[None] * 0.2
-    v = np.tensordot(gv[0], np.moveaxis(mesh, -1, 0), axes=1)[None] * 0.2
+    mesh = np.moveaxis(grid.nodes(), -1, 0)
+    u = np.tensordot(gu[0], mesh, axes=1)[None] * 0.2
+    v = np.tensordot(gv[0], mesh, axes=1)[None] * 0.2
     noise = keyed_uniform(seed, "glue-noise", i, np.arange(nodes))
     v = v + 0.5 * (noise.reshape(grid.node_shape) - 0.5)[None]
     _, rep = glue_with_cutoff(u, v, prob, inner, outer, other, delta)

@@ -19,16 +19,19 @@ import numpy as np
 from .randomness import keyed_uniform
 
 Z99 = 2.58  # two-sided 99% normal quantile, used for all reported CIs
+_ECDF_QUANTILE = 0.99  # same-law quantile used as the two-sample threshold
+_ECDF_PAIRS = 500  # simulated same-law pairs per calibration
+_ECDF_SEED = 2026  # key of the calibration draws
 
 
-def mean_ci(values, z: float = Z99):
-    """(mean, z * std / sqrt(n)) with ddof=1; half-width 0 for n < 2."""
+def mean_ci(values):
+    """(mean, Z99 * std / sqrt(n)) with ddof=1; half-width 0 for n < 2."""
     values = np.asarray(values, dtype=float)
     n = values.size
     mean = float(values.mean()) if n else math.nan
     if n < 2:
         return mean, 0.0
-    return mean, z * float(values.std(ddof=1)) / math.sqrt(n)
+    return mean, Z99 * float(values.std(ddof=1)) / math.sqrt(n)
 
 
 def max_ecdf_distance(a, b) -> float:
@@ -42,15 +45,14 @@ def max_ecdf_distance(a, b) -> float:
 
 
 @lru_cache(maxsize=64)
-def calibrated_ecdf_threshold(n1: int, n2: int, quantile: float = 0.99,
-                              n_pairs: int = 500, seed: int = 2026) -> float:
-    """Same-law quantile of the max ECDF distance for sizes (n1, n2)."""
-    stats = np.empty(n_pairs)
-    for k in range(n_pairs):
-        a = keyed_uniform(seed, "ecdf-cal", k, 0, np.arange(n1))
-        b = keyed_uniform(seed, "ecdf-cal", k, 1, np.arange(n2))
+def calibrated_ecdf_threshold(n1: int, n2: int) -> float:
+    """Same-law 99% quantile of the max ECDF distance for sizes (n1, n2)."""
+    stats = np.empty(_ECDF_PAIRS)
+    for k in range(_ECDF_PAIRS):
+        a = keyed_uniform(_ECDF_SEED, "ecdf-cal", k, 0, np.arange(n1))
+        b = keyed_uniform(_ECDF_SEED, "ecdf-cal", k, 1, np.arange(n2))
         stats[k] = max_ecdf_distance(a, b)
-    return float(np.quantile(stats, quantile))
+    return float(np.quantile(stats, _ECDF_QUANTILE))
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,9 @@ class TwoSampleResult:
         return self.statistic <= self.threshold
 
 
-def two_sample_test(a, b, quantile: float = 0.99) -> TwoSampleResult:
+def two_sample_test(a, b) -> TwoSampleResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     stat = max_ecdf_distance(a, b)
-    thr = calibrated_ecdf_threshold(a.size, b.size, quantile=quantile)
+    thr = calibrated_ecdf_threshold(a.size, b.size)
     return TwoSampleResult(statistic=stat, threshold=thr, n1=a.size, n2=b.size)

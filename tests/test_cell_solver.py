@@ -1,6 +1,7 @@
 """Cell-problem discretization and the certified primal-dual solver."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,16 +31,20 @@ def test_grid_basic_geometry():
     assert g.h == 0.5
     assert g.node_shape == (9, 9)
     assert g.cell_shape == (8, 8)
-    assert g.domain() == ((-2.0, 2.0), (-2.0, 2.0))
     centers = g.cell_centers()
     assert centers.shape == (8, 8, 2)
     assert centers[0, 0] == pytest.approx([-1.75, -1.75])
     assert centers[-1, -1] == pytest.approx([1.75, 1.75])
+    nodes = g.nodes()
+    assert nodes.shape == (9, 9, 2)
+    assert nodes[0, 0].tolist() == [-2.0, -2.0]
+    assert nodes[-1, -1].tolist() == [2.0, 2.0]
 
 
 def test_grid_center_offset_and_validation():
     g = Grid(dimension=1, side=2.0, cells=4, center=(3.0,))
-    assert g.domain() == ((2.0, 4.0),)
+    assert g.nodes()[:, 0].tolist() == [2.0, 2.5, 3.0, 3.5, 4.0]
+    assert g.cell_centers()[:, 0].tolist() == [2.25, 2.75, 3.25, 3.75]
     with pytest.raises(ValueError):
         Grid(dimension=2, side=1.0, cells=1)
     with pytest.raises(ValueError):
@@ -314,6 +319,26 @@ def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):
         assert (a.primal, a.dual, a.gap, a.iterations) == (b.primal, b.dual, b.gap,
                                                            b.iterations)
         assert a.minimizer.tobytes() == b.minimizer.tobytes()
+
+
+def test_concurrent_solves_of_one_size_factor_the_laplacian_once(monkeypatch):
+    import homlab.cell
+
+    factored = []
+    inner = homlab.cell.splu
+
+    def slow_counting_splu(A):
+        factored.append(A.shape)
+        time.sleep(0.1)  # keep the other threads waiting on the cache miss
+        return inner(A)
+
+    homlab.cell._laplacian_lu.cache_clear()
+    monkeypatch.setattr(homlab.cell, "splu", slow_counting_splu)
+    tasks = [SolveTask(const_spec(), 0, r, 4.0, np.array([[1.0, 0.0]]))
+             for r in range(3)]
+    reports = list(solve_many(tasks, workers=3))
+    assert all(rep.converged for rep in reports)
+    assert len(factored) == 1
 
 
 # ------------------------------------------------------------ minimizers

@@ -166,6 +166,19 @@ def test_records_roundtrip_and_volatile_columns(tmp_path):
     assert canonical_csv_bytes(p1) == canonical_csv_bytes(p2)
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve-cell", "t", "four"),
+    ("solve-cell", "t", True),
+    ("subadditivity", "depth", "1"),
+])
+def test_cli_rejects_wrong_typed_option(tmp_path, capsys, command, key, value):
+    path = write_config(tmp_path, command=command, t_list=[4], n_real=1,
+                        options={key: value})
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: options.{key}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["estimate-fhom", "--config", missing]) == 2

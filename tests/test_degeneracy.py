@@ -77,7 +77,6 @@ def test_cheap_interface_finds_a_stripe_below_delta():
     assert probe.epsilon == pytest.approx(1.0 / (probe.k_index + 2.0))
     assert probe.l1_distance == pytest.approx(probe.epsilon / 4.0)
     assert probe.bv_limit == 1.0
-    assert probe.k_relative == probe.k_index
     assert probe.p_delta == pytest.approx(0.5)
     assert probe.cells_scanned == probe.k_index + 1
     # ramp profile: 0 left of the stripe, 1 right of it, 1/2 at its middle
@@ -102,24 +101,9 @@ def test_cheap_interface_failure_reports_the_scan():
     assert probe.k_index == -1
 
 
-def test_cheap_interface_offset_scan_starts_past_r():
-    probe = cheap_interface(TP_CHEAP, delta=0.1, seed=3, r=0.25, epsilon=0.01)
-    assert probe.success
-    assert probe.k_index >= 25
-    assert probe.k_relative == probe.k_index - 25
-    assert probe.epsilon == 0.01
-    assert probe.interface_pos >= 0.25
-
-
 def test_cheap_interface_errors():
-    with pytest.raises(ValueError, match="does not fit"):
-        cheap_interface(TP_CHEAP, delta=0.1, seed=0, epsilon=2.0)
-    with pytest.raises(ValueError, match="explicit epsilon"):
-        cheap_interface(TP_CHEAP, delta=0.1, seed=0, r=0.25)
     with pytest.raises(ValueError, match="positive"):
         cheap_interface(TP_CHEAP, delta=0.0, seed=0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        cheap_interface(TP_CHEAP, delta=0.1, seed=0, r=-1.0, epsilon=0.1)
 
 
 def test_interface_limit_on_one_realization():
@@ -138,8 +122,7 @@ def test_interface_limit_on_one_realization():
 
 def _fake_probe(delta, k):
     eps = 1.0 / (k + 2.0)
-    return InterfaceProbe(delta=delta, success=True, k_index=k, k_relative=k,
-                          epsilon=eps, interface_pos=eps * (k + 0.5),
+    return InterfaceProbe(delta=delta, success=True, k_index=k, epsilon=eps, interface_pos=eps * (k + 0.5),
                           energy=0.5 * delta, l1_distance=eps / 4.0,
                           bv_limit=1.0, cells_scanned=k + 1,
                           p_hit_empirical=1.0 / (k + 1), p_delta=0.5,

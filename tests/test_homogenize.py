@@ -112,6 +112,10 @@ def test_subadditivity_random_battery():
 def test_subadditivity_rejects_unsplittable_mesh():
     with pytest.raises(ValueError, match="divisible"):
         check_subadditivity(IID_U12, xi=E1, t=5, depth=2, n_instances=1)
+    # depth 0 would compare the cube with itself and pass for no reason
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            check_subadditivity(IID_U12, xi=E1, t=4, depth=depth, n_instances=1)
 
 
 def test_stationarity_matched_shift_is_exact():

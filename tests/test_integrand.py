@@ -21,11 +21,11 @@ def const_field(values, lower=None):
     return sample_field(spec, 0)
 
 
-def density(field, xi, include_lambda=None):
+def density(field, xi):
     """f(x, xi) at the cell centers of Q_4, from the cell energy of v = 0."""
     xi = np.atleast_2d(xi)
     grid = cube_grid(field.spec.dimension, 4.0, components=xi.shape[0])
-    prob = assemble(field, grid, xi, include_lambda=include_lambda)
+    prob = assemble(field, grid, xi)
     v = np.zeros((grid.components,) + grid.node_shape)
     return prob.energy_density(v) / grid.h ** grid.dimension
 
@@ -52,7 +52,7 @@ def test_eval_lower_order_flag():
     fld = const_field((2.0, 2.0), lower=lower)
     xi = np.array([[1.0, 0.0]])
     assert np.allclose(density(fld, xi), 2.25)
-    assert np.allclose(density(fld, xi, include_lambda=False), 2.0)
+    assert np.all(density(const_field((2.0, 2.0)), xi) == 2.0)
 
 
 def test_eval_one_homogeneous_and_convex_on_random_probes():
