@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .config import COMMANDS, ConfigError, parse_config
+from .config import COMMANDS, ConfigError, check_workers, parse_config
 from .runner import run
 
 
@@ -22,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: HOMLAB_WORKERS or 1); "
+                       help="worker threads (default: HOMLAB_WORKERS, else the config's); "
                             "solves hold the GIL, so more are rarely faster")
         p.add_argument("--out", default=None, help="output directory")
     return parser
@@ -32,6 +32,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        env = os.environ.get("HOMLAB_WORKERS", "")
+        if args.workers is not None:
+            workers = check_workers(args.workers, "--workers")
+        else:
+            workers = check_workers(env, "HOMLAB_WORKERS") if env else cfg.workers
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
@@ -46,10 +51,6 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.canonical["seed"] = args.seed
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("HOMLAB_WORKERS", "")
-        workers = int(env) if env.isdigit() and int(env) > 0 else cfg.workers
     code, csv_path, summary_path = run(cfg, workers=workers, out_dir=args.out)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")

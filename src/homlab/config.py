@@ -1,14 +1,16 @@
 """JSON run configurations: parsing, validation, canonical form.
 
 A config fully determines every numeric output bit (together with the
-seed); unknown keys are rejected at every level so typos fail loudly,
-and validation collects all errors instead of stopping at the first.
+seed); unknown keys are rejected at every level so typos fail loudly.
+One table gives the JSON type, default and bound of every value, and
+validation collects all errors instead of stopping at the first.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,49 +23,99 @@ COMMANDS = ("field-stats", "solve-cell", "estimate-fhom", "verify-bounds",
             "subadditivity", "stationarity", "recession", "rank-one",
             "degenerate-divergence", "degenerate-interface", "glue-check")
 
-DEFAULT_TOL = 1e-5
-DEFAULT_N_REAL = 50
-DEFAULT_T_LIST = (16.0, 64.0, 256.0)
+_REQUIRED = object()  # the default of a value every config must give
 
-_TOP_KEYS = {"schema_version", "command", "seed", "tol", "workers", "out_dir",
-             "field", "xi", "t_list", "n_real", "cells_per_unit", "options"}
-_FIELD_KEYS = {"dimension", "structure", "diagonal", "lower_order"}
-_DIST_KEYS = {
-    "constant": {"value"},
-    "uniform": {"a", "b"},
-    "two_point": {"v1", "p", "v2"},
-    "pareto": {"x_m", "alpha_tail"},
-    "lognormal": {"mu", "sigma"},
-}
-_STRUCT_KEYS = {
-    "iid_cubes": set(),
-    "laminate": {"axis"},
-    "periodic": {"tile"},
-}
 
-# which commands consume the xi key, and each command's options with JSON types
-_XI_COMMANDS = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
-                "recession", "subadditivity", "degenerate-divergence"}
-_XI_REQUIRED = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
-                "recession"}
-_OPTION_KEYS = {
-    "field-stats": {"observable": "string", "entry": "integer", "box": "array"},
-    "solve-cell": {"t": "number", "save_minimizer": "boolean"},
-    "estimate-fhom": {},
-    "verify-bounds": {},
-    "subadditivity": {"t": "number", "depth": "integer", "n_instances": "integer",
-                      "m": "integer"},
-    "stationarity": {"t": "number", "z": "array", "n_matched": "integer"},
-    "recession": {"s_list": "array", "t": "number"},
-    "rank-one": {"xi_a": "slope", "xi_b": "slope", "n_grid": "integer", "t": "number"},
-    "degenerate-divergence": {},
-    "degenerate-interface": {"delta_list": "array", "search_limit": "integer",
-                             "n_scans": "integer"},
-    "glue-check": {"n_instances": "integer", "side": "number", "delta_range": "array"},
+# What one config value may be: a JSON type, a default and a bound.
+# ``bound`` says in words which values of the type are allowed, with {d}
+# for the field dimension, and ``ok(value, d)`` tests it.  A callable
+# default is computed from the parsed top-level values.
+_Rule = namedtuple("_Rule", "type default bound ok",
+                   defaults=(None, "", lambda v, d: True))
+
+
+def _num(x):
+    # JSON true/false are not numbers, though Python bools are ints
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _nums(v, n=None):
+    """v is a nonempty list of numbers, of length n if n is given."""
+    return (isinstance(v, list) and len(v) > 0 and n in (None, len(v))
+            and all(_num(x) for x in v))
+
+
+def _at_least(lo, default):
+    return _Rule("integer", default, f">= {lo}", lambda v, d: v >= lo)
+
+
+_POSITIVE = dict(bound="> 0", ok=lambda v, d: v > 0)
+_POSITIVES = dict(bound="of one or more numbers > 0",
+                  ok=lambda v, d: _nums(v) and min(v) > 0)
+_T = _Rule("number", lambda top: top["t_list"][0], **_POSITIVE)
+_OBSERVABLES = ("lambda_norm", "entry", "lower")
+
+# The table: every top-level and field value by its path, and every
+# option by command.  Parsing fills in the defaults, so a RunConfig
+# holds every key its command reads.
+_VALUES = {
+    "schema_version": _Rule("integer", CONFIG_VERSION, f"equal to {CONFIG_VERSION}",
+                            lambda v, d: v == CONFIG_VERSION),
+    "seed": _Rule("integer", 0),
+    "tol": _Rule("number", 1e-5, "in (0, 1)", lambda v, d: 0 < v < 1),
+    "n_real": _at_least(1, 50),
+    "t_list": _Rule("array", (16.0, 64.0, 256.0), **_POSITIVES),
+    "cells_per_unit": _at_least(1, 2),
+    "workers": _at_least(1, 1),
+    "out_dir": _Rule("string", "homlab-out", "nonempty", lambda v, d: v != ""),
+    "field.dimension": _at_least(1, _REQUIRED),
+    "field.structure.axis": _Rule("integer", 1, "in 1..{d}", lambda v, d: 1 <= v <= d),
+}
+_OPTIONS = {
+    "field-stats": {
+        "observable": _Rule("string", "entry", f"in {_OBSERVABLES}",
+                            lambda v, d: v in _OBSERVABLES),
+        "entry": _Rule("integer", 0, "in [0, {d})", lambda v, d: 0 <= v < d),
+        "box": _Rule("array", None, "of {d} [lo, hi] pairs with lo < hi",
+                     lambda v, d: len(v) == d
+                     and all(_nums(r, 2) and r[0] < r[1] for r in v)),
+    },
+    "solve-cell": {"t": _T, "save_minimizer": _Rule("boolean", False)},
+    "subadditivity": {"t": _T, "depth": _at_least(1, 1),
+                      "n_instances": _at_least(1, lambda top: top["n_real"]),
+                      "m": _at_least(1, 1)},
+    "stationarity": {"t": _T,
+                     "z": _Rule("array", None, "of {d} numbers", lambda v, d: _nums(v, d)),
+                     "n_matched": _at_least(1, 5)},
+    "recession": {"s_list": _Rule("array", (1.0, 2.0, 5.0), **_POSITIVES), "t": _T},
+    "rank-one": {"xi_a": _Rule("slope", _REQUIRED), "xi_b": _Rule("slope", _REQUIRED),
+                 "n_grid": _at_least(3, 5), "t": _T},
+    "estimate-fhom": {}, "verify-bounds": {}, "degenerate-divergence": {},
+    "degenerate-interface": {"delta_list": _Rule("array", (0.1, 0.01), **_POSITIVES),
+                             "search_limit": _at_least(1, 10_000),
+                             "n_scans": _at_least(0, 0)},
+    "glue-check": {"n_instances": _at_least(1, 20),
+                   "side": _Rule("number", 32.0, **_POSITIVE),
+                   "delta_range": _Rule("array", (0.3, 0.6), "[lo, hi] with 0 < lo <= hi",
+                                        lambda v, d: _nums(v, 2) and 0 < v[0] <= v[1])},
 }
 # a slope is shorthand like "e1" or a numeric row/matrix (see parse_xi)
 _JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float),
                "string": str, "array": list, "slope": (str, list)}
+# the defaults canonical_config echoes, so run ids stay stable
+_CANONICAL = ("schema_version", "tol", "n_real", "seed", "cells_per_unit")
+
+_TOP_KEYS = {k for k in _VALUES if "." not in k} | {"command", "field", "xi", "options"}
+_FIELD_KEYS = {"dimension", "structure", "diagonal", "lower_order"}
+_DIST_KEYS = {"constant": {"value"}, "uniform": {"a", "b"}, "two_point": {"v1", "p", "v2"},
+              "pareto": {"x_m", "alpha_tail"}, "lognormal": {"mu", "sigma"}}
+_STRUCT_KEYS = {"iid_cubes": set(), "laminate": {"axis"}, "periodic": {"tile"}}
+
+# which commands consume the xi key
+_XI_COMMANDS = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
+                "recession", "subadditivity", "degenerate-divergence"}
+_XI_REQUIRED = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
+                "recession"}
 
 
 class ConfigError(ValueError):
@@ -93,20 +145,59 @@ class RunConfig:
     canonical: dict = field(repr=False, default_factory=dict)
 
 
-def _parse_distribution(obj, where, errors):
+def _check_value(key, value, rule, d, errors):
+    """``value`` if it has the rule's type and bound, with numbers as
+    floats and a slope parsed to (xi, label); else None and an error."""
+    if (isinstance(value, bool) == (rule.type == "boolean")
+            and isinstance(value, _JSON_TYPES[rule.type]) and rule.ok(value, d)):
+        if rule.type == "slope":
+            try:
+                return parse_xi(value, d, where=key)
+            except ValueError as exc:
+                errors.append(str(exc))
+                return None
+        return _floats(value) if rule.type in ("number", "array") else value
+    bound = " " + rule.bound.format(d=d) if rule.bound else ""
+    errors.append(f"{key}: expected {rule.type}{bound}, got {value!r}")
+    return None
+
+
+def _floats(v):
+    return tuple(_floats(x) for x in v) if isinstance(v, list) else float(v)
+
+
+def _take(obj, key, rule, d, errors, where="", top=None):
+    """obj[key] checked against ``rule``, or the rule's default if absent."""
+    if key in obj:
+        return _check_value(where + key, obj[key], rule, d, errors)
+    if rule.default is _REQUIRED:
+        errors.append(f"{where}{key}: required")
+        return None
+    return rule.default(top) if callable(rule.default) else rule.default
+
+
+def _kind_of(obj, where, kinds, what, errors):
+    """The kind of an object like {"kind": ..., **params}, checked against
+    ``kinds`` (kind -> parameter names); None after an error."""
     if not isinstance(obj, dict):
         errors.append(f"{where}: expected an object with a 'kind' key")
         return None
     kind = obj.get("kind")
-    if kind not in _DIST_KEYS:
-        errors.append(f"{where}: unknown distribution kind {kind!r} "
-                      f"(one of {sorted(_DIST_KEYS)})")
+    if not isinstance(kind, str) or kind not in kinds:
+        errors.append(f"{where}: unknown {what} kind {kind!r} "
+                      f"(one of {sorted(kinds)})")
         return None
-    allowed = _DIST_KEYS[kind] | {"kind"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - kinds[kind] - {"kind"}
     if unknown:
         errors.append(f"{where}: unknown keys {sorted(unknown)} for kind "
                       f"{kind!r}")
+        return None
+    return kind
+
+
+def _parse_distribution(obj, where, errors):
+    kind = _kind_of(obj, where, _DIST_KEYS, "distribution", errors)
+    if kind is None:
         return None
     missing = _DIST_KEYS[kind] - set(obj)
     if missing:
@@ -114,74 +205,55 @@ def _parse_distribution(obj, where, errors):
                       f"kind {kind!r}")
         return None
     args = {k: obj[k] for k in _DIST_KEYS[kind]}
-    try:
-        dist = getattr(DistributionSpec, kind)(**args)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
+    bad = sorted(k for k, v in args.items() if not _num(v))
+    if bad:
+        errors.append(f"{where}: parameters {bad} must be numbers")
         return None
+    dist = getattr(DistributionSpec, kind)(**args)
     for msg in dist.validate():
         errors.append(f"{where}: {msg}")
     return dist
 
 
-def _parse_structure(obj, where, errors):
-    if not isinstance(obj, dict):
-        errors.append(f"{where}: expected an object with a 'kind' key")
-        return None
-    kind = obj.get("kind")
-    if kind not in _STRUCT_KEYS:
-        errors.append(f"{where}: unknown structure kind {kind!r} "
-                      f"(one of {sorted(_STRUCT_KEYS)})")
-        return None
-    unknown = set(obj) - (_STRUCT_KEYS[kind] | {"kind"})
-    if unknown:
-        errors.append(f"{where}: unknown keys {sorted(unknown)} for kind "
-                      f"{kind!r}")
-        return None
+def _parse_structure(obj, d, errors):
+    kind = _kind_of(obj, "field.structure", _STRUCT_KEYS, "structure", errors)
     if kind == "iid_cubes":
         return IidCubes()
     if kind == "laminate":
-        axis = obj.get("axis", 1)
-        if not isinstance(axis, int):
-            errors.append(f"{where}: laminate axis must be an integer")
-            return None
-        return Laminate(axis=axis)
-    tile = obj.get("tile")
-    try:
-        return Periodic(tile=np.asarray(tile, dtype=float))
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{where}: bad periodic tile: {exc}")
-        return None
+        axis = _take(obj, "axis", _VALUES["field.structure.axis"], d, errors,
+                     "field.structure.")
+        return None if axis is None else Laminate(axis=axis)
+    if kind == "periodic":
+        try:
+            return Periodic(tile=np.asarray(obj.get("tile"), dtype=float))
+        except (TypeError, ValueError) as exc:
+            errors.append(f"field.structure: bad periodic tile: {exc}")
+    return None
 
 
 def _parse_field(obj, errors):
     if not isinstance(obj, dict):
-        errors.append("field: expected an object")
+        errors.append("field: required, as an object")
         return None
     unknown = set(obj) - _FIELD_KEYS
     if unknown:
         errors.append(f"field: unknown keys {sorted(unknown)}")
-    dim = obj.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
-        errors.append("field.dimension: must be a positive integer")
+    dim = _take(obj, "dimension", _VALUES["field.dimension"], None, errors, "field.")
+    if dim is None:
         return None
     if "structure" not in obj:
         errors.append("field.structure: required")
         return None
-    structure = _parse_structure(obj["structure"], "field.structure", errors)
-    diagonal = None
-    if obj.get("diagonal") is not None:
-        dg = obj["diagonal"]
-        if isinstance(dg, list):
-            laws = [_parse_distribution(x, f"field.diagonal[{i}]", errors)
-                    for i, x in enumerate(dg)]
-            diagonal = None if any(v is None for v in laws) else tuple(laws)
-        else:
-            diagonal = _parse_distribution(dg, "field.diagonal", errors)
-    lower = None
-    if obj.get("lower_order") is not None:
-        lower = _parse_distribution(obj["lower_order"], "field.lower_order",
-                                    errors)
+    structure = _parse_structure(obj["structure"], dim, errors)
+    diagonal, lower = obj.get("diagonal"), obj.get("lower_order")
+    if isinstance(diagonal, list):
+        laws = [_parse_distribution(x, f"field.diagonal[{i}]", errors)
+                for i, x in enumerate(diagonal)]
+        diagonal = None if None in laws else tuple(laws)
+    elif diagonal is not None:
+        diagonal = _parse_distribution(diagonal, "field.diagonal", errors)
+    if lower is not None:
+        lower = _parse_distribution(lower, "field.lower_order", errors)
     if structure is None:
         return None
     spec = FieldSpec(dimension=dim, structure=structure, diagonal=diagonal,
@@ -225,16 +297,10 @@ def parse_xi(value, dimension, where="xi"):
     return xi, label
 
 
-def _is_num_list(x):
-    return (isinstance(x, list) and x
-            and all(isinstance(v, (int, float)) for v in x))
-
-
 def _parse_xi_block(value, dimension, errors):
-    if isinstance(value, str) or _is_num_list(value):
+    if isinstance(value, str) or _nums(value):
         items = [value]
-    elif (isinstance(value, list) and value
-          and all(_is_num_list(row) for row in value)):
+    elif isinstance(value, list) and value and all(_nums(row) for row in value):
         items = [value]  # one m x d matrix
     elif isinstance(value, list):
         # list of slopes, each a string, row, or matrix
@@ -254,106 +320,86 @@ def _parse_xi_block(value, dimension, errors):
     return xis, labels
 
 
-def _check_options(command, opts, errors):
+def _check_options(command, opts, top, d, errors):
+    """Every option of ``command``: checked if given, else its default."""
     if not isinstance(opts, dict):
         errors.append("options: expected an object")
         return {}
-    accepted = _OPTION_KEYS[command]
-    unknown = set(opts) - set(accepted)
+    rules = _OPTIONS[command]
+    unknown = set(opts) - set(rules)
     if unknown:
         errors.append(f"options: keys {sorted(unknown)} not accepted by "
                       f"command {command!r}")
-    for key in sorted(set(opts) & set(accepted)):
-        value, want = opts[key], accepted[key]
-        # JSON true/false are not numbers, though Python bools are ints
-        if isinstance(value, bool) != (want == "boolean") or not isinstance(
-                value, _JSON_TYPES[want]):
-            errors.append(f"options.{key}: expected {want}, got {value!r}")
-    return opts
+    return {key: _take(opts, key, rule, d, errors, "options.", top)
+            for key, rule in rules.items()}
 
 
 def canonical_config(cfg: dict) -> dict:
     """Stable, defaults-filled echo of a raw config dict."""
     out = {k: cfg[k] for k in sorted(cfg)}
-    out.setdefault("schema_version", CONFIG_VERSION)
-    out.setdefault("tol", DEFAULT_TOL)
-    out.setdefault("n_real", DEFAULT_N_REAL)
-    out.setdefault("seed", 0)
-    out.setdefault("cells_per_unit", 2)
+    for key in _CANONICAL:
+        out.setdefault(key, _VALUES[key].default)
     return out
 
 
+def check_workers(value, source) -> int:
+    """A worker count from a flag, or a string from the environment, held
+    to the rule of the config's ``workers``."""
+    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+        value = int(value)
+    errors = []
+    workers = _check_value(source, value, _VALUES["workers"], None, errors)
+    if errors:
+        raise ConfigError(errors)
+    return workers
+
+
 def parse_config_dict(raw: dict) -> RunConfig:
+    """Validate a raw config dict against the table; raises ConfigError.
+
+    Slopes and options are checked against the field's dimension, so a
+    bad field stops validation before them.
+    """
     errors = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         errors.append(f"unknown top-level keys {sorted(unknown)}")
-    ver = raw.get("schema_version", CONFIG_VERSION)
-    if ver != CONFIG_VERSION:
-        errors.append(f"schema_version: expected {CONFIG_VERSION}, got {ver}")
     command = raw.get("command")
     if command not in COMMANDS:
         errors.append(f"command: expected one of {list(COMMANDS)}, got "
                       f"{command!r}")
         raise ConfigError(errors)
+    top = {}
+    for key, rule in _VALUES.items():
+        if "." not in key:
+            value = _take(raw, key, rule, None, errors)
+            # a bad value stands in as its default for the checks below
+            top[key] = rule.default if value is None else value
 
-    spec = None
-    if "field" not in raw:
-        errors.append("field: required")
-    else:
-        spec = _parse_field(raw["field"], errors)
+    spec = _parse_field(raw.get("field"), errors)
+    if spec is None:
+        raise ConfigError(errors)
 
     xi_list, xi_labels = [], []
     if "xi" in raw:
         if command not in _XI_COMMANDS:
             errors.append(f"xi: not accepted by command {command!r}")
-        elif spec is not None:
+        else:
             xi_list, xi_labels = _parse_xi_block(raw["xi"], spec.dimension,
                                                  errors)
     elif command in _XI_REQUIRED:
         errors.append(f"xi: required by command {command!r}")
 
-    t_list = raw.get("t_list", list(DEFAULT_T_LIST))
-    if (not isinstance(t_list, list) or not t_list
-            or any(not isinstance(t, (int, float)) or t <= 0 for t in t_list)):
-        errors.append("t_list: must be a nonempty list of positive numbers")
-        t_list = list(DEFAULT_T_LIST)
-
-    n_real = raw.get("n_real", DEFAULT_N_REAL)
-    if not isinstance(n_real, int) or n_real < 1:
-        errors.append("n_real: must be a positive integer")
-        n_real = DEFAULT_N_REAL
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
-    tol = raw.get("tol", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or not (0 < tol < 1):
-        errors.append("tol: must be a number in (0, 1)")
-        tol = DEFAULT_TOL
-    cpu = raw.get("cells_per_unit", 2)
-    if not isinstance(cpu, int) or cpu < 1:
-        errors.append("cells_per_unit: must be a positive integer")
-        cpu = 2
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        errors.append("workers: must be a positive integer")
-        workers = 1
-    out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        errors.append("out_dir: must be a string path")
-        out_dir = None
-
-    options = _check_options(command, raw.get("options", {}), errors)
+    options = _check_options(command, raw.get("options", {}), top,
+                             spec.dimension, errors)
     if errors:
         raise ConfigError(errors)
+    del top["schema_version"]  # the rest are RunConfig fields of one name
     return RunConfig(command=command, spec=spec, xi_list=xi_list,
-                     xi_labels=xi_labels, t_list=tuple(float(t) for t in t_list),
-                     n_real=n_real, seed=seed, tol=float(tol),
-                     cells_per_unit=cpu, workers=workers, out_dir=out_dir,
-                     options=dict(options), canonical=canonical_config(raw))
+                     xi_labels=xi_labels, options=options,
+                     canonical=canonical_config(raw), **top)
 
 
 def parse_config(path) -> RunConfig:

@@ -124,7 +124,6 @@ class InterfaceProbe:
     l1_distance: float
     bv_limit: float
     cells_scanned: int
-    p_hit_empirical: float
     p_delta: float
     breaks_x: np.ndarray
     breaks_y: np.ndarray
@@ -138,7 +137,6 @@ def _scan_for_cheap_cell(fld, axis, delta, search_limit):
     """First cell index k >= 0 with weight strictly below delta."""
     d = fld.spec.dimension
     scanned = 0
-    hits = 0
     k_hit = -1
     value = math.nan
     while scanned < search_limit:
@@ -152,10 +150,9 @@ def _scan_for_cheap_cell(fld, axis, delta, search_limit):
             k_hit = scanned + j
             value = float(a[j])
             scanned += j + 1
-            hits = int(below[:j + 1].sum())
             break
         scanned += count
-    return k_hit, value, scanned, hits
+    return k_hit, value, scanned
 
 
 def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0,
@@ -166,7 +163,7 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
     first weight strictly below delta.  On success epsilon = 1/(k+2), so
     the stripe [eps*k, eps*(k+1)] sits strictly inside the unit cube,
     and the exact ramp energy equals the stripe weight.  On failure the
-    probe carries the empirical hit frequency over the scanned prefix.
+    probe carries the number of cells scanned and NaN geometry.
     """
     axis = _require_isotropic_laminate(spec, "cheap_interface")
     if spec.lower_order is not None:
@@ -175,14 +172,13 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
         raise ValueError("delta must be positive")
 
     fld = sample_field(spec, seed, index)
-    k_hit, a_hit, scanned, hits = _scan_for_cheap_cell(fld, axis, delta, search_limit)
+    k_hit, a_hit, scanned = _scan_for_cheap_cell(fld, axis, delta, search_limit)
     p_delta = spec.diagonal_laws()[axis - 1].mass_below(delta)
     if k_hit < 0:
         return InterfaceProbe(delta=delta, success=False, k_index=-1, epsilon=math.nan,
                               interface_pos=math.nan, energy=math.nan,
                               l1_distance=math.nan, bv_limit=1.0,
                               cells_scanned=scanned,
-                              p_hit_empirical=hits / max(scanned, 1),
                               p_delta=p_delta, breaks_x=np.array([]),
                               breaks_y=np.array([]))
 
@@ -199,7 +195,6 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
     return InterfaceProbe(delta=delta, success=True, k_index=k_hit, epsilon=eps,
                           interface_pos=mid, energy=energy, l1_distance=l1,
                           bv_limit=1.0, cells_scanned=scanned,
-                          p_hit_empirical=hits / max(scanned, 1),
                           p_delta=p_delta, breaks_x=breaks_x, breaks_y=breaks_y)
 
 
@@ -275,7 +270,7 @@ def hitting_stats(spec: FieldSpec, delta: float, n_scans: int = 1000,
     n_failed = 0
     for i in range(n_scans):
         fld = sample_field(spec, seed, i)
-        k_hit, _, _, _ = _scan_for_cheap_cell(fld, axis, delta, search_limit)
+        k_hit, _, _ = _scan_for_cheap_cell(fld, axis, delta, search_limit)
         if k_hit < 0:
             n_failed += 1
         else:

@@ -213,6 +213,10 @@ class Periodic:
     def __post_init__(self):
         object.__setattr__(self, "tile", np.asarray(self.tile, dtype=float))
 
+    def slot_values(self, d: int) -> np.ndarray:
+        """The tile with one value per diagonal slot: shape dims + (d,)."""
+        return self.tile[..., None] * np.ones(d) if self.tile.ndim == d else self.tile
+
 
 Structure = Union[IidCubes, Laminate, Periodic]
 
@@ -333,13 +337,9 @@ class FieldSample:
         d = spec.dimension
         st = spec.structure
         if isinstance(st, Periodic):
-            tile = st.tile
-            dims = tile.shape[:d]
+            dims = st.tile.shape[:d]
             idx = tuple(np.mod(cells[..., j], dims[j]) for j in range(d))
-            if tile.ndim == d:
-                vals = tile[idx]
-                return np.broadcast_to(vals[..., None], vals.shape + (d,)).copy()
-            return tile[idx]
+            return st.slot_values(d)[idx]
         coords = self._structure_coords(cells)
         if spec.is_isotropic_law:
             u = uniform01(key_chain(self.seed, _REALM_DIAG, self.index, _ISO_SLOT, *coords))

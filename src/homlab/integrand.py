@@ -33,12 +33,7 @@ _SEED = 0  # key of the probe and Monte Carlo draws
 def coercivity_constant(spec: FieldSpec) -> float:
     """esssup |Lambda(.,0)^{-1}|_F; inf flags the degenerate regime."""
     if isinstance(spec.structure, Periodic):
-        tile = spec.structure.tile
-        d = spec.dimension
-        if tile.ndim == d:
-            vals = tile[..., None] * np.ones(d)
-        else:
-            vals = tile
+        vals = spec.structure.slot_values(spec.dimension)
         return float(np.max(np.sqrt(np.sum(vals ** -2.0, axis=-1))))
     infs = np.array([law.support_inf() for law in spec.diagonal_laws()])
     if np.any(infs == 0.0):
@@ -124,10 +119,8 @@ def growth_constants(spec: FieldSpec) -> GrowthConstants:
     method = "analytic"
     ci = 0.0
     if isinstance(spec.structure, Periodic):
-        tile = spec.structure.tile
         d = spec.dimension
-        vals = tile[..., None] * np.ones(d) if tile.ndim == d else tile
-        vals = vals.reshape(-1, d)
+        vals = spec.structure.slot_values(d).reshape(-1, d)
         best = -math.inf
         for c in _column_mass_probes(d):
             best = max(best, float(np.mean(np.sqrt(vals ** 2 @ c))))

@@ -112,14 +112,12 @@ def _estimate_records(ctx, label, est):
 def _cmd_field_stats(ctx):
     cfg = ctx.cfg
     ctx.constants = growth_constants(cfg.spec)
-    obs = cfg.options.get("observable", "entry")
-    entry = cfg.options.get("entry", 0)
-    box = cfg.options.get("box")
+    obs = cfg.options["observable"]
     fld = sample_field(cfg.spec, cfg.seed, 0)
-    kw = {"box": box} if box else {}
     if obs != "lower" or cfg.spec.lower_order is not None:
         for t, avg in birkhoff_average(fld, cfg.t_list, observable=obs,
-                                       entry=entry, **kw):
+                                       box=cfg.options["box"],
+                                       entry=cfg.options["entry"]):
             ctx.rec(t=t, kind=f"birkhoff_{obs}", value=float(avg))
     ctx.report["constants"] = ctx.constants
     ctx.flags.extend(ctx.constants.flags)
@@ -127,7 +125,7 @@ def _cmd_field_stats(ctx):
 
 def _cmd_solve_cell(ctx):
     cfg = ctx.cfg
-    t = float(cfg.options.get("t", cfg.t_list[0]))
+    t = cfg.options["t"]
 
     keys = [(label, r) for label in cfg.xi_labels for r in range(cfg.n_real)]
     tasks = [SolveTask(cfg.spec, cfg.seed, r, t, xi, cells_per_unit=cfg.cells_per_unit,
@@ -142,7 +140,7 @@ def _cmd_solve_cell(ctx):
         if not rep.converged:
             ctx.verdict = False
             ctx.flags.append(f"flagged_solve:{label}:r={r}")
-        if r == 0 and cfg.options.get("save_minimizer"):
+        if r == 0 and cfg.options["save_minimizer"]:
             path = os.path.join(ctx.out_dir,
                                 f"minimizer-{ctx.run_id}-{label}.bin")
             save_minimizer(rep, path)
@@ -189,15 +187,9 @@ def _cmd_verify_bounds(ctx):
 def _cmd_subadditivity(ctx):
     cfg = ctx.cfg
     xi = cfg.xi_list[0] if cfg.xi_list else None
-    rep = check_subadditivity(cfg.spec, xi=xi,
-                              t=float(cfg.options.get("t", cfg.t_list[0])),
-                              depth=int(cfg.options.get("depth", 1)),
-                              n_instances=int(cfg.options.get("n_instances",
-                                                              cfg.n_real)),
-                              seed=cfg.seed, tol=cfg.tol,
+    rep = check_subadditivity(cfg.spec, xi=xi, seed=cfg.seed, tol=cfg.tol,
                               cells_per_unit=cfg.cells_per_unit,
-                              m=int(cfg.options.get("m", 1)),
-                              workers=ctx.workers)
+                              workers=ctx.workers, **cfg.options)
     for i, s in enumerate(rep.details["slacks"]):
         ctx.rec(xi_label=cfg.xi_labels[0] if cfg.xi_labels else "random",
                 t=rep.details["t"], realization=i, kind="subadd_slack",
@@ -212,10 +204,8 @@ def _cmd_stationarity(ctx):
     cfg = ctx.cfg
     label, xi = cfg.xi_labels[0], cfg.xi_list[0]
     rep = check_stationarity_in_law(
-        cfg.spec, xi, t=float(cfg.options.get("t", cfg.t_list[0])),
-        z=cfg.options.get("z"), n_matched=int(cfg.options.get("n_matched", 5)),
-        n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
-        cells_per_unit=cfg.cells_per_unit, workers=ctx.workers)
+        cfg.spec, xi, n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
+        cells_per_unit=cfg.cells_per_unit, workers=ctx.workers, **cfg.options)
     ctx.rec(xi_label=label, kind="matched_max_diff", value=rep.matched_max_diff)
     ctx.rec(xi_label=label, kind="two_sample_stat",
             value=rep.two_sample.statistic, ci_half=rep.two_sample.threshold)
@@ -226,11 +216,9 @@ def _cmd_stationarity(ctx):
 def _cmd_recession(ctx):
     cfg = ctx.cfg
     label, xi = cfg.xi_labels[0], cfg.xi_list[0]
-    s_list = tuple(cfg.options.get("s_list", (1.0, 2.0, 5.0)))
-    rep = recession(cfg.spec, xi, s_list=s_list,
-                    t=float(cfg.options.get("t", cfg.t_list[0])),
-                    n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
-                    cells_per_unit=cfg.cells_per_unit, workers=ctx.workers)
+    rep = recession(cfg.spec, xi, n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
+                    cells_per_unit=cfg.cells_per_unit, workers=ctx.workers,
+                    **cfg.options)
     for s, mean, ci in zip(rep.s_list, rep.means, rep.ci_halves):
         ctx.rec(xi_label=label, kind=f"ray_mean:s={s:g}", value=float(mean),
                 ci_half=float(ci))
@@ -242,12 +230,10 @@ def _cmd_recession(ctx):
 
 def _cmd_rank_one(ctx):
     cfg = ctx.cfg
-    from .config import parse_xi
-    xi_a, la = parse_xi(cfg.options["xi_a"], cfg.spec.dimension, "options.xi_a")
-    xi_b, lb = parse_xi(cfg.options["xi_b"], cfg.spec.dimension, "options.xi_b")
+    (xi_a, la), (xi_b, lb) = cfg.options["xi_a"], cfg.options["xi_b"]
     rep = check_rank_one_convexity(
-        cfg.spec, xi_a, xi_b, t=float(cfg.options.get("t", cfg.t_list[0])),
-        n_grid=int(cfg.options.get("n_grid", 5)), n_real=cfg.n_real,
+        cfg.spec, xi_a, xi_b, t=cfg.options["t"],
+        n_grid=cfg.options["n_grid"], n_real=cfg.n_real,
         seed=cfg.seed, tol=cfg.tol, cells_per_unit=cfg.cells_per_unit,
         workers=ctx.workers)
     for lam, mean in zip(rep.details["lambdas"], rep.details["means"]):
@@ -279,10 +265,9 @@ def _cmd_divergence(ctx):
 
 def _cmd_interface(ctx):
     cfg = ctx.cfg
-    deltas = cfg.options.get("delta_list", [0.1, 0.01])
-    limit = int(cfg.options.get("search_limit", 10_000))
-    n_scans = int(cfg.options.get("n_scans", 0))
-    probes = [cheap_interface(cfg.spec, float(d), seed=cfg.seed, index=0,
+    opts = cfg.options
+    deltas, limit, n_scans = opts["delta_list"], opts["search_limit"], opts["n_scans"]
+    probes = [cheap_interface(cfg.spec, d, seed=cfg.seed, index=0,
                               search_limit=limit) for d in deltas]
     for p in probes:
         ctx.rec(xi_label=f"delta={p.delta:g}", kind="probe_energy",
@@ -295,7 +280,7 @@ def _cmd_interface(ctx):
     if n_scans > 0:
         stats = []
         for d in deltas:
-            hs = hitting_stats(cfg.spec, float(d), n_scans=n_scans,
+            hs = hitting_stats(cfg.spec, d, n_scans=n_scans,
                                seed=cfg.seed, search_limit=limit)
             ctx.rec(xi_label=f"delta={d:g}", kind="hitting_z",
                     value=hs.z_score)
@@ -336,9 +321,8 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
 
 def _cmd_glue(ctx):
     cfg = ctx.cfg
-    n_inst = int(cfg.options.get("n_instances", 20))
-    side = float(cfg.options.get("side", 32.0))
-    dr = cfg.options.get("delta_range", [0.3, 0.6])
+    opts = cfg.options
+    n_inst, side, dr = opts["n_instances"], opts["side"], opts["delta_range"]
 
     worst = math.inf
     layer_ok = True
@@ -375,7 +359,7 @@ def run(cfg: RunConfig, workers: int = None, out_dir: str = None):
     flagged; partial results are still written on failure.
     """
     workers = workers if workers is not None else cfg.workers
-    out_dir = out_dir or cfg.out_dir or "homlab-out"
+    out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(cfg, workers, out_dir)
     t0 = time.perf_counter()

@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -32,6 +33,24 @@ def write_config(tmp_path, name="cfg.json", **over):
     return str(path)
 
 
+# the options each command accepts, and the commands that take xi
+OPTION_KEYS = {
+    "field-stats": {"observable", "entry", "box"},
+    "solve-cell": {"t", "save_minimizer"},
+    "estimate-fhom": set(),
+    "verify-bounds": set(),
+    "subadditivity": {"t", "depth", "n_instances", "m"},
+    "stationarity": {"t", "z", "n_matched"},
+    "recession": {"s_list", "t"},
+    "rank-one": {"xi_a", "xi_b", "n_grid", "t"},
+    "degenerate-divergence": set(),
+    "degenerate-interface": {"delta_list", "search_limit", "n_scans"},
+    "glue-check": {"n_instances", "side", "delta_range"},
+}
+XI_COMMANDS = {"solve-cell", "estimate-fhom", "verify-bounds", "subadditivity",
+               "stationarity", "recession", "degenerate-divergence"}
+
+
 def test_defaults_fill_in():
     cfg = parse_config_dict(base_config())
     assert cfg.tol == 1e-5
@@ -46,6 +65,26 @@ def test_defaults_fill_in():
     assert cfg.canonical["seed"] == 0
     assert cfg.xi_labels == ["e1"]
     assert np.array_equal(cfg.xi_list[0], [[1.0, 0.0]])
+    assert cfg.out_dir == "homlab-out"
+
+    # every command's options come back whole, defaults filled in
+    for command, keys in OPTION_KEYS.items():
+        raw = base_config(command=command, t_list=[4, 8], n_real=3)
+        if command not in XI_COMMANDS:
+            del raw["xi"]
+        if command == "rank-one":
+            raw["options"] = {"xi_a": "e1", "xi_b": "e2"}
+        opts = parse_config_dict(raw).options
+        assert set(opts) == keys, command
+        if "t" in keys:
+            assert opts["t"] == 4.0 and isinstance(opts["t"], float)
+    sub = parse_config_dict(base_config(command="subadditivity", n_real=3))
+    assert sub.options == {"t": 16.0, "depth": 1, "n_instances": 3, "m": 1}
+    raw = base_config(command="rank-one", options={"xi_a": "e1", "xi_b": [0, 1]})
+    del raw["xi"]
+    rank = parse_config_dict(raw)
+    assert rank.options["xi_a"][1] == "e1" and rank.options["xi_b"][1] == "[0,1]"
+    assert np.array_equal(rank.options["xi_b"][0], [[0.0, 1.0]])
 
 
 @pytest.mark.parametrize("over, needle", [
@@ -279,3 +318,90 @@ def test_outputs_identical_across_workers_and_reruns(command, tmp_path, monkeypa
                  str(out_env)]) == 0
     env_csv = next(out_env.glob("*.csv"))
     assert canonical_csv_bytes(env_csv) == canonical_csv_bytes(paths[0])
+
+
+def _malformed(command, options=None, **over):
+    raw = base_config(command=command, **{"field": UNIFORM, "t_list": [4],
+                                          "n_real": 1, **over})
+    if command not in XI_COMMANDS:
+        del raw["xi"]
+    if options is not None:
+        raw["options"] = options
+    return raw
+
+
+_RANK_ONE = {"xi_a": "e1", "xi_b": "e2", "t": 4}
+
+# Each case passed the checks of earlier versions: the first sixteen then
+# died in a traceback (exit 1), the rest ran to exit 0.
+MALFORMED = [
+    ("options.depth", _malformed("subadditivity", {"depth": 0})),
+    ("options.n_instances", _malformed("subadditivity", {"n_instances": 0})),
+    ("options.s_list", _malformed("recession", {"s_list": ["a"]})),
+    ("options.s_list", _malformed("recession", {"s_list": []})),
+    ("options.z", _malformed("stationarity", {"z": [1]})),
+    ("options.t", _malformed("solve-cell", {"t": -2})),
+    ("options.box", _malformed("field-stats", {"box": [[0, 1]]})),
+    ("options.entry", _malformed("field-stats", {"entry": 5})),
+    ("options.observable", _malformed("field-stats", {"observable": "nope"})),
+    ("options.delta_range", _malformed("glue-check", {"delta_range": [0.5]})),
+    ("options.delta_list", _malformed("degenerate-interface", {"delta_list": [-0.1]})),
+    ("options.n_grid", _malformed("rank-one", {**_RANK_ONE, "n_grid": 1})),
+    ("options.n_grid", _malformed("rank-one", {**_RANK_ONE, "n_grid": 2})),
+    ("options.xi_a", _malformed("rank-one", {**_RANK_ONE, "xi_a": "e9"})),
+    ("options.xi_a", _malformed("rank-one", {"xi_b": "e2", "t": 4})),
+    ("field.dimension", _malformed("estimate-fhom", field={**UNIFORM, "dimension": True})),
+    ("options.n_matched", _malformed("stationarity", {"n_matched": -1})),
+    ("options.n_instances", _malformed("glue-check", {"n_instances": 0})),
+    ("seed", _malformed("estimate-fhom", seed=True)),
+    ("n_real", _malformed("estimate-fhom", n_real=True)),
+    ("cells_per_unit", _malformed("estimate-fhom", cells_per_unit=True)),
+    ("t_list", _malformed("estimate-fhom", t_list=[True])),
+    ("field.structure.axis", _malformed("estimate-fhom", field={
+        **UNIFORM, "structure": {"kind": "laminate", "axis": True}})),
+]
+
+
+@pytest.mark.parametrize("key, raw", MALFORMED)
+def test_cli_rejects_malformed_value(tmp_path, capsys, key, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([raw["command"], "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, env, source", [
+    (["--workers", "0"], None, "--workers"),
+    (["--workers", "-3"], None, "--workers"),
+    ([], "abc", "HOMLAB_WORKERS"),
+])
+def test_cli_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, flag, env, source):
+    if env is None:
+        monkeypatch.delenv("HOMLAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("HOMLAB_WORKERS", env)
+    path = write_config(tmp_path, t_list=[4], n_real=1)
+    out = tmp_path / "out"
+    assert main(["estimate-fhom", "--config", path, "--out", str(out), *flag]) == 2
+    assert f"config error: {source}: expected integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_worker_env_means_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOMLAB_WORKERS", "")
+    path = write_config(tmp_path, t_list=[4], n_real=1)
+    assert main(["estimate-fhom", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_every_shipped_config_parses():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("demos/configs/*.json")) + sorted(
+        root.glob("perfbench/configs/*.json"))
+    assert len(paths) >= 9
+    for path in paths:
+        before = path.read_bytes()
+        cfg = parse_config(str(path))
+        assert set(cfg.options) == OPTION_KEYS[cfg.command], path.name
+        assert path.read_bytes() == before

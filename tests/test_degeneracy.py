@@ -94,7 +94,6 @@ def test_cheap_interface_failure_reports_the_scan():
     probe = cheap_interface(spec, delta=0.1, seed=0, search_limit=500)
     assert not probe.success
     assert probe.cells_scanned == 500
-    assert probe.p_hit_empirical == 0.0
     assert probe.p_delta == 0.0
     assert math.isnan(probe.energy)
     assert math.isnan(probe.epsilon)
@@ -124,8 +123,7 @@ def _fake_probe(delta, k):
     eps = 1.0 / (k + 2.0)
     return InterfaceProbe(delta=delta, success=True, k_index=k, epsilon=eps, interface_pos=eps * (k + 0.5),
                           energy=0.5 * delta, l1_distance=eps / 4.0,
-                          bv_limit=1.0, cells_scanned=k + 1,
-                          p_hit_empirical=1.0 / (k + 1), p_delta=0.5,
+                          bv_limit=1.0, cells_scanned=k + 1, p_delta=0.5,
                           breaks_x=np.array([0.0, 1.0]),
                           breaks_y=np.array([0.0, 1.0]))
 
