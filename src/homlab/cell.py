@@ -16,6 +16,14 @@ Weights are normalized by their maximum before iterating (the energy is
 1-homogeneous in Lambda), which keeps step sizes well scaled for
 heavy-tailed fields; reported values are restored to the original
 scale.
+
+The iteration runs on preallocated flat buffers over the padded node
+lattice: nodes (m, N) with N = (n+1)^d, and cells (m, d, N), each at its
+lowest-corner node, so a cell with a coordinate n is a ghost.  A step
+along axis j is the flat stride (n+1)^(d-1-j); masks zero the ghosts and
+the boundary nodes.  Each entry is made by the same operations, in the
+same order, as in _grad and _grad_adjoint, so the iterates match theirs
+bit for bit.
 """
 
 from __future__ import annotations
@@ -100,13 +108,10 @@ class CellProblem:
     lam: np.ndarray         # (d, *cells) diagonal entries at cell centers
     lam0: np.ndarray = None  # (*cells,) lower-order weight, or None
 
-    def gradient_plus_xi(self, v: np.ndarray) -> np.ndarray:
-        xib = self.xi.reshape(self.xi.shape + (1,) * self.grid.dimension)
-        return _grad(v, self.grid.h) + xib
-
     def energy_density(self, v: np.ndarray) -> np.ndarray:
         """Per-cell energy h^d (|(Gv+xi) Lambda|_F + lam), shape (*cells,)."""
-        w = self.gradient_plus_xi(v) * self.lam[None]
+        xib = self.xi.reshape(self.xi.shape + (1,) * self.grid.dimension)
+        w = (_grad(v, self.grid.h) + xib) * self.lam[None]
         dens = np.sqrt(np.sum(w * w, axis=(0, 1)))
         if self.lam0 is not None:
             dens = dens + self.lam0
@@ -184,28 +189,13 @@ class SolveReport:
 
 def _grad(v: np.ndarray, h: float) -> np.ndarray:
     """Forward-difference cell gradients: (m, *(n+1)^d) -> (m, d, *n^d)."""
-    m = v.shape[0]
-    d = v.ndim - 1
-    n = v.shape[1] - 1
-    out = np.empty((m, d) + (n,) * d)
-    base = tuple(slice(0, n) for _ in range(d))
-    low = (slice(None),) + base
-    for j in range(d):
-        sl = list(base)
-        sl[j] = slice(1, n + 1)
-        out[:, j] = v[(slice(None),) + tuple(sl)]
-        out[:, j] -= v[low]
-    out /= h
-    return out
+    cells = (slice(None),) + (slice(0, v.shape[1] - 1),) * (v.ndim - 1)
+    return np.stack([np.diff(v, axis=j)[cells] for j in range(1, v.ndim)], axis=1) / h
 
 
 def _zero_boundary(u: np.ndarray) -> None:
     for axis in range(1, u.ndim):
-        sl = [slice(None)] * u.ndim
-        sl[axis] = 0
-        u[tuple(sl)] = 0.0
-        sl[axis] = -1
-        u[tuple(sl)] = 0.0
+        np.moveaxis(u, axis, 0)[[0, -1]] = 0.0
 
 
 def _grad_adjoint(p: np.ndarray, h: float) -> np.ndarray:
@@ -307,7 +297,6 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         raise ValueError("weights must be positive and finite")
     lam_n = problem.lam / scale
     iso = bool(np.all(lam_n == lam_n[:1]))
-    radii = lam_n[0] if iso else None
     lam0_total = hd * float(problem.lam0.sum()) if problem.lam0 is not None else 0.0
 
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
@@ -318,7 +307,6 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     with _LU_LOCK:
         lu = _laplacian_lu(d, n)
     v = np.zeros((m,) + grid.node_shape)
-    vbar = v.copy()
     # Dual warm start: exact maximizer of <p, xi> over the ball, cellwise.
     wxi = xib * lam_n[None]
     nrm = np.sqrt(np.sum(wxi * wxi, axis=(0, 1)))
@@ -334,8 +322,25 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         nodes = np.arange(n + 1, dtype=float)
         ramp = np.where(nodes > k_star, grid.side, 0.0) - h * nodes
         v = xi[:, 0:1] * ramp[None, :]
-        vbar = v.copy()
         p = np.repeat(((xi[:, 0] / xin) * float(a[k_star]))[:, None, None], n, axis=2)
+
+    # Iterate on the padded node lattice (see the module docstring).
+    N = (n + 1) ** d
+    strides = [(n + 1) ** (d - 1 - j) for j in range(d)]
+    coords = np.indices(grid.node_shape).reshape(d, N)
+    step_p = np.where(np.all(coords < n, axis=0), sigma * hd, 0.0)
+    step_v = np.where(np.all((coords > 0) & (coords < n), axis=0), tau * hd, 0.0)
+    radii = np.pad(lam_n[0], [(0, 1)] * d).ravel()
+    V, W, U = v.reshape(m, N).copy(), np.empty((m, N)), np.zeros((m, N))
+    Vbar = V.copy()
+    G, P = np.zeros((m, d, N)), np.zeros((m, d, N))
+    P_real = P.reshape((m, d) + grid.node_shape)[(...,) + (slice(0, n),) * d]
+    P_real[...] = p
+    xi_col = xi.reshape(m, d, 1)
+    vbar_hi, vbar_lo = [Vbar[:, s:] for s in strides], [Vbar[:, :N - s] for s in strides]
+    g_lo, u_hi = [G[:, j, :N - s] for j, s in enumerate(strides)], [U[:, s:] for s in strides]
+    p_lo = [P[:, j, :N - s] for j, s in enumerate(strides)]
+    p_hi = [P[:, j, s:] for j, s in enumerate(strides)]
 
     best_primal = math.inf
     best_dual = -math.inf
@@ -348,11 +353,12 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     gap = math.inf
     while True:
         if it >= next_check or it >= max_iter:
+            v = V.reshape((m,) + grid.node_shape)
             primal_n = _primal_normalized(v, xib, lam_n, h, d)
             if primal_n < best_primal:
                 best_primal = primal_n
                 best_v = v.copy()
-            dual_n = _certified_dual(p, lam_n, xi, h, lu)
+            dual_n = _certified_dual(P_real, lam_n, xi, h, lu)
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
             checks += 1
@@ -365,13 +371,27 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             interval = min(int(interval * 1.3) + 1, 250)
         if converged or it >= max_iter:
             break
-        w = _grad(vbar, h)
-        w += xib
-        arg = p + (sigma * hd) * w
-        p = project_radial(arg, radii) if iso else project_ellipsoid(arg, lam_n)
-        v_new = v - (tau * hd) * _grad_adjoint(p, h)
-        np.subtract(2.0 * v_new, v, out=vbar)
-        v = v_new
+        for Gj, hi, lo in zip(g_lo, vbar_hi, vbar_lo):  # G = _grad(vbar, h)
+            np.subtract(hi, lo, out=Gj)
+        G /= h
+        G += xi_col
+        G *= step_p  # sigma h^d on real cells, 0 on ghosts
+        P += G
+        if iso:
+            project_radial(P, radii, out=P)
+        else:
+            P_real[...] = project_ellipsoid(P_real, lam_n)
+        # U = _grad_adjoint(P, h) on interior nodes, summed in its order
+        np.subtract(p_lo[0], p_hi[0], out=u_hi[0])
+        for Uj, lo, hi in zip(u_hi[1:], p_lo[1:], p_hi[1:]):
+            np.add(Uj, lo, out=Uj)
+            np.subtract(Uj, hi, out=Uj)
+        U /= h
+        U *= step_v  # tau h^d on interior nodes, 0 on the boundary
+        np.subtract(V, U, out=W)
+        np.multiply(W, 2.0, out=Vbar)
+        Vbar -= V
+        V, W = W, V
         it += 1
 
     return SolveReport(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic
+from .homogenize import subcube_parts
 
 CONFIG_VERSION = 1
 
@@ -394,6 +395,14 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     options = _check_options(command, raw.get("options", {}), top,
                              spec.dimension, errors)
+    if command.startswith("degenerate-") and not (
+            isinstance(spec.structure, Laminate) and spec.is_isotropic_law):
+        errors.append(f"field: {command} requires a laminate with one scalar weight law")
+    if command == "subadditivity" and None not in (options["t"], options["depth"]):
+        try:
+            subcube_parts(options["t"], options["depth"], top["cells_per_unit"])
+        except ValueError as exc:
+            errors.append(f"options.depth: {exc}")
     if errors:
         raise ConfigError(errors)
     del top["schema_version"]  # the rest are RunConfig fields of one name
@@ -402,12 +411,16 @@ def parse_config_dict(raw: dict) -> RunConfig:
                      canonical=canonical_config(raw), **top)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate a JSON config; raises ConfigError listing every
     problem found."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+            raw = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:
             raise ConfigError([f"not valid JSON: {exc}"]) from exc
     return parse_config_dict(raw)

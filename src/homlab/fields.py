@@ -326,11 +326,20 @@ class FieldSample:
             raise ValueError(f"points must have trailing dimension {self.spec.dimension}")
         return np.floor(x + self.origin).astype(np.int64)
 
-    def _structure_coords(self, cells) -> tuple:
+    def _draw(self, law, cells, *keys) -> np.ndarray:
+        """``law`` at each cell, keyed by the seed, ``keys`` and its structure
+        coordinates; a laminate keys each axis coordinate once, not each cell."""
         st = self.spec.structure
         if isinstance(st, Laminate):
-            return (cells[..., st.axis - 1],)
-        return tuple(cells[..., j] for j in range(self.spec.dimension))
+            coord = cells[..., st.axis - 1]
+            if coord.size and np.ptp(coord) < coord.size:  # a run, as on a grid: no sort
+                coords, inv = np.arange(coord.min(), coord.max() + 1), coord - coord.min()
+            else:
+                coords, inv = np.unique(coord, return_inverse=True)
+            u = uniform01(key_chain(self.seed, *keys, coords))
+            return law.sample(u)[inv].reshape(cells.shape[:-1])
+        coords = tuple(cells[..., j] for j in range(self.spec.dimension))
+        return law.sample(uniform01(key_chain(self.seed, *keys, *coords)))
 
     def _diag_from_cells(self, cells) -> np.ndarray:
         spec = self.spec
@@ -340,15 +349,12 @@ class FieldSample:
             dims = st.tile.shape[:d]
             idx = tuple(np.mod(cells[..., j], dims[j]) for j in range(d))
             return st.slot_values(d)[idx]
-        coords = self._structure_coords(cells)
         if spec.is_isotropic_law:
-            u = uniform01(key_chain(self.seed, _REALM_DIAG, self.index, _ISO_SLOT, *coords))
-            vals = spec.diagonal.sample(u)
+            vals = self._draw(spec.diagonal, cells, _REALM_DIAG, self.index, _ISO_SLOT)
             return np.broadcast_to(vals[..., None], vals.shape + (d,)).copy()
         out = np.empty(cells.shape[:-1] + (d,), dtype=float)
         for j, law in enumerate(spec.diagonal):
-            u = uniform01(key_chain(self.seed, _REALM_DIAG, self.index, j, *coords))
-            out[..., j] = law.sample(u)
+            out[..., j] = self._draw(law, cells, _REALM_DIAG, self.index, j)
         return out
 
     def _lower_from_cells(self, cells) -> np.ndarray:
@@ -357,9 +363,7 @@ class FieldSample:
             return np.zeros(cells.shape[:-1], dtype=float)
         if isinstance(spec.structure, Periodic):
             return np.full(cells.shape[:-1], spec.lower_order.params[0], dtype=float)
-        coords = self._structure_coords(cells)
-        u = uniform01(key_chain(self.seed, _REALM_LOWER, self.index, *coords))
-        return spec.lower_order.sample(u)
+        return self._draw(spec.lower_order, cells, _REALM_LOWER, self.index)
 
 
 def sample_field(spec: FieldSpec, seed: int, index: int = 0) -> FieldSample:

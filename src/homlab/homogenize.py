@@ -174,6 +174,18 @@ def _random_xi(seed, tag, index, m, d) -> np.ndarray:
     return g / nrm
 
 
+def subcube_parts(t: float, depth: int, cells_per_unit: int = 2) -> int:
+    """2^depth, once it splits the mesh of Q_t into subcube grids."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    parts = 2 ** depth
+    n = cube_grid(1, t, cells_per_unit).cells
+    if n % parts or n // parts < 2:
+        raise ValueError(f"cells per side {n} must be divisible by 2^depth={parts} "
+                         "with at least 2 cells per subcube")
+    return parts
+
+
 def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
                         n_instances: int = 100, seed: int = 0, tol: float = 1e-5,
                         cells_per_unit: int = 2, m: int = 1,
@@ -186,15 +198,7 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
     2^d tol t^d.  xi=None draws a random unit slope per instance.
     """
     d = spec.dimension
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    parts = 2 ** depth
-    n = cube_grid(d, t, cells_per_unit).cells
-    if n % parts != 0:
-        raise ValueError(f"cells per side {n} must be divisible by 2^depth={parts}")
-    if n // parts < 2:
-        raise ValueError(f"subcubes get {n // parts} cells per side; a grid needs "
-                         "at least 2")
+    parts = subcube_parts(t, depth, cells_per_unit)
     s = t / parts
     budget = (2.0 ** d) * tol * t ** d
     # n is a multiple of parts, so each subcube gets n / parts cells from

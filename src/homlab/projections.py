@@ -24,14 +24,18 @@ _NEWTON_MAX = 80
 _NEWTON_RTOL = 1e-13
 
 
-def project_radial(p: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def project_radial(p: np.ndarray, radii: np.ndarray, out=None) -> np.ndarray:
     """Shrink each cell's (m, d) block onto the sphere of its radius.
 
-    p has shape (m, d, *cells); radii broadcasts over cells.
+    p has shape (m, d, *cells); radii broadcasts over cells.  The result
+    goes to ``out`` if given, which may be ``p`` itself.
     """
-    nrm = np.sqrt(np.sum(p * p, axis=(0, 1)))
-    scale = np.minimum(1.0, radii / np.maximum(nrm, 1e-300))
-    return p * scale
+    rows = p.reshape((-1,) + p.shape[2:])
+    sq = rows[0] * rows[0]  # |p|^2 row by row, the order np.sum(axis=(0, 1)) adds in
+    for row in rows[1:]:
+        sq += row * row
+    scale = np.minimum(1.0, radii / np.maximum(np.sqrt(sq), 1e-300))
+    return np.multiply(p, scale, out=out)
 
 
 def project_ellipsoid(p: np.ndarray, axes: np.ndarray, radius: float = 1.0) -> np.ndarray:

@@ -11,7 +11,9 @@ from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
                     Laminate, SolveTask, assemble, cell_problem_on_cube, cube_grid,
                     load_minimizer, sample_field, save_minimizer, solve_cell,
                     solve_many)
-from homlab.cell import _grad, _grad_adjoint
+from homlab.cell import (_certified_dual, _grad, _grad_adjoint, _laplacian_lu,
+                         _primal_normalized, default_step_ratio)
+from homlab.projections import project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
 U12 = DistributionSpec.uniform(1.0, 2.0)
@@ -282,6 +284,94 @@ def test_heavy_tail_weights_still_certify():
     rep = solve_cell(prob, tol=1e-5)
     assert rep.converged
     assert rep.gap <= 1e-5
+
+
+def reference_solve(problem, tol, max_iter):
+    """solve_cell as written before the padded lattice: the same warm
+    start, step sizes and check schedule, with each iteration built
+    from _grad, _grad_adjoint and the projections on (m, d, *cells)
+    arrays.  Returns (primal, dual, iterations, minimizer)."""
+    grid = problem.grid
+    d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
+    hd = h ** d
+    xi = problem.xi
+    xib = xi.reshape((m, d) + (1,) * d)
+    scale = float(problem.lam.max())
+    lam_n = problem.lam / scale
+    iso = bool(np.all(lam_n == lam_n[:1]))
+    lam0_total = hd * float(problem.lam0.sum()) if problem.lam0 is not None else 0.0
+    L = 2.0 * math.sqrt(d) * h ** (d - 1)
+    ratio = default_step_ratio(grid, xi)
+    tau, sigma = ratio / L, 1.0 / (ratio * L)
+    lu = _laplacian_lu(d, n)
+    v = np.zeros((m,) + grid.node_shape)
+    wxi = xib * lam_n[None]
+    nrm = np.sqrt(np.sum(wxi * wxi, axis=(0, 1)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(nrm > 0, xib * lam_n[None] ** 2 / nrm, 0.0)
+    xin = float(np.sqrt((xi * xi).sum()))
+    if d == 1 and xin > 0.0:
+        k_star = int(np.argmin(lam_n[0]))
+        nodes = np.arange(n + 1, dtype=float)
+        v = xi[:, 0:1] * (np.where(nodes > k_star, grid.side, 0.0) - h * nodes)[None, :]
+        p = np.repeat(((xi[:, 0] / xin) * float(lam_n[0, k_star]))[:, None, None], n, axis=2)
+    vbar = v.copy()
+    best_primal, best_dual, best_v = math.inf, -math.inf, v.copy()
+    it, next_check, interval = 0, 0, 20
+    while True:
+        if it >= next_check or it >= max_iter:
+            primal_n = _primal_normalized(v, xib, lam_n, h, d)
+            if primal_n < best_primal:
+                best_primal, best_v = primal_n, v.copy()
+            best_dual = max(best_dual, min(_certified_dual(p, lam_n, xi, h, lu), best_primal))
+            primal_rep = scale * best_primal + lam0_total
+            dual_rep = scale * best_dual + lam0_total
+            if (primal_rep - dual_rep) / max(1.0, abs(primal_rep)) <= tol:
+                break
+            next_check = it + interval
+            interval = min(int(interval * 1.3) + 1, 250)
+        if it >= max_iter:
+            break
+        w = _grad(vbar, h)
+        w += xib
+        arg = p + (sigma * hd) * w
+        p = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, lam_n)
+        v_new = v - (tau * hd) * _grad_adjoint(p, h)
+        np.subtract(2.0 * v_new, v, out=vbar)
+        v = v_new
+        it += 1
+    return primal_rep, dual_rep, it, best_v
+
+
+def _bitwise_case(d, m, aniso=False, lower=False, cells_per_unit=2):
+    diagonal = (U12, TP, DistributionSpec.lognormal(0.0, 1.0))[:d] if aniso else TP
+    spec = FieldSpec(dimension=d, structure=IidCubes(), diagonal=diagonal,
+                     lower_order=U12 if lower else None)
+    xi = keyed_uniform(5, "xi", np.arange(m * d)).reshape(m, d) - 0.25
+    t = {1: 8.0, 2: 4.0, 3: 2.0}[d]
+    return cell_problem_on_cube(sample_field(spec, 3), t, xi, cells_per_unit)
+
+
+BITWISE_CASES = {
+    "1d": dict(d=1, m=1), "1d-m2-aniso": dict(d=1, m=2, aniso=True),
+    "2d": dict(d=2, m=1), "2d-m2": dict(d=2, m=2),
+    "2d-aniso": dict(d=2, m=1, aniso=True), "2d-m2-aniso": dict(d=2, m=2, aniso=True),
+    "2d-lower": dict(d=2, m=1, lower=True), "2d-h-third": dict(d=2, m=1, cells_per_unit=3),
+    "2d-aniso-h-third": dict(d=2, m=2, aniso=True, cells_per_unit=3),
+    "3d": dict(d=3, m=1), "3d-m2-lower": dict(d=3, m=2, lower=True),
+    "3d-aniso-h-third": dict(d=3, m=1, aniso=True, cells_per_unit=3),
+}
+
+
+@pytest.mark.parametrize("name", BITWISE_CASES)
+@pytest.mark.parametrize("tol", [1e-5, 1e-300])
+def test_lattice_loop_is_bit_identical_to_reference(name, tol):
+    problem = _bitwise_case(**BITWISE_CASES[name])
+    for k in (1, 7, 60):
+        rep = solve_cell(problem, tol=tol, max_iter=k)
+        primal, dual, iterations, minimizer = reference_solve(problem, tol, k)
+        assert (rep.primal, rep.dual, rep.iterations) == (primal, dual, iterations)
+        assert rep.minimizer.tobytes() == minimizer.tobytes()
 
 
 def test_solver_input_validation():

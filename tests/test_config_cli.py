@@ -1,6 +1,7 @@
 """Config parsing, result records, CLI behavior, and rerun determinism."""
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -74,6 +75,8 @@ def test_defaults_fill_in():
             del raw["xi"]
         if command == "rank-one":
             raw["options"] = {"xi_a": "e1", "xi_b": "e2"}
+        if command.startswith("degenerate-"):
+            raw["field"] = PARETO_LAMINATE  # the only field they accept
         opts = parse_config_dict(raw).options
         assert set(opts) == keys, command
         if "t" in keys:
@@ -332,8 +335,10 @@ def _malformed(command, options=None, **over):
 
 _RANK_ONE = {"xi_a": "e1", "xi_b": "e2", "t": 4}
 
-# Each case passed the checks of earlier versions: the first sixteen then
-# died in a traceback (exit 1), the rest ran to exit 0.
+_TWO_LAWS = [UNIFORM["diagonal"], UNIFORM["diagonal"]]
+
+# Each case passed the checks of earlier versions: the first sixteen and
+# the last six then died in a traceback (exit 1), the rest ran to exit 0.
 MALFORMED = [
     ("options.depth", _malformed("subadditivity", {"depth": 0})),
     ("options.n_instances", _malformed("subadditivity", {"n_instances": 0})),
@@ -359,6 +364,16 @@ MALFORMED = [
     ("t_list", _malformed("estimate-fhom", t_list=[True])),
     ("field.structure.axis", _malformed("estimate-fhom", field={
         **UNIFORM, "structure": {"kind": "laminate", "axis": True}})),
+    ("not valid JSON: Infinity", _malformed("solve-cell", {"t": math.inf})),
+    ("field", _malformed("degenerate-interface", {"delta_list": [0.1]})),
+    ("field", _malformed("degenerate-divergence", field={
+        **UNIFORM, "structure": {"kind": "periodic", "tile": [[1.0, 2.0]]},
+        "diagonal": None})),
+    ("field", _malformed("degenerate-interface", field={
+        **PARETO_LAMINATE, "diagonal": _TWO_LAWS})),
+    ("field", _malformed("degenerate-divergence", field={
+        **PARETO_LAMINATE, "diagonal": _TWO_LAWS})),
+    ("options.depth", _malformed("subadditivity", {"depth": 3, "t": 4})),
 ]
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic,
-                    birkhoff_average, sample_field, shift, two_sample_test)
+from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic, assemble,
+                    birkhoff_average, cube_grid, sample_field, shift, two_sample_test)
+from homlab.fields import _ISO_SLOT, _REALM_DIAG, _REALM_LOWER
 from homlab.randomness import keyed_uniform
 
 U12 = DistributionSpec.uniform(1.0, 2.0)
@@ -133,6 +134,27 @@ def test_laminate_depends_on_axis_only():
     assert np.array_equal(along[0], along[2])
     across = fld.lambda_diag(np.array([[0.1, 1.4]]))
     assert not np.array_equal(along[0], across[0])
+
+
+@pytest.mark.parametrize("diagonal", [
+    DistributionSpec.lognormal(0.0, 1.0),
+    (U12, DistributionSpec.pareto(1.0, 1.5), DistributionSpec.two_point(1.0, 0.3, 4.0)),
+])
+def test_laminate_assembly_matches_the_per_cell_draw(diagonal):
+    lower = DistributionSpec.pareto(0.5, 2.0)
+    spec = FieldSpec(dimension=3, structure=Laminate(axis=2), diagonal=diagonal,
+                     lower_order=lower)
+    fld = sample_field(spec, 11, index=4)
+    grid = cube_grid(3, 5.0, cells_per_unit=3, center=(0.3, -7.2, 2.0))
+    prob = assemble(fld, grid, np.array([[1.0, 0.0, 0.0]]))
+    # every cell keyed on its own, as the key chain is defined
+    coord = np.floor(grid.cell_centers()).astype(np.int64)[..., 1]
+    slots = [_ISO_SLOT] * 3 if spec.is_isotropic_law else range(3)
+    want = [law.sample(keyed_uniform(11, _REALM_DIAG, 4, j, coord))
+            for j, law in zip(slots, spec.diagonal_laws())]
+    assert prob.lam.tobytes() == np.stack(want).tobytes()
+    want0 = lower.sample(keyed_uniform(11, _REALM_LOWER, 4, coord))
+    assert prob.lam0.tobytes() == want0.tobytes()
 
 
 def test_periodic_tile_lookup_with_negatives():

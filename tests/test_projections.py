@@ -31,6 +31,26 @@ def scaled_brentq_projection(p, s):
     return p * (s[None] ** 2 / (s[None] ** 2 + nu))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_out_is_bit_identical_to_the_shrink_formula(m, d):
+    # entries from 1e-8 to 1e8, so the row-by-row sum of squares rounds
+    n = 40
+    mag = 10.0 ** (16 * keyed_uniform(7, "mag", np.arange(m * d * n)) - 8)
+    sign = np.where(keyed_uniform(7, "sign", np.arange(m * d * n)) < 0.5, -1.0, 1.0)
+    p = (sign * mag).reshape(m, d, n)
+    radii = 10.0 ** (8 * keyed_uniform(7, "radii", np.arange(n)) - 4)
+    nrm = np.sqrt(np.sum(p * p, axis=(0, 1)))
+    want = (p * np.minimum(1.0, radii / np.maximum(nrm, 1e-300))).tobytes()
+    assert project_radial(p, radii).tobytes() == want
+    out = np.full_like(p, np.nan)
+    assert project_radial(p, radii, out=out) is out
+    assert out.tobytes() == want
+    q = p.copy()
+    assert project_radial(q, radii, out=q) is q
+    assert q.tobytes() == want
+
+
 def test_radial_inside_unchanged_outside_on_sphere():
     p = np.zeros((1, 2, 3))
     p[0, 0] = [0.3, 5.0, -2.0]
