@@ -10,12 +10,14 @@ cell centers.  The minimization runs a primal-dual (Chambolle-Pock)
 iteration whose dual iterates are repaired into exactly feasible dual
 points, so every reported value carries a certified duality gap
 
-    gap = (primal - dual) / max(1, |primal|).
+    gap = (primal - dual) / |primal|,
 
-Weights are normalized by their maximum before iterating (the energy is
-1-homogeneous in Lambda), which keeps step sizes well scaled for
-heavy-tailed fields; reported values are restored to the original
-scale.
+relative at every weight scale (0 when the primal is exactly 0, as for
+xi = 0 with no lower-order term).  Weights are normalized by their
+maximum before iterating (the energy is 1-homogeneous in Lambda), which
+keeps step sizes well scaled for heavy-tailed fields; reported values
+are restored to the original scale, so scaling Lambda and lam by a power
+of two scales primal and dual exactly and changes nothing else.
 
 The iteration runs on preallocated flat buffers over the padded node
 lattice: nodes (m, N) with N = (n+1)^d, and cells (m, d, N), each at its
@@ -364,7 +366,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             checks += 1
             primal_rep = scale * best_primal + lam0_total
             dual_rep = scale * best_dual + lam0_total
-            gap = (primal_rep - dual_rep) / max(1.0, abs(primal_rep))
+            gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
             if gap <= tol:
                 converged = True
             next_check = it + interval

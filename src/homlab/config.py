@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic
-from .homogenize import subcube_parts
+from .fields import LAWS, DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic
+from .glue import glue_boxes
+from .homogenize import rank_one_segment, subcube_parts
 
 CONFIG_VERSION = 1
 
@@ -108,8 +109,7 @@ _CANONICAL = ("schema_version", "tol", "n_real", "seed", "cells_per_unit")
 
 _TOP_KEYS = {k for k in _VALUES if "." not in k} | {"command", "field", "xi", "options"}
 _FIELD_KEYS = {"dimension", "structure", "diagonal", "lower_order"}
-_DIST_KEYS = {"constant": {"value"}, "uniform": {"a", "b"}, "two_point": {"v1", "p", "v2"},
-              "pareto": {"x_m", "alpha_tail"}, "lognormal": {"mu", "sigma"}}
+_DIST_KEYS = {kind: law.names for kind, law in LAWS.items()}
 _STRUCT_KEYS = {"iid_cubes": set(), "laminate": {"axis"}, "periodic": {"tile"}}
 
 # which commands consume the xi key
@@ -188,7 +188,7 @@ def _kind_of(obj, where, kinds, what, errors):
         errors.append(f"{where}: unknown {what} kind {kind!r} "
                       f"(one of {sorted(kinds)})")
         return None
-    unknown = set(obj) - kinds[kind] - {"kind"}
+    unknown = set(obj) - {"kind", *kinds[kind]}
     if unknown:
         errors.append(f"{where}: unknown keys {sorted(unknown)} for kind "
                       f"{kind!r}")
@@ -200,20 +200,17 @@ def _parse_distribution(obj, where, errors):
     kind = _kind_of(obj, where, _DIST_KEYS, "distribution", errors)
     if kind is None:
         return None
-    missing = _DIST_KEYS[kind] - set(obj)
+    names = _DIST_KEYS[kind]
+    missing = [k for k in names if k not in obj]
     if missing:
-        errors.append(f"{where}: missing parameters {sorted(missing)} for "
-                      f"kind {kind!r}")
+        errors.append(f"{where}: missing parameters {missing} for kind {kind!r}")
         return None
-    args = {k: obj[k] for k in _DIST_KEYS[kind]}
-    bad = sorted(k for k, v in args.items() if not _num(v))
+    bad = [k for k in names if not _num(obj[k])]
     if bad:
         errors.append(f"{where}: parameters {bad} must be numbers")
         return None
-    dist = getattr(DistributionSpec, kind)(**args)
-    for msg in dist.validate():
-        errors.append(f"{where}: {msg}")
-    return dist
+    # its bounds are checked with the field's, by FieldSpec.validate
+    return DistributionSpec(kind, tuple(float(obj[k]) for k in names))
 
 
 def _parse_structure(obj, d, errors):
@@ -242,26 +239,24 @@ def _parse_field(obj, errors):
     dim = _take(obj, "dimension", _VALUES["field.dimension"], None, errors, "field.")
     if dim is None:
         return None
-    if "structure" not in obj:
-        errors.append("field.structure: required")
-        return None
-    structure = _parse_structure(obj["structure"], dim, errors)
+    before = len(errors)
+    structure = _parse_structure(obj.get("structure"), dim, errors)
     diagonal, lower = obj.get("diagonal"), obj.get("lower_order")
     if isinstance(diagonal, list):
         laws = [_parse_distribution(x, f"field.diagonal[{i}]", errors)
                 for i, x in enumerate(diagonal)]
-        diagonal = None if None in laws else tuple(laws)
+        diagonal = tuple(laws)
     elif diagonal is not None:
         diagonal = _parse_distribution(diagonal, "field.diagonal", errors)
     if lower is not None:
         lower = _parse_distribution(lower, "field.lower_order", errors)
-    if structure is None:
-        return None
     spec = FieldSpec(dimension=dim, structure=structure, diagonal=diagonal,
                      lower_order=lower)
-    for msg in spec.validate():
-        errors.append(f"field: {msg}")
-    return spec
+    # what did not parse is reported already; check the laws that did
+    parsed = len(errors) == before
+    msgs = spec.validate() if parsed else spec.law_errors()
+    errors.extend(f"field: {msg}" for msg in msgs)
+    return spec if parsed else None
 
 
 _XI_TERM = re.compile(r"^([+-]?\d*\.?\d*)e([1-9]\d*)$")
@@ -398,11 +393,21 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if command.startswith("degenerate-") and not (
             isinstance(spec.structure, Laminate) and spec.is_isotropic_law):
         errors.append(f"field: {command} requires a laminate with one scalar weight law")
-    if command == "subadditivity" and None not in (options["t"], options["depth"]):
+    # constraints that join values, each checked by the library helper that
+    # raises at run time; the glue layers are widest at the least delta
+    cpu = top["cells_per_unit"]
+    joint = {
+        "subadditivity": ("depth", lambda o: subcube_parts(o["t"], o["depth"], cpu)),
+        "rank-one": ("xi_b", lambda o: rank_one_segment(o["xi_a"][0], o["xi_b"][0])),
+        "glue-check": ("side", lambda o: glue_boxes(spec.dimension, o["side"], cpu,
+                                                    o["delta_range"][0])),
+    }
+    if command in joint and None not in options.values():
+        key, check = joint[command]
         try:
-            subcube_parts(options["t"], options["depth"], top["cells_per_unit"])
+            check(options)
         except ValueError as exc:
-            errors.append(f"options.depth: {exc}")
+            errors.append(f"options.{key}: {exc}")
     if errors:
         raise ConfigError(errors)
     del top["schema_version"]  # the rest are RunConfig fields of one name

@@ -11,6 +11,7 @@ in O(1) without storing the realization.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -27,14 +28,57 @@ _ISO_SLOT = -1
 _MAX_INTEGRATION_CELLS = 50_000_000
 
 
+# One row per law kind, and the one place a law is defined: its parameter
+# names in ``params`` order; its bounds as (words, test) pairs; and, as
+# functions of the parameters, its inverse CDF of uniforms u in (0, 1),
+# mean, essential infimum, P(value < x) and, for finite support, its
+# atoms as (values, probabilities).
+_Law = namedtuple("_Law", "names bounds sample mean inf below atoms",
+                  defaults=(None,))
+LAWS = {
+    "constant": _Law(
+        ("value",), [("value > 0", lambda v: v > 0)],
+        sample=lambda u, v: np.full_like(np.asarray(u, dtype=float), v),
+        mean=lambda v: v,
+        inf=lambda v: v,
+        below=lambda x, v: 1.0 if v < x else 0.0,
+        atoms=lambda v: ([v], [1.0])),
+    "uniform": _Law(
+        ("a", "b"), [("a >= 0", lambda a, b: a >= 0), ("b > a", lambda a, b: b > a)],
+        sample=lambda u, a, b: a + (b - a) * u,
+        mean=lambda a, b: 0.5 * (a + b),
+        inf=lambda a, b: a,
+        below=lambda x, a, b: float(np.clip((x - a) / (b - a), 0.0, 1.0))),
+    "two_point": _Law(
+        ("v1", "p", "v2"), [("v1 > 0 and v2 > 0", lambda v1, p, v2: v1 > 0 and v2 > 0),
+                            ("p in (0, 1)", lambda v1, p, v2: 0.0 < p < 1.0)],
+        sample=lambda u, v1, p, v2: np.where(u < p, v1, v2),
+        mean=lambda v1, p, v2: p * v1 + (1.0 - p) * v2,
+        inf=lambda v1, p, v2: min(v1, v2),
+        below=lambda x, v1, p, v2: p * (v1 < x) + (1.0 - p) * (v2 < x),
+        atoms=lambda v1, p, v2: ([v1, v2], [p, 1.0 - p])),
+    # an infinite mean iff alpha_tail <= 1
+    "pareto": _Law(
+        ("x_m", "alpha_tail"), [("x_m > 0", lambda xm, al: xm > 0),
+                                ("alpha_tail > 0", lambda xm, al: al > 0)],
+        sample=lambda u, xm, al: xm * u ** (-1.0 / al),
+        mean=lambda xm, al: math.inf if al <= 1.0 else al * xm / (al - 1.0),
+        inf=lambda xm, al: xm,
+        below=lambda x, xm, al: 0.0 if x <= xm else 1.0 - (xm / x) ** al),
+    "lognormal": _Law(
+        ("mu", "sigma"), [("sigma > 0", lambda mu, sigma: sigma > 0)],
+        sample=lambda u, mu, sigma: np.exp(mu + sigma * ndtri(u)),
+        mean=lambda mu, sigma: math.exp(mu + 0.5 * sigma * sigma),
+        inf=lambda mu, sigma: 0.0,
+        below=lambda x, mu, sigma: (0.0 if x <= 0.0
+                                    else float(ndtr((math.log(x) - mu) / sigma)))),
+}
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A scalar law with support in (0, inf); parameters by kind.
-
-    kinds: constant(value), uniform(a, b), two_point(v1, p, v2),
-    pareto(x_m, alpha_tail), lognormal(mu, sigma).  ``pareto`` has an
-    infinite mean iff alpha_tail <= 1.
-    """
+    """A scalar law with support in (0, inf): a kind of ``LAWS`` and its
+    parameters in that row's order."""
 
     kind: str
     params: tuple
@@ -60,128 +104,32 @@ class DistributionSpec:
         return DistributionSpec("lognormal", (float(mu), float(sigma)))
 
     def validate(self) -> list:
-        errs = []
-        k, p = self.kind, self.params
-        if k == "constant":
-            if len(p) != 1:
-                errs.append("constant law needs exactly one parameter")
-            elif p[0] <= 0:
-                errs.append(f"constant law needs value > 0, got {p[0]}")
-        elif k == "uniform":
-            if len(p) != 2:
-                errs.append("uniform law needs parameters (a, b)")
-            else:
-                a, b = p
-                if a < 0:
-                    errs.append(f"uniform law needs a >= 0, got a={a}")
-                if b <= a:
-                    errs.append(f"uniform law needs b > a, got ({a}, {b})")
-        elif k == "two_point":
-            if len(p) != 3:
-                errs.append("two_point law needs parameters (v1, p, v2)")
-            else:
-                v1, pr, v2 = p
-                if v1 <= 0 or v2 <= 0:
-                    errs.append(f"two_point values must be > 0, got ({v1}, {v2})")
-                if not 0.0 < pr < 1.0:
-                    errs.append(f"two_point probability must lie in (0,1), got {pr}")
-        elif k == "pareto":
-            if len(p) != 2:
-                errs.append("pareto law needs parameters (x_m, alpha_tail)")
-            else:
-                xm, al = p
-                if xm <= 0:
-                    errs.append(f"pareto law needs x_m > 0, got {xm}")
-                if al <= 0:
-                    errs.append(f"pareto law needs alpha_tail > 0, got {al}")
-        elif k == "lognormal":
-            if len(p) != 2:
-                errs.append("lognormal law needs parameters (mu, sigma)")
-            elif p[1] <= 0:
-                errs.append(f"lognormal law needs sigma > 0, got {p[1]}")
-        else:
-            errs.append(f"unknown distribution kind {k!r}")
-        return errs
+        law = LAWS.get(self.kind)
+        if law is None:
+            return [f"unknown distribution kind {self.kind!r}"]
+        if len(self.params) != len(law.names):
+            return [f"{self.kind} law needs parameters ({', '.join(law.names)})"]
+        return [f"{self.kind} law needs {words}, got {self.params}"
+                for words, ok in law.bounds if not ok(*self.params)]
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF transform of uniforms in (0, 1)."""
-        k, p = self.kind, self.params
-        if k == "constant":
-            return np.full_like(np.asarray(u, dtype=float), p[0])
-        if k == "uniform":
-            a, b = p
-            return a + (b - a) * u
-        if k == "two_point":
-            v1, pr, v2 = p
-            return np.where(u < pr, v1, v2)
-        if k == "pareto":
-            xm, al = p
-            return xm * u ** (-1.0 / al)
-        if k == "lognormal":
-            mu, sigma = p
-            return np.exp(mu + sigma * ndtri(u))
-        raise ValueError(f"unknown distribution kind {k!r}")
+        return LAWS[self.kind].sample(u, *self.params)
 
     def mean(self) -> float:
-        k, p = self.kind, self.params
-        if k == "constant":
-            return p[0]
-        if k == "uniform":
-            return 0.5 * (p[0] + p[1])
-        if k == "two_point":
-            v1, pr, v2 = p
-            return pr * v1 + (1.0 - pr) * v2
-        if k == "pareto":
-            xm, al = p
-            return math.inf if al <= 1.0 else al * xm / (al - 1.0)
-        if k == "lognormal":
-            mu, sigma = p
-            return math.exp(mu + 0.5 * sigma * sigma)
-        raise ValueError(f"unknown distribution kind {k!r}")
+        return LAWS[self.kind].mean(*self.params)
 
     def support_inf(self) -> float:
-        k, p = self.kind, self.params
-        if k == "constant":
-            return p[0]
-        if k == "uniform":
-            return p[0]
-        if k == "two_point":
-            return min(p[0], p[2])
-        if k == "pareto":
-            return p[0]
-        if k == "lognormal":
-            return 0.0
-        raise ValueError(f"unknown distribution kind {k!r}")
+        return LAWS[self.kind].inf(*self.params)
 
     def mass_below(self, x: float) -> float:
         """P(value < x)."""
-        k, p = self.kind, self.params
-        if k == "constant":
-            return 1.0 if p[0] < x else 0.0
-        if k == "uniform":
-            a, b = p
-            return float(np.clip((x - a) / (b - a), 0.0, 1.0))
-        if k == "two_point":
-            v1, pr, v2 = p
-            return pr * (v1 < x) + (1.0 - pr) * (v2 < x)
-        if k == "pareto":
-            xm, al = p
-            return 0.0 if x <= xm else 1.0 - (xm / x) ** al
-        if k == "lognormal":
-            mu, sigma = p
-            if x <= 0.0:
-                return 0.0
-            return float(ndtr((math.log(x) - mu) / sigma))
-        raise ValueError(f"unknown distribution kind {k!r}")
+        return LAWS[self.kind].below(x, *self.params)
 
     def atoms(self):
         """(values, probabilities) for finite-support laws, else None."""
-        if self.kind == "constant":
-            return np.array([self.params[0]]), np.array([1.0])
-        if self.kind == "two_point":
-            v1, pr, v2 = self.params
-            return np.array([v1, v2]), np.array([pr, 1.0 - pr])
-        return None
+        atoms = LAWS[self.kind].atoms
+        return None if atoms is None else tuple(np.array(a) for a in atoms(*self.params))
 
 
 @dataclass(frozen=True)
@@ -263,32 +211,31 @@ class FieldSpec:
         elif not isinstance(st, IidCubes):
             errs.append(f"unknown structure {st!r}")
 
+        diag = self.diagonal
         if isinstance(st, Periodic):
-            if self.diagonal is not None:
+            if diag is not None:
                 errs.append("periodic structure takes its values from the tile; diagonal must be None")
-        else:
-            diag = self.diagonal
-            if isinstance(diag, DistributionSpec):
-                errs.extend(f"diagonal: {e}" for e in diag.validate())
-            elif isinstance(diag, (tuple, list)):
-                if len(diag) != d:
-                    errs.append(f"diagonal needs {d} laws, got {len(diag)}")
-                for j, law in enumerate(diag):
-                    if not isinstance(law, DistributionSpec):
-                        errs.append(f"diagonal[{j}] is not a DistributionSpec")
-                    else:
-                        errs.extend(f"diagonal[{j}]: {e}" for e in law.validate())
-            else:
-                errs.append("diagonal must be a DistributionSpec or a tuple of them")
+            if isinstance(self.lower_order, DistributionSpec) and self.lower_order.kind != "constant":
+                errs.append("periodic fields are deterministic: lower_order must be constant or None")
+        elif isinstance(diag, (tuple, list)):
+            if len(diag) != d:
+                errs.append(f"diagonal needs {d} laws, got {len(diag)}")
+            errs.extend(f"diagonal[{j}] is not a DistributionSpec"
+                        for j, law in enumerate(diag) if not isinstance(law, DistributionSpec))
+        elif not isinstance(diag, DistributionSpec):
+            errs.append("diagonal must be a DistributionSpec or a tuple of them")
+        if self.lower_order is not None and not isinstance(self.lower_order, DistributionSpec):
+            errs.append("lower_order must be a DistributionSpec or None")
+        return errs + self.law_errors()
 
-        if self.lower_order is not None:
-            if not isinstance(self.lower_order, DistributionSpec):
-                errs.append("lower_order must be a DistributionSpec or None")
-            else:
-                errs.extend(f"lower_order: {e}" for e in self.lower_order.validate())
-                if isinstance(st, Periodic) and self.lower_order.kind != "constant":
-                    errs.append("periodic fields are deterministic: lower_order must be constant or None")
-        return errs
+    def law_errors(self) -> list:
+        """The bounds each given law breaks, whatever the structure."""
+        diag = self.diagonal
+        named = ([(f"diagonal[{j}]", law) for j, law in enumerate(diag)]
+                 if isinstance(diag, (tuple, list)) else [("diagonal", diag)])
+        named.append(("lower_order", self.lower_order))
+        return [f"{name}: {e}" for name, law in named
+                if isinstance(law, DistributionSpec) for e in law.validate()]
 
     @property
     def is_isotropic_law(self) -> bool:

@@ -54,6 +54,24 @@ class GlueReport:
         return self.slack >= 0.0
 
 
+def glue_boxes(d: int, side: float, cells_per_unit: int, delta: float):
+    """The (inner, outer, other) boxes of a glue check on the cube of side
+    ``side`` centered at 0, with the ceil(1/delta) layers each thick enough
+    to resolve cells of size 1/cells_per_unit; a smaller delta needs more
+    room, so the least delta of a range decides whether the range fits."""
+    n_layers = int(math.ceil(1.0 / delta))
+    h = 1.0 / cells_per_unit
+    thickness = 2.0 * math.sqrt(d) * h * 1.2  # margin over the resolvable bound
+    dist = 2.0 * n_layers * thickness
+    a = side / 2.0 - dist - 1.0
+    if a < 0.5:
+        raise GlueGeometryError(f"side {side} too small for delta {delta:g}")
+    inner = tuple((-a, a) for _ in range(d))
+    outer = tuple((-(a + dist), a + dist) for _ in range(d))
+    other = tuple((-(a + dist + 0.5), a + dist + 0.5) for _ in range(d))
+    return inner, outer, other
+
+
 def affine_field(grid, xi, origin_value: float = 0.0) -> np.ndarray:
     """Nodal values of the affine map x -> xi x (+ constant), (m, nodes)."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))

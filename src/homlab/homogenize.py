@@ -344,24 +344,32 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
                            details=details)
 
 
+def rank_one_segment(xi_a, xi_b):
+    """The ends of a segment as (m, d) arrays, once xi_a - xi_b is a rank-one
+    matrix (second singular value at most 1e-12 of the first)."""
+    xi_a, xi_b = _as_xi(xi_a), _as_xi(xi_b)
+    if xi_a.shape != xi_b.shape:
+        raise ValueError(f"xi_a and xi_b must have one shape, got {xi_a.shape} "
+                         f"and {xi_b.shape}")
+    sv = np.linalg.svd(xi_a - xi_b, compute_uv=False)
+    if sv.size >= 2 and sv[1] > 1e-12 * max(sv[0], 1e-300):
+        raise ValueError("xi_a - xi_b is not rank one (second singular value "
+                         f"{sv[1]:.3e} vs first {sv[0]:.3e})")
+    return xi_a, xi_b
+
+
 def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
                              n_grid: int = 5, n_real: int = 20, seed: int = 0,
                              tol: float = 1e-5, cells_per_unit: int = 2,
                              workers: int = 1) -> PropertyReport:
     """Midpoint convexity of the estimate along a rank-one segment.
 
-    The segment endpoint difference must be rank one (checked to 1e-12
-    via singular values); the cell energy is convex in xi realization by
+    The segment endpoint difference must be rank one (see
+    rank_one_segment); the cell energy is convex in xi realization by
     realization, so reported midpoint slacks can only dip below zero by
     solver budgets (2 tol, CI added for random fields).
     """
-    xi_a = _as_xi(xi_a)
-    xi_b = _as_xi(xi_b)
-    diff = xi_a - xi_b
-    sv = np.linalg.svd(diff, compute_uv=False)
-    if sv.size >= 2 and sv[1] > 1e-12 * max(sv[0], 1e-300):
-        raise ValueError("xi_a - xi_b is not rank one (second singular value "
-                         f"{sv[1]:.3e} vs first {sv[0]:.3e})")
+    xi_a, xi_b = rank_one_segment(xi_a, xi_b)
     if isinstance(spec.structure, Periodic):
         n_real = 1
     lambdas = np.linspace(0.0, 1.0, n_grid)

@@ -33,7 +33,7 @@ from .config import RunConfig
 from .degeneracy import (cheap_interface, divergence_experiment, hitting_stats,
                          interface_limit_check)
 from .fields import sample_field
-from .glue import GlueGeometryError, glue_with_cutoff
+from .glue import glue_boxes, glue_with_cutoff
 from .homogenize import (check_rank_one_convexity, check_stationarity_in_law,
                          check_subadditivity, estimate_f_hom, recession,
                          verify_growth_sandwich)
@@ -293,16 +293,7 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
     d = spec.dimension
     u01 = keyed_uniform(seed, "glue-delta", i)
     delta = delta_range[0] + (delta_range[1] - delta_range[0]) * float(u01)
-    n_layers = int(math.ceil(1.0 / delta))
-    h = 1.0 / cells_per_unit
-    thickness = 2.0 * math.sqrt(d) * h * 1.2  # margin over the resolvable bound
-    dist = 2.0 * n_layers * thickness
-    a = side / 2.0 - dist - 1.0
-    if a < 0.5:
-        raise GlueGeometryError(f"side {side} too small for delta {delta:g}")
-    inner = tuple((-a, a) for _ in range(d))
-    outer = tuple((-(a + dist), a + dist) for _ in range(d))
-    other = tuple((-(a + dist + 0.5), a + dist + 0.5) for _ in range(d))
+    inner, outer, other = glue_boxes(d, side, cells_per_unit, delta)
 
     fld = sample_field(spec, seed, i)
     grid = cube_grid(d, side, cells_per_unit, components=1)

@@ -286,6 +286,38 @@ def test_heavy_tail_weights_still_certify():
     assert rep.gap <= 1e-5
 
 
+@pytest.mark.parametrize("d, law, lower", [
+    (2, U12, None),
+    (3, U12, None),
+    (2, DistributionSpec.lognormal(0.0, 1.0), U12),
+], ids=["2d", "3d", "2d-lognormal-lower"])
+def test_certificate_is_invariant_under_weight_scaling(d, law, lower):
+    # the energy is 1-homogeneous in (Lambda, lam): scaling both by 2^k
+    # is exact in floating point, so the run must not change at all
+    spec = FieldSpec(dimension=d, structure=IidCubes(), diagonal=law, lower_order=lower)
+    xi = np.array([[1.0, 0.5] + [0.0] * (d - 2)])
+    prob = cell_problem_on_cube(sample_field(spec, 0), 4.0, xi)
+    base = solve_cell(prob)
+    assert base.converged
+    for k in range(-60, 61):
+        s = 2.0 ** k
+        lam0 = None if prob.lam0 is None else prob.lam0 * s
+        rep = solve_cell(CellProblem(prob.grid, prob.xi, prob.lam * s, lam0))
+        assert (rep.iterations, rep.converged, rep.gap) == (
+            base.iterations, base.converged, base.gap), k
+        assert (rep.primal, rep.dual) == (base.primal * s, base.dual * s), k
+
+
+def test_tiny_heavy_tailed_weights_certify_a_relative_gap():
+    spec = FieldSpec(dimension=2, structure=IidCubes(),
+                     diagonal=DistributionSpec.pareto(1e-300, 1.0))
+    prob = cell_problem_on_cube(sample_field(spec, 0), 8.0, np.array([[1.0, 0.0]]))
+    tol = 1e-5
+    rep = solve_cell(prob, tol=tol)
+    assert rep.converged
+    assert rep.dual >= (1.0 - tol) * rep.primal > 0.0
+
+
 def reference_solve(problem, tol, max_iter):
     """solve_cell as written before the padded lattice: the same warm
     start, step sizes and check schedule, with each iteration built

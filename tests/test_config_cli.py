@@ -119,6 +119,33 @@ def test_each_problem_is_named(over, needle):
     assert any(needle in e for e in exc.value.errors), exc.value.errors
 
 
+def test_each_law_error_is_reported_once():
+    field = {**UNIFORM, "diagonal": {"kind": "uniform", "a": 2.0, "b": 1.0},
+             "lower_order": {"kind": "pareto", "x_m": 0.0, "alpha_tail": 1.0}}
+    for structure, extra in (({"kind": "iid_cubes"}, 0),
+                             ({"kind": "laminate", "axis": 3}, 1),
+                             ({"kind": "spiral"}, 1),
+                             (None, 1)):
+        raw = base_config(field={**field, "structure": structure})
+        if structure is None:
+            del raw["field"]["structure"]
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict(raw)
+        errors = exc.value.errors
+        assert len(errors) == 2 + extra, errors
+        assert sum("structure" in e for e in errors) == extra, errors
+        for needle in ("b > a", "x_m > 0"):
+            assert sum(needle in e for e in errors) == 1, errors
+    # a law that does not parse is reported once too, and its siblings checked
+    bad = {"kind": "uniform", "a": 1.0}
+    for diagonal, want in ((bad, 2), ([bad, field["diagonal"]], 3)):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict(base_config(field={**field, "diagonal": diagonal}))
+        errors = exc.value.errors
+        assert len(errors) == want, errors
+        assert sum("missing parameters" in e for e in errors) == 1, errors
+
+
 def test_xi_required_or_rejected_by_command():
     cfg = base_config()
     del cfg["xi"]
@@ -337,8 +364,9 @@ _RANK_ONE = {"xi_a": "e1", "xi_b": "e2", "t": 4}
 
 _TWO_LAWS = [UNIFORM["diagonal"], UNIFORM["diagonal"]]
 
-# Each case passed the checks of earlier versions: the first sixteen and
-# the last six then died in a traceback (exit 1), the rest ran to exit 0.
+# Each case passed the checks of earlier versions. Cases 1-16, 24-29 and
+# the last two then died in a traceback (exit 1); the rest ran to exit 0,
+# the rank-one slopes of two shapes as one 2 x 2 problem.
 MALFORMED = [
     ("options.depth", _malformed("subadditivity", {"depth": 0})),
     ("options.n_instances", _malformed("subadditivity", {"n_instances": 0})),
@@ -374,6 +402,10 @@ MALFORMED = [
     ("field", _malformed("degenerate-divergence", field={
         **PARETO_LAMINATE, "diagonal": _TWO_LAWS})),
     ("options.depth", _malformed("subadditivity", {"depth": 3, "t": 4})),
+    ("options.xi_b", _malformed("rank-one", {**_RANK_ONE, "xi_b": [[0, 0], [0, 0]]})),
+    ("options.xi_b", _malformed("rank-one", {**_RANK_ONE, "xi_a": [[1, 0], [0, 1]],
+                                             "xi_b": [[0, 0], [0, 0]]})),
+    ("options.side", _malformed("glue-check", {"side": 4})),
 ]
 
 

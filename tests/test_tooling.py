@@ -1,13 +1,20 @@
-"""Guards on the package source and on the suite's own solve audit."""
+"""Guards on the package source, the demo scripts and the suite's own solve audit."""
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+
+import pytest
 
 import conftest
 import homlab
 from homlab import runner
 from homlab.config import parse_config_dict
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_compiles_with_warnings_as_errors():
@@ -36,3 +43,11 @@ def test_audit_sees_every_solve_of_a_threaded_run(tmp_path):
     assert code == 0
     assert solve_rows == 8
     assert audited == solve_rows
+
+
+@pytest.mark.parametrize("script", sorted(ROOT.glob("demos/*.py")), ids=lambda p: p.name)
+def test_demo_script_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
