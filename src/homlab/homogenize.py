@@ -123,7 +123,7 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
         # each mean is only certified to a relative gap of tol, so allow
         # that width on top of the combined CIs (deterministic fields
         # have zero-width CIs but still carry the certificate width)
-        certificate = tol * max(1.0, abs(last.mean), abs(prev.mean))
+        certificate = tol * max(abs(last.mean), abs(prev.mean))
         trend = abs(last.mean - prev.mean) <= last.ci_half + prev.ci_half + certificate
     else:
         trend = True
@@ -318,7 +318,7 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
     vals = vals.reshape(len(s_list), n_real) / np.array(s_list)[:, None]
     means = vals.mean(axis=1)
     cis = np.array([mean_ci(vals[si])[1] for si in range(len(s_list))])
-    scale = max(1.0, float(np.abs(means).max()))
+    scale = float(np.abs(means).max())
     budget = 2.0 * tol * scale
 
     if spec.lower_order is None:
@@ -383,7 +383,7 @@ def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
     slack_r = 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]
     slack_means = slack_r.mean(axis=1)
     slack_ci = np.array([mean_ci(row)[1] for row in slack_r])
-    scale = max(1.0, 0.5 * float(np.abs(means).max()))
+    scale = 0.5 * float(np.abs(means).max())
     budget = 2.0 * tol * scale + (0.0 if n_real == 1 else float(slack_ci.max()))
     worst = float(slack_means.min())
     return PropertyReport(name="rank_one_convexity", n_instances=n_grid - 2,

@@ -9,8 +9,8 @@ counts; only the wall-time and timestamp fields vary between reruns.
 Workers are threads, and a solve spends most of its time in small numpy
 calls that hold the GIL, so more workers usually make a run slower.  On
 2 Xeon vCPUs the 12 solves of ``perfbench/configs/iso2d-sandwich.json``
-took 3.5-4.2 s serially and 7.0-8.8 s on two threads, over two seeds.
-A two-process fork pool took 2.1-3.1 s with identical results, but a
+took 1.0-1.3 s serially and 1.1-2.5 s on two threads, over two seeds.
+A two-process fork pool took 0.6-1.0 s with identical results, but a
 solve in a child process escapes every in-process hook on
 ``homlab.cell.solve_cell`` (the test suite's certificate audit, the
 benchmark's tracer), so threads stay.

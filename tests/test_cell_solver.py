@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import homlab.cell
 from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
-                    Laminate, SolveTask, assemble, cell_problem_on_cube, cube_grid,
-                    load_minimizer, sample_field, save_minimizer, solve_cell,
-                    solve_many)
+                    Laminate, SolveReport, SolveTask, assemble, cell_problem_on_cube,
+                    cube_grid, load_minimizer, sample_field, save_minimizer,
+                    solve_cell, solve_many)
 from homlab.cell import (_certified_dual, _grad, _grad_adjoint, _laplacian_lu,
                          _primal_normalized, default_step_ratio)
 from homlab.projections import project_ellipsoid, project_radial
@@ -318,10 +319,47 @@ def test_tiny_heavy_tailed_weights_certify_a_relative_gap():
     assert rep.dual >= (1.0 - tol) * rep.primal > 0.0
 
 
+@pytest.mark.parametrize("primal, dual, gap, converged, broken", [
+    (1.0, 1.5, 0.0, True, "dual exceeds primal"),
+    (1.0, 1.0, -1e-3, True, "negative gap"),
+    (1.0, 0.9, 0.1, True, "converged with gap above tol"),
+    (1.0, 1.0, 0.0, False, "not converged with gap within tol"),
+], ids=["dual-above-primal", "negative-gap", "converged-above-tol", "unconverged-within-tol"])
+def test_report_refuses_a_broken_certificate(primal, dual, gap, converged, broken):
+    with pytest.raises(ValueError, match=broken):
+        SolveReport(primal=primal, dual=dual, gap=gap, iterations=1, converged=converged,
+                    minimizer=np.zeros((1, 3, 3)), problem=None, tol=1e-5,
+                    wall_time=0.0, gap_checks=1)
+
+
+DEGENERATE_LAWS = {
+    "uniform(1,2)": U12,
+    "two_point(1,0.5,10)": DistributionSpec.two_point(1.0, 0.5, 10.0),
+    "two_point(0.01,0.5,1)": DistributionSpec.two_point(0.01, 0.5, 1.0),
+    "lognormal(0,1)": DistributionSpec.lognormal(0.0, 1.0),
+    "pareto(1,1.5)": DistributionSpec.pareto(1.0, 1.5),
+}
+
+
+def test_relaxation_cuts_iterations_on_degenerate_laws(monkeypatch):
+    problems = [cell_problem_on_cube(
+        sample_field(FieldSpec(dimension=2, structure=IidCubes(), diagonal=law), 0, 0),
+        8.0, np.array([[1.0, 0.0]])) for law in DEGENERATE_LAWS.values()]
+    relaxed = [solve_cell(prob) for prob in problems]
+    monkeypatch.setattr(homlab.cell, "_RELAXATION", 1.0)
+    plain = [solve_cell(prob) for prob in problems]
+    for name, a, b in zip(DEGENERATE_LAWS, relaxed, plain):
+        assert a.converged and b.converged, name
+        # both certified intervals [dual, primal] hold the discrete minimum
+        assert a.dual <= b.primal and b.dual <= a.primal, name
+        assert a.iterations <= b.iterations, name
+    assert sum(a.iterations for a in relaxed) <= 0.7 * sum(b.iterations for b in plain)
+
+
 def reference_solve(problem, tol, max_iter):
-    """solve_cell as written before the padded lattice: the same warm
-    start, step sizes and check schedule, with each iteration built
-    from _grad, _grad_adjoint and the projections on (m, d, *cells)
+    """solve_cell without the padded lattice: the same warm start, step
+    sizes, check schedule and over-relaxed step, with each iteration
+    built from _grad, _grad_adjoint and the projections on (m, d, *cells)
     arrays.  Returns (primal, dual, iterations, minimizer)."""
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
@@ -347,7 +385,7 @@ def reference_solve(problem, tol, max_iter):
         nodes = np.arange(n + 1, dtype=float)
         v = xi[:, 0:1] * (np.where(nodes > k_star, grid.side, 0.0) - h * nodes)[None, :]
         p = np.repeat(((xi[:, 0] / xin) * float(lam_n[0, k_star]))[:, None, None], n, axis=2)
-    vbar = v.copy()
+    vbar, u, rho = v.copy(), np.zeros_like(v), homlab.cell._RELAXATION
     best_primal, best_dual, best_v = math.inf, -math.inf, v.copy()
     it, next_check, interval = 0, 0, 20
     while True:
@@ -358,7 +396,8 @@ def reference_solve(problem, tol, max_iter):
             best_dual = max(best_dual, min(_certified_dual(p, lam_n, xi, h, lu), best_primal))
             primal_rep = scale * best_primal + lam0_total
             dual_rep = scale * best_dual + lam0_total
-            if (primal_rep - dual_rep) / max(1.0, abs(primal_rep)) <= tol:
+            gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
+            if gap <= tol:
                 break
             next_check = it + interval
             interval = min(int(interval * 1.3) + 1, 250)
@@ -367,10 +406,11 @@ def reference_solve(problem, tol, max_iter):
         w = _grad(vbar, h)
         w += xib
         arg = p + (sigma * hd) * w
-        p = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, lam_n)
-        v_new = v - (tau * hd) * _grad_adjoint(p, h)
-        np.subtract(2.0 * v_new, v, out=vbar)
-        v = v_new
+        p_new = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, lam_n)
+        p = (p_new - p) * rho + p
+        v = v - u * rho  # u is the adjoint of the p before this step
+        u = (tau * hd) * _grad_adjoint(p, h)
+        vbar = 2.0 * (v - u) - v
         it += 1
     return primal_rep, dual_rep, it, best_v
 
@@ -415,8 +455,6 @@ def test_solver_input_validation():
 
 
 def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):
-    import homlab.cell
-
     finished = []
     inner = homlab.cell.solve_cell
 
@@ -444,15 +482,13 @@ def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):
 
 
 def test_concurrent_solves_of_one_size_factor_the_laplacian_once(monkeypatch):
-    import homlab.cell
-
     factored = []
     inner = homlab.cell.splu
 
-    def slow_counting_splu(A):
+    def slow_counting_splu(A, **kwargs):
         factored.append(A.shape)
         time.sleep(0.1)  # keep the other threads waiting on the cache miss
-        return inner(A)
+        return inner(A, **kwargs)
 
     homlab.cell._laplacian_lu.cache_clear()
     monkeypatch.setattr(homlab.cell, "splu", slow_counting_splu)

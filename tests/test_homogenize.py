@@ -175,7 +175,7 @@ def test_rank_one_periodic_runs_single_realization():
     assert report.details["values"].shape == (3, 1)
     assert report.passed
     assert report.budget == pytest.approx(
-        2.0 * 1e-5 * max(1.0, 0.5 * float(np.abs(report.details["means"]).max())))
+        2.0 * 1e-5 * 0.5 * float(np.abs(report.details["means"]).max()))
 
 
 def test_estimate_periodic_forces_one_realization():
@@ -184,3 +184,27 @@ def test_estimate_periodic_forces_one_realization():
                      diagonal=None)
     est = estimate_f_hom(spec, E1, t_list=(4,), n_real=7, seed=0)
     assert est.levels[0].all_values.shape == (1,)
+
+
+def _verdicts_on_scaled_tile(k):
+    spec = FieldSpec(dimension=2, structure=Periodic(
+        tile=np.array([[1.0, 4.0], [4.0, 1.0]]) * 2.0 ** k), diagonal=None)
+    return (estimate_f_hom(spec, E1, t_list=(4, 8)),
+            recession(spec, E1 + E2, s_list=(1.0, 2.0), t=4),
+            check_rank_one_convexity(spec, E1, E2, t=4, n_grid=3))
+
+
+@pytest.mark.parametrize("k", [-30, 0, 30], ids=lambda k: f"2^{k}")
+def test_verdict_budgets_scale_with_the_weights(k):
+    # the energy is 1-homogeneous in Lambda, and scaling by 2^k is exact
+    # in floating point, so every budget and slack must scale exactly and
+    # no verdict may move; a budget floored at 1 is absolute below scale 1
+    s = 2.0 ** k
+    est, rec, rank_one = _verdicts_on_scaled_tile(k)
+    est1, rec1, rank_one1 = _verdicts_on_scaled_tile(0)
+    assert [lv.mean for lv in est.levels] == [lv.mean * s for lv in est1.levels]
+    assert est.trend_consistent == est1.trend_consistent
+    assert (rec.budget, rec.worst_dev, rec.passed) == (
+        rec1.budget * s, rec1.worst_dev * s, rec1.passed)
+    assert (rank_one.budget, rank_one.worst_slack, rank_one.passed) == (
+        rank_one1.budget * s, rank_one1.worst_slack * s, rank_one1.passed)

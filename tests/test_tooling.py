@@ -1,6 +1,8 @@
 """Guards on the package source, the demo scripts and the suite's own solve audit."""
 
 import csv
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 import conftest
 import homlab
 from homlab import runner
-from homlab.config import parse_config_dict
+from homlab.config import parse_config, parse_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +53,21 @@ def test_demo_script_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("name", ["iso2d-sandwich", "aniso2d-ladder", "iso3d-cell", "tiny"])
+def test_benchmark_config_matches_its_reference(name, tmp_path, monkeypatch):
+    # in-process, at the config's own seed, so the audit sees every solve;
+    # the benchmark's own helpers read the CSV and compare the certificates
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench = importlib.import_module("run")
+    cfg = parse_config(ROOT / "perfbench" / "configs" / f"{name}.json")
+    ref = json.loads((ROOT / "perfbench" / "reference" / f"{name}.json").read_text(
+        encoding="utf-8"))
+    assert cfg.seed == ref["seed"]
+    code, csv_path, _ = runner.run(cfg, workers=1, out_dir=str(tmp_path))
+    rows = bench.solve_rows(csv_path)
+    assert code == 0
+    assert all(gap <= cfg.tol and "flagged" not in flags.split(";")
+               for _, gap, flags, _ in rows.values())
+    assert bench.reference_problems(rows, ref) == []
