@@ -33,7 +33,10 @@ lowest-corner node, so a cell with a coordinate n is a ghost.  A step
 along axis j is the flat stride (n+1)^(d-1-j); masks zero the ghosts and
 the boundary nodes.  Each entry is made by the same operations, in the
 same order, as in _grad and _grad_adjoint, so the iterates match theirs
-bit for bit.
+bit for bit.  Both projections run in place on the whole cell buffer.
+The ellipsoid gets unit axes on the ghosts, whose p is exactly 0, so
+they stay inside and untouched, and it keeps one multiplier per cell
+from one iteration to the next as its Newton warm start.
 """
 
 from __future__ import annotations
@@ -353,7 +356,11 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     coords = np.indices(grid.node_shape).reshape(d, N)
     step_p = np.where(np.all(coords < n, axis=0), sigma * hd, 0.0)
     step_v = np.where(np.all((coords > 0) & (coords < n), axis=0), tau * hd, 0.0)
-    radii = np.pad(lam_n[0], [(0, 1)] * d).ravel()
+    if iso:
+        radii = np.pad(lam_n[0], [(0, 1)] * d).ravel()
+    else:  # ghost cells get unit axes; their p is 0, so they stay inside
+        axes = np.pad(lam_n, [(0, 0)] + [(0, 1)] * d, constant_values=1.0).reshape(d, N)
+        nu = np.zeros(N)  # each cell's multiplier, carried across iterations
     V, W, U = v.reshape(m, N).copy(), np.empty((m, N)), np.zeros((m, N))
     Vbar = V.copy()
     G, P, P_old = np.zeros((m, d, N)), np.zeros((m, d, N)), np.empty((m, d, N))
@@ -404,7 +411,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         if iso:
             project_radial(P, radii, out=P)
         else:
-            P_real[...] = project_ellipsoid(P_real, lam_n)
+            project_ellipsoid(P, axes, nu=nu, out=P)
         P -= P_old  # P = P_old + rho (projected - P_old)
         P *= _RELAXATION
         P += P_old

@@ -194,13 +194,13 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
 
     The subcubes partition Q_t with the same mesh, so the discrete
     minima satisfy the inequality exactly; reported primal values may
-    miss it by at most the large-cube certificate, budgeted as
-    2^d tol t^d.  xi=None draws a random unit slope per instance.
+    miss it by at most the large-cube certificate, big.primal - big.dual
+    <= tol |big.primal|, budgeted as tol max_r |big.primal|, which scales
+    with the weights.  xi=None draws a random unit slope per instance.
     """
     d = spec.dimension
     parts = subcube_parts(t, depth, cells_per_unit)
     s = t / parts
-    budget = (2.0 ** d) * tol * t ** d
     # n is a multiple of parts, so each subcube gets n / parts cells from
     # the same resolution policy and the subcubes partition Q_t's mesh
     centers = [tuple(-0.5 * t + 0.5 * s + ki * s for ki in k)
@@ -215,9 +215,11 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
                                cells_per_unit=cells_per_unit, tol=tol) for c in centers)
     reports = solve_many(tasks, workers)
     slacks = np.empty(n_instances)
+    big_primal = 0.0
     n_flagged = 0
     for r in range(n_instances):
         big = next(reports)
+        big_primal = max(big_primal, abs(big.primal))
         total = 0.0
         ok = big.converged
         for _ in centers:
@@ -228,6 +230,7 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
         if not ok:
             n_flagged += 1
     worst = float(slacks.min())
+    budget = tol * big_primal
     return PropertyReport(name="subadditivity", n_instances=n_instances,
                           worst_slack=worst, budget=budget,
                           passed=bool(worst >= -budget and n_flagged == 0),

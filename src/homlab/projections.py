@@ -6,14 +6,28 @@ the Lagrange multiplier nu >= 0 of
 
     phi(nu) = sum_ij (p_ij * s_j / (s_j^2 + nu))^2 = 1,    s_j = r * a_j.
 
-Newton runs on the secular form phi(nu)^(-1/2) = 1 (More & Sorensen,
-"Computing a trust region step", 1983).  phi^(-1/2) is increasing and
-concave, so Newton from nu = 0 climbs to the root without overshooting
-and needs a handful of steps even where phi spans many decades.  Each
-cell is frozen as soon as |phi - 1| <= _NEWTON_RTOL; a step that does
-not land in the bracket (lo, hi] (roundoff, non-finite values) falls
-back to bisection.  When all semiaxes of a cell agree the ellipsoid is
-a sphere and the projection is the closed-form radial shrinkage.
+Newton runs on the secular form g(nu) = phi(nu)^(-1/2) = 1 (More &
+Sorensen, "Computing a trust region step", 1983).  g is increasing and
+concave, so its tangent lies above it: from a start left of the root
+Newton climbs to the root without overshooting, and from a start right
+of it one step lands at or left of the root and the climb begins there.
+Any start in [0, hi], where hi = sum_ij |p_ij s_j| makes phi(hi) <= 1,
+therefore converges.  The solver passes each cell's multiplier from one
+iteration to the next, where the dual iterate barely moves, so a call
+needs a few steps instead of a climb from 0 (a warm start, as in Conn,
+Gould & Toint, "Trust-Region Methods", 2000, ch. 7).  Each cell is
+frozen as soon as |phi - 1| <= _NEWTON_RTOL; a step that does not land
+in the bracket (lo, hi] (a step below 0, roundoff, non-finite values)
+falls back to bisection.
+
+Each cell is scaled by k = 2^-e, where 2^(e-1) <= max_j s_j < 2^e: a
+power of two, so the scaling is exact, and the multipliers are kept in
+these units, as k^2 nu.  phi is summed from (p_ij s_j / (s_j^2 + nu))^2,
+never from (s_j^2 + nu)^2, and the Newton step from weights in [0, 1], so
+semiaxes that span 1e-120 to 1 within a cell neither underflow into a
+division nor overflow, as long as every |p_ij / s_j| is below 1e154.
+When all semiaxes of a cell agree the ellipsoid is a sphere and the
+projection is the closed-form radial shrinkage.
 """
 
 from __future__ import annotations
@@ -38,42 +52,79 @@ def project_radial(p: np.ndarray, radii: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(p, scale, out=out)
 
 
-def project_ellipsoid(p: np.ndarray, axes: np.ndarray, radius: float = 1.0) -> np.ndarray:
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum the m * d rows of an (m, d, *cells) array one by one, in order,
+    into a new array."""
+    rows = a.reshape((-1,) + a.shape[2:])
+    total = rows[0] + rows[1] if len(rows) > 1 else rows[0].copy()
+    for row in rows[2:]:
+        total += row
+    return total
+
+
+def project_ellipsoid(p: np.ndarray, axes: np.ndarray, radius: float = 1.0,
+                      nu=None, out=None) -> np.ndarray:
     """Project per-cell blocks onto {q : |q diag(axes)^{-1}|_F <= radius}.
 
     p has shape (m, d, *cells); axes has shape (d, *cells) with positive
-    entries.  Cells already inside are returned unchanged.
+    entries.  Cells already inside are returned unchanged.  The result
+    goes to ``out`` if given, which may be ``p`` itself.
+
+    ``nu``, if given, is a float array of shape cells holding each cell's
+    multiplier from an earlier call, as k^2 nu in the scaled units of the
+    module docstring.  Newton starts there (clipped into [0, hi]; inside
+    cells start at 0), and on return ``nu`` holds this call's multipliers,
+    0 on inside cells.  Without ``nu`` every cell starts at 0.
     """
     s = radius * axes  # semiaxes, (d, *cells)
     ratio = p / s[None]
-    inside = np.sum(ratio * ratio, axis=(0, 1)) <= 1.0
-    if np.all(inside):
-        return p.copy()
+    ratio *= ratio
+    inside = _sum_rows(ratio) <= 1.0
+    if out is None:
+        out = p.copy()
+    elif out is not p:
+        np.copyto(out, p)
+    if nu is None:
+        nu = np.zeros(inside.shape)
+    if inside.all():
+        nu[...] = 0.0
+        return out
 
-    s2 = s * s
-    c = p * p * s2[None]  # (p_ij s_j)^2
-    lo = np.zeros(inside.shape)
-    hi = np.sqrt(c.sum(axis=(0, 1)))  # phi(hi) <= sum c / hi^2 = 1
-    nu = lo.copy()
+    # exact power-of-two scale per cell: the largest semiaxis goes to [1/2, 1)
+    k = np.ldexp(1.0, -np.frexp(s.max(axis=0))[1])
+    s_k = s * k
+    s2 = s_k * s_k
+    ps = p * (s_k * k)  # p_ij s_j in scaled units
     alive = ~inside
+    lo = np.zeros(inside.shape)
+    hi = _sum_rows(np.abs(ps))  # >= |p s|_2, so phi(hi) <= |p s|_2^2 / hi^2 <= 1
+    np.minimum(nu, hi, out=nu)
+    np.copyto(nu, 0.0, where=inside | ~(nu > 0.0))  # also NaN and negative starts
+    denom, w = np.empty_like(s2), np.empty_like(ps)
     for _ in range(_NEWTON_MAX):
-        denom = s2 + nu
-        w = c / denom**2
-        phi = w.sum(axis=(0, 1))
+        np.add(s2, nu, out=denom)
+        np.divide(ps, denom, out=w)
+        w *= w
+        phi = _sum_rows(w)
         alive &= np.abs(phi - 1.0) > _NEWTON_RTOL
         if not alive.any():
             break
-        lo = np.where(phi >= 1.0, nu, lo)
-        hi = np.where(phi < 1.0, nu, hi)
-        # Newton on phi^(-1/2) = 1: nu -= (phi^(-1/2) - 1) / (phi^(-1/2))';
-        # the floor spares zero blocks (inside, never updated) a 0/0
-        slope = np.maximum((w / denom).sum(axis=(0, 1)), 1e-300)
-        cand = nu + phi * (np.sqrt(phi) - 1.0) / slope
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand > hi)
-        nu = np.where(alive, np.where(bad, 0.5 * (lo + hi), cand), nu)
+        np.copyto(lo, nu, where=phi >= 1.0)
+        np.copyto(hi, nu, where=phi < 1.0)
+        # Newton on g = phi^(-1/2) = 1: nu += (1 - g) / g' = (sqrt(phi) - 1) / rate
+        # with rate = -phi' / (2 phi) = sum_ij (w_ij / phi) / denom_j, summed
+        # from weights in [0, 1] so that it does not overflow; the floors
+        # spare zero blocks (inside, never updated) a 0/0
+        w /= np.maximum(phi, 1e-300)
+        w /= denom
+        cand = nu + (np.sqrt(phi) - 1.0) / np.maximum(_sum_rows(w), 1e-300)
+        ok = (lo < cand) & (cand <= hi)  # False on NaN and infinities too
+        np.copyto(nu, np.where(ok, cand, 0.5 * (lo + hi)), where=alive)
 
     proj = p * (s2 / (s2 + nu))
     # Force strict feasibility against roundoff (dual values must certify).
-    nrm = np.sqrt(np.sum((proj / s[None]) ** 2, axis=(0, 1)))
-    proj *= np.minimum(1.0, 1.0 / np.maximum(nrm, 1e-300))
-    return np.where(inside, p, proj)
+    ratio = proj / s[None]
+    ratio *= ratio
+    proj *= np.minimum(1.0, 1.0 / np.maximum(np.sqrt(_sum_rows(ratio)), 1e-300))
+    np.copyto(out, proj, where=~inside)
+    return out

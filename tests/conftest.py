@@ -25,13 +25,12 @@ _audit = {"solves": 0, "converged": 0, "flagged": 0, "violations": []}
 
 def _audited_solve_cell(problem, tol=1e-5, **kwargs):
     rep = _real_solve_cell(problem, tol=tol, **kwargs)
-    scale = max(1.0, abs(rep.primal))
     problems = []
     if rep.dual > rep.primal:
         problems.append(f"dual {rep.dual!r} exceeds primal {rep.primal!r}")
     if rep.converged and rep.gap > tol:
         problems.append(f"converged report with gap {rep.gap:.3e} > tol {tol:.1e}")
-    if rep.gap < -1e-12:
+    if rep.gap < 0:
         problems.append(f"negative gap {rep.gap!r}")
     if not rep.converged and rep.gap <= tol:
         problems.append("unconverged report despite gap within tol")
@@ -42,7 +41,6 @@ def _audited_solve_cell(problem, tol=1e-5, **kwargs):
         if problems:
             _audit["violations"].append(
                 f"t={problem.grid.side:g} n={problem.grid.cells}: " + "; ".join(problems))
-        _ = scale
     return rep
 
 

@@ -358,9 +358,10 @@ def test_relaxation_cuts_iterations_on_degenerate_laws(monkeypatch):
 
 def reference_solve(problem, tol, max_iter):
     """solve_cell without the padded lattice: the same warm start, step
-    sizes, check schedule and over-relaxed step, with each iteration
-    built from _grad, _grad_adjoint and the projections on (m, d, *cells)
-    arrays.  Returns (primal, dual, iterations, minimizer)."""
+    sizes, check schedule, over-relaxed step and warm-started ellipsoid
+    multipliers, with each iteration built from _grad, _grad_adjoint and
+    the projections on (m, d, *cells) arrays.  Returns (primal, dual,
+    iterations, minimizer)."""
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
     hd = h ** d
@@ -386,6 +387,7 @@ def reference_solve(problem, tol, max_iter):
         v = xi[:, 0:1] * (np.where(nodes > k_star, grid.side, 0.0) - h * nodes)[None, :]
         p = np.repeat(((xi[:, 0] / xin) * float(lam_n[0, k_star]))[:, None, None], n, axis=2)
     vbar, u, rho = v.copy(), np.zeros_like(v), homlab.cell._RELAXATION
+    nu = np.zeros(grid.cell_shape)  # ellipsoid multipliers, carried across iterations
     best_primal, best_dual, best_v = math.inf, -math.inf, v.copy()
     it, next_check, interval = 0, 0, 20
     while True:
@@ -406,7 +408,7 @@ def reference_solve(problem, tol, max_iter):
         w = _grad(vbar, h)
         w += xib
         arg = p + (sigma * hd) * w
-        p_new = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, lam_n)
+        p_new = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, lam_n, nu=nu)
         p = (p_new - p) * rho + p
         v = v - u * rho  # u is the adjoint of the p before this step
         u = (tau * hd) * _grad_adjoint(p, h)

@@ -93,7 +93,8 @@ def test_growth_sandwich_heavy_tail_upper_bound_is_vacuous():
 def test_subadditivity_constant_field_is_tight():
     report = check_subadditivity(CONST2, xi=E1, t=8, depth=1, n_instances=2,
                                  seed=0)
-    assert report.budget == pytest.approx((2.0 ** 2) * 1e-5 * 8 ** 2)
+    # tol times the large cube's energy, 2 |e1| 8^2
+    assert report.budget == pytest.approx(1e-5 * 2.0 * 8 ** 2)
     assert report.passed
     assert report.details["n_flagged"] == 0
     # partition energies add up exactly for a constant field
@@ -191,7 +192,8 @@ def _verdicts_on_scaled_tile(k):
         tile=np.array([[1.0, 4.0], [4.0, 1.0]]) * 2.0 ** k), diagonal=None)
     return (estimate_f_hom(spec, E1, t_list=(4, 8)),
             recession(spec, E1 + E2, s_list=(1.0, 2.0), t=4),
-            check_rank_one_convexity(spec, E1, E2, t=4, n_grid=3))
+            check_rank_one_convexity(spec, E1, E2, t=4, n_grid=3),
+            check_subadditivity(spec, xi=E1 + E2, t=4, depth=1, n_instances=1))
 
 
 @pytest.mark.parametrize("k", [-30, 0, 30], ids=lambda k: f"2^{k}")
@@ -200,11 +202,13 @@ def test_verdict_budgets_scale_with_the_weights(k):
     # in floating point, so every budget and slack must scale exactly and
     # no verdict may move; a budget floored at 1 is absolute below scale 1
     s = 2.0 ** k
-    est, rec, rank_one = _verdicts_on_scaled_tile(k)
-    est1, rec1, rank_one1 = _verdicts_on_scaled_tile(0)
+    est, rec, rank_one, subadd = _verdicts_on_scaled_tile(k)
+    est1, rec1, rank_one1, subadd1 = _verdicts_on_scaled_tile(0)
     assert [lv.mean for lv in est.levels] == [lv.mean * s for lv in est1.levels]
     assert est.trend_consistent == est1.trend_consistent
     assert (rec.budget, rec.worst_dev, rec.passed) == (
         rec1.budget * s, rec1.worst_dev * s, rec1.passed)
     assert (rank_one.budget, rank_one.worst_slack, rank_one.passed) == (
         rank_one1.budget * s, rank_one1.worst_slack * s, rank_one1.passed)
+    assert (subadd.budget, subadd.worst_slack, subadd.passed) == (
+        subadd1.budget * s, subadd1.worst_slack * s, subadd1.passed)

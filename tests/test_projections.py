@@ -1,5 +1,8 @@
 """Projections onto spheres and axis-aligned ellipsoids of dual blocks."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import homlab.projections
+from homlab import DistributionSpec, FieldSpec, IidCubes, sample_field, solve_cell
+from homlab.cell import cell_problem_on_cube
 from homlab.projections import project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
@@ -15,20 +20,24 @@ def ell_norm(q, s):
     return np.sqrt(np.sum((q / s) ** 2, axis=(0, 1)))
 
 
-def scaled_brentq_projection(p, s):
-    """Independent single-cell oracle: root of the multiplier equation.
+def brentq_multiplier(p, s):
+    """Independent single-cell oracle: root of the multiplier equation, 0
+    on a cell already inside.
 
     The tolerance is relative to the multiplier nu, so nu is resolved to
     a few ulp whatever its size; an absolute one is far from exact once
     the semiaxes, and with them nu, are small.
     """
     if float(np.sqrt(np.sum((p / s[None]) ** 2))) <= 1.0:
-        return p.copy()
+        return 0.0
     c = (p * s[None]) ** 2
     hi = float(np.sqrt(c.sum()))
-    nu = brentq(lambda x: float((c / (s[None] ** 2 + x) ** 2).sum()) - 1.0,
-                0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
-    return p * (s[None] ** 2 / (s[None] ** 2 + nu))
+    return brentq(lambda x: float((c / (s[None] ** 2 + x) ** 2).sum()) - 1.0,
+                  0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+def scaled_brentq_projection(p, s):
+    return p * (s[None] ** 2 / (s[None] ** 2 + brentq_multiplier(p, s)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -166,3 +175,150 @@ def test_ellipsoid_exact_on_extreme_outside_cells(m, d):
 def test_ellipsoid_oracle_inputs_need_few_newton_trips(monkeypatch):
     monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 16)
     test_ellipsoid_against_brentq_oracle()
+
+
+# ------------------------------------------------------------ warm starts
+
+
+def _warm_start_case():
+    """Semiaxes over four decades, |p/s| from 0.3 to 1e4 (some cells inside)
+    and entries of p/s spread over six decades."""
+    rng = np.random.default_rng(21)
+    m, d, cells = 2, 3, 60
+    axes = 10.0 ** rng.uniform(-4.0, 0.0, (d, cells))
+    dirs = rng.normal(size=(m, d, cells)) * 10.0 ** rng.uniform(-6.0, 0.0, (m, d, cells))
+    dirs /= np.sqrt(np.sum(dirs ** 2, axis=(0, 1)))
+    return dirs * axes[None] * 10.0 ** rng.uniform(-0.5, 4.0, cells), axes
+
+
+def _scaled_roots(p, axes):
+    """The oracle's multipliers in the units project_ellipsoid keeps them in."""
+    k = np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])
+    return np.array([brentq_multiplier(p[:, :, c], axes[:, c])
+                     for c in range(p.shape[2])]) * k ** 2
+
+
+def _assert_matches_oracle(q, p, axes, rtol=1e-12):
+    for cell in range(p.shape[2]):
+        want = scaled_brentq_projection(p[:, :, cell], axes[:, cell])
+        err = np.abs(q[:, :, cell] - want).max() / np.abs(want).max()
+        assert err <= rtol, (cell, err)
+
+
+WARM_STARTS = {
+    "zero": lambda root: np.zeros_like(root),
+    "root": lambda root: root.copy(),
+    "10x-root": lambda root: 10.0 * root,
+    "above-hi": lambda root: np.full_like(root, 1e300),
+    "negative": lambda root: -root - 1.0,
+    "nan": lambda root: np.full_like(root, np.nan),
+}
+
+
+@pytest.mark.parametrize("start", WARM_STARTS)
+def test_ellipsoid_warm_start_converges_from_any_start(start):
+    p, axes = _warm_start_case()
+    inside = ell_norm(p, axes) <= 1.0
+    assert 0 < inside.sum() < inside.size
+    nu = WARM_STARTS[start](_scaled_roots(p, axes))
+    q = project_ellipsoid(p, axes, nu=nu)
+    _assert_matches_oracle(q, p, axes)
+    cold = project_ellipsoid(p, axes)
+    scale = np.abs(cold).max(axis=(0, 1))
+    assert np.all(np.abs(q - cold).max(axis=(0, 1)) <= 1e-12 * scale)
+    assert q[:, :, inside].tobytes() == p[:, :, inside].tobytes()
+    assert np.all(nu[inside] == 0.0) and np.all(nu[~inside] > 0.0)
+
+
+def test_ellipsoid_warm_start_at_the_root_freezes_at_once(monkeypatch):
+    p, axes = _warm_start_case()
+    roots = _scaled_roots(p, axes)
+    monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 1)
+    nu = roots.copy()
+    q = project_ellipsoid(p, axes, nu=nu)
+    assert np.array_equal(nu, roots)  # no cell took a step
+    _assert_matches_oracle(q, p, axes)
+
+
+def test_ellipsoid_out_may_alias_p():
+    p, axes = _warm_start_case()
+    want = project_ellipsoid(p, axes)
+    out = np.full_like(p, np.nan)
+    assert project_ellipsoid(p, axes, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    q, nu = p.copy(), np.zeros(p.shape[2])
+    assert project_ellipsoid(q, axes, nu=nu, out=q) is q
+    assert q.tobytes() == want.tobytes()
+
+
+def test_ellipsoid_warm_start_tracks_a_perturbed_point(monkeypatch):
+    # the solver's case: the point moves a little between calls
+    p, axes = _warm_start_case()
+    nu = np.zeros(p.shape[2])
+    project_ellipsoid(p, axes, nu=nu)
+    p2 = p * (1.0 + 1e-3 * np.random.default_rng(22).normal(size=p.shape))
+    monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 3)
+    _assert_matches_oracle(project_ellipsoid(p2, axes, nu=nu), p2, axes)
+    # three steps are far too few for the climb from 0
+    with pytest.raises(AssertionError):
+        _assert_matches_oracle(project_ellipsoid(p2, axes), p2, axes)
+
+
+# ---------------------------------------------------- extreme anisotropy
+
+
+def mp_projection(p, s):
+    """Single-cell oracle in 60-digit arithmetic: bisection on log(nu)."""
+    with mpmath.workdps(60):
+        P = [[mpmath.mpf(float(x)) for x in row] for row in p]
+        S = [mpmath.mpf(float(x)) for x in s]
+
+        def phi(nu):
+            return sum((row[j] * S[j] / (S[j] ** 2 + nu)) ** 2
+                       for row in P for j in range(len(S)))
+
+        if phi(0) <= 1:
+            return p.copy()
+        lo = mpmath.log(mpmath.mpf("1e-700"))
+        hi = mpmath.log(sum(abs(row[j] * S[j]) for row in P for j in range(len(S))))
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if phi(mpmath.exp(mid)) > 1 else (lo, mid)
+        nu = mpmath.exp((lo + hi) / 2)
+        return np.array([[float(row[j] * S[j] ** 2 / (S[j] ** 2 + nu))
+                          for j in range(len(S))] for row in P])
+
+
+def test_ellipsoid_is_finite_and_exact_on_semiaxes_spanning_1e120():
+    rng = np.random.default_rng(23)
+    m, d, cells = 2, 3, 40
+    axes = 10.0 ** rng.uniform(-120.0, 0.0, (d, cells))
+    axes[0] = 10.0 ** rng.uniform(-120.0, -119.0, cells)
+    axes[-1] = 10.0 ** rng.uniform(-0.5, 0.0, cells)
+    dirs = rng.normal(size=(m, d, cells))
+    dirs /= np.sqrt(np.sum(dirs ** 2, axis=(0, 1)))
+    p = dirs * axes[None] * 10.0 ** rng.uniform(-0.5, 3.0, cells)
+    want = np.stack([mp_projection(p[:, :, c], axes[:, c]) for c in range(cells)], axis=-1)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        nu = np.zeros(cells)
+        results = [project_ellipsoid(p, axes, nu=nu)]
+        results += [project_ellipsoid(p, axes, nu=start) for start in (nu.copy(), 10.0 * nu)]
+    for q in results:
+        # relative per entry, down to where doubles underflow
+        assert np.all(np.abs(q - want) <= 1e-11 * np.abs(want) + 1e-300)
+        assert np.all(ell_norm(q, axes) <= 1.0 + 1e-12)
+
+
+def test_solve_on_extreme_anisotropy_warns_nothing_from_the_projection():
+    # lognormal(0, 60) puts semiaxis ratios up to 2.7e55 in one cell and
+    # 8.7e103 across the cube; the projection used to divide by an
+    # underflowed (s^2 + nu)^2 three times per iteration
+    spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=(
+        DistributionSpec.lognormal(0.0, 60.0), DistributionSpec.uniform(1.0, 2.0)))
+    problem = cell_problem_on_cube(sample_field(spec, 0), 4.0, np.array([[1.0, 1.0]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = solve_cell(problem, max_iter=300)
+    assert [str(w.message) for w in caught
+            if w.filename == homlab.projections.__file__] == []
+    assert np.isfinite(report.primal) and np.isfinite(report.dual)
