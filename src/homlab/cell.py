@@ -27,16 +27,16 @@ u' = tau h^d G^T p for the new p.  rho = _RELAXATION = 1.9; any rho in
 The gap checks certify the relaxed pair (v, p): a relaxed p may leave the
 dual balls, and the repair in _certified_dual rescales it back into them.
 
-The iteration runs on preallocated flat buffers over the padded node
-lattice: nodes (m, N) with N = (n+1)^d, and cells (m, d, N), each at its
-lowest-corner node, so a cell with a coordinate n is a ghost.  A step
-along axis j is the flat stride (n+1)^(d-1-j); masks zero the ghosts and
-the boundary nodes.  Each entry is made by the same operations, in the
-same order, as in _grad and _grad_adjoint, so the iterates match theirs
-bit for bit.  Both projections run in place on the whole cell buffer.
-The ellipsoid gets unit axes on the ghosts, whose p is exactly 0, so
-they stay inside and untouched, and it keeps one multiplier per cell
-from one iteration to the next as its Newton warm start.
+One class, _Lattice, defines the discretization: flat buffers over the
+padded node lattice, nodes (m, N) with N = (n+1)^d and cells (m, d, N),
+each at its lowest-corner node, so a cell with a coordinate n is a ghost.
+A step along axis j is the flat stride (n+1)^(d-1-j).  The iteration, the
+primal energy, the certificate and its Poisson matrix all run on it, and
+match the plain (m, d, *cells) reference kept in the tests bit for bit.
+Both projections run in place on the whole cell buffer.  The ellipsoid
+gets unit axes on the ghosts, whose p is exactly 0, so they stay inside
+and untouched, and it keeps one multiplier per cell from one iteration
+to the next as its Newton warm start.
 """
 
 from __future__ import annotations
@@ -124,12 +124,13 @@ class CellProblem:
 
     def energy_density(self, v: np.ndarray) -> np.ndarray:
         """Per-cell energy h^d (|(Gv+xi) Lambda|_F + lam), shape (*cells,)."""
-        xib = self.xi.reshape(self.xi.shape + (1,) * self.grid.dimension)
-        w = (_grad(v, self.grid.h) + xib) * self.lam[None]
-        dens = np.sqrt(np.sum(w * w, axis=(0, 1)))
+        grid = self.grid
+        d = grid.dimension
+        dens = _cell_norms(_Lattice(d, grid.cells), v.reshape(v.shape[0], -1), self.xi,
+                           self.lam.reshape(d, -1), grid.h)
         if self.lam0 is not None:
-            dens = dens + self.lam0
-        return self.grid.h ** self.grid.dimension * dens
+            dens = dens + self.lam0.ravel()
+        return (grid.h ** d * dens).reshape(grid.cell_shape)
 
     def energy(self, v: np.ndarray, cell_mask=None) -> float:
         dens = self.energy_density(v)
@@ -211,32 +212,55 @@ class SolveReport:
         return self.primal / self.grid.side ** self.grid.dimension
 
 
-def _grad(v: np.ndarray, h: float) -> np.ndarray:
-    """Forward-difference cell gradients: (m, *(n+1)^d) -> (m, d, *n^d)."""
-    cells = (slice(None),) + (slice(0, v.shape[1] - 1),) * (v.ndim - 1)
-    return np.stack([np.diff(v, axis=j)[cells] for j in range(1, v.ndim)], axis=1) / h
+class _Lattice:
+    """The padded node lattice of n^d cells, flat in C order: N = (n+1)^d
+    nodes, cell k at its lowest-corner node k; ``real`` indexes the cells
+    with every coordinate below n, ``interior`` the nodes off the boundary."""
+
+    def __init__(self, d: int, n: int):
+        self.d = d
+        self.N = (n + 1) ** d
+        self.strides = [(n + 1) ** (d - 1 - j) for j in range(d)]
+        coords = np.indices((n + 1,) * d).reshape(d, self.N)
+        self.real = np.flatnonzero(np.all(coords < n, axis=0))
+        self.interior = np.flatnonzero(np.all((coords > 0) & (coords < n), axis=0))
+
+    def diff_views(self, V, G):
+        """(out, hi, lo) per axis: G[:, j] = V[+e_j] - V, exact on real cells."""
+        N = self.N
+        return [(G[:, j, :N - s], V[:, s:], V[:, :N - s]) for j, s in enumerate(self.strides)]
+
+    def adjoint_views(self, P, U):
+        """(out, lo, hi) per axis: U = sum_j P_j[-e_j] - P_j, exact on interior nodes."""
+        N = self.N
+        return [(U[:, s:], P[:, j, :N - s], P[:, j, s:]) for j, s in enumerate(self.strides)]
 
 
-def _zero_boundary(u: np.ndarray) -> None:
-    for axis in range(1, u.ndim):
-        np.moveaxis(u, axis, 0)[[0, -1]] = 0.0
+def _forward(views) -> None:
+    for out, hi, lo in views:
+        np.subtract(hi, lo, out=out)
 
 
-def _grad_adjoint(p: np.ndarray, h: float) -> np.ndarray:
-    """Adjoint of _grad onto interior nodes (boundary rows zeroed)."""
-    m, d = p.shape[0], p.shape[1]
-    n = p.shape[2]
-    u = np.zeros((m,) + (n + 1,) * d)
-    base = tuple(slice(0, n) for _ in range(d))
-    low = (slice(None),) + base
-    for j in range(d):
-        sl = list(base)
-        sl[j] = slice(1, n + 1)
-        u[(slice(None),) + tuple(sl)] += p[:, j]
-        u[low] -= p[:, j]
-    u /= h
-    _zero_boundary(u)
-    return u
+def _adjoint(views) -> None:
+    (out, lo, hi), *rest = views
+    np.subtract(lo, hi, out=out)
+    for out, lo, hi in rest:
+        np.add(out, lo, out=out)
+        np.subtract(out, hi, out=out)
+
+
+def _differences(lat: _Lattice, V: np.ndarray, h: float) -> np.ndarray:
+    """Forward differences DV / h on the real cells, (m, d, cells) in C order."""
+    D = np.empty((V.shape[0], lat.d, lat.N))  # only real cells are read
+    _forward(lat.diff_views(V, D))
+    # np.take returns a C-ordered copy, so later sums add in reference order
+    return np.take(D, lat.real, axis=-1) / h
+
+
+def _cell_norms(lat: _Lattice, V, xi, lam, h) -> np.ndarray:
+    """|(DV/h + xi) Lambda|_F on each real cell; lam is (d, cells)."""
+    w = (_differences(lat, V, h) + xi[..., None]) * lam[None]
+    return np.sqrt(np.sum(w * w, axis=(0, 1)))
 
 
 # serializes cache misses, so concurrent solves of one size factor it once
@@ -245,23 +269,17 @@ _LU_LOCK = threading.Lock()
 
 @lru_cache(maxsize=32)
 def _laplacian_lu(d: int, n: int):
-    """Sparse LU of the Dirichlet graph Laplacian on the interior lattice."""
-    k = n - 1
-    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k), format="csc")
-    eye = sp.identity(k, format="csc")
-    A = None
-    for j in range(d):
-        term = None
-        for axis in range(d):
-            f = T if axis == j else eye
-            term = f if term is None else sp.kron(term, f, format="csc")
-        A = term if A is None else A + term
+    """Sparse LU of the Dirichlet graph Laplacian on the interior nodes."""
+    lat = _Lattice(d, n)
+    offsets = [0] + [sign * s for s in lat.strides for sign in (1, -1)]
+    A = sp.diags([2.0 * d] + [-1.0] * (2 * d), offsets, shape=(lat.N, lat.N), format="csr")
+    A = A[lat.interior][:, lat.interior]
     # symmetric positive definite: a symmetric ordering and no pivoting
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 
-def _certified_dual(p, lam_n, xi, h, lu) -> float:
+def _certified_dual(lat: _Lattice, P, lam, xi, h, lu) -> float:
     """Lower bound from any dual point, made divergence-free and feasible.
 
     Subtracts the gradient of a discrete Poisson solve so the repaired
@@ -269,27 +287,17 @@ def _certified_dual(p, lam_n, xi, h, lu) -> float:
     dual balls (a relaxed iterate may lie outside them); the resulting
     value bounds the discrete minimum from below (up to sparse-LU roundoff).
     """
-    m = p.shape[0]
-    d = p.shape[1]
-    n = p.shape[2]
-    r = _grad_adjoint(p, 1.0)  # D^T p on interior nodes
-    interior = (slice(None),) + tuple(slice(1, n) for _ in range(d))
-    rhs = r[interior].reshape(m, -1).T * h
-    psi_flat = lu.solve(rhs)
-    psi = np.zeros_like(r)
-    psi[interior] = psi_flat.T.reshape((m,) + (n - 1,) * d)
-    ptil = p - _grad(psi, h)
-    ratio = ptil / lam_n[None]
+    m = P.shape[0]
+    R = np.zeros((m, lat.N))
+    _adjoint(lat.adjoint_views(P, R))  # D^T p on interior nodes
+    psi = np.zeros((m, lat.N))
+    psi[:, lat.interior] = lu.solve(R[:, lat.interior].T * h).T
+    ptil = np.take(P, lat.real, axis=-1) - _differences(lat, psi, h)
+    ratio = ptil / lam[None]
     nb = np.sqrt(np.sum(ratio * ratio, axis=(0, 1)))
     mx = float(nb.max())
     s = 1.0 if mx <= 1.0 else 1.0 / mx
-    cell_axes = tuple(range(2, 2 + d))
-    return s * h**d * float((ptil.sum(axis=cell_axes) * xi).sum())
-
-
-def _primal_normalized(v, xib, lam_n, h, d) -> float:
-    w = (_grad(v, h) + xib) * lam_n[None]
-    return h**d * float(np.sqrt(np.sum(w * w, axis=(0, 1))).sum())
+    return s * h**lat.d * float((ptil.sum(axis=-1) * xi).sum())
 
 
 def default_step_ratio(grid: Grid, xi: np.ndarray) -> float:
@@ -351,30 +359,29 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         p = np.repeat(((xi[:, 0] / xin) * float(a[k_star]))[:, None, None], n, axis=2)
 
     # Iterate on the padded node lattice (see the module docstring).
-    N = (n + 1) ** d
-    strides = [(n + 1) ** (d - 1 - j) for j in range(d)]
-    coords = np.indices(grid.node_shape).reshape(d, N)
-    step_p = np.where(np.all(coords < n, axis=0), sigma * hd, 0.0)
-    step_v = np.where(np.all((coords > 0) & (coords < n), axis=0), tau * hd, 0.0)
+    lat = _Lattice(d, n)
+    N = lat.N
+    lam_k = lam_n.reshape(d, -1)
+    step_p, step_v = np.zeros(N), np.zeros(N)
+    step_p[lat.real] = sigma * hd
+    step_v[lat.interior] = tau * hd
     if iso:
-        radii = np.pad(lam_n[0], [(0, 1)] * d).ravel()
+        radii = np.zeros(N)
+        radii[lat.real] = lam_k[0]
     else:  # ghost cells get unit axes; their p is 0, so they stay inside
-        axes = np.pad(lam_n, [(0, 0)] + [(0, 1)] * d, constant_values=1.0).reshape(d, N)
+        axes = np.ones((d, N))
+        axes[:, lat.real] = lam_k
         nu = np.zeros(N)  # each cell's multiplier, carried across iterations
     V, W, U = v.reshape(m, N).copy(), np.empty((m, N)), np.zeros((m, N))
     Vbar = V.copy()
     G, P, P_old = np.zeros((m, d, N)), np.zeros((m, d, N)), np.empty((m, d, N))
-    P_real = P.reshape((m, d) + grid.node_shape)[(...,) + (slice(0, n),) * d]
-    P_real[...] = p
+    P[..., lat.real] = p.reshape(m, d, -1)
     xi_col = xi.reshape(m, d, 1)
-    vbar_hi, vbar_lo = [Vbar[:, s:] for s in strides], [Vbar[:, :N - s] for s in strides]
-    g_lo, u_hi = [G[:, j, :N - s] for j, s in enumerate(strides)], [U[:, s:] for s in strides]
-    p_lo = [P[:, j, :N - s] for j, s in enumerate(strides)]
-    p_hi = [P[:, j, s:] for j, s in enumerate(strides)]
+    grad_views, adjoint_views = lat.diff_views(Vbar, G), lat.adjoint_views(P, U)
 
     best_primal = math.inf
     best_dual = -math.inf
-    best_v = v.copy()
+    best_v = V.copy()
     it = 0
     next_check = 0
     interval = 20  # iterations to the second gap check, then 1.3x per check
@@ -383,12 +390,11 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     gap = math.inf
     while True:
         if it >= next_check or it >= max_iter:
-            v = V.reshape((m,) + grid.node_shape)
-            primal_n = _primal_normalized(v, xib, lam_n, h, d)
+            primal_n = hd * float(_cell_norms(lat, V, xi, lam_k, h).sum())
             if primal_n < best_primal:
                 best_primal = primal_n
-                best_v = v.copy()
-            dual_n = _certified_dual(P_real, lam_n, xi, h, lu)
+                best_v = V.copy()
+            dual_n = _certified_dual(lat, P, lam_k, xi, h, lu)
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
             checks += 1
@@ -401,8 +407,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             interval = min(int(interval * 1.3) + 1, 250)
         if converged or it >= max_iter:
             break
-        for Gj, hi, lo in zip(g_lo, vbar_hi, vbar_lo):  # G = _grad(vbar, h)
-            np.subtract(hi, lo, out=Gj)
+        _forward(grad_views)  # G = D vbar
         G /= h
         G += xi_col
         G *= step_p  # sigma h^d on real cells, 0 on ghosts
@@ -417,11 +422,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         P += P_old
         U *= _RELAXATION  # U still holds the adjoint of P_old
         V -= U
-        # U = _grad_adjoint(P, h) on interior nodes, summed in its order
-        np.subtract(p_lo[0], p_hi[0], out=u_hi[0])
-        for Uj, lo, hi in zip(u_hi[1:], p_lo[1:], p_hi[1:]):
-            np.add(Uj, lo, out=Uj)
-            np.subtract(Uj, hi, out=Uj)
+        _adjoint(adjoint_views)  # U = D^T P
         U /= h
         U *= step_v  # tau h^d on interior nodes, 0 on the boundary
         np.subtract(V, U, out=W)
@@ -435,7 +436,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         gap=gap,
         iterations=it,
         converged=converged,
-        minimizer=best_v,
+        minimizer=best_v.reshape((m,) + grid.node_shape),
         problem=problem,
         tol=tol,
         wall_time=time.perf_counter() - t0,

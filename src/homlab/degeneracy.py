@@ -92,7 +92,7 @@ def divergence_experiment(spec: FieldSpec, xi=None, t_list=(8, 32, 128),
     margin = (vals - bounds).min()
     means = vals.mean(axis=1)
     cis = np.array([mean_ci(vals[ti])[1] for ti in range(len(t_list))])
-    slack = _JENSEN_RTOL * np.maximum(1.0, bounds)
+    slack = _JENSEN_RTOL * bounds  # the bounds are positive: weights and |xi| are
     jensen_ok = bool(np.all(vals >= bounds - slack))
     increasing = bool(np.all(np.diff(means) > 0.0))
     ratio = float(means[-1] / means[0]) if means[0] > 0 else math.inf

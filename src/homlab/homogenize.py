@@ -139,7 +139,7 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 
                            workers: int = 1):
     """Check alpha c0 |xi| - slack <= f_hom(xi) <= C0 |xi| + C1 + slack.
 
-    slack = tol * |xi| + CI of the estimate.  Infinite upper constants
+    slack = tol * |f_hom| + CI of the estimate.  Infinite upper constants
     make the upper bound vacuous; this is reported, not failed.
     """
     consts = growth_constants(spec)
@@ -150,7 +150,7 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 
         est = estimate_f_hom(spec, xi, t_list=t_list, n_real=n_real, seed=seed,
                              tol=tol, cells_per_unit=cells_per_unit, workers=workers)
         xin = float(np.sqrt((xi * xi).sum()))
-        slack = tol * xin + est.ci_half
+        slack = tol * abs(est.value) + est.ci_half
         lower_margin = est.value - (consts.lower_bound(xin) - slack)
         upper = consts.upper_bound(xin)
         upper_margin = math.inf if math.isinf(upper) else upper + slack - est.value

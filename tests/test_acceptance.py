@@ -8,6 +8,7 @@ one line to the terminal acceptance section, and asserts.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -228,7 +229,7 @@ def test_criterion_11_gluing_inequality(tmp_path):
     })
     code, _, summary_path = runner.run(cfg, workers=1,
                                        out_dir=str(tmp_path / "glue"))
-    summary = json.loads(open(summary_path).read())
+    summary = json.loads(Path(summary_path).read_text())
     glue = summary["report"]["glue"]
     ok = (code == 0 and summary["verdict"] == "pass"
           and glue["n_instances"] == 20 and glue["worst_slack"] >= 0.0

@@ -5,15 +5,16 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import minimize
+from scipy.sparse.linalg import splu
 
 import homlab.cell
 from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
                     Laminate, SolveReport, SolveTask, assemble, cell_problem_on_cube,
                     cube_grid, load_minimizer, sample_field, save_minimizer,
                     solve_cell, solve_many)
-from homlab.cell import (_certified_dual, _grad, _grad_adjoint, _laplacian_lu,
-                         _primal_normalized, default_step_ratio)
+from homlab.cell import _Lattice, _laplacian_lu, default_step_ratio
 from homlab.projections import project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
@@ -24,6 +25,85 @@ TP = DistributionSpec.two_point(1.0, 0.5, 2.0)
 def const_spec(c=2.0, d=2):
     return FieldSpec(dimension=d, structure=IidCubes(),
                      diagonal=DistributionSpec.constant(c))
+
+
+# ------------------------------------------- plain-array reference operators
+# The discretization on (m, *(n+1)^d) node and (m, d, *n^d) cell arrays.
+# homlab.cell runs it on the flat padded lattice; the bitwise tests below
+# check that every iterate, energy and certificate matches these.
+
+
+def _grad(v: np.ndarray, h: float) -> np.ndarray:
+    """Forward-difference cell gradients: (m, *(n+1)^d) -> (m, d, *n^d)."""
+    cells = (slice(None),) + (slice(0, v.shape[1] - 1),) * (v.ndim - 1)
+    return np.stack([np.diff(v, axis=j)[cells] for j in range(1, v.ndim)], axis=1) / h
+
+
+def _zero_boundary(u: np.ndarray) -> None:
+    for axis in range(1, u.ndim):
+        np.moveaxis(u, axis, 0)[[0, -1]] = 0.0
+
+
+def _grad_adjoint(p: np.ndarray, h: float) -> np.ndarray:
+    """Adjoint of _grad onto interior nodes (boundary rows zeroed)."""
+    m, d = p.shape[0], p.shape[1]
+    n = p.shape[2]
+    u = np.zeros((m,) + (n + 1,) * d)
+    base = tuple(slice(0, n) for _ in range(d))
+    low = (slice(None),) + base
+    for j in range(d):
+        sl = list(base)
+        sl[j] = slice(1, n + 1)
+        u[(slice(None),) + tuple(sl)] += p[:, j]
+        u[low] -= p[:, j]
+    u /= h
+    _zero_boundary(u)
+    return u
+
+
+def _certified_dual(p, lam_n, xi, h, lu) -> float:
+    """Lower bound from any dual point, made divergence-free and feasible.
+
+    Subtracts the gradient of a discrete Poisson solve so the repaired
+    point annihilates all interior nodes, then rescales it into the
+    dual balls (a relaxed iterate may lie outside them); the resulting
+    value bounds the discrete minimum from below (up to sparse-LU roundoff).
+    """
+    m = p.shape[0]
+    d = p.shape[1]
+    n = p.shape[2]
+    r = _grad_adjoint(p, 1.0)  # D^T p on interior nodes
+    interior = (slice(None),) + tuple(slice(1, n) for _ in range(d))
+    rhs = r[interior].reshape(m, -1).T * h
+    psi_flat = lu.solve(rhs)
+    psi = np.zeros_like(r)
+    psi[interior] = psi_flat.T.reshape((m,) + (n - 1,) * d)
+    ptil = p - _grad(psi, h)
+    ratio = ptil / lam_n[None]
+    nb = np.sqrt(np.sum(ratio * ratio, axis=(0, 1)))
+    mx = float(nb.max())
+    s = 1.0 if mx <= 1.0 else 1.0 / mx
+    cell_axes = tuple(range(2, 2 + d))
+    return s * h**d * float((ptil.sum(axis=cell_axes) * xi).sum())
+
+
+def _kron_laplacian(d: int, n: int):
+    """Dirichlet graph Laplacian on the interior nodes as a kron sum."""
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n - 1, n - 1), format="csc")
+    eye = sp.identity(n - 1, format="csc")
+    A = None
+    for j in range(d):
+        term = None
+        for axis in range(d):
+            f = T if axis == j else eye
+            term = f if term is None else sp.kron(term, f, format="csc")
+        A = term if A is None else A + term
+    return A.tocsc()
+
+
+def _primal_normalized(v, xib, lam_n, h, d) -> float:
+    w = (_grad(v, h) + xib) * lam_n[None]
+    return h**d * float(np.sqrt(np.sum(w * w, axis=(0, 1))).sum())
 
 
 # ------------------------------------------------------------------ grid
@@ -104,14 +184,13 @@ def test_energy_density_hand_value():
 
 
 def test_gradient_adjoint_identity():
-    for d, m in ((1, 1), (2, 1), (2, 2)):
+    for d, m in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
         n = 6
         h = 0.37
         v = keyed_uniform(1, "v", np.arange(m * (n + 1) ** d)).reshape(
             (m,) + (n + 1,) * d)
         # boundary rows of v do not matter for the inner-product identity,
         # but the adjoint lands on interior nodes only, so zero them
-        from homlab.cell import _zero_boundary
         _zero_boundary(v)
         p = keyed_uniform(2, "p", np.arange(m * d * n ** d)).reshape(
             (m, d) + (n,) * d)
@@ -119,13 +198,39 @@ def test_gradient_adjoint_identity():
         rhs = float((v * _grad_adjoint(p, h)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+        # the same operators on the flat lattice, ghost cells at 0
+        lat = _Lattice(d, n)
+        V = v.reshape(m, -1)
+        P = np.zeros((m, d, lat.N))
+        P[..., lat.real] = p.reshape(m, d, -1)
+        grad = homlab.cell._differences(lat, V, h)
+        assert grad.tobytes() == _grad(v, h).tobytes()
+        U = np.zeros((m, lat.N))
+        homlab.cell._adjoint(lat.adjoint_views(P, U))
+        reference = _grad_adjoint(p, 1.0).reshape(m, -1)
+        assert U[:, lat.interior].tobytes() == reference[:, lat.interior].tobytes()
+        G = np.zeros((m, d, lat.N))
+        G[..., lat.real] = grad
+        U_interior = np.zeros_like(U)
+        U_interior[:, lat.interior] = U[:, lat.interior] / h
+        assert float((G * P).sum()) == pytest.approx(float((V * U_interior).sum()),
+                                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 17), (3, 6)])
+def test_lattice_laplacian_solves_like_the_kron_sum(d, n):
+    rhs = keyed_uniform(3, "rhs", np.arange(2 * (n - 1) ** d)).reshape(-1, 2)
+    reference = splu(_kron_laplacian(d, n), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert _laplacian_lu(d, n).solve(rhs).tobytes() == reference.solve(rhs).tobytes()
+
 
 def test_gradient_of_affine_field_is_constant():
     from homlab.glue import affine_field
     g = Grid(dimension=2, side=3.0, cells=6)
     xi = np.array([[0.7, -1.2]])
     u = affine_field(g, xi)
-    grad = _grad(u, g.h)
+    grad = homlab.cell._differences(_Lattice(2, g.cells), u.reshape(1, -1), g.h)
     assert np.allclose(grad[0, 0], 0.7, atol=1e-12)
     assert np.allclose(grad[0, 1], -1.2, atol=1e-12)
 
@@ -360,7 +465,8 @@ def reference_solve(problem, tol, max_iter):
     """solve_cell without the padded lattice: the same warm start, step
     sizes, check schedule, over-relaxed step and warm-started ellipsoid
     multipliers, with each iteration built from _grad, _grad_adjoint and
-    the projections on (m, d, *cells) arrays.  Returns (primal, dual,
+    the projections on (m, d, *cells) arrays, and the certificate from
+    _primal_normalized and the array _certified_dual.  Returns (primal, dual,
     iterations, minimizer)."""
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
@@ -446,6 +552,14 @@ def test_lattice_loop_is_bit_identical_to_reference(name, tol):
         primal, dual, iterations, minimizer = reference_solve(problem, tol, k)
         assert (rep.primal, rep.dual, rep.iterations) == (primal, dual, iterations)
         assert rep.minimizer.tobytes() == minimizer.tobytes()
+        grid = problem.grid
+        xib = problem.xi.reshape(problem.xi.shape + (1,) * grid.dimension)
+        w = (_grad(minimizer, grid.h) + xib) * problem.lam[None]
+        dens = np.sqrt(np.sum(w * w, axis=(0, 1)))
+        if problem.lam0 is not None:
+            dens = dens + problem.lam0
+        density = grid.h ** grid.dimension * dens
+        assert problem.energy_density(rep.minimizer).tobytes() == density.tobytes()
 
 
 def test_solver_input_validation():

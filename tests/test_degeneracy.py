@@ -1,10 +1,12 @@
 """Heavy-tail blow-up and zero-cost interface probes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import homlab.cell
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
                     cheap_interface, divergence_experiment, hitting_stats,
                     interface_limit_check)
@@ -45,6 +47,24 @@ def test_divergence_constant_control_stays_flat():
     assert report.growth_ratio == pytest.approx(1.0, abs=1e-6)
     assert not report.strictly_increasing
     assert np.allclose(report.means, 3.0, rtol=1e-6)
+
+
+@pytest.mark.parametrize("k", [-30, 0], ids=lambda k: f"2^{k}")
+def test_divergence_jensen_check_is_relative_at_any_weight_scale(k, monkeypatch):
+    # a solver that undercuts every Jensen bound by 10% must fail the
+    # check at any weight scale; an absolute slack hides it below scale 1
+    inner = homlab.cell.solve_cell
+
+    def undercutting_solve_cell(problem, **kwargs):
+        rep = inner(problem, **kwargs)
+        return dataclasses.replace(rep, primal=0.9 * rep.primal, dual=0.9 * rep.dual)
+
+    monkeypatch.setattr(homlab.cell, "solve_cell", undercutting_solve_cell)
+    s = 2.0 ** k
+    spec = laminate_spec(DistributionSpec.two_point(s, 0.5, 4.0 * s))
+    report = divergence_experiment(spec, t_list=(4, 8), n_real=2, seed=0)
+    assert report.jensen_margin < 0.0
+    assert not report.jensen_ok
 
 
 def test_divergence_validation():

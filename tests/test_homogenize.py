@@ -193,7 +193,8 @@ def _verdicts_on_scaled_tile(k):
     return (estimate_f_hom(spec, E1, t_list=(4, 8)),
             recession(spec, E1 + E2, s_list=(1.0, 2.0), t=4),
             check_rank_one_convexity(spec, E1, E2, t=4, n_grid=3),
-            check_subadditivity(spec, xi=E1 + E2, t=4, depth=1, n_instances=1))
+            check_subadditivity(spec, xi=E1 + E2, t=4, depth=1, n_instances=1),
+            verify_growth_sandwich(spec, [E1, E1 + E2], t_list=(4, 8)))
 
 
 @pytest.mark.parametrize("k", [-30, 0, 30], ids=lambda k: f"2^{k}")
@@ -202,8 +203,8 @@ def test_verdict_budgets_scale_with_the_weights(k):
     # in floating point, so every budget and slack must scale exactly and
     # no verdict may move; a budget floored at 1 is absolute below scale 1
     s = 2.0 ** k
-    est, rec, rank_one, subadd = _verdicts_on_scaled_tile(k)
-    est1, rec1, rank_one1, subadd1 = _verdicts_on_scaled_tile(0)
+    est, rec, rank_one, subadd, sandwich = _verdicts_on_scaled_tile(k)
+    est1, rec1, rank_one1, subadd1, sandwich1 = _verdicts_on_scaled_tile(0)
     assert [lv.mean for lv in est.levels] == [lv.mean * s for lv in est1.levels]
     assert est.trend_consistent == est1.trend_consistent
     assert (rec.budget, rec.worst_dev, rec.passed) == (
@@ -212,3 +213,8 @@ def test_verdict_budgets_scale_with_the_weights(k):
         rank_one1.budget * s, rank_one1.worst_slack * s, rank_one1.passed)
     assert (subadd.budget, subadd.worst_slack, subadd.passed) == (
         subadd1.budget * s, subadd1.worst_slack * s, subadd1.passed)
+    assert (sandwich.worst_slack, sandwich.passed) == (
+        sandwich1.worst_slack * s, sandwich1.passed)
+    for row, row1 in zip(sandwich.details["per_xi"], sandwich1.details["per_xi"]):
+        assert (row["slack"], row["lower_margin"], row["upper_margin"]) == (
+            row1["slack"] * s, row1["lower_margin"] * s, row1["upper_margin"] * s)
