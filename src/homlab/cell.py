@@ -203,10 +203,6 @@ class SolveReport:
         return self.problem.grid
 
     @property
-    def flagged(self) -> bool:
-        return not self.converged
-
-    @property
     def normalized(self) -> float:
         """primal / t^d."""
         return self.primal / self.grid.side ** self.grid.dimension
@@ -414,9 +410,9 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         np.copyto(P_old, P)
         P += G
         if iso:
-            project_radial(P, radii, out=P)
+            project_radial(P, radii)
         else:
-            project_ellipsoid(P, axes, nu=nu, out=P)
+            project_ellipsoid(P, axes, nu)
         P -= P_old  # P = P_old + rho (projected - P_old)
         P *= _RELAXATION
         P += P_old

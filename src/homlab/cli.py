@@ -22,9 +22,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: HOMLAB_WORKERS, else the config's); "
+                       help="worker threads (default: HOMLAB_WORKERS, else 1); "
                             "solves hold the GIL, so more are rarely faster")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=None, help="output directory (default: homlab-out)")
     return parser
 
 
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         if args.workers is not None:
             workers = check_workers(args.workers, "--workers")
         else:
-            workers = check_workers(env, "HOMLAB_WORKERS") if env else cfg.workers
+            workers = check_workers(env, "HOMLAB_WORKERS") if env else 1
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)

@@ -68,8 +68,6 @@ _VALUES = {
     "n_real": _at_least(1, 50),
     "t_list": _Rule("array", (16.0, 64.0, 256.0), **_POSITIVES),
     "cells_per_unit": _at_least(1, 2),
-    "workers": _at_least(1, 1),
-    "out_dir": _Rule("string", "homlab-out", "nonempty", lambda v, d: v != ""),
     "field.dimension": _at_least(1, _REQUIRED),
     "field.structure.axis": _Rule("integer", 1, "in 1..{d}", lambda v, d: 1 <= v <= d),
 }
@@ -140,8 +138,6 @@ class RunConfig:
     seed: int
     tol: float
     cells_per_unit: int
-    workers: int
-    out_dir: str
     options: dict
     canonical: dict = field(repr=False, default_factory=dict)
 
@@ -339,12 +335,11 @@ def canonical_config(cfg: dict) -> dict:
 
 
 def check_workers(value, source) -> int:
-    """A worker count from a flag, or a string from the environment, held
-    to the rule of the config's ``workers``."""
+    """A worker count >= 1 from a flag, or a string from the environment."""
     if isinstance(value, str) and value.removeprefix("-").isdecimal():
         value = int(value)
     errors = []
-    workers = _check_value(source, value, _VALUES["workers"], None, errors)
+    workers = _check_value(source, value, _at_least(1, 1), None, errors)
     if errors:
         raise ConfigError(errors)
     return workers

@@ -253,8 +253,8 @@ class HittingStats:
     se: float
     z_score: float
 
-    def within(self, n_se: float = 4.0) -> bool:
-        return self.n_failed == 0 and abs(self.z_score) <= n_se
+    def within(self) -> bool:
+        return self.n_failed == 0 and abs(self.z_score) <= 4.0  # standard errors
 
 
 def hitting_stats(spec: FieldSpec, delta: float, n_scans: int = 1000,

@@ -72,10 +72,10 @@ def glue_boxes(d: int, side: float, cells_per_unit: int, delta: float):
     return inner, outer, other
 
 
-def affine_field(grid, xi, origin_value: float = 0.0) -> np.ndarray:
-    """Nodal values of the affine map x -> xi x (+ constant), (m, nodes)."""
+def affine_field(grid, xi) -> np.ndarray:
+    """Nodal values of the linear map x -> xi x, (m, nodes)."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    return np.moveaxis(grid.nodes() @ xi.T, -1, 0) + origin_value
+    return np.moveaxis(grid.nodes() @ xi.T, -1, 0)
 
 
 def _box_array(box, d):

@@ -5,7 +5,8 @@ expected normalized cell energy; it is estimated by Monte Carlo over
 independent realizations on a ladder of cube sizes.  Realization
 indices are shared across cube sizes, so per-realization diagnostics
 (subadditivity trends, homogeneity, recession increments) compare
-matched samples.  All reported intervals are 99% normal CIs.
+matched samples.  All reported intervals are 99% normal CIs.  The
+property checks count uncertified solves (``n_flagged``) and fail on any.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ class PropertyReport:
 
 def _as_xi(xi) -> np.ndarray:
     return np.atleast_2d(np.asarray(xi, dtype=float))
+
+
+def _normalized(reports):
+    """The normalized energies of the reports, and how many did not certify."""
+    rows = [(rep.normalized, rep.converged) for rep in reports]
+    return np.array([v for v, _ in rows]), sum(not ok for _, ok in rows)
 
 
 def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int = 0,
@@ -245,6 +252,7 @@ class StationarityReport:
     two_sample: TwoSampleResult
     passed: bool
     n_matched: int
+    n_flagged: int
 
 
 def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
@@ -267,6 +275,7 @@ def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
 
     max_diff = 0.0
     exact = True
+    n_flagged = 0
     for r in range(n_matched):
         fld = sample_field(spec, seed, r)
         prob_a = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=tuple(z))
@@ -275,17 +284,19 @@ def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
             exact = False
         rep_a = solve_cell(prob_a, tol=tol)
         rep_b = solve_cell(prob_b, tol=tol)
+        n_flagged += (not rep_a.converged) + (not rep_b.converged)
         diff = abs(rep_a.primal - rep_b.primal)
         max_diff = max(max_diff, diff)
         exact = exact and (diff == 0.0)
 
     tasks = [SolveTask(spec, seed, r, t, xi, center=tuple(z) if r < n_real else None,
                        cells_per_unit=cells_per_unit, tol=tol) for r in range(2 * n_real)]
-    vals = [rep.normalized for rep in solve_many(tasks, workers)]
+    vals, n_unpaired = _normalized(solve_many(tasks, workers))
     ts = two_sample_test(vals[:n_real], vals[n_real:])
+    n_flagged += n_unpaired
     return StationarityReport(matched_max_diff=max_diff, matched_exact=exact,
-                              two_sample=ts, passed=exact and ts.same_law,
-                              n_matched=n_matched)
+                              two_sample=ts, n_matched=n_matched, n_flagged=n_flagged,
+                              passed=exact and ts.same_law and n_flagged == 0)
 
 
 @dataclass
@@ -298,6 +309,7 @@ class RecessionReport:
     budget: float
     passed: bool
     details: dict
+    n_flagged: int
 
 
 def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
@@ -317,7 +329,7 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
 
     tasks = [SolveTask(spec, seed, r, t, s * xi, cells_per_unit=cells_per_unit, tol=tol)
              for s in s_list for r in range(n_real)]
-    vals = np.array([rep.normalized for rep in solve_many(tasks, workers)])
+    vals, n_flagged = _normalized(solve_many(tasks, workers))
     vals = vals.reshape(len(s_list), n_real) / np.array(s_list)[:, None]
     means = vals.mean(axis=1)
     cis = np.array([mean_ci(vals[si])[1] for si in range(len(s_list))])
@@ -343,8 +355,8 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
         mode = "decreasing"
         details = {"values": vals, "expected_lambda_mean": c1, "decreasing": decreasing}
     return RecessionReport(s_list=s_list, means=means, ci_halves=cis, mode=mode,
-                           worst_dev=worst, budget=budget, passed=passed,
-                           details=details)
+                           worst_dev=worst, budget=budget, n_flagged=n_flagged,
+                           passed=passed and n_flagged == 0, details=details)
 
 
 def rank_one_segment(xi_a, xi_b):
@@ -380,7 +392,7 @@ def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
     tasks = [SolveTask(spec, seed, r, t, lam * xi_a + (1.0 - lam) * xi_b,
                        cells_per_unit=cells_per_unit, tol=tol)
              for lam in lambdas for r in range(n_real)]
-    vals = np.array([rep.normalized for rep in solve_many(tasks, workers)])
+    vals, n_flagged = _normalized(solve_many(tasks, workers))
     vals = vals.reshape(n_grid, n_real)
     means = vals.mean(axis=1)
     slack_r = 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]
@@ -391,6 +403,6 @@ def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
     worst = float(slack_means.min())
     return PropertyReport(name="rank_one_convexity", n_instances=n_grid - 2,
                           worst_slack=worst, budget=budget,
-                          passed=bool(worst >= -budget),
-                          details={"lambdas": lambdas, "means": means,
-                                   "values": vals, "slack_ci": slack_ci})
+                          passed=bool(worst >= -budget and n_flagged == 0),
+                          details={"lambdas": lambdas, "means": means, "values": vals,
+                                   "slack_ci": slack_ci, "n_flagged": n_flagged})

@@ -1,10 +1,10 @@
-"""Projections onto the per-cell dual balls {p : |p diag(a)^{-1}|_F <= r}.
+"""Projections onto the per-cell dual balls {p : |p diag(s)^{-1}|_F <= 1}.
 
 The ball is an axis-aligned ellipsoid whose semiaxis for every column j
-(repeated over the m rows) is r * a_j.  The general projection finds
-the Lagrange multiplier nu >= 0 of
+(repeated over the m rows) is s_j.  The general projection finds the
+Lagrange multiplier nu >= 0 of
 
-    phi(nu) = sum_ij (p_ij * s_j / (s_j^2 + nu))^2 = 1,    s_j = r * a_j.
+    phi(nu) = sum_ij (p_ij * s_j / (s_j^2 + nu))^2 = 1.
 
 Newton runs on the secular form g(nu) = phi(nu)^(-1/2) = 1 (More &
 Sorensen, "Computing a trust region step", 1983).  g is increasing and
@@ -27,7 +27,8 @@ never from (s_j^2 + nu)^2, and the Newton step from weights in [0, 1], so
 semiaxes that span 1e-120 to 1 within a cell neither underflow into a
 division nor overflow, as long as every |p_ij / s_j| is below 1e154.
 When all semiaxes of a cell agree the ellipsoid is a sphere and the
-projection is the closed-form radial shrinkage.
+projection is the closed-form radial shrinkage.  Both projections
+overwrite p in place and return it.
 """
 
 from __future__ import annotations
@@ -38,18 +39,17 @@ _NEWTON_MAX = 80
 _NEWTON_RTOL = 1e-13
 
 
-def project_radial(p: np.ndarray, radii: np.ndarray, out=None) -> np.ndarray:
-    """Shrink each cell's (m, d) block onto the sphere of its radius.
+def project_radial(p: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Shrink each cell's (m, d) block onto the ball of its radius, in place.
 
-    p has shape (m, d, *cells); radii broadcasts over cells.  The result
-    goes to ``out`` if given, which may be ``p`` itself.
+    p has shape (m, d, *cells); radii broadcasts over cells.  Returns p.
     """
     rows = p.reshape((-1,) + p.shape[2:])
     sq = rows[0] * rows[0]  # |p|^2 row by row, the order np.sum(axis=(0, 1)) adds in
     for row in rows[1:]:
         sq += row * row
     scale = np.minimum(1.0, radii / np.maximum(np.sqrt(sq), 1e-300))
-    return np.multiply(p, scale, out=out)
+    return np.multiply(p, scale, out=p)
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -62,37 +62,29 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def project_ellipsoid(p: np.ndarray, axes: np.ndarray, radius: float = 1.0,
-                      nu=None, out=None) -> np.ndarray:
-    """Project per-cell blocks onto {q : |q diag(axes)^{-1}|_F <= radius}.
+def project_ellipsoid(p: np.ndarray, axes: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Project per-cell blocks onto {q : |q diag(axes)^{-1}|_F <= 1}, in place.
 
-    p has shape (m, d, *cells); axes has shape (d, *cells) with positive
-    entries.  Cells already inside are returned unchanged.  The result
-    goes to ``out`` if given, which may be ``p`` itself.
+    p has shape (m, d, *cells); axes, the semiaxes, has shape (d, *cells)
+    with positive entries.  Cells already inside are left unchanged.
+    Returns p.
 
-    ``nu``, if given, is a float array of shape cells holding each cell's
-    multiplier from an earlier call, as k^2 nu in the scaled units of the
-    module docstring.  Newton starts there (clipped into [0, hi]; inside
-    cells start at 0), and on return ``nu`` holds this call's multipliers,
-    0 on inside cells.  Without ``nu`` every cell starts at 0.
+    ``nu`` is a float array of shape cells holding each cell's multiplier
+    from an earlier call (zeros for a cold start), as k^2 nu in the scaled
+    units of the module docstring.  Newton starts there (clipped into
+    [0, hi]; inside cells start at 0), and on return ``nu`` holds this
+    call's multipliers, 0 on inside cells.
     """
-    s = radius * axes  # semiaxes, (d, *cells)
-    ratio = p / s[None]
+    ratio = p / axes[None]
     ratio *= ratio
     inside = _sum_rows(ratio) <= 1.0
-    if out is None:
-        out = p.copy()
-    elif out is not p:
-        np.copyto(out, p)
-    if nu is None:
-        nu = np.zeros(inside.shape)
     if inside.all():
         nu[...] = 0.0
-        return out
+        return p
 
     # exact power-of-two scale per cell: the largest semiaxis goes to [1/2, 1)
-    k = np.ldexp(1.0, -np.frexp(s.max(axis=0))[1])
-    s_k = s * k
+    k = np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])
+    s_k = axes * k
     s2 = s_k * s_k
     ps = p * (s_k * k)  # p_ij s_j in scaled units
     alive = ~inside
@@ -123,8 +115,8 @@ def project_ellipsoid(p: np.ndarray, axes: np.ndarray, radius: float = 1.0,
 
     proj = p * (s2 / (s2 + nu))
     # Force strict feasibility against roundoff (dual values must certify).
-    ratio = proj / s[None]
+    ratio = proj / axes[None]
     ratio *= ratio
     proj *= np.minimum(1.0, 1.0 / np.maximum(np.sqrt(_sum_rows(ratio)), 1e-300))
-    np.copyto(out, proj, where=~inside)
-    return out
+    np.copyto(p, proj, where=~inside)
+    return p

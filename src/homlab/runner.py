@@ -93,6 +93,11 @@ class _Ctx:
         self.records.append(ResultRecord(**kw))
 
 
+def _flag_uncertified(ctx, n_flagged):
+    if n_flagged:
+        ctx.flags.append(f"n_flagged={n_flagged}")
+
+
 def _estimate_records(ctx, label, est):
     for lv in est.levels:
         for r in range(lv.all_values.size):
@@ -197,6 +202,7 @@ def _cmd_subadditivity(ctx):
     ctx.report["subadditivity"] = {"worst_slack": rep.worst_slack,
                                    "budget": rep.budget, "passed": rep.passed,
                                    "n_flagged": rep.details["n_flagged"]}
+    _flag_uncertified(ctx, rep.details["n_flagged"])
     ctx.verdict = ctx.verdict and rep.passed
 
 
@@ -210,6 +216,7 @@ def _cmd_stationarity(ctx):
     ctx.rec(xi_label=label, kind="two_sample_stat",
             value=rep.two_sample.statistic, ci_half=rep.two_sample.threshold)
     ctx.report["stationarity"] = rep
+    _flag_uncertified(ctx, rep.n_flagged)
     ctx.verdict = ctx.verdict and rep.passed
 
 
@@ -222,9 +229,9 @@ def _cmd_recession(ctx):
     for s, mean, ci in zip(rep.s_list, rep.means, rep.ci_halves):
         ctx.rec(xi_label=label, kind=f"ray_mean:s={s:g}", value=float(mean),
                 ci_half=float(ci))
-    ctx.report["recession"] = {"s_list": rep.s_list, "means": rep.means,
-                               "mode": rep.mode, "worst_dev": rep.worst_dev,
-                               "budget": rep.budget, "passed": rep.passed}
+    keys = ("s_list", "means", "mode", "worst_dev", "budget", "passed", "n_flagged")
+    ctx.report["recession"] = {k: getattr(rep, k) for k in keys}
+    _flag_uncertified(ctx, rep.n_flagged)
     ctx.verdict = ctx.verdict and rep.passed
 
 
@@ -239,8 +246,9 @@ def _cmd_rank_one(ctx):
     for lam, mean in zip(rep.details["lambdas"], rep.details["means"]):
         ctx.rec(xi_label=f"{la}|{lb}", kind=f"segment_mean:lambda={lam:g}",
                 value=float(mean))
-    ctx.report["rank_one"] = {"worst_slack": rep.worst_slack,
-                              "budget": rep.budget, "passed": rep.passed}
+    ctx.report["rank_one"] = {"worst_slack": rep.worst_slack, "budget": rep.budget,
+                              "passed": rep.passed, "n_flagged": rep.details["n_flagged"]}
+    _flag_uncertified(ctx, rep.details["n_flagged"])
     ctx.verdict = ctx.verdict and rep.passed
 
 
@@ -258,8 +266,7 @@ def _cmd_divergence(ctx):
                 ci_half=float(ci))
         ctx.rec(xi_label=label, t=t, kind="jensen_bound", value=float(jb))
     ctx.report["divergence"] = rep
-    if rep.n_flagged:
-        ctx.flags.append(f"n_flagged={rep.n_flagged}")
+    _flag_uncertified(ctx, rep.n_flagged)
     ctx.verdict = ctx.verdict and rep.jensen_ok and rep.n_flagged == 0
 
 
@@ -285,7 +292,7 @@ def _cmd_interface(ctx):
             ctx.rec(xi_label=f"delta={d:g}", kind="hitting_z",
                     value=hs.z_score)
             stats.append(hs)
-            ctx.verdict = ctx.verdict and hs.within(4.0)
+            ctx.verdict = ctx.verdict and hs.within()
         ctx.report["hitting"] = stats
 
 
@@ -343,14 +350,13 @@ _DISPATCH = {
 }
 
 
-def run(cfg: RunConfig, workers: int = None, out_dir: str = None):
+def run(cfg: RunConfig, workers: int = 1, out_dir: str = None):
     """Execute a validated config; returns (exit_code, csv_path, summary_path).
 
     Exit code 0 means every property verdict passed and no estimate was
     flagged; partial results are still written on failure.
     """
-    workers = workers if workers is not None else cfg.workers
-    out_dir = out_dir or cfg.out_dir
+    out_dir = out_dir or "homlab-out"
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(cfg, workers, out_dir)
     t0 = time.perf_counter()

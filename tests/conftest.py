@@ -7,6 +7,8 @@ visibly flagged).  A per-test fixture fails the offending test
 immediately, and the terminal summary prints the suite-wide tally.
 """
 
+import dataclasses
+import itertools
 import threading
 
 import pytest
@@ -63,6 +65,21 @@ def _certificates_hold():
     with _lock:
         fresh = _audit["violations"][before:]
     assert not fresh, "certificate violations: " + " | ".join(fresh)
+
+
+@pytest.fixture
+def second_solve_uncertified(monkeypatch):
+    """From here on the second solve comes back uncertified, its certificate
+    intact: the same primal and dual, gap 0.5 and converged=False."""
+    inner = homlab.cell.solve_cell
+    calls = itertools.count()
+
+    def stub(problem, **kwargs):
+        rep = inner(problem, **kwargs)
+        return dataclasses.replace(rep, gap=0.5, converged=False) if next(calls) == 1 else rep
+
+    for mod in _PATCH_MODULES:
+        monkeypatch.setattr(mod, "solve_cell", stub)
 
 
 def solve_audit_snapshot():

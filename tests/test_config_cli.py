@@ -59,14 +59,12 @@ def test_defaults_fill_in():
     assert cfg.t_list == (16.0, 64.0, 256.0)
     assert cfg.seed == 0
     assert cfg.cells_per_unit == 2
-    assert cfg.workers == 1
     assert cfg.canonical["schema_version"] == 1
     assert cfg.canonical["tol"] == 1e-5
     assert cfg.canonical["n_real"] == 50
     assert cfg.canonical["seed"] == 0
     assert cfg.xi_labels == ["e1"]
     assert np.array_equal(cfg.xi_list[0], [[1.0, 0.0]])
-    assert cfg.out_dir == "homlab-out"
 
     # every command's options come back whole, defaults filled in
     for command, keys in OPTION_KEYS.items():
@@ -348,6 +346,52 @@ def test_outputs_identical_across_workers_and_reruns(command, tmp_path, monkeypa
                  str(out_env)]) == 0
     env_csv = next(out_env.glob("*.csv"))
     assert canonical_csv_bytes(env_csv) == canonical_csv_bytes(paths[0])
+
+
+@pytest.mark.parametrize("command", ["recession", "rank-one", "stationarity"])
+def test_uncertified_solve_fails_the_run_and_is_flagged(command, tmp_path,
+                                                        second_solve_uncertified):
+    raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command]})
+    if raw["xi"] is None:
+        del raw["xi"]
+    code, _, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
+    assert code == 1
+    assert "n_flagged=1" in json.loads(Path(summary_path).read_text())["flags"]
+
+
+def test_outputs_depend_on_the_experiment_only(tmp_path, monkeypatch):
+    # neither the worker count nor the output directory reaches a file
+    monkeypatch.delenv("HOMLAB_WORKERS", raising=False)
+    path = write_config(tmp_path, t_list=[4], n_real=3)
+    outputs = []
+    for out, workers in (("a", "1"), ("b", "2")):
+        out = tmp_path / out
+        assert main(["estimate-fhom", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append((sorted(p.name for p in out.iterdir()),
+                        canonical_csv_bytes(next(out.glob("*.csv"))),
+                        next(out.glob("*.summary.json")).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("key, value", [("workers", 2), ("out_dir", "elsewhere")])
+def test_config_naming_an_execution_setting_exits_2(tmp_path, capsys, monkeypatch,
+                                                    key, value):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, t_list=[4], n_real=1, **{key: value})
+    assert main(["estimate-fhom", "--config", path]) == 2
+    assert f"config error: unknown top-level keys ['{key}']" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_run_writes_under_homlab_out_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, csv_path, summary_path = runner.run(parse_config_dict(base_config(t_list=[4],
+                                                                            n_real=1)))
+    assert code == 0
+    assert Path(csv_path).parent == Path(summary_path).parent == Path("homlab-out")
+    assert sorted(p.name for p in (tmp_path / "homlab-out").iterdir()) == sorted(
+        [Path(csv_path).name, Path(summary_path).name])
 
 
 def _malformed(command, options=None, **over):

@@ -163,7 +163,7 @@ def test_hitting_stats_match_the_geometric_law():
     assert stats.mean_expected == pytest.approx(1.0)
     assert stats.n_failed == 0
     assert abs(stats.z_score) <= 4.0
-    assert stats.within(4.0)
+    assert stats.within()
     assert stats.se == pytest.approx(math.sqrt(0.5 / 0.25 / 300))
 
     u = hitting_stats(U01, delta=0.1, n_scans=200, seed=1)

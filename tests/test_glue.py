@@ -36,7 +36,7 @@ def node_coords(grid):
 
 def test_affine_field_nodal_values():
     g = Grid(dimension=2, side=4.0, cells=4)
-    u = affine_field(g, np.array([[1.0, 0.0]]), origin_value=7.0)
+    u = affine_field(g, np.array([[1.0, 0.0]])) + 7.0
     # value = x1 + 7 at every node
     xs = -2.0 + np.arange(5) * 1.0
     assert np.allclose(u[0], xs[:, None] + 7.0)

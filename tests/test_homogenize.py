@@ -151,6 +151,28 @@ def test_recession_with_lower_order_decreases_by_lambda_mean():
     assert report.details["expected_lambda_mean"] == pytest.approx(1.0)
 
 
+# each check on a tiny case, and its verdict as (passed, uncertified solves)
+UNCERTIFIED = {
+    "recession": (lambda: recession(IID_U12, E1, s_list=(1, 2), t=4, n_real=2),
+                  lambda rep: (rep.passed, rep.n_flagged)),
+    "rank-one": (lambda: check_rank_one_convexity(IID_U12, E1, E2, t=4, n_grid=3, n_real=2),
+                 lambda rep: (rep.passed, rep.details["n_flagged"])),
+    "stationarity": (lambda: check_stationarity_in_law(IID_U12, E1, t=4, n_matched=1,
+                                                       n_real=3),
+                     lambda rep: (rep.passed, rep.n_flagged)),
+    "subadditivity": (lambda: check_subadditivity(IID_U12, E1, t=4, n_instances=2),
+                      lambda rep: (rep.passed, rep.details["n_flagged"])),
+}
+
+
+@pytest.mark.parametrize("check", UNCERTIFIED)
+def test_one_uncertified_solve_fails_the_check(check, request):
+    run, verdict = UNCERTIFIED[check]
+    assert verdict(run()) == (True, 0)
+    request.getfixturevalue("second_solve_uncertified")
+    assert verdict(run()) == (False, 1)
+
+
 def test_rank_one_rejects_full_rank_segment():
     spec = FieldSpec(dimension=2, structure=IidCubes(),
                      diagonal=DistributionSpec.uniform(1.0, 2.0))

@@ -13,7 +13,7 @@ import pytest
 
 import conftest
 import homlab
-from homlab import runner
+from homlab import config, runner
 from homlab.config import parse_config, parse_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +26,16 @@ def test_every_module_compiles_with_warnings_as_errors():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_every_list_of_commands_agrees():
+    schema = json.loads((Path(homlab.__file__).parent / "schemas" / "summary.schema.json")
+                        .read_text(encoding="utf-8"))
+    commands = sorted(config.COMMANDS)
+    assert len(commands) == len(set(commands))
+    assert sorted(config._OPTIONS) == commands
+    assert sorted(runner._DISPATCH) == commands
+    assert sorted(schema["properties"]["command"]["enum"]) == commands
 
 
 def test_audit_sees_every_solve_of_a_threaded_run(tmp_path):
