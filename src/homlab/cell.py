@@ -34,9 +34,10 @@ A step along axis j is the flat stride (n+1)^(d-1-j).  The iteration, the
 primal energy, the certificate and its Poisson matrix all run on it, and
 match the plain (m, d, *cells) reference kept in the tests bit for bit.
 Both projections run in place on the whole cell buffer.  The ellipsoid
-gets unit axes on the ghosts, whose p is exactly 0, so they stay inside
-and untouched, and it keeps one multiplier per cell from one iteration
-to the next as its Newton warm start.
+projection gets one projections.Ellipsoids per solve, with unit axes on
+the ghosts, whose p is exactly 0, so they stay inside and untouched; it
+holds the axes-only terms and one multiplier per cell, carried from one
+iteration to the next as the Newton warm start.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .fields import FieldSample, FieldSpec, sample_field
-from .projections import project_ellipsoid, project_radial
+from .projections import Ellipsoids, project_ellipsoid, project_radial
 
 MAGIC = b"HLMF"
 DUMP_VERSION = 1
@@ -367,7 +368,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     else:  # ghost cells get unit axes; their p is 0, so they stay inside
         axes = np.ones((d, N))
         axes[:, lat.real] = lam_k
-        nu = np.zeros(N)  # each cell's multiplier, carried across iterations
+        balls = Ellipsoids(axes)  # also carries each cell's multiplier across iterations
     V, W, U = v.reshape(m, N).copy(), np.empty((m, N)), np.zeros((m, N))
     Vbar = V.copy()
     G, P, P_old = np.zeros((m, d, N)), np.zeros((m, d, N)), np.empty((m, d, N))
@@ -412,7 +413,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         if iso:
             project_radial(P, radii)
         else:
-            project_ellipsoid(P, axes, nu)
+            project_ellipsoid(P, balls)
         P -= P_old  # P = P_old + rho (projected - P_old)
         P *= _RELAXATION
         P += P_old

@@ -99,6 +99,8 @@ def _flag_uncertified(ctx, n_flagged):
 
 
 def _estimate_records(ctx, label, est):
+    """Record an estimate's solves, levels and value, and copy its flags into
+    the run's; too many uncertified solves at any t fail the run."""
     for lv in est.levels:
         for r in range(lv.all_values.size):
             ctx.rec(xi_label=label, t=lv.t, realization=r, kind="solve",
@@ -112,6 +114,9 @@ def _estimate_records(ctx, label, est):
                 flags=f"n_flagged={lv.n_flagged}" if lv.n_flagged else "")
     ctx.rec(xi_label=label, kind="estimate", value=est.value,
             ci_half=est.ci_half, flags=";".join(est.flags))
+    ctx.flags.extend(f"{label}:{f}" for f in est.flags)
+    if any(f.startswith("flagged_solves") for f in est.flags):
+        ctx.verdict = False
 
 
 def _cmd_field_stats(ctx):
@@ -163,10 +168,6 @@ def _cmd_estimate(ctx):
                              workers=ctx.workers)
         _estimate_records(ctx, label, est)
         out[label] = est
-        if est.flagged:
-            ctx.flags.extend(f"{label}:{f}" for f in est.flags)
-        if any(f.startswith("flagged_solves") for f in est.flags):
-            ctx.verdict = False
     ctx.report["estimates"] = out
     ctx.constants = growth_constants(cfg.spec)
 

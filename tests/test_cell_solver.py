@@ -15,7 +15,7 @@ from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
                     cube_grid, load_minimizer, sample_field, save_minimizer,
                     solve_cell, solve_many)
 from homlab.cell import _Lattice, _laplacian_lu, default_step_ratio
-from homlab.projections import project_ellipsoid, project_radial
+from homlab.projections import Ellipsoids, project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
 U12 = DistributionSpec.uniform(1.0, 2.0)
@@ -492,7 +492,7 @@ def reference_solve(problem, tol, max_iter):
         v = xi[:, 0:1] * (np.where(nodes > k_star, grid.side, 0.0) - h * nodes)[None, :]
         p = np.repeat(((xi[:, 0] / xin) * float(lam_n[0, k_star]))[:, None, None], n, axis=2)
     vbar, u, rho = v.copy(), np.zeros_like(v), homlab.cell._RELAXATION
-    nu = np.zeros(grid.cell_shape)  # ellipsoid multipliers, carried across iterations
+    balls = None if iso else Ellipsoids(lam_n)  # carries multipliers across iterations
     best_primal, best_dual, best_v = math.inf, -math.inf, v.copy()
     it, next_check, interval = 0, 0, 20
     while True:
@@ -513,7 +513,7 @@ def reference_solve(problem, tol, max_iter):
         w = _grad(vbar, h)
         w += xib
         arg = p + (sigma * hd) * w
-        p_new = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, lam_n, nu)
+        p_new = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, balls)
         p = (p_new - p) * rho + p
         v = v - u * rho  # u is the adjoint of the p before this step
         u = (tau * hd) * _grad_adjoint(p, h)

@@ -359,6 +359,16 @@ def test_uncertified_solve_fails_the_run_and_is_flagged(command, tmp_path,
     assert "n_flagged=1" in json.loads(Path(summary_path).read_text())["flags"]
 
 
+def test_verify_bounds_fails_on_an_estimate_with_uncertified_solves(tmp_path,
+                                                                   second_solve_uncertified):
+    # one of the two solves at t=4 is uncertified: more than the estimate allows
+    raw = base_config(command="verify-bounds", field=UNIFORM, xi="e1", t_list=[4], n_real=2)
+    code, _, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
+    summary = json.loads(Path(summary_path).read_text())
+    assert code == 1 and summary["verdict"] == "fail"
+    assert "e1:flagged_solves_at_t=4" in summary["flags"]
+
+
 def test_outputs_depend_on_the_experiment_only(tmp_path, monkeypatch):
     # neither the worker count nor the output directory reaches a file
     monkeypatch.delenv("HOMLAB_WORKERS", raising=False)

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 import homlab.projections
 from homlab import DistributionSpec, FieldSpec, IidCubes, sample_field, solve_cell
 from homlab.cell import cell_problem_on_cube
-from homlab.projections import project_ellipsoid, project_radial
+from homlab.projections import Ellipsoids, _sum_rows, project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
 
@@ -73,7 +73,7 @@ def test_radial_inside_unchanged_outside_on_sphere():
 def test_ellipsoid_matches_radial_when_isotropic():
     p = keyed_uniform(0, "p", np.arange(2 * 2 * 5)).reshape(2, 2, 5) * 6 - 3
     axes = np.full((2, 5), 1.7)
-    q_ell = project_ellipsoid(p.copy(), axes, np.zeros(5))
+    q_ell = project_ellipsoid(p.copy(), Ellipsoids(axes))
     q_rad = project_radial(p.copy(), np.full(5, 1.7))
     assert np.allclose(q_ell, q_rad, atol=1e-12)
 
@@ -81,7 +81,7 @@ def test_ellipsoid_matches_radial_when_isotropic():
 def test_ellipsoid_interior_points_fixed():
     axes = np.array([[2.0], [0.5]])
     p = np.array([[[0.3], [0.2]]])  # norm (0.15^2 + 0.4^2)^(1/2) < 1
-    q = project_ellipsoid(p.copy(), axes, np.zeros(1))
+    q = project_ellipsoid(p.copy(), Ellipsoids(axes))
     assert np.array_equal(q, p)
 
 
@@ -89,7 +89,7 @@ def test_ellipsoid_feasibility_and_kkt_consistency():
     u = keyed_uniform(5, "kkt", np.arange(3 * 2 * 40))
     p = (u.reshape(3, 2, 40) - 0.5) * 10.0
     axes = keyed_uniform(6, "ax", np.arange(2 * 40)).reshape(2, 40) * 2.0 + 0.1
-    q = project_ellipsoid(p.copy(), axes, np.zeros(40))
+    q = project_ellipsoid(p.copy(), Ellipsoids(axes))
     nrm = ell_norm(q, axes)
     assert np.all(nrm <= 1.0 + 1e-12)
     outside = ell_norm(p, axes) > 1.0
@@ -108,7 +108,7 @@ def test_ellipsoid_against_brentq_oracle():
     rng_p = keyed_uniform(9, "op", np.arange(2 * 3 * 25)).reshape(2, 3, 25)
     p = (rng_p - 0.5) * 8.0
     axes = keyed_uniform(10, "oa", np.arange(3 * 25)).reshape(3, 25) * 3.0 + 0.05
-    q = project_ellipsoid(p.copy(), axes, np.zeros(25))
+    q = project_ellipsoid(p.copy(), Ellipsoids(axes))
     for cell in range(25):
         want = scaled_brentq_projection(p[:, :, cell], axes[:, cell])
         assert np.allclose(q[:, :, cell], want, atol=1e-9, rtol=1e-9)
@@ -118,8 +118,8 @@ def test_ellipsoid_idempotent():
     p = (keyed_uniform(11, "idem", np.arange(1 * 2 * 30)).reshape(1, 2, 30)
          - 0.5) * 20.0
     axes = keyed_uniform(12, "idax", np.arange(2 * 30)).reshape(2, 30) + 0.2
-    q1 = project_ellipsoid(p.copy(), axes, np.zeros(30))
-    q2 = project_ellipsoid(q1.copy(), axes, np.zeros(30))
+    q1 = project_ellipsoid(p.copy(), Ellipsoids(axes))
+    q2 = project_ellipsoid(q1.copy(), Ellipsoids(axes))
     assert np.allclose(q1, q2, atol=1e-10)
 
 
@@ -132,7 +132,7 @@ def test_ellipsoid_randomized_feasibility(seed, m, d):
     p = (keyed_uniform(seed, "hp", np.arange(m * d * cells)).reshape(m, d, cells)
          - 0.5) * 30.0
     axes = keyed_uniform(seed, "ha", np.arange(d * cells)).reshape(d, cells) * 4 + 1e-3
-    q = project_ellipsoid(p.copy(), axes, np.zeros(cells))
+    q = project_ellipsoid(p.copy(), Ellipsoids(axes))
     nrm = ell_norm(q, axes)
     assert np.all(nrm <= 1.0 + 1e-10)
     inside = ell_norm(p, axes) <= 1.0
@@ -154,7 +154,7 @@ def test_ellipsoid_exact_on_extreme_outside_cells(m, d):
     dirs /= np.sqrt(np.sum(dirs ** 2, axis=(0, 1)))
     ratio = 10.0 ** rng.uniform(1e-3, 10.0, cells)  # |p/s|_F of each cell
     p = dirs * axes[None] * ratio
-    q = project_ellipsoid(p.copy(), axes, np.zeros(cells))
+    q = project_ellipsoid(p.copy(), Ellipsoids(axes))
     for cell in range(cells):
         want = scaled_brentq_projection(p[:, :, cell], axes[:, cell])
         err = np.abs(q[:, :, cell] - want).max() / np.abs(want).max()
@@ -187,6 +187,13 @@ def _scaled_roots(p, axes):
                      for c in range(p.shape[2])]) * k ** 2
 
 
+def _balls(axes, nu):
+    """Ellipsoids on ``axes`` whose Newton starts from the multipliers ``nu``."""
+    balls = Ellipsoids(axes)
+    balls.nu[...] = nu
+    return balls
+
+
 def _assert_matches_oracle(q, p, axes, rtol=1e-12):
     for cell in range(p.shape[2]):
         want = scaled_brentq_projection(p[:, :, cell], axes[:, cell])
@@ -209,23 +216,23 @@ def test_ellipsoid_warm_start_converges_from_any_start(start):
     p, axes = _warm_start_case()
     inside = ell_norm(p, axes) <= 1.0
     assert 0 < inside.sum() < inside.size
-    nu = WARM_STARTS[start](_scaled_roots(p, axes))
-    q = project_ellipsoid(p.copy(), axes, nu)
+    balls = _balls(axes, WARM_STARTS[start](_scaled_roots(p, axes)))
+    q = project_ellipsoid(p.copy(), balls)
     _assert_matches_oracle(q, p, axes)
-    cold = project_ellipsoid(p.copy(), axes, np.zeros(p.shape[2]))
+    cold = project_ellipsoid(p.copy(), Ellipsoids(axes))
     scale = np.abs(cold).max(axis=(0, 1))
     assert np.all(np.abs(q - cold).max(axis=(0, 1)) <= 1e-12 * scale)
     assert q[:, :, inside].tobytes() == p[:, :, inside].tobytes()
-    assert np.all(nu[inside] == 0.0) and np.all(nu[~inside] > 0.0)
+    assert np.all(balls.nu[inside] == 0.0) and np.all(balls.nu[~inside] > 0.0)
 
 
 def test_ellipsoid_warm_start_at_the_root_freezes_at_once(monkeypatch):
     p, axes = _warm_start_case()
     roots = _scaled_roots(p, axes)
     monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 1)
-    nu = roots.copy()
-    q = project_ellipsoid(p.copy(), axes, nu)
-    assert np.array_equal(nu, roots)  # no cell took a step
+    balls = _balls(axes, roots)
+    q = project_ellipsoid(p.copy(), balls)
+    assert np.array_equal(balls.nu, roots)  # no cell took a step
     _assert_matches_oracle(q, p, axes)
 
 
@@ -234,7 +241,7 @@ def test_ellipsoid_out_may_alias_p():
     p, axes = _warm_start_case()
     inside = ell_norm(p, axes) <= 1.0
     q = p.copy()
-    assert project_ellipsoid(q, axes, np.zeros(p.shape[2])) is q
+    assert project_ellipsoid(q, Ellipsoids(axes)) is q
     _assert_matches_oracle(q, p, axes)
     assert q[:, :, inside].tobytes() == p[:, :, inside].tobytes()
 
@@ -242,15 +249,115 @@ def test_ellipsoid_out_may_alias_p():
 def test_ellipsoid_warm_start_tracks_a_perturbed_point(monkeypatch):
     # the solver's case: the point moves a little between calls
     p, axes = _warm_start_case()
-    nu = np.zeros(p.shape[2])
-    project_ellipsoid(p.copy(), axes, nu)
+    balls = Ellipsoids(axes)
+    project_ellipsoid(p.copy(), balls)
     p2 = p * (1.0 + 1e-3 * np.random.default_rng(22).normal(size=p.shape))
     monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 3)
-    _assert_matches_oracle(project_ellipsoid(p2.copy(), axes, nu), p2, axes)
+    _assert_matches_oracle(project_ellipsoid(p2.copy(), balls), p2, axes)
     # three steps are far too few for the climb from 0
     with pytest.raises(AssertionError):
-        _assert_matches_oracle(project_ellipsoid(p2.copy(), axes, np.zeros(p.shape[2])),
+        _assert_matches_oracle(project_ellipsoid(p2.copy(), Ellipsoids(axes)),
                                p2, axes)
+
+
+# ------------------------------------------- the bracketed reference
+
+
+def bracketed_reference(p, axes, nu):
+    """The bracketed Newton that project_ellipsoid's lean trips replaced,
+    kept as their reference.
+
+    It clips each start into [0, hi] and keeps a bracket (lo, hi] on every
+    trip, bisecting whenever a Newton step leaves it.  Projects p in place
+    and updates nu as ``Ellipsoids.nu``.  Returns a per-cell mask of the
+    cells that took only Newton steps from their own start: no clip and no
+    bisection.
+    """
+    ratio = p / axes[None]
+    ratio *= ratio
+    inside = _sum_rows(ratio) <= 1.0
+    newton_only = np.ones(inside.shape, dtype=bool)
+    if inside.all():
+        nu[...] = 0.0
+        return newton_only
+
+    k = np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])
+    s_k = axes * k
+    s2 = s_k * s_k
+    ps = p * (s_k * k)
+    alive = ~inside
+    lo = np.zeros(inside.shape)
+    hi = _sum_rows(np.abs(ps))
+    newton_only &= ~(nu > hi)
+    np.minimum(nu, hi, out=nu)
+    np.copyto(nu, 0.0, where=inside | ~(nu > 0.0))
+    denom, w = np.empty_like(s2), np.empty_like(ps)
+    for _ in range(homlab.projections._NEWTON_MAX):
+        np.add(s2, nu, out=denom)
+        np.divide(ps, denom, out=w)
+        w *= w
+        phi = _sum_rows(w)
+        alive &= np.abs(phi - 1.0) > homlab.projections._NEWTON_RTOL
+        if not alive.any():
+            break
+        np.copyto(lo, nu, where=phi >= 1.0)
+        np.copyto(hi, nu, where=phi < 1.0)
+        w /= np.maximum(phi, 1e-300)
+        w /= denom
+        cand = nu + (np.sqrt(phi) - 1.0) / np.maximum(_sum_rows(w), 1e-300)
+        ok = (lo < cand) & (cand <= hi)
+        newton_only &= ok | ~alive
+        np.copyto(nu, np.where(ok, cand, 0.5 * (lo + hi)), where=alive)
+
+    proj = p * (s2 / (s2 + nu))
+    ratio = proj / axes[None]
+    ratio *= ratio
+    proj *= np.minimum(1.0, 1.0 / np.maximum(np.sqrt(_sum_rows(ratio)), 1e-300))
+    np.copyto(p, proj, where=~inside)
+    return newton_only
+
+
+def _assert_agrees_with_reference(p, axes, nu_ref, balls):
+    """One call of each from their own multipliers.  Where the reference took
+    only Newton steps from the same start the results agree bit for bit,
+    elsewhere both match the oracle.  Returns the number of cells of each
+    kind."""
+    same_start = (nu_ref == balls.nu) | (np.isnan(nu_ref) & np.isnan(balls.nu))
+    q_ref, q = p.copy(), p.copy()
+    exact = bracketed_reference(q_ref, axes, nu_ref) & same_start
+    project_ellipsoid(q, balls)
+    assert q[..., exact].tobytes() == q_ref[..., exact].tobytes()
+    assert nu_ref[exact].tobytes() == balls.nu[exact].tobytes()
+    _assert_matches_oracle(q[..., ~exact], p[..., ~exact], axes[..., ~exact])
+    _assert_matches_oracle(q_ref[..., ~exact], p[..., ~exact], axes[..., ~exact])
+    return int(exact.sum()), int((~exact).sum())
+
+
+def test_lean_trips_match_the_bracketed_reference_from_every_start():
+    p, axes = _warm_start_case()
+    roots = _scaled_roots(p, axes)
+    counts = {}
+    for name, start in WARM_STARTS.items():
+        nu = start(roots)
+        counts[name] = _assert_agrees_with_reference(p, axes, nu.copy(), _balls(axes, nu))
+    # the clip, the bisection and the fallback are all exercised
+    assert counts["root"] == (p.shape[2], 0)
+    assert counts["above-hi"][1] > 0 and counts["10x-root"][1] > 0
+
+
+def test_lean_trips_match_the_bracketed_reference_along_a_solver_sequence():
+    # the point drifts from call to call, as the dual iterate does, with a
+    # few jumps that take the multipliers far from their roots
+    p, axes = _warm_start_case()
+    rng = np.random.default_rng(24)
+    nu_ref, balls = np.zeros(p.shape[2]), Ellipsoids(axes)
+    exact = other = 0
+    for step in range(40):
+        noise = 0.5 if step % 10 == 9 else 1e-3
+        p = p * (1.0 + noise * rng.normal(size=p.shape))
+        e, o = _assert_agrees_with_reference(p, axes, nu_ref, balls)
+        exact, other = exact + e, other + o
+    assert exact > 10 * other > 0
 
 
 # ---------------------------------------------------- extreme anisotropy
@@ -289,9 +396,10 @@ def test_ellipsoid_is_finite_and_exact_on_semiaxes_spanning_1e120():
     p = dirs * axes[None] * 10.0 ** rng.uniform(-0.5, 3.0, cells)
     want = np.stack([mp_projection(p[:, :, c], axes[:, c]) for c in range(cells)], axis=-1)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        nu = np.zeros(cells)
-        results = [project_ellipsoid(p.copy(), axes, nu)]
-        results += [project_ellipsoid(p.copy(), axes, start) for start in (nu.copy(), 10.0 * nu)]
+        balls = Ellipsoids(axes)
+        results = [project_ellipsoid(p.copy(), balls)]
+        results += [project_ellipsoid(p.copy(), _balls(axes, start))
+                    for start in (balls.nu.copy(), 10.0 * balls.nu)]
     for q in results:
         # relative per entry, down to where doubles underflow
         assert np.all(np.abs(q - want) <= 1e-11 * np.abs(want) + 1e-300)
@@ -311,3 +419,27 @@ def test_solve_on_extreme_anisotropy_warns_nothing_from_the_projection():
     assert [str(w.message) for w in caught
             if w.filename == homlab.projections.__file__] == []
     assert np.isfinite(report.primal) and np.isfinite(report.dual)
+
+
+@given(sigma=st.floats(min_value=1.0, max_value=60.0), t=st.integers(min_value=2, max_value=4),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       xi=st.tuples(st.floats(min_value=-2.0, max_value=2.0),
+                    st.floats(min_value=-2.0, max_value=2.0)))
+@settings(max_examples=15, deadline=None)
+def test_solves_on_extreme_laws_are_certified_flagged_or_refused(sigma, t, seed, xi):
+    # lognormal(0, 60) spreads the semiaxes of one cell over 1e50 and more,
+    # where Newton steps leave [0, inf) and the bracketed fallback takes over
+    spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=(
+        DistributionSpec.lognormal(0.0, sigma), DistributionSpec.uniform(1.0, 2.0)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            problem = cell_problem_on_cube(sample_field(spec, seed), float(t), np.array([xi]))
+            report = solve_cell(problem, max_iter=200)
+        except ValueError as err:
+            assert "certificate broken" not in str(err)
+            report = None
+    assert [str(w.message) for w in caught
+            if w.filename == homlab.projections.__file__] == []
+    if report is not None and not report.converged:
+        assert np.isfinite(report.primal) and np.isfinite(report.dual)

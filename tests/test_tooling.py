@@ -9,11 +9,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conftest
 import homlab
-from homlab import config, runner
+import homlab.cell
+from homlab import DistributionSpec, FieldSpec, IidCubes, config, runner, sample_field
 from homlab.config import parse_config, parse_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +83,30 @@ def test_benchmark_config_matches_its_reference(name, tmp_path, monkeypatch):
     assert all(gap <= cfg.tol and "flagged" not in flags.split(";")
                for _, gap, flags, _ in rows.values())
     assert bench.reference_problems(rows, ref) == []
+
+
+_U12, _U14 = DistributionSpec.uniform(1.0, 2.0), DistributionSpec.uniform(1.0, 4.0)
+
+
+@pytest.mark.parametrize("diagonal, used, unused", [
+    ((_U12, _U14), "projections.ellipsoid_calls", "projections.radial_calls"),
+    (_U12, "projections.radial_calls", "projections.ellipsoid_calls"),
+], ids=["anisotropic", "isotropic"])
+def test_layer_trace_sees_one_projection_per_iteration(diagonal, used, unused, monkeypatch):
+    # the benchmark's tracer, unmodified, counts the projections solve_cell
+    # makes through homlab.cell's module globals; a projection that bypassed
+    # them would go uncounted and its time would land in the solver's own
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("layertrace").Tracer()
+    spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=diagonal)
+    problem = homlab.cell.cell_problem_on_cube(sample_field(spec, 0), 4.0,
+                                               np.array([[1.0, 1.0]]))
+    tracer.install()
+    try:
+        report = tracer.run(homlab.cell.solve_cell, problem)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(1.0, 1.0, 0)
+    assert metrics["cell.solves"] == 1 and report.converged
+    assert metrics[used] == metrics["cell.iterations"] == report.iterations > 0
+    assert metrics[unused] == 0
