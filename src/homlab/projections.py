@@ -18,26 +18,28 @@ of a climb from 0 (a warm start, as in Conn, Gould & Toint,
 
 A solve builds one Ellipsoids from its semiaxes.  It holds every term
 that depends on the semiaxes alone, computed once, and the multipliers,
-so a call does only the work that depends on p.  A Newton trip is bare
-arithmetic: each cell is frozen as soon as |phi - 1| <= _NEWTON_RTOL, and
-steps are taken as they come while they keep every multiplier in
-[0, inf).  The first step that leaves it (a start far right of the root
-whose step lands below 0, roundoff, non-finite values) hands the
-remaining trips to a bracketed loop on (lo, hi], started at [0, hi] with
-hi = sum_ij |p_ij s_j|, which makes phi(hi) <= 1; there a step that
-leaves the bracket bisects it instead.  On every cell where a bracket
-kept from the first trip (the tests' reference) takes only Newton steps,
-the two agree bit for bit.  Over the 2239 projections of the anisotropic
-benchmark ladder (2-d, up to 289 lattice cells) 11 calls reach the
-fallback, and a call takes a median 134 us against 185 us with the
-bracket kept on every trip (2 Xeon vCPUs).
+so a call does only the work that depends on p.  The root lies in
+[0, hi] with hi = sum_ij |p_ij s_j|, which makes phi(hi) <= 1, and every
+start and every Newton step is clipped into it: NaN and negative values
+become 0, values above hi (+inf too) become hi.  By the concavity above
+no bracket is needed: a step from right of the root lands at or left of
+it or is clipped to 0, and the climb from there never passes the root,
+so in exact arithmetic each cell restarts at most once.  The clip at hi also catches a phi
+that overflows at 0, where the first step is +inf.  Each cell is frozen
+as soon as |phi - 1| <= _NEWTON_RTOL.  Replaying the 2239 projections of
+the anisotropic benchmark ladder (2-d, up to 289 lattice cells), a call
+takes 3.24 Newton trips, 11 calls restart a cell from 0, and the mean
+call time is flat against the loop with a bracketed fallback that this
+one replaced: 144-151 us against 148-150 us (medians of 10 alternating
+rounds, two sets, 2 Xeon vCPUs).
 
 Each cell is scaled by k = 2^-e, where 2^(e-1) <= max_j s_j < 2^e: a
 power of two, so the scaling is exact, and the multipliers are kept in
 these units, as k^2 nu.  phi is summed from (p_ij s_j / (s_j^2 + nu))^2,
 never from (s_j^2 + nu)^2, and the Newton step from weights in [0, 1], so
 semiaxes that span 1e-120 to 1 within a cell neither underflow into a
-division nor overflow, as long as every |p_ij / s_j| is below 1e154.
+division nor overflow a term, as long as every |p_ij / s_j| is below
+1e154 (their sum, phi(0), may still overflow; the clip at hi handles it).
 When all semiaxes of a cell agree the ellipsoid is a sphere and the
 projection is the closed-form radial shrinkage.  Both projections
 overwrite p in place and return it.
@@ -51,19 +53,6 @@ _NEWTON_MAX = 80
 _NEWTON_RTOL = 1e-13
 
 
-def project_radial(p: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Shrink each cell's (m, d) block onto the ball of its radius, in place.
-
-    p has shape (m, d, *cells); radii broadcasts over cells.  Returns p.
-    """
-    rows = p.reshape((-1,) + p.shape[2:])
-    sq = rows[0] * rows[0]  # |p|^2 row by row, the order np.sum(axis=(0, 1)) adds in
-    for row in rows[1:]:
-        sq += row * row
-    scale = np.minimum(1.0, radii / np.maximum(np.sqrt(sq), 1e-300))
-    return np.multiply(p, scale, out=p)
-
-
 def _sum_rows(a: np.ndarray) -> np.ndarray:
     """Sum the m * d rows of an (m, d, *cells) array one by one, in order,
     into a new array."""
@@ -74,6 +63,20 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def _shrink(p: np.ndarray, sq: np.ndarray, radii) -> np.ndarray:
+    """Scale each cell of p, whose norm is sqrt(sq), onto the ball of its
+    radius if it lies outside, in place.  Returns p."""
+    return np.multiply(p, np.minimum(1.0, radii / np.maximum(np.sqrt(sq), 1e-300)), out=p)
+
+
+def project_radial(p: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Shrink each cell's (m, d) block onto the ball of its radius, in place.
+
+    p has shape (m, d, *cells); radii broadcasts over cells.  Returns p.
+    """
+    return _shrink(p, _sum_rows(p * p), radii)
+
+
 class Ellipsoids:
     """The dual balls {q : |q diag(axes)^{-1}|_F <= 1} of one solve.
 
@@ -81,7 +84,8 @@ class Ellipsoids:
     stays fixed for the solve, so everything that depends on it alone is
     computed here once: with k the power-of-two scale of each cell, ``s2``
     = (k s_j)^2 and ``sk2`` = k^2 s_j.  ``nu`` holds each cell's multiplier,
-    as k^2 nu, from one projection to the next (zeros: a cold start).
+    as k^2 nu, from one projection to the next (zeros: a cold start); a
+    projection clips it into its [0, sum_ij |p_ij s_j|] before it starts.
     """
 
     def __init__(self, axes: np.ndarray):
@@ -98,9 +102,9 @@ def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
     """Project per-cell blocks onto the balls of ``balls``, in place.
 
     p has shape (m, d, *cells).  Cells already inside are left unchanged.
-    Returns p.  Newton starts from ``balls.nu`` (negative and NaN entries
-    count as 0, inside cells start at 0), and on return ``balls.nu`` holds
-    this call's multipliers, 0 on inside cells.
+    Returns p.  Newton starts from ``balls.nu`` clipped into [0, sum_ij
+    |p_ij s_j|] (NaN counts as 0, inside cells start at 0), and on return
+    ``balls.nu`` holds this call's multipliers, 0 on inside cells.
     """
     ratio = p / balls.axes
     ratio *= ratio
@@ -111,10 +115,11 @@ def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
 
     s2 = balls.s2
     ps = p * balls.sk2  # p_ij s_j in scaled units
-    nu = np.fmax(balls.nu, 0.0)  # NaN and negative starts become 0
+    hi = _sum_rows(np.abs(ps))  # phi(hi) <= 1, so the root lies in [0, hi]
+    nu = balls.nu  # the carried start, clipped (NaN to 0) and updated in place
+    np.fmin(np.fmax(nu, 0.0, out=nu), hi, out=nu)
     np.copyto(nu, 0.0, where=inside)
     alive = ~inside
-    bracket = None  # (lo, hi) once a Newton step has left [0, inf)
     denom, w = np.empty_like(s2), np.empty_like(ps)
     for _ in range(_NEWTON_MAX):
         np.add(s2, nu, out=denom)
@@ -130,27 +135,12 @@ def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
         # spare zero blocks a 0/0
         w /= np.maximum(phi, 1e-300)
         w /= denom
-        cand = nu + (np.sqrt(phi) - 1.0) / np.maximum(_sum_rows(w), 1e-300)
-        if bracket is None:
-            cand = np.where(alive, cand, nu)
-            if cand.min() >= 0.0 and cand.max() < np.inf:  # False on NaN too
-                nu = cand
-                continue
-            # hi = sum_ij |p_ij s_j| makes phi(hi) <= 1; a start above it
-            # (phi < 1 there, so it would become hi) is moved down to it
-            bracket = np.zeros(nu.shape), _sum_rows(np.abs(ps))
-            np.minimum(nu, bracket[1], out=nu)
-        lo, hi = bracket
-        np.copyto(lo, nu, where=phi >= 1.0)
-        np.copyto(hi, nu, where=phi < 1.0)
-        ok = (lo < cand) & (cand <= hi)  # False on NaN and infinities too
-        np.copyto(nu, np.where(ok, cand, 0.5 * (lo + hi)), where=alive)
-    balls.nu[...] = nu
+        step = nu + (np.sqrt(phi) - 1.0) / np.maximum(_sum_rows(w), 1e-300)
+        np.copyto(nu, np.fmin(np.fmax(step, 0.0, out=step), hi, out=step), where=alive)
 
     # inside cells have nu = 0, so their factors below are exactly 1
     p *= s2 / (s2 + nu)
     # Force strict feasibility against roundoff (dual values must certify).
     ratio = p / balls.axes
     ratio *= ratio
-    p *= np.minimum(1.0, 1.0 / np.maximum(np.sqrt(_sum_rows(ratio)), 1e-300))
-    return p
+    return _shrink(p, _sum_rows(ratio), 1.0)

@@ -206,6 +206,7 @@ WARM_STARTS = {
     "root": lambda root: root.copy(),
     "10x-root": lambda root: 10.0 * root,
     "above-hi": lambda root: np.full_like(root, 1e300),
+    "inf": lambda root: np.full_like(root, np.inf),
     "negative": lambda root: -root - 1.0,
     "nan": lambda root: np.full_like(root, np.nan),
 }
@@ -264,14 +265,16 @@ def test_ellipsoid_warm_start_tracks_a_perturbed_point(monkeypatch):
 
 
 def bracketed_reference(p, axes, nu):
-    """The bracketed Newton that project_ellipsoid's lean trips replaced,
-    kept as their reference.
+    """A bracketed Newton, kept as the bitwise reference of project_ellipsoid's
+    single clipped loop.
 
     It clips each start into [0, hi] and keeps a bracket (lo, hi] on every
-    trip, bisecting whenever a Newton step leaves it.  Projects p in place
-    and updates nu as ``Ellipsoids.nu``.  Returns a per-cell mask of the
-    cells that took only Newton steps from their own start: no clip and no
-    bisection.
+    trip, bisecting whenever a Newton step leaves it.  On a cell where it
+    takes only Newton steps, every step lies in [0, hi], so the clip of
+    project_ellipsoid leaves it alone and the two agree bit for bit.
+    Projects p in place and updates nu as ``Ellipsoids.nu``.  Returns a
+    per-cell mask of the cells that took only Newton steps from their own
+    start: no clip and no bisection.
     """
     ratio = p / axes[None]
     ratio *= ratio
@@ -340,7 +343,7 @@ def test_lean_trips_match_the_bracketed_reference_from_every_start():
     for name, start in WARM_STARTS.items():
         nu = start(roots)
         counts[name] = _assert_agrees_with_reference(p, axes, nu.copy(), _balls(axes, nu))
-    # the clip, the bisection and the fallback are all exercised
+    # the clip at hi, the bisection and the restart from 0 are all exercised
     assert counts["root"] == (p.shape[2], 0)
     assert counts["above-hi"][1] > 0 and counts["10x-root"][1] > 0
 
@@ -385,7 +388,8 @@ def mp_projection(p, s):
                           for j in range(len(S))] for row in P])
 
 
-def test_ellipsoid_is_finite_and_exact_on_semiaxes_spanning_1e120():
+def _semiaxes_spanning_1e120_case():
+    """Semiaxes from 1e-120 to 1 in every cell and |p/s| from 0.3 to 1e3."""
     rng = np.random.default_rng(23)
     m, d, cells = 2, 3, 40
     axes = 10.0 ** rng.uniform(-120.0, 0.0, (d, cells))
@@ -393,8 +397,12 @@ def test_ellipsoid_is_finite_and_exact_on_semiaxes_spanning_1e120():
     axes[-1] = 10.0 ** rng.uniform(-0.5, 0.0, cells)
     dirs = rng.normal(size=(m, d, cells))
     dirs /= np.sqrt(np.sum(dirs ** 2, axis=(0, 1)))
-    p = dirs * axes[None] * 10.0 ** rng.uniform(-0.5, 3.0, cells)
-    want = np.stack([mp_projection(p[:, :, c], axes[:, c]) for c in range(cells)], axis=-1)
+    return dirs * axes[None] * 10.0 ** rng.uniform(-0.5, 3.0, cells), axes
+
+
+def test_ellipsoid_is_finite_and_exact_on_semiaxes_spanning_1e120():
+    p, axes = _semiaxes_spanning_1e120_case()
+    want = np.stack([mp_projection(p[:, :, c], axes[:, c]) for c in range(p.shape[2])], axis=-1)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         balls = Ellipsoids(axes)
         results = [project_ellipsoid(p.copy(), balls)]
@@ -404,6 +412,62 @@ def test_ellipsoid_is_finite_and_exact_on_semiaxes_spanning_1e120():
         # relative per entry, down to where doubles underflow
         assert np.all(np.abs(q - want) <= 1e-11 * np.abs(want) + 1e-300)
         assert np.all(ell_norm(q, axes) <= 1.0 + 1e-12)
+
+
+def test_ellipsoid_is_exact_where_phi_overflows_at_zero():
+    # every |p_j / s_j| is 9.9e153, under the documented 1e154, but their
+    # squares sum past the largest double: phi(0) is +inf, and so is the
+    # first Newton step, which only the clip at sum |p s| brings back; the
+    # overflowing sums warn, the rest of the arithmetic must not
+    axes = np.array([[1.0, 0.5, 1e-3], [1e-40, 0.75, 1e-3]])
+    p = 9.9e153 * axes[None] * np.array([[[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]])
+    want = np.stack([mp_projection(p[:, :, c], axes[:, c]) for c in range(3)], axis=-1)
+    with np.errstate(over="ignore", divide="raise", invalid="raise"):
+        q = project_ellipsoid(p.copy(), Ellipsoids(axes))
+    assert np.all(np.abs(q - want) <= 1e-12 * np.abs(want) + 1e-300)
+    assert np.all(ell_norm(q, axes) <= 1.0 + 1e-12)
+
+
+def _one_trip_at_a_time(p, balls, trips):
+    """The multipliers after each of ``trips`` calls of one Newton trip,
+    each call starting from the last one's."""
+    path = [balls.nu.copy()]
+    for _ in range(trips):
+        project_ellipsoid(p.copy(), balls)
+        path.append(balls.nu.copy())
+    return np.array(path)
+
+
+def _scaled_roots_from_ratios(p, axes):
+    """_scaled_roots with phi summed from (p_ij / s_j) (k s_j)^2 / ((k s_j)^2 + nu),
+    which does not underflow on semiaxes of 1e-120."""
+    s2 = (axes * np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])) ** 2
+    roots = np.zeros(p.shape[2])
+    for c in np.nonzero(ell_norm(p, axes) > 1.0)[0]:
+        r = p[:, :, c] / axes[None, :, c]
+        roots[c] = brentq(lambda x: float(((r * (s2[:, c] / (s2[:, c] + x))) ** 2).sum()) - 1.0,
+                          0.0, float(np.abs(r * s2[:, c]).sum()),
+                          xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
+    return roots
+
+
+@pytest.mark.parametrize("case", [_warm_start_case, _semiaxes_spanning_1e120_case])
+def test_newton_climbs_to_the_root_and_lands_left_of_it_from_the_right(case, monkeypatch):
+    # g = phi^(-1/2) is increasing and concave, so Newton from 0 climbs to
+    # the root without passing it, and from right of the root one step lands
+    # at or left of it: one loop clipped into [0, sum |p s|] needs no bracket
+    p, axes = case()
+    roots = _scaled_roots_from_ratios(p, axes)
+    outside = roots > 0.0
+    monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 1)
+    climb = _one_trip_at_a_time(p, Ellipsoids(axes), 80)
+    assert np.all(np.diff(climb, axis=0) >= 0.0)
+    assert np.all(climb <= roots * (1.0 + 1e-12))
+    # frozen at |phi - 1| <= 1e-13, a few ulp of phi but more of nu
+    assert np.all(climb[-1][outside] >= roots[outside] * (1.0 - 1e-11))
+    first = _one_trip_at_a_time(p, _balls(axes, 10.0 * roots), 1)[1]
+    assert np.all(first <= roots * (1.0 + 1e-12))
+    assert np.all(first[outside] < 10.0 * roots[outside])
 
 
 def test_solve_on_extreme_anisotropy_warns_nothing_from_the_projection():
@@ -428,7 +492,7 @@ def test_solve_on_extreme_anisotropy_warns_nothing_from_the_projection():
 @settings(max_examples=15, deadline=None)
 def test_solves_on_extreme_laws_are_certified_flagged_or_refused(sigma, t, seed, xi):
     # lognormal(0, 60) spreads the semiaxes of one cell over 1e50 and more,
-    # where Newton steps leave [0, inf) and the bracketed fallback takes over
+    # where Newton steps leave [0, sum |p s|] and are clipped back into it
     spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=(
         DistributionSpec.lognormal(0.0, sigma), DistributionSpec.uniform(1.0, 2.0)))
     with warnings.catch_warnings(record=True) as caught:
