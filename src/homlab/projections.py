@@ -24,14 +24,10 @@ start and every Newton step is clipped into it: NaN and negative values
 become 0, values above hi (+inf too) become hi.  By the concavity above
 no bracket is needed: a step from right of the root lands at or left of
 it or is clipped to 0, and the climb from there never passes the root,
-so in exact arithmetic each cell restarts at most once.  The clip at hi also catches a phi
-that overflows at 0, where the first step is +inf.  Each cell is frozen
-as soon as |phi - 1| <= _NEWTON_RTOL.  Replaying the 2239 projections of
-the anisotropic benchmark ladder (2-d, up to 289 lattice cells), a call
-takes 3.24 Newton trips, 11 calls restart a cell from 0, and the mean
-call time is flat against the loop with a bracketed fallback that this
-one replaced: 144-151 us against 148-150 us (medians of 10 alternating
-rounds, two sets, 2 Xeon vCPUs).
+so in exact arithmetic each cell restarts from 0 at most once.  Each
+cell is frozen as soon as |phi - 1| <= _NEWTON_RTOL.  Replaying the 2239
+projections of the anisotropic benchmark ladder (2-d, up to 289 lattice
+cells), a call takes 3.24 Newton trips and 11 calls restart a cell from 0.
 
 Each cell is scaled by k = 2^-e, where 2^(e-1) <= max_j s_j < 2^e: a
 power of two, so the scaling is exact, and the multipliers are kept in
@@ -39,7 +35,10 @@ these units, as k^2 nu.  phi is summed from (p_ij s_j / (s_j^2 + nu))^2,
 never from (s_j^2 + nu)^2, and the Newton step from weights in [0, 1], so
 semiaxes that span 1e-120 to 1 within a cell neither underflow into a
 division nor overflow a term, as long as every |p_ij / s_j| is below
-1e154 (their sum, phi(0), may still overflow; the clip at hi handles it).
+1e154.  Their sum, phi(0) = |p/s|_F^2, may still exceed the largest
+double, so every sum of squares runs on its terms times _A^2 = 1/16: exact,
+and finite for m d <= 28.  An overflowing phi(0) would make the first step
++inf, the clip send it to hi and the next step back to 0, trip after trip.
 When all semiaxes of a cell agree the ellipsoid is a sphere and the
 projection is the closed-form radial shrinkage.  Both projections
 overwrite p in place and return it.
@@ -51,6 +50,7 @@ import numpy as np
 
 _NEWTON_MAX = 80
 _NEWTON_RTOL = 1e-13
+_A = 0.25  # the exact scale of every term under a sum of squares
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -82,19 +82,20 @@ class Ellipsoids:
 
     ``axes``, the semiaxes, has shape (d, *cells) with positive entries and
     stays fixed for the solve, so everything that depends on it alone is
-    computed here once: with k the power-of-two scale of each cell, ``s2``
-    = (k s_j)^2 and ``sk2`` = k^2 s_j.  ``nu`` holds each cell's multiplier,
-    as k^2 nu, from one projection to the next (zeros: a cold start); a
-    projection clips it into its [0, sum_ij |p_ij s_j|] before it starts.
+    computed here once: ``axes`` holds s_j / _A, and with k the power-of-two
+    scale of each cell, ``s2`` = (k s_j)^2 and ``sk2`` = _A k^2 s_j.  ``nu``
+    holds each cell's multiplier, as k^2 nu, from one projection to the next
+    (zeros: a cold start); a projection clips it into its
+    [0, sum_ij |p_ij s_j|] before it starts.
     """
 
     def __init__(self, axes: np.ndarray):
-        self.axes = axes[None]  # broadcasts against p of shape (m, d, *cells)
+        self.axes = axes[None] / _A  # broadcasts against p of shape (m, d, *cells)
         # exact power-of-two scale per cell: the largest semiaxis goes to [1/2, 1)
         k = np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])
         s_k = axes * k
         self.s2 = s_k * s_k
-        self.sk2 = s_k * k  # p * sk2 is p_ij s_j in scaled units
+        self.sk2 = s_k * k * _A  # p * sk2 is _A p_ij s_j in scaled units
         self.nu = np.zeros(axes.shape[1:])
 
 
@@ -106,16 +107,16 @@ def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
     |p_ij s_j|] (NaN counts as 0, inside cells start at 0), and on return
     ``balls.nu`` holds this call's multipliers, 0 on inside cells.
     """
-    ratio = p / balls.axes
+    ratio = p / balls.axes  # _A p_ij / s_j
     ratio *= ratio
-    inside = _sum_rows(ratio) <= 1.0
+    inside = _sum_rows(ratio) <= _A * _A
     if inside.all():
         balls.nu[...] = 0.0
         return p
 
     s2 = balls.s2
-    ps = p * balls.sk2  # p_ij s_j in scaled units
-    hi = _sum_rows(np.abs(ps))  # phi(hi) <= 1, so the root lies in [0, hi]
+    ps = p * balls.sk2  # _A p_ij s_j in scaled units
+    hi = _sum_rows(np.abs(ps)) / _A  # phi(hi) <= 1, so the root lies in [0, hi]
     nu = balls.nu  # the carried start, clipped (NaN to 0) and updated in place
     np.fmin(np.fmax(nu, 0.0, out=nu), hi, out=nu)
     np.copyto(nu, 0.0, where=inside)
@@ -125,17 +126,18 @@ def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
         np.add(s2, nu, out=denom)
         np.divide(ps, denom, out=w)
         w *= w
-        phi = _sum_rows(w)
-        alive &= np.abs(phi - 1.0) > _NEWTON_RTOL
+        phi = _sum_rows(w)  # _A^2 phi
+        alive &= np.abs(phi - _A * _A) > _NEWTON_RTOL * _A * _A
         if not alive.any():
             break
         # Newton on g = phi^(-1/2) = 1: nu += (1 - g) / g' = (sqrt(phi) - 1) / rate
         # with rate = -phi' / (2 phi) = sum_ij (w_ij / phi) / denom_j, summed
-        # from weights in [0, 1] so that it does not overflow; the floors
-        # spare zero blocks a 0/0
+        # from weights in [0, 1] so that it does not overflow; on the scaled
+        # sums this is (sqrt(_A^2 phi) - _A) / (_A rate), bit for bit the
+        # same; the floors spare zero blocks a 0/0
         w /= np.maximum(phi, 1e-300)
         w /= denom
-        step = nu + (np.sqrt(phi) - 1.0) / np.maximum(_sum_rows(w), 1e-300)
+        step = nu + (np.sqrt(phi) - _A) / np.maximum(_A * _sum_rows(w), 1e-300)
         np.copyto(nu, np.fmin(np.fmax(step, 0.0, out=step), hi, out=step), where=alive)
 
     # inside cells have nu = 0, so their factors below are exactly 1
@@ -143,4 +145,4 @@ def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
     # Force strict feasibility against roundoff (dual values must certify).
     ratio = p / balls.axes
     ratio *= ratio
-    return _shrink(p, _sum_rows(ratio), 1.0)
+    return _shrink(p, _sum_rows(ratio), _A)

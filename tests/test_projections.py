@@ -181,10 +181,21 @@ def _warm_start_case():
 
 
 def _scaled_roots(p, axes):
-    """The oracle's multipliers in the units project_ellipsoid keeps them in."""
-    k = np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])
-    return np.array([brentq_multiplier(p[:, :, c], axes[:, c])
-                     for c in range(p.shape[2])]) * k ** 2
+    """The oracle's multipliers in the units project_ellipsoid keeps them in,
+    k^2 nu, 0 on inside cells.
+
+    phi is summed from (p_ij / s_j) (k s_j)^2 / ((k s_j)^2 + nu), which
+    neither underflows on semiaxes of 1e-120 nor squares p s, as
+    brentq_multiplier does.
+    """
+    s2 = (axes * np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])) ** 2
+    roots = np.zeros(p.shape[2])
+    for c in np.nonzero(ell_norm(p, axes) > 1.0)[0]:
+        r = p[:, :, c] / axes[None, :, c]
+        roots[c] = brentq(lambda x: float(((r * (s2[:, c] / (s2[:, c] + x))) ** 2).sum()) - 1.0,
+                          0.0, float(np.abs(r * s2[:, c]).sum()),
+                          xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
+    return roots
 
 
 def _balls(axes, nu):
@@ -415,17 +426,23 @@ def test_ellipsoid_is_finite_and_exact_on_semiaxes_spanning_1e120():
 
 
 def test_ellipsoid_is_exact_where_phi_overflows_at_zero():
-    # every |p_j / s_j| is 9.9e153, under the documented 1e154, but their
-    # squares sum past the largest double: phi(0) is +inf, and so is the
-    # first Newton step, which only the clip at sum |p s| brings back; the
-    # overflowing sums warn, the rest of the arithmetic must not
+    # every |p_ij / s_j| is 9.9e153, under the documented 1e154, but their
+    # squares sum past the largest double, so phi(0) and |p/s|_F^2 overflow
+    # unless the sums are scaled; the sums must not overflow or warn.  In the
+    # second case g = phi^(-1/2) is far from linear, so a step from hi is
+    # negative: an overflowing phi(0) would send the next step back to hi
+    # and the cell round that cycle until the trips ran out
     axes = np.array([[1.0, 0.5, 1e-3], [1e-40, 0.75, 1e-3]])
-    p = 9.9e153 * axes[None] * np.array([[[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]])
-    want = np.stack([mp_projection(p[:, :, c], axes[:, c]) for c in range(3)], axis=-1)
-    with np.errstate(over="ignore", divide="raise", invalid="raise"):
-        q = project_ellipsoid(p.copy(), Ellipsoids(axes))
-    assert np.all(np.abs(q - want) <= 1e-12 * np.abs(want) + 1e-300)
-    assert np.all(ell_norm(q, axes) <= 1.0 + 1e-12)
+    cases = [(9.9e153 * axes[None] * np.array([[[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]]), axes),
+             (np.array([[0.9, 9.9e75], [0.0, 9.9e75]])[:, :, None], np.array([[1.0], [1e-78]]))]
+    for p, axes in cases:
+        want = np.stack([mp_projection(p[:, :, c], axes[:, c]) for c in range(p.shape[2])], axis=-1)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            balls = Ellipsoids(axes)
+            results = [project_ellipsoid(p.copy(), balls), project_ellipsoid(p.copy(), balls)]
+        for q in results:  # a cold start, then a warm one from the first's multipliers
+            assert np.all(np.abs(q - want) <= 1e-12 * np.abs(want) + 1e-300)
+            assert np.all(ell_norm(q, axes) <= 1.0 + 1e-12)
 
 
 def _one_trip_at_a_time(p, balls, trips):
@@ -438,26 +455,13 @@ def _one_trip_at_a_time(p, balls, trips):
     return np.array(path)
 
 
-def _scaled_roots_from_ratios(p, axes):
-    """_scaled_roots with phi summed from (p_ij / s_j) (k s_j)^2 / ((k s_j)^2 + nu),
-    which does not underflow on semiaxes of 1e-120."""
-    s2 = (axes * np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])) ** 2
-    roots = np.zeros(p.shape[2])
-    for c in np.nonzero(ell_norm(p, axes) > 1.0)[0]:
-        r = p[:, :, c] / axes[None, :, c]
-        roots[c] = brentq(lambda x: float(((r * (s2[:, c] / (s2[:, c] + x))) ** 2).sum()) - 1.0,
-                          0.0, float(np.abs(r * s2[:, c]).sum()),
-                          xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
-    return roots
-
-
 @pytest.mark.parametrize("case", [_warm_start_case, _semiaxes_spanning_1e120_case])
 def test_newton_climbs_to_the_root_and_lands_left_of_it_from_the_right(case, monkeypatch):
     # g = phi^(-1/2) is increasing and concave, so Newton from 0 climbs to
     # the root without passing it, and from right of the root one step lands
     # at or left of it: one loop clipped into [0, sum |p s|] needs no bracket
     p, axes = case()
-    roots = _scaled_roots_from_ratios(p, axes)
+    roots = _scaled_roots(p, axes)
     outside = roots > 0.0
     monkeypatch.setattr(homlab.projections, "_NEWTON_MAX", 1)
     climb = _one_trip_at_a_time(p, Ellipsoids(axes), 80)
