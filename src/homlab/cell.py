@@ -44,13 +44,11 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,9 +57,6 @@ from scipy.sparse.linalg import splu
 from .fields import FieldSample, FieldSpec, sample_field
 from .projections import Ellipsoids, project_ellipsoid, project_radial
 
-MAGIC = b"HLMF"
-DUMP_VERSION = 1
-_DUMP_FMT = "<4sIIIId"  # magic, version, d, m, n, t
 _RELAXATION = 1.9  # rho of the over-relaxed step, in (0, 2)
 
 
@@ -321,7 +316,6 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
     hd = h**d
     xi = problem.xi
-    xib = xi.reshape((m, d) + (1,) * d)
 
     scale = float(problem.lam.max())
     if not np.isfinite(scale) or scale <= 0:
@@ -337,12 +331,13 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
 
     with _LU_LOCK:
         lu = _laplacian_lu(d, n)
-    v = np.zeros((m,) + grid.node_shape)
-    # Dual warm start: exact maximizer of <p, xi> over the ball, cellwise.
-    wxi = xib * lam_n[None]
-    nrm = np.sqrt(np.sum(wxi * wxi, axis=(0, 1)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(nrm > 0, xib * lam_n[None] ** 2 / nrm, 0.0)
+    # Iterate on the padded node lattice (see the module docstring).
+    lat = _Lattice(d, n)
+    N = lat.N
+    lam_k = lam_n.reshape(d, -1)
+    xi_col = xi.reshape(m, d, 1)
+    V, U = np.zeros((m, N)), np.zeros((m, N))
+    G, P, P_old = np.zeros((m, d, N)), np.zeros((m, d, N)), np.empty((m, d, N))
     xin = float(np.sqrt((xi * xi).sum()))
     if d == 1 and xin > 0.0:
         # One dimension is closed form: all slope mass on the cheapest
@@ -351,14 +346,15 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         a = lam_n[0]
         k_star = int(np.argmin(a))
         nodes = np.arange(n + 1, dtype=float)
-        ramp = np.where(nodes > k_star, grid.side, 0.0) - h * nodes
-        v = xi[:, 0:1] * ramp[None, :]
-        p = np.repeat(((xi[:, 0] / xin) * float(a[k_star]))[:, None, None], n, axis=2)
-
-    # Iterate on the padded node lattice (see the module docstring).
-    lat = _Lattice(d, n)
-    N = lat.N
-    lam_k = lam_n.reshape(d, -1)
+        V[:] = xi[:, 0:1] * (np.where(nodes > k_star, grid.side, 0.0) - h * nodes)
+        P[..., lat.real] = ((xi[:, 0] / xin) * float(a[k_star]))[:, None, None]
+    else:
+        # Dual warm start: exact maximizer of <p, xi> over the ball, cellwise.
+        wxi = xi_col * lam_k[None]
+        nrm = np.sqrt(np.sum(wxi * wxi, axis=(0, 1)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            P[..., lat.real] = np.where(nrm > 0, xi_col * lam_k[None] ** 2 / nrm, 0.0)
+    Vbar = V.copy()
     step_p, step_v = np.zeros(N), np.zeros(N)
     step_p[lat.real] = sigma * hd
     step_v[lat.interior] = tau * hd
@@ -369,11 +365,6 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         axes = np.ones((d, N))
         axes[:, lat.real] = lam_k
         balls = Ellipsoids(axes)  # also carries each cell's multiplier across iterations
-    V, W, U = v.reshape(m, N).copy(), np.empty((m, N)), np.zeros((m, N))
-    Vbar = V.copy()
-    G, P, P_old = np.zeros((m, d, N)), np.zeros((m, d, N)), np.empty((m, d, N))
-    P[..., lat.real] = p.reshape(m, d, -1)
-    xi_col = xi.reshape(m, d, 1)
     grad_views, adjoint_views = lat.diff_views(Vbar, G), lat.adjoint_views(P, U)
 
     best_primal = math.inf
@@ -422,8 +413,8 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         _adjoint(adjoint_views)  # U = D^T P
         U /= h
         U *= step_v  # tau h^d on interior nodes, 0 on the boundary
-        np.subtract(V, U, out=W)
-        np.multiply(W, 2.0, out=Vbar)
+        np.subtract(V, U, out=Vbar)  # Vbar = 2 (V - U) - V
+        Vbar *= 2.0
         Vbar -= V
         it += 1
 
@@ -484,21 +475,16 @@ def solve_many(tasks, workers: int = 1):
             yield from pool.map(_solve_task, tasks)
 
 
-def save_minimizer(report: SolveReport, path) -> Path:
-    """Dump the minimizer as flat row-major float64 with a JSON sidecar.
+def save_minimizer(report: SolveReport, path) -> None:
+    """Dump the minimizer as a numpy ``.npy`` file with a JSON sidecar.
 
-    Binary layout: magic 'HLMF', uint32 version, uint32 (d, m, n),
-    float64 t, then m*(n+1)^d little-endian float64 nodal values in C
-    order.  The sidecar <path>.json records the problem and
-    certificates.
+    The array is the (m, *(n + 1)^d) float64 nodal field; the ``.npy``
+    header records its dtype and shape.  The sidecar <path>.json records
+    the grid, the slope and the certificates.
     """
-    path = Path(path)
     grid = report.grid
-    header = struct.pack(_DUMP_FMT, MAGIC, DUMP_VERSION,
-                         grid.dimension, grid.components, grid.cells, float(grid.side))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(report.minimizer, dtype="<f8").tobytes())
+    with open(path, "wb") as fh:  # np.save(path) would append ".npy"
+        np.save(fh, report.minimizer, allow_pickle=False)
     sidecar = {
         "dimension": grid.dimension,
         "components": grid.components,
@@ -515,19 +501,14 @@ def save_minimizer(report: SolveReport, path) -> Path:
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
-    return path
 
 
 def load_minimizer(path):
-    """Read a minimizer dump; returns (metadata dict, nodal array)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize(_DUMP_FMT))
-        magic, version, d, m, n, t = struct.unpack(_DUMP_FMT, head)
-        if magic != MAGIC:
-            raise ValueError(f"not a minimizer dump: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape((m,) + (n + 1,) * d)
-    meta = {"version": version, "dimension": d, "components": m, "cells": n, "side": t}
+    """Read a minimizer dump; returns (sidecar dict, nodal array).
+
+    The array is read first and pickled data is refused, so a junk file
+    raises ValueError before its sidecar is opened.
+    """
+    data = np.load(path, allow_pickle=False)
     with open(str(path) + ".json") as fh:
-        meta["sidecar"] = json.load(fh)
-    return meta, data.copy()
+        return json.load(fh), data

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .config import COMMANDS, ConfigError, check_workers, parse_config
+from .config import COMMANDS, ConfigError, parse_config
 from .runner import run
 
 
@@ -21,8 +20,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: HOMLAB_WORKERS, else 1); "
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker threads, at least 1 (default: 1); "
                             "solves hold the GIL, so more are rarely faster")
         p.add_argument("--out", default=None, help="output directory (default: homlab-out)")
     return parser
@@ -32,11 +31,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        env = os.environ.get("HOMLAB_WORKERS", "")
-        if args.workers is not None:
-            workers = check_workers(args.workers, "--workers")
-        else:
-            workers = check_workers(env, "HOMLAB_WORKERS") if env else 1
+        if args.workers < 1:
+            raise ConfigError([f"--workers: expected integer >= 1, got {args.workers!r}"])
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
@@ -51,7 +47,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.canonical["seed"] = args.seed
-    code, csv_path, summary_path = run(cfg, workers=workers, out_dir=args.out)
+    code, csv_path, summary_path = run(cfg, workers=args.workers, out_dir=args.out)
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
     print("verdict:", "pass" if code == 0 else "FAIL")

@@ -307,6 +307,9 @@ def _parse_xi_block(value, dimension, errors):
         except ValueError as exc:
             errors.append(str(exc))
             continue
+        if label in labels:
+            errors.append(f"xi: duplicate slope label {label!r}")
+            continue
         xis.append(xi)
         labels.append(label)
     return xis, labels
@@ -332,17 +335,6 @@ def canonical_config(cfg: dict) -> dict:
     for key in _CANONICAL:
         out.setdefault(key, _VALUES[key].default)
     return out
-
-
-def check_workers(value, source) -> int:
-    """A worker count >= 1 from a flag, or a string from the environment."""
-    if isinstance(value, str) and value.removeprefix("-").isdecimal():
-        value = int(value)
-    errors = []
-    workers = _check_value(source, value, _at_least(1, 1), None, errors)
-    if errors:
-        raise ConfigError(errors)
-    return workers
 
 
 def parse_config_dict(raw: dict) -> RunConfig:

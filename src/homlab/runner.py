@@ -152,7 +152,7 @@ def _cmd_solve_cell(ctx):
             ctx.flags.append(f"flagged_solve:{label}:r={r}")
         if r == 0 and cfg.options["save_minimizer"]:
             path = os.path.join(ctx.out_dir,
-                                f"minimizer-{ctx.run_id}-{label}.bin")
+                                f"minimizer-{ctx.run_id}-{label}.npy")
             save_minimizer(rep, path)
     ctx.report["worst_gap"] = worst_gap
     ctx.report["t"] = t

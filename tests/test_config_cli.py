@@ -9,7 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from homlab import runner
+from homlab import (cell_problem_on_cube, load_minimizer, runner, sample_field,
+                    solve_cell)
 from homlab.cli import main
 from homlab.config import (ConfigError, parse_config, parse_config_dict,
                            parse_xi)
@@ -324,7 +325,7 @@ FAN_OUT = {
 
 
 @pytest.mark.parametrize("command", list(FAN_OUT))
-def test_outputs_identical_across_workers_and_reruns(command, tmp_path, monkeypatch):
+def test_outputs_identical_across_workers_and_reruns(command, tmp_path):
     raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command]})
     if raw["xi"] is None:
         del raw["xi"]
@@ -336,16 +337,6 @@ def test_outputs_identical_across_workers_and_reruns(command, tmp_path, monkeypa
         assert code == 0
         paths.append(csv_path)
     assert canonical_csv_bytes(paths[0]) == canonical_csv_bytes(paths[1])
-
-    # the env variable supplies the worker count when --workers is absent
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    monkeypatch.setenv("HOMLAB_WORKERS", "2")
-    out_env = tmp_path / "env"
-    assert main([command, "--config", str(cfg_path), "--out",
-                 str(out_env)]) == 0
-    env_csv = next(out_env.glob("*.csv"))
-    assert canonical_csv_bytes(env_csv) == canonical_csv_bytes(paths[0])
 
 
 @pytest.mark.parametrize("command", ["recession", "rank-one", "stationarity"])
@@ -369,9 +360,8 @@ def test_verify_bounds_fails_on_an_estimate_with_uncertified_solves(tmp_path,
     assert "e1:flagged_solves_at_t=4" in summary["flags"]
 
 
-def test_outputs_depend_on_the_experiment_only(tmp_path, monkeypatch):
+def test_outputs_depend_on_the_experiment_only(tmp_path):
     # neither the worker count nor the output directory reaches a file
-    monkeypatch.delenv("HOMLAB_WORKERS", raising=False)
     path = write_config(tmp_path, t_list=[4], n_real=3)
     outputs = []
     for out, workers in (("a", "1"), ("b", "2")):
@@ -382,6 +372,32 @@ def test_outputs_depend_on_the_experiment_only(tmp_path, monkeypatch):
                         canonical_csv_bytes(next(out.glob("*.csv"))),
                         next(out.glob("*.summary.json")).read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_solve_cell_saves_one_minimizer_per_slope(tmp_path):
+    raw = base_config(command="solve-cell", field=UNIFORM, xi=["e1", [[1, 0], [0, 1]]],
+                      n_real=2, options={"t": 4, "save_minimizer": True})
+    cfg = parse_config_dict(raw)
+    rid = run_id_for(cfg.canonical, cfg.seed)
+    dumps = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        code, _, _ = runner.run(cfg, workers=workers, out_dir=str(out))
+        assert code == 0
+        names = sorted(p.name for p in out.glob("minimizer-*"))
+        assert names == sorted(f"minimizer-{rid}-{label}.npy{ext}"
+                               for label in ("e1", "[1,0;0,1]") for ext in ("", ".json"))
+        dumps.append({p.name: p.read_bytes() for p in out.glob("minimizer-*")})
+        for label, xi in zip(cfg.xi_labels, cfg.xi_list):
+            # realization 0 only, as a direct solve of the same task
+            rep = solve_cell(cell_problem_on_cube(sample_field(cfg.spec, cfg.seed, 0),
+                                                  4.0, xi, cfg.cells_per_unit), tol=cfg.tol)
+            sidecar, data = load_minimizer(out / f"minimizer-{rid}-{label}.npy")
+            assert data.tobytes() == rep.minimizer.tobytes()
+            assert data.shape == rep.minimizer.shape
+            assert (sidecar["primal"], sidecar["dual"], sidecar["gap"]) == (
+                rep.primal, rep.dual, rep.gap)
+    assert dumps[0] == dumps[1]
 
 
 @pytest.mark.parametrize("key, value", [("workers", 2), ("out_dir", "elsewhere")])
@@ -418,9 +434,10 @@ _RANK_ONE = {"xi_a": "e1", "xi_b": "e2", "t": 4}
 
 _TWO_LAWS = [UNIFORM["diagonal"], UNIFORM["diagonal"]]
 
-# Each case passed the checks of earlier versions. Cases 1-16, 24-29 and
-# the last two then died in a traceback (exit 1); the rest ran to exit 0,
-# the rank-one slopes of two shapes as one 2 x 2 problem.
+# Each case passed the checks of earlier versions. Cases 1-16, 24-29, 31
+# and 32 then died in a traceback (exit 1); the rest ran to exit 0, the
+# rank-one slopes of two shapes as one 2 x 2 problem, and the duplicate
+# slope label after solving every task twice.
 MALFORMED = [
     ("options.depth", _malformed("subadditivity", {"depth": 0})),
     ("options.n_instances", _malformed("subadditivity", {"n_instances": 0})),
@@ -460,6 +477,7 @@ MALFORMED = [
     ("options.xi_b", _malformed("rank-one", {**_RANK_ONE, "xi_a": [[1, 0], [0, 1]],
                                              "xi_b": [[0, 0], [0, 0]]})),
     ("options.side", _malformed("glue-check", {"side": 4})),
+    ("xi: duplicate slope label 'e1'", _malformed("estimate-fhom", xi=["e1", "e1"])),
 ]
 
 
@@ -473,27 +491,15 @@ def test_cli_rejects_malformed_value(tmp_path, capsys, key, raw):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, env, source", [
-    (["--workers", "0"], None, "--workers"),
-    (["--workers", "-3"], None, "--workers"),
-    ([], "abc", "HOMLAB_WORKERS"),
-])
-def test_cli_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, flag, env, source):
-    if env is None:
-        monkeypatch.delenv("HOMLAB_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("HOMLAB_WORKERS", env)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_bad_worker_count(tmp_path, capsys, workers):
     path = write_config(tmp_path, t_list=[4], n_real=1)
     out = tmp_path / "out"
-    assert main(["estimate-fhom", "--config", path, "--out", str(out), *flag]) == 2
-    assert f"config error: {source}: expected integer >= 1" in capsys.readouterr().err
+    assert main(["estimate-fhom", "--config", path, "--out", str(out),
+                 "--workers", workers]) == 2
+    assert (f"config error: --workers: expected integer >= 1, got {workers}"
+            in capsys.readouterr().err)
     assert not out.exists()
-
-
-def test_empty_worker_env_means_unset(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOMLAB_WORKERS", "")
-    path = write_config(tmp_path, t_list=[4], n_real=1)
-    assert main(["estimate-fhom", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_every_shipped_config_parses():

@@ -1,5 +1,6 @@
 """Guards on the package source, the demo scripts and the suite's own solve audit."""
 
+import ast
 import csv
 import importlib
 import json
@@ -28,6 +29,16 @@ def test_every_module_compiles_with_warnings_as_errors():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_no_module_reads_the_process_environment():
+    # a run's settings come from its config and its flags only
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, attr) for node in ast.walk(tree)
+                 for attr in ("attr", "id", "name") if isinstance(getattr(node, attr, None), str)}
+        assert not names & readers, f"{path.name} reads the environment: {names & readers}"
 
 
 def test_every_list_of_commands_agrees():
