@@ -506,9 +506,12 @@ def save_minimizer(report: SolveReport, path) -> None:
 def load_minimizer(path):
     """Read a minimizer dump; returns (sidecar dict, nodal array).
 
-    The array is read first and pickled data is refused, so a junk file
-    raises ValueError before its sidecar is opened.
+    The array is read first and pickled data is refused, so a junk file,
+    an empty one included, raises ValueError before its sidecar is opened.
     """
-    data = np.load(path, allow_pickle=False)
+    try:
+        data = np.load(path, allow_pickle=False)
+    except EOFError as exc:  # what numpy raises on an empty file
+        raise ValueError(f"{path}: not a numpy array file ({exc})") from exc
     with open(str(path) + ".json") as fh:
         return json.load(fh), data

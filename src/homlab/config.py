@@ -2,8 +2,10 @@
 
 A config fully determines every numeric output bit (together with the
 seed); unknown keys are rejected at every level so typos fail loudly.
-One table gives the JSON type, default and bound of every value, and
-validation collects all errors instead of stopping at the first.
+One table gives the JSON type, default and bound of every value, one row
+per command gives its options, whether it takes a slope and the check
+of the values that join, and validation collects all errors instead of
+stopping at the first.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .glue import glue_boxes
 from .homogenize import rank_one_segment, subcube_parts
 
 CONFIG_VERSION = 1
-
-COMMANDS = ("field-stats", "solve-cell", "estimate-fhom", "verify-bounds",
-            "subadditivity", "stationarity", "recession", "rank-one",
-            "degenerate-divergence", "degenerate-interface", "glue-check")
 
 _REQUIRED = object()  # the default of a value every config must give
 
@@ -57,9 +55,8 @@ _POSITIVES = dict(bound="of one or more numbers > 0",
 _T = _Rule("number", lambda top: top["t_list"][0], **_POSITIVE)
 _OBSERVABLES = ("lambda_norm", "entry", "lower")
 
-# The table: every top-level and field value by its path, and every
-# option by command.  Parsing fills in the defaults, so a RunConfig
-# holds every key its command reads.
+# Every top-level and field value by its path.  Parsing fills in the
+# defaults, so a RunConfig holds every key its command reads.
 _VALUES = {
     "schema_version": _Rule("integer", CONFIG_VERSION, f"equal to {CONFIG_VERSION}",
                             lambda v, d: v == CONFIG_VERSION),
@@ -71,34 +68,69 @@ _VALUES = {
     "field.dimension": _at_least(1, _REQUIRED),
     "field.structure.axis": _Rule("integer", 1, "in 1..{d}", lambda v, d: 1 <= v <= d),
 }
-_OPTIONS = {
-    "field-stats": {
+
+
+def _joint(key, check):
+    """A check of options that join, made by the library helper that raises
+    at run time; it runs once every option of the command has parsed."""
+    def run(command, opts, spec, cpu, errors):
+        if None not in opts.values():
+            try:
+                check(opts, spec.dimension, cpu)
+            except ValueError as exc:
+                errors.append(f"options.{key}: {exc}")
+    return run
+
+
+def _scalar_laminate(command, opts, spec, cpu, errors):
+    if not (isinstance(spec.structure, Laminate) and spec.is_isotropic_law):
+        errors.append(f"field: {command} requires a laminate with one scalar weight law")
+
+
+_SUBCUBES = _joint("depth", lambda o, d, cpu: subcube_parts(o["t"], o["depth"], cpu))
+_RANK_ONE = _joint("xi_b", lambda o, d, cpu: rank_one_segment(o["xi_a"][0], o["xi_b"][0]))
+# the glue layers are widest at the least delta
+_GLUE = _joint("side", lambda o, d, cpu: glue_boxes(d, o["side"], cpu, o["delta_range"][0]))
+
+# One row per command: its options by name, whether it takes the xi key
+# ("none", "optional" or "required"), and a check of what must hold
+# together (options that join, or the field the command needs), which
+# adds its error to the list.
+_Command = namedtuple("_Command", "options xi check", defaults=(None,))
+_COMMAND_TABLE = {
+    "field-stats": _Command({
         "observable": _Rule("string", "entry", f"in {_OBSERVABLES}",
                             lambda v, d: v in _OBSERVABLES),
         "entry": _Rule("integer", 0, "in [0, {d})", lambda v, d: 0 <= v < d),
         "box": _Rule("array", None, "of {d} [lo, hi] pairs with lo < hi",
                      lambda v, d: len(v) == d
                      and all(_nums(r, 2) and r[0] < r[1] for r in v)),
-    },
-    "solve-cell": {"t": _T, "save_minimizer": _Rule("boolean", False)},
-    "subadditivity": {"t": _T, "depth": _at_least(1, 1),
-                      "n_instances": _at_least(1, lambda top: top["n_real"]),
-                      "m": _at_least(1, 1)},
-    "stationarity": {"t": _T,
-                     "z": _Rule("array", None, "of {d} numbers", lambda v, d: _nums(v, d)),
-                     "n_matched": _at_least(1, 5)},
-    "recession": {"s_list": _Rule("array", (1.0, 2.0, 5.0), **_POSITIVES), "t": _T},
-    "rank-one": {"xi_a": _Rule("slope", _REQUIRED), "xi_b": _Rule("slope", _REQUIRED),
-                 "n_grid": _at_least(3, 5), "t": _T},
-    "estimate-fhom": {}, "verify-bounds": {}, "degenerate-divergence": {},
-    "degenerate-interface": {"delta_list": _Rule("array", (0.1, 0.01), **_POSITIVES),
-                             "search_limit": _at_least(1, 10_000),
-                             "n_scans": _at_least(0, 0)},
-    "glue-check": {"n_instances": _at_least(1, 20),
-                   "side": _Rule("number", 32.0, **_POSITIVE),
-                   "delta_range": _Rule("array", (0.3, 0.6), "[lo, hi] with 0 < lo <= hi",
-                                        lambda v, d: _nums(v, 2) and 0 < v[0] <= v[1])},
+    }, "none"),
+    "solve-cell": _Command({"t": _T, "save_minimizer": _Rule("boolean", False)}, "required"),
+    "estimate-fhom": _Command({}, "required"),
+    "verify-bounds": _Command({}, "required"),
+    "subadditivity": _Command({"t": _T, "depth": _at_least(1, 1),
+                               "n_instances": _at_least(1, lambda top: top["n_real"]),
+                               "m": _at_least(1, 1)}, "optional", _SUBCUBES),
+    "stationarity": _Command({"t": _T, "z": _Rule("array", None, "of {d} numbers",
+                                                  lambda v, d: _nums(v, d)),
+                              "n_matched": _at_least(1, 5)}, "required"),
+    "recession": _Command({"s_list": _Rule("array", (1.0, 2.0, 5.0), **_POSITIVES),
+                           "t": _T}, "required"),
+    "rank-one": _Command({"xi_a": _Rule("slope", _REQUIRED), "xi_b": _Rule("slope", _REQUIRED),
+                          "n_grid": _at_least(3, 5), "t": _T}, "none", _RANK_ONE),
+    "degenerate-divergence": _Command({}, "optional", _scalar_laminate),
+    "degenerate-interface": _Command({"delta_list": _Rule("array", (0.1, 0.01), **_POSITIVES),
+                                      "search_limit": _at_least(1, 10_000),
+                                      "n_scans": _at_least(0, 0)}, "none", _scalar_laminate),
+    "glue-check": _Command({"n_instances": _at_least(1, 20),
+                            "side": _Rule("number", 32.0, **_POSITIVE),
+                            "delta_range": _Rule("array", (0.3, 0.6),
+                                                 "[lo, hi] with 0 < lo <= hi",
+                                                 lambda v, d: _nums(v, 2) and 0 < v[0] <= v[1])},
+                           "none", _GLUE),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 # a slope is shorthand like "e1" or a numeric row/matrix (see parse_xi)
 _JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float),
                "string": str, "array": list, "slope": (str, list)}
@@ -109,12 +141,6 @@ _TOP_KEYS = {k for k in _VALUES if "." not in k} | {"command", "field", "xi", "o
 _FIELD_KEYS = {"dimension", "structure", "diagonal", "lower_order"}
 _DIST_KEYS = {kind: law.names for kind, law in LAWS.items()}
 _STRUCT_KEYS = {"iid_cubes": set(), "laminate": {"axis"}, "periodic": {"tile"}}
-
-# which commands consume the xi key
-_XI_COMMANDS = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
-                "recession", "subadditivity", "degenerate-divergence"}
-_XI_REQUIRED = {"solve-cell", "estimate-fhom", "verify-bounds", "stationarity",
-                "recession"}
 
 
 class ConfigError(ValueError):
@@ -310,6 +336,10 @@ def _parse_xi_block(value, dimension, errors):
         if label in labels:
             errors.append(f"xi: duplicate slope label {label!r}")
             continue
+        same = [other for other, x in zip(labels, xis) if np.array_equal(x, xi)]
+        if same:  # one slope spelled twice would be solved twice
+            errors.append(f"xi: slope {label!r} equals slope {same[0]!r}")
+            continue
         xis.append(xi)
         labels.append(label)
     return xis, labels
@@ -320,7 +350,7 @@ def _check_options(command, opts, top, d, errors):
     if not isinstance(opts, dict):
         errors.append("options: expected an object")
         return {}
-    rules = _OPTIONS[command]
+    rules = _COMMAND_TABLE[command].options
     unknown = set(opts) - set(rules)
     if unknown:
         errors.append(f"options: keys {sorted(unknown)} not accepted by "
@@ -365,36 +395,21 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if spec is None:
         raise ConfigError(errors)
 
+    row = _COMMAND_TABLE[command]
     xi_list, xi_labels = [], []
     if "xi" in raw:
-        if command not in _XI_COMMANDS:
+        if row.xi == "none":
             errors.append(f"xi: not accepted by command {command!r}")
         else:
             xi_list, xi_labels = _parse_xi_block(raw["xi"], spec.dimension,
                                                  errors)
-    elif command in _XI_REQUIRED:
+    elif row.xi == "required":
         errors.append(f"xi: required by command {command!r}")
 
     options = _check_options(command, raw.get("options", {}), top,
                              spec.dimension, errors)
-    if command.startswith("degenerate-") and not (
-            isinstance(spec.structure, Laminate) and spec.is_isotropic_law):
-        errors.append(f"field: {command} requires a laminate with one scalar weight law")
-    # constraints that join values, each checked by the library helper that
-    # raises at run time; the glue layers are widest at the least delta
-    cpu = top["cells_per_unit"]
-    joint = {
-        "subadditivity": ("depth", lambda o: subcube_parts(o["t"], o["depth"], cpu)),
-        "rank-one": ("xi_b", lambda o: rank_one_segment(o["xi_a"][0], o["xi_b"][0])),
-        "glue-check": ("side", lambda o: glue_boxes(spec.dimension, o["side"], cpu,
-                                                    o["delta_range"][0])),
-    }
-    if command in joint and None not in options.values():
-        key, check = joint[command]
-        try:
-            check(options)
-        except ValueError as exc:
-            errors.append(f"options.{key}: {exc}")
+    if row.check:
+        row.check(command, options, spec, top["cells_per_unit"], errors)
     if errors:
         raise ConfigError(errors)
     del top["schema_version"]  # the rest are RunConfig fields of one name

@@ -51,6 +51,11 @@ class DivergenceReport:
     heavy_tail: bool
     n_flagged: int
 
+    @property
+    def passed(self) -> bool:
+        """Every solve certified and above its per-realization bound."""
+        return self.jensen_ok and self.n_flagged == 0
+
 
 def divergence_experiment(spec: FieldSpec, xi=None, t_list=(8, 32, 128),
                           n_real: int = 20, seed: int = 0, tol: float = 1e-5,

@@ -5,8 +5,9 @@ expected normalized cell energy; it is estimated by Monte Carlo over
 independent realizations on a ladder of cube sizes.  Realization
 indices are shared across cube sizes, so per-realization diagnostics
 (subadditivity trends, homogeneity, recession increments) compare
-matched samples.  All reported intervals are 99% normal CIs.  The
-property checks count uncertified solves (``n_flagged``) and fail on any.
+matched samples.  All reported intervals are 99% normal CIs.  Every
+property report counts its uncertified solves (``n_flagged``) and carries
+a verdict (``passed``); the checks fail on any uncertified solve.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .cell import SolveTask, cell_problem_on_cube, cube_grid, solve_cell, solve_many
+from .cell import SolveTask, cell_problem_on_cube, cube_grid, solve_many
 from .fields import FieldSpec, Periodic, sample_field, shift
 from .integrand import growth_constants
 from .randomness import keyed_uniform
@@ -67,7 +68,7 @@ class PropertyReport:
 
     ``worst_slack`` is the smallest margin observed (negative means the
     raw inequality was violated by that much); the battery passes when
-    worst_slack >= -budget.
+    worst_slack >= -budget.  ``n_flagged`` counts uncertified solves.
     """
 
     name: str
@@ -75,6 +76,7 @@ class PropertyReport:
     worst_slack: float
     budget: float
     passed: bool
+    n_flagged: int
     details: dict = field(default_factory=dict)
 
 
@@ -82,10 +84,18 @@ def _as_xi(xi) -> np.ndarray:
     return np.atleast_2d(np.asarray(xi, dtype=float))
 
 
-def _normalized(reports):
-    """The normalized energies of the reports, and how many did not certify."""
-    rows = [(rep.normalized, rep.converged) for rep in reports]
-    return np.array([v for v, _ in rows]), sum(not ok for _, ok in rows)
+def _solve_cases(spec, cases, n_real, seed, tol, cells_per_unit, workers):
+    """Normalized values, gaps, iterations and certified flags, each a
+    (len(cases), n_real) array, of realizations 0..n_real-1 solved at each
+    case ``(t, xi)``; a periodic field is deterministic and gets one.
+    Reports are reduced as they arrive, holding one minimizer at a time."""
+    if isinstance(spec.structure, Periodic):
+        n_real = 1
+    tasks = [SolveTask(spec, seed, r, t, xi, cells_per_unit=cells_per_unit, tol=tol)
+             for t, xi in cases for r in range(n_real)]
+    rows = [(rep.normalized, rep.gap, rep.iterations, rep.converged)
+            for rep in solve_many(tasks, workers)]
+    return tuple(np.array(col).reshape(len(cases), n_real) for col in zip(*rows))
 
 
 def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int = 0,
@@ -104,24 +114,19 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
     if t_list is None:
         t_list = DEFAULT_T_LIST
     t_list = tuple(float(t) for t in t_list)
-    if isinstance(spec.structure, Periodic):
-        n_real = 1  # deterministic field
 
-    tasks = [SolveTask(spec, seed, r, t, xi, cells_per_unit=cells_per_unit, tol=tol)
-             for t in t_list for r in range(n_real)]
-    rows = [(rep.normalized, rep.converged, rep.gap, rep.iterations)
-            for rep in solve_many(tasks, workers)]
+    solves = _solve_cases(spec, [(t, xi) for t in t_list], n_real, seed, tol,
+                          cells_per_unit, workers)
     levels = []
     flags = []
-    for ti, t in enumerate(t_list):
-        all_vals, ok, gaps, iters = map(np.array, zip(*rows[ti * n_real:(ti + 1) * n_real]))
+    for t, all_vals, gaps, iters, ok in zip(t_list, *solves):
         vals = all_vals[ok]
         n_flagged = int((~ok).sum())
         mean, half = mean_ci(vals)
         levels.append(TLevel(t=t, values=vals, n_flagged=n_flagged,
                              mean=mean, ci_half=half, all_values=all_vals,
                              gaps=gaps, iterations=iters, certified=ok))
-        if n_flagged > FLAGGED_FRACTION_LIMIT * n_real:
+        if n_flagged > FLAGGED_FRACTION_LIMIT * ok.size:
             flags.append(f"flagged_solves_at_t={t:g}")
 
     last = levels[-1]
@@ -168,6 +173,8 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 
         })
     return PropertyReport(name="growth_sandwich", n_instances=len(details["per_xi"]),
                           worst_slack=worst, budget=0.0, passed=worst >= 0.0,
+                          n_flagged=sum(lv.n_flagged for per in details["per_xi"]
+                                        for lv in per["estimate"].levels),
                           details=details)
 
 
@@ -210,39 +217,24 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
     s = t / parts
     # n is a multiple of parts, so each subcube gets n / parts cells from
     # the same resolution policy and the subcubes partition Q_t's mesh
-    centers = [tuple(-0.5 * t + 0.5 * s + ki * s for ki in k)
-               for k in np.ndindex(*(parts,) * d)]
-
-    tasks = []
-    for r in range(n_instances):
-        xi_r = _as_xi(xi) if xi is not None else _random_xi(seed, "subadd-xi", r, m, d)
-        tasks.append(SolveTask(spec, seed, r, t, xi_r, cells_per_unit=cells_per_unit,
-                               tol=tol))
-        tasks.extend(SolveTask(spec, seed, r, s, xi_r, center=c,
-                               cells_per_unit=cells_per_unit, tol=tol) for c in centers)
-    reports = solve_many(tasks, workers)
-    slacks = np.empty(n_instances)
-    big_primal = 0.0
-    n_flagged = 0
-    for r in range(n_instances):
-        big = next(reports)
-        big_primal = max(big_primal, abs(big.primal))
-        total = 0.0
-        ok = big.converged
-        for _ in centers:
-            sub = next(reports)
-            ok = ok and sub.converged
-            total += sub.primal
-        slacks[r] = total - big.primal
-        if not ok:
-            n_flagged += 1
+    # per instance the large cube, then its subcubes
+    cubes = [(t, None)] + [(s, tuple(-0.5 * t + 0.5 * s + ki * s for ki in k))
+                           for k in np.ndindex(*(parts,) * d)]
+    slopes = [_as_xi(xi) if xi is not None else _random_xi(seed, "subadd-xi", r, m, d)
+              for r in range(n_instances)]
+    tasks = [SolveTask(spec, seed, r, side, xi_r, center=c, cells_per_unit=cells_per_unit,
+                       tol=tol) for r, xi_r in enumerate(slopes) for side, c in cubes]
+    rows = [(rep.primal, rep.converged) for rep in solve_many(tasks, workers)]
+    primal, ok = (np.array(col).reshape(n_instances, len(cubes)) for col in zip(*rows))
+    slacks = np.array([sum(p[1:]) - p[0] for p in primal])
+    n_flagged = int((~ok.all(axis=1)).sum())
     worst = float(slacks.min())
-    budget = tol * big_primal
+    budget = tol * float(np.abs(primal[:, 0]).max())
     return PropertyReport(name="subadditivity", n_instances=n_instances,
                           worst_slack=worst, budget=budget,
                           passed=bool(worst >= -budget and n_flagged == 0),
-                          details={"slacks": slacks, "n_flagged": n_flagged,
-                                   "depth": depth, "t": t})
+                          n_flagged=n_flagged,
+                          details={"slacks": slacks, "depth": depth, "t": t})
 
 
 @dataclass
@@ -261,10 +253,14 @@ def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
                               workers: int = 1) -> StationarityReport:
     """Stationarity of the cell energy under lattice shifts.
 
-    Matched realizations: mu_xi(omega, Q_t + z) must equal
-    mu_xi(shifted omega, Q_t) bit-exactly (identical assembled data on
-    binary-representable geometry).  Independent realizations at the
-    two placements must agree in law (calibrated two-sample test).
+    Matched realizations: the problem of omega on Q_t + z and that of the
+    shifted omega on Q_t must assemble to identical weights (exact on
+    binary-representable geometry).  The solver reads the weights, the
+    slope and the cell count, not the center, so identical weights give
+    identical certified values and the matched pairs are not solved;
+    ``matched_max_diff`` is the largest difference of assembled weights.
+    Independent realizations at the two placements must agree in law
+    (calibrated two-sample test), and each of those solves must certify.
     """
     xi = _as_xi(xi)
     d = spec.dimension
@@ -275,25 +271,21 @@ def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
 
     max_diff = 0.0
     exact = True
-    n_flagged = 0
     for r in range(n_matched):
         fld = sample_field(spec, seed, r)
         prob_a = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=tuple(z))
         prob_b = cell_problem_on_cube(shift(fld, z), t, xi, cells_per_unit)
-        if not np.array_equal(prob_a.lam, prob_b.lam):
-            exact = False
-        rep_a = solve_cell(prob_a, tol=tol)
-        rep_b = solve_cell(prob_b, tol=tol)
-        n_flagged += (not rep_a.converged) + (not rep_b.converged)
-        diff = abs(rep_a.primal - rep_b.primal)
-        max_diff = max(max_diff, diff)
-        exact = exact and (diff == 0.0)
+        for a, b in ((prob_a.lam, prob_b.lam), (prob_a.lam0, prob_b.lam0)):
+            if a is not None:
+                exact = exact and np.array_equal(a, b)
+                max_diff = max(max_diff, float(np.abs(a - b).max()))
 
     tasks = [SolveTask(spec, seed, r, t, xi, center=tuple(z) if r < n_real else None,
                        cells_per_unit=cells_per_unit, tol=tol) for r in range(2 * n_real)]
-    vals, n_unpaired = _normalized(solve_many(tasks, workers))
+    vals, ok = map(np.array, zip(*((rep.normalized, rep.converged)
+                                   for rep in solve_many(tasks, workers))))
     ts = two_sample_test(vals[:n_real], vals[n_real:])
-    n_flagged += n_unpaired
+    n_flagged = int((~ok).sum())
     return StationarityReport(matched_max_diff=max_diff, matched_exact=exact,
                               two_sample=ts, n_matched=n_matched, n_flagged=n_flagged,
                               passed=exact and ts.same_law and n_flagged == 0)
@@ -324,13 +316,11 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
     """
     xi = _as_xi(xi)
     s_list = tuple(float(s) for s in s_list)
-    if isinstance(spec.structure, Periodic):
-        n_real = 1
 
-    tasks = [SolveTask(spec, seed, r, t, s * xi, cells_per_unit=cells_per_unit, tol=tol)
-             for s in s_list for r in range(n_real)]
-    vals, n_flagged = _normalized(solve_many(tasks, workers))
-    vals = vals.reshape(len(s_list), n_real) / np.array(s_list)[:, None]
+    vals, _, _, ok = _solve_cases(spec, [(t, s * xi) for s in s_list], n_real, seed, tol,
+                                  cells_per_unit, workers)
+    n_flagged = int((~ok).sum())
+    vals = vals / np.array(s_list)[:, None]
     means = vals.mean(axis=1)
     cis = np.array([mean_ci(vals[si])[1] for si in range(len(s_list))])
     scale = float(np.abs(means).max())
@@ -385,24 +375,22 @@ def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
     solver budgets (2 tol, CI added for random fields).
     """
     xi_a, xi_b = rank_one_segment(xi_a, xi_b)
-    if isinstance(spec.structure, Periodic):
-        n_real = 1
     lambdas = np.linspace(0.0, 1.0, n_grid)
 
-    tasks = [SolveTask(spec, seed, r, t, lam * xi_a + (1.0 - lam) * xi_b,
-                       cells_per_unit=cells_per_unit, tol=tol)
-             for lam in lambdas for r in range(n_real)]
-    vals, n_flagged = _normalized(solve_many(tasks, workers))
-    vals = vals.reshape(n_grid, n_real)
+    vals, _, _, ok = _solve_cases(spec, [(t, lam * xi_a + (1.0 - lam) * xi_b)
+                                         for lam in lambdas],
+                                  n_real, seed, tol, cells_per_unit, workers)
+    n_flagged = int((~ok).sum())
     means = vals.mean(axis=1)
     slack_r = 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]
     slack_means = slack_r.mean(axis=1)
     slack_ci = np.array([mean_ci(row)[1] for row in slack_r])
     scale = 0.5 * float(np.abs(means).max())
-    budget = 2.0 * tol * scale + (0.0 if n_real == 1 else float(slack_ci.max()))
+    budget = 2.0 * tol * scale + (0.0 if ok.shape[1] == 1 else float(slack_ci.max()))
     worst = float(slack_means.min())
     return PropertyReport(name="rank_one_convexity", n_instances=n_grid - 2,
                           worst_slack=worst, budget=budget,
                           passed=bool(worst >= -budget and n_flagged == 0),
+                          n_flagged=n_flagged,
                           details={"lambdas": lambdas, "means": means, "values": vals,
-                                   "slack_ci": slack_ci, "n_flagged": n_flagged})
+                                   "slack_ci": slack_ci})

@@ -13,13 +13,9 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 CSV_SCHEMA_VERSION = 1
-
-CSV_COLUMNS = ("schema_version", "run_id", "command", "xi_label", "t",
-               "realization", "kind", "value", "std", "ci_half", "gap",
-               "iterations", "flags", "wall_time_s", "timestamp")
 VOLATILE_COLUMNS = ("wall_time_s", "timestamp")
 
 
@@ -51,11 +47,11 @@ class ResultRecord:
     timestamp: str = ""
 
     def row(self) -> list:
-        vals = (CSV_SCHEMA_VERSION, self.run_id, self.command, self.xi_label,
-                self.t, self.realization, self.kind, self.value, self.std,
-                self.ci_half, self.gap, self.iterations, self.flags,
-                self.wall_time_s, self.timestamp)
-        return [_fmt(v) for v in vals]
+        return [_fmt(CSV_SCHEMA_VERSION)] + [_fmt(getattr(self, c)) for c in CSV_COLUMNS[1:]]
+
+
+# the CSV columns: the schema version, then the record's fields in order
+CSV_COLUMNS = ("schema_version",) + tuple(f.name for f in fields(ResultRecord))
 
 
 def write_csv(path, records) -> None:

@@ -32,13 +32,12 @@ from .cell import SolveTask, assemble, cube_grid, save_minimizer, solve_many
 from .config import RunConfig
 from .degeneracy import (cheap_interface, divergence_experiment, hitting_stats,
                          interface_limit_check)
-from .fields import sample_field
+from .fields import birkhoff_average, sample_field
 from .glue import glue_boxes, glue_with_cutoff
 from .homogenize import (check_rank_one_convexity, check_stationarity_in_law,
                          check_subadditivity, estimate_f_hom, recession,
                          verify_growth_sandwich)
 from .integrand import growth_constants
-from .fields import birkhoff_average
 from .randomness import keyed_uniform
 from .records import ResultRecord, run_id_for, write_csv
 
@@ -93,9 +92,12 @@ class _Ctx:
         self.records.append(ResultRecord(**kw))
 
 
-def _flag_uncertified(ctx, n_flagged):
-    if n_flagged:
-        ctx.flags.append(f"n_flagged={n_flagged}")
+# what the summary keeps of an inequality battery's report
+_BATTERY = ("worst_slack", "budget", "passed", "n_flagged")
+
+
+def _pick(rep, *keys) -> dict:
+    return {k: getattr(rep, k) for k in keys}
 
 
 def _estimate_records(ctx, label, est):
@@ -184,9 +186,7 @@ def _cmd_verify_bounds(ctx):
         ctx.rec(xi_label=label, kind="lower_margin", value=per["lower_margin"])
         ctx.rec(xi_label=label, kind="upper_margin",
                 value=per["upper_margin"])
-    ctx.report["sandwich"] = {"worst_slack": rep.worst_slack,
-                              "passed": rep.passed,
-                              "n_instances": rep.n_instances}
+    ctx.report["sandwich"] = _pick(rep, "worst_slack", "passed", "n_instances")
     ctx.verdict = ctx.verdict and rep.passed
 
 
@@ -200,11 +200,8 @@ def _cmd_subadditivity(ctx):
         ctx.rec(xi_label=cfg.xi_labels[0] if cfg.xi_labels else "random",
                 t=rep.details["t"], realization=i, kind="subadd_slack",
                 value=float(s))
-    ctx.report["subadditivity"] = {"worst_slack": rep.worst_slack,
-                                   "budget": rep.budget, "passed": rep.passed,
-                                   "n_flagged": rep.details["n_flagged"]}
-    _flag_uncertified(ctx, rep.details["n_flagged"])
-    ctx.verdict = ctx.verdict and rep.passed
+    ctx.report["subadditivity"] = _pick(rep, *_BATTERY)
+    return rep
 
 
 def _cmd_stationarity(ctx):
@@ -217,8 +214,7 @@ def _cmd_stationarity(ctx):
     ctx.rec(xi_label=label, kind="two_sample_stat",
             value=rep.two_sample.statistic, ci_half=rep.two_sample.threshold)
     ctx.report["stationarity"] = rep
-    _flag_uncertified(ctx, rep.n_flagged)
-    ctx.verdict = ctx.verdict and rep.passed
+    return rep
 
 
 def _cmd_recession(ctx):
@@ -230,10 +226,9 @@ def _cmd_recession(ctx):
     for s, mean, ci in zip(rep.s_list, rep.means, rep.ci_halves):
         ctx.rec(xi_label=label, kind=f"ray_mean:s={s:g}", value=float(mean),
                 ci_half=float(ci))
-    keys = ("s_list", "means", "mode", "worst_dev", "budget", "passed", "n_flagged")
-    ctx.report["recession"] = {k: getattr(rep, k) for k in keys}
-    _flag_uncertified(ctx, rep.n_flagged)
-    ctx.verdict = ctx.verdict and rep.passed
+    ctx.report["recession"] = _pick(rep, "s_list", "means", "mode", "worst_dev", "budget",
+                                    "passed", "n_flagged")
+    return rep
 
 
 def _cmd_rank_one(ctx):
@@ -247,10 +242,8 @@ def _cmd_rank_one(ctx):
     for lam, mean in zip(rep.details["lambdas"], rep.details["means"]):
         ctx.rec(xi_label=f"{la}|{lb}", kind=f"segment_mean:lambda={lam:g}",
                 value=float(mean))
-    ctx.report["rank_one"] = {"worst_slack": rep.worst_slack, "budget": rep.budget,
-                              "passed": rep.passed, "n_flagged": rep.details["n_flagged"]}
-    _flag_uncertified(ctx, rep.details["n_flagged"])
-    ctx.verdict = ctx.verdict and rep.passed
+    ctx.report["rank_one"] = _pick(rep, *_BATTERY)
+    return rep
 
 
 def _cmd_divergence(ctx):
@@ -267,8 +260,7 @@ def _cmd_divergence(ctx):
                 ci_half=float(ci))
         ctx.rec(xi_label=label, t=t, kind="jensen_bound", value=float(jb))
     ctx.report["divergence"] = rep
-    _flag_uncertified(ctx, rep.n_flagged)
-    ctx.verdict = ctx.verdict and rep.jensen_ok and rep.n_flagged == 0
+    return rep
 
 
 def _cmd_interface(ctx):
@@ -355,13 +347,19 @@ def run(cfg: RunConfig, workers: int = 1, out_dir: str = None):
     """Execute a validated config; returns (exit_code, csv_path, summary_path).
 
     Exit code 0 means every property verdict passed and no estimate was
-    flagged; partial results are still written on failure.
+    flagged; partial results are still written on failure.  A command
+    that checks a property returns its report, whose uncertified solves
+    are flagged here and whose verdict joins the run's.
     """
     out_dir = out_dir or "homlab-out"
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(cfg, workers, out_dir)
     t0 = time.perf_counter()
-    _DISPATCH[cfg.command](ctx)
+    rep = _DISPATCH[cfg.command](ctx)
+    if rep is not None:
+        if rep.n_flagged:
+            ctx.flags.append(f"n_flagged={rep.n_flagged}")
+        ctx.verdict = ctx.verdict and rep.passed
     wall = time.perf_counter() - t0
     ctx.rec(kind="run", value=None, wall_time_s=wall,
             flags=";".join(ctx.flags))

@@ -15,11 +15,10 @@ import pytest
 
 import homlab
 import homlab.cell
-import homlab.homogenize
 
 _real_solve_cell = homlab.cell.solve_cell
 # every module that binds the name; solve_many calls it through homlab.cell
-_PATCH_MODULES = (homlab, homlab.cell, homlab.homogenize)
+_PATCH_MODULES = (homlab, homlab.cell)
 
 _lock = threading.Lock()
 _audit = {"solves": 0, "converged": 0, "flagged": 0, "violations": []}

@@ -132,7 +132,7 @@ def test_criterion_05_subadditivity():
     report = check_subadditivity(U12_IID, xi=None, t=16, depth=1,
                                  n_instances=100, seed=0, tol=TOL)
     ok = (report.passed and report.worst_slack >= -report.budget
-          and report.details["n_flagged"] == 0)
+          and report.n_flagged == 0)
     assert record(5, "subadditivity over dyadic partitions", ok,
                   f"worst slack {report.worst_slack:.3e}, "
                   f"budget {report.budget:.3e}")

@@ -642,3 +642,17 @@ def test_minimizer_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(ValueError):
         load_minimizer(path)
+
+
+def test_minimizer_load_rejects_an_empty_or_cut_dump(tmp_path):
+    rep = solve_cell(cell_problem_on_cube(sample_field(FieldSpec(
+        dimension=2, structure=IidCubes(), diagonal=TP), 5), 2.0, np.array([[1.0, 0.0]])))
+    whole = tmp_path / "whole.npy"
+    save_minimizer(rep, whole)
+    dump = whole.read_bytes()
+    # empty, cut in the magic string, in the header and in the data
+    for size in (0, 6, 20, len(dump) - 8):
+        path = tmp_path / f"cut{size}.npy"
+        path.write_bytes(dump[:size])
+        with pytest.raises(ValueError):
+            load_minimizer(path)

@@ -339,7 +339,8 @@ def test_outputs_identical_across_workers_and_reruns(command, tmp_path):
     assert canonical_csv_bytes(paths[0]) == canonical_csv_bytes(paths[1])
 
 
-@pytest.mark.parametrize("command", ["recession", "rank-one", "stationarity"])
+@pytest.mark.parametrize("command", ["recession", "rank-one", "stationarity",
+                                     "subadditivity", "degenerate-divergence"])
 def test_uncertified_solve_fails_the_run_and_is_flagged(command, tmp_path,
                                                         second_solve_uncertified):
     raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command]})
@@ -437,7 +438,8 @@ _TWO_LAWS = [UNIFORM["diagonal"], UNIFORM["diagonal"]]
 # Each case passed the checks of earlier versions. Cases 1-16, 24-29, 31
 # and 32 then died in a traceback (exit 1); the rest ran to exit 0, the
 # rank-one slopes of two shapes as one 2 x 2 problem, and the duplicate
-# slope label after solving every task twice.
+# slope label and the one slope spelled three ways after solving each
+# task once per spelling.
 MALFORMED = [
     ("options.depth", _malformed("subadditivity", {"depth": 0})),
     ("options.n_instances", _malformed("subadditivity", {"n_instances": 0})),
@@ -478,6 +480,8 @@ MALFORMED = [
                                              "xi_b": [[0, 0], [0, 0]]})),
     ("options.side", _malformed("glue-check", {"side": 4})),
     ("xi: duplicate slope label 'e1'", _malformed("estimate-fhom", xi=["e1", "e1"])),
+    ("xi: slope '[1,0]' equals slope 'e1'",
+     _malformed("estimate-fhom", xi=["e1", [1, 0], "1e1"])),
 ]
 
 

@@ -6,9 +6,12 @@ import pytest
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
                     Periodic, check_rank_one_convexity,
                     check_stationarity_in_law, check_subadditivity,
-                    estimate_f_hom, recession, sample_field, solve_cell,
-                    verify_growth_sandwich)
+                    divergence_experiment, estimate_f_hom, recession,
+                    sample_field, shift, solve_cell, verify_growth_sandwich)
 from homlab.cell import cell_problem_on_cube
+
+import conftest
+import homlab.homogenize
 
 E1 = np.array([[1.0, 0.0]])
 E2 = np.array([[0.0, 1.0]])
@@ -96,7 +99,7 @@ def test_subadditivity_constant_field_is_tight():
     # tol times the large cube's energy, 2 |e1| 8^2
     assert report.budget == pytest.approx(1e-5 * 2.0 * 8 ** 2)
     assert report.passed
-    assert report.details["n_flagged"] == 0
+    assert report.n_flagged == 0
     # partition energies add up exactly for a constant field
     assert np.max(np.abs(report.details["slacks"])) <= 1e-9 * 8 ** 2
 
@@ -107,7 +110,7 @@ def test_subadditivity_random_battery():
     assert report.passed
     assert report.n_instances == 10
     assert report.worst_slack >= -report.budget
-    assert report.details["n_flagged"] == 0
+    assert report.n_flagged == 0
 
 
 def test_subadditivity_rejects_unsplittable_mesh():
@@ -126,6 +129,22 @@ def test_stationarity_matched_shift_is_exact():
     assert report.matched_max_diff == 0.0
     assert report.two_sample.same_law
     assert report.passed
+
+
+def test_stationarity_compares_matched_weights_without_solving(monkeypatch):
+    # the matched pairs cost no solve: only the 2 n_real two-sample tasks run
+    before = conftest.solve_audit_snapshot()["solves"]
+    report = check_stationarity_in_law(IID_U12, E1, t=4, n_matched=3, n_real=2, seed=0)
+    assert conftest.solve_audit_snapshot()["solves"] - before == 4
+    assert report.matched_exact and report.matched_max_diff == 0.0
+    # a shift by the wrong vector assembles other weights, which the check reports
+    monkeypatch.setattr(homlab.homogenize, "shift", lambda fld, z: shift(fld, 2 * z))
+    report = check_stationarity_in_law(IID_U12, E1, t=4, n_matched=3, n_real=2, seed=0)
+    fld = sample_field(IID_U12, 0, 0)
+    lam_a = cell_problem_on_cube(fld, 4.0, E1, center=(1.0, 0.0)).lam
+    lam_b = cell_problem_on_cube(shift(fld, np.array([2.0, 0.0])), 4.0, E1).lam
+    assert not report.matched_exact and not report.passed
+    assert report.matched_max_diff >= np.abs(lam_a - lam_b).max() > 0.0
 
 
 def test_recession_without_lower_order_is_constant():
@@ -151,26 +170,29 @@ def test_recession_with_lower_order_decreases_by_lambda_mean():
     assert report.details["expected_lambda_mean"] == pytest.approx(1.0)
 
 
-# each check on a tiny case, and its verdict as (passed, uncertified solves)
+PARETO_LAMINATE = FieldSpec(dimension=2, structure=Laminate(axis=1),
+                            diagonal=DistributionSpec.pareto(1.0, 1.0))
+
+# each check on a tiny case; its report gives the verdict and the
+# number of uncertified solves as (rep.passed, rep.n_flagged)
 UNCERTIFIED = {
-    "recession": (lambda: recession(IID_U12, E1, s_list=(1, 2), t=4, n_real=2),
-                  lambda rep: (rep.passed, rep.n_flagged)),
-    "rank-one": (lambda: check_rank_one_convexity(IID_U12, E1, E2, t=4, n_grid=3, n_real=2),
-                 lambda rep: (rep.passed, rep.details["n_flagged"])),
-    "stationarity": (lambda: check_stationarity_in_law(IID_U12, E1, t=4, n_matched=1,
-                                                       n_real=3),
-                     lambda rep: (rep.passed, rep.n_flagged)),
-    "subadditivity": (lambda: check_subadditivity(IID_U12, E1, t=4, n_instances=2),
-                      lambda rep: (rep.passed, rep.details["n_flagged"])),
+    "recession": lambda: recession(IID_U12, E1, s_list=(1, 2), t=4, n_real=2),
+    "rank-one": lambda: check_rank_one_convexity(IID_U12, E1, E2, t=4, n_grid=3, n_real=2),
+    "stationarity": lambda: check_stationarity_in_law(IID_U12, E1, t=4, n_matched=1,
+                                                      n_real=3),
+    "subadditivity": lambda: check_subadditivity(IID_U12, E1, t=4, n_instances=2),
+    "degenerate-divergence": lambda: divergence_experiment(PARETO_LAMINATE, xi=E2,
+                                                           t_list=(2, 4), n_real=2),
 }
 
 
 @pytest.mark.parametrize("check", UNCERTIFIED)
 def test_one_uncertified_solve_fails_the_check(check, request):
-    run, verdict = UNCERTIFIED[check]
-    assert verdict(run()) == (True, 0)
+    rep = UNCERTIFIED[check]()
+    assert (rep.passed, rep.n_flagged) == (True, 0)
     request.getfixturevalue("second_solve_uncertified")
-    assert verdict(run()) == (False, 1)
+    rep = UNCERTIFIED[check]()
+    assert (rep.passed, rep.n_flagged) == (False, 1)
 
 
 def test_rank_one_rejects_full_rank_segment():

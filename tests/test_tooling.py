@@ -46,7 +46,9 @@ def test_every_list_of_commands_agrees():
                         .read_text(encoding="utf-8"))
     commands = sorted(config.COMMANDS)
     assert len(commands) == len(set(commands))
-    assert sorted(config._OPTIONS) == commands
+    assert commands == sorted(config._COMMAND_TABLE)
+    assert all(row.xi in ("none", "optional", "required")
+               for row in config._COMMAND_TABLE.values())
     assert sorted(runner._DISPATCH) == commands
     assert sorted(schema["properties"]["command"]["enum"]) == commands
 
