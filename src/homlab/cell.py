@@ -95,18 +95,21 @@ class Grid:
     def cell_shape(self) -> tuple:
         return (self.cells,) * self.dimension
 
+    def open_mesh(self, nodes: bool = False) -> tuple:
+        """Physical coordinates of the cell centers (or of the nodes) along
+        each axis, as the ``np.ix_`` open mesh: d arrays that broadcast to
+        the grid's shape."""
+        count, shift = (self.cells + 1, 0.0) if nodes else (self.cells, 0.5)
+        return np.ix_(*(c - 0.5 * self.side + (np.arange(count) + shift) * self.h
+                        for c in self.center))
+
     def cell_centers(self) -> np.ndarray:
         """Physical coordinates of cell centers, shape (*cells, d)."""
-        return self._lattice(self.cells, 0.5)
+        return np.stack(np.broadcast_arrays(*self.open_mesh()), axis=-1)
 
     def nodes(self) -> np.ndarray:
         """Physical coordinates of grid nodes, shape (*(cells + 1), d)."""
-        return self._lattice(self.cells + 1, 0.0)
-
-    def _lattice(self, count: int, shift: float) -> np.ndarray:
-        axes = [c - 0.5 * self.side + (np.arange(count) + shift) * self.h
-                for c in self.center]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return np.stack(np.broadcast_arrays(*self.open_mesh(nodes=True)), axis=-1)
 
 
 @dataclass(eq=False)
@@ -147,10 +150,10 @@ def assemble(field: FieldSample, grid: Grid, xi) -> CellProblem:
             f"xi must have shape ({grid.components}, {grid.dimension}), got {xi.shape}")
     if field.spec.dimension != grid.dimension:
         raise ValueError("field dimension does not match grid dimension")
-    centers = grid.cell_centers()
-    lam = np.moveaxis(field.lambda_diag(centers), -1, 0).copy()
-    lam0 = field.lower(centers) if field.spec.lower_order is not None else None
-    return CellProblem(grid=grid, xi=xi, lam=lam, lam0=lam0)
+    lam, lam0 = field.at_cells(*(np.floor(x + o).astype(np.int64)
+                                 for x, o in zip(grid.open_mesh(), field.origin)))
+    return CellProblem(grid=grid, xi=xi, lam=lam,
+                       lam0=lam0 if field.spec.lower_order is not None else None)
 
 
 def cube_grid(dimension: int, t: float, cells_per_unit: int = 2,

@@ -146,9 +146,9 @@ def _scan_for_cheap_cell(fld, axis, delta, search_limit):
     value = math.nan
     while scanned < search_limit:
         count = min(_SCAN_CHUNK, search_limit - scanned)
-        pts = np.zeros((count, d))
-        pts[:, axis - 1] = np.arange(scanned, scanned + count) + 0.5
-        a = fld.lambda_diag(pts)[:, axis - 1]
+        cells = [0] * d
+        cells[axis - 1] = np.arange(scanned, scanned + count)
+        a = fld.at_cells(*cells)[0][axis - 1]
         below = a < delta
         if below.any():
             j = int(np.argmax(below))

@@ -6,10 +6,18 @@ entries, plus an optional scalar lower-order weight ``lam``.  Values are
 piecewise constant in space and are produced by the keyed generator in
 :mod:`homlab.randomness`, so any cell of any realization is computable
 in O(1) without storing the realization.
+
+A realization is evaluated one way, ``FieldSample.at_cells``: on d
+integer cell-index arrays that broadcast together.  Each draw is keyed
+by the indices it depends on, all d of them for iid cubes and the axis
+index alone for a laminate, so on the ``np.ix_`` open mesh of a grid a
+laminate is keyed once per stripe; a periodic field indexes its tile.
+``lambda_diag`` and ``lower`` floor points into cells and call it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -259,58 +267,53 @@ class FieldSample:
 
     def lambda_diag(self, x) -> np.ndarray:
         """Diagonal entries at points x of shape (..., d) -> (..., d)."""
-        cells = self._cells_at(x)
-        return self._diag_from_cells(cells)
+        cells = np.floor(x + np.broadcast_to(self.origin, np.shape(x))).astype(np.int64)
+        return self.at_cells(*cells.T)[0].T
 
     def lower(self, x) -> np.ndarray:
         """Lower-order weight at points x of shape (..., d) -> (...,)."""
-        cells = self._cells_at(x)
-        return self._lower_from_cells(cells)
+        cells = np.floor(x + np.broadcast_to(self.origin, np.shape(x))).astype(np.int64)
+        return self.at_cells(*cells.T)[1].T
 
-    def _cells_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.spec.dimension,):
-            raise ValueError(f"points must have trailing dimension {self.spec.dimension}")
-        return np.floor(x + self.origin).astype(np.int64)
+    def at_cells(self, *cells):
+        """The weights on the unit cells with integer indices ``cells``.
 
-    def _draw(self, law, cells, *keys) -> np.ndarray:
-        """``law`` at each cell, keyed by the seed, ``keys`` and its structure
-        coordinates; a laminate keys each axis coordinate once, not each cell."""
-        st = self.spec.structure
-        if isinstance(st, Laminate):
-            coord = cells[..., st.axis - 1]
-            if coord.size and np.ptp(coord) < coord.size:  # a run, as on a grid: no sort
-                coords, inv = np.arange(coord.min(), coord.max() + 1), coord - coord.min()
-            else:
-                coords, inv = np.unique(coord, return_inverse=True)
-            u = uniform01(key_chain(self.seed, *keys, coords))
-            return law.sample(u)[inv].reshape(cells.shape[:-1])
-        coords = tuple(cells[..., j] for j in range(self.spec.dimension))
-        return law.sample(uniform01(key_chain(self.seed, *keys, *coords)))
-
-    def _diag_from_cells(self, cells) -> np.ndarray:
+        ``cells`` are d index arrays that broadcast together, such as the
+        columns of a point array or the ``np.ix_`` open mesh of a grid.
+        Returns the diagonal entries, C-contiguous of shape (d, *shape),
+        and the lower-order weight (0 without one), of shape (*shape).
+        Each draw is keyed by the indices it depends on: all d for iid
+        cubes, the axis index alone for a laminate, so an open mesh keys
+        each stripe once.
+        """
         spec = self.spec
         d = spec.dimension
+        if len(cells) != d:
+            raise ValueError(f"need {d} cell-index arrays, got {len(cells)}")
+        shape = np.broadcast_shapes(*map(np.shape, cells))
+        lam = np.empty((d,) + shape)
+        lam0 = np.zeros(shape)
         st = spec.structure
         if isinstance(st, Periodic):
-            dims = st.tile.shape[:d]
-            idx = tuple(np.mod(cells[..., j], dims[j]) for j in range(d))
-            return st.slot_values(d)[idx]
-        if spec.is_isotropic_law:
-            vals = self._draw(spec.diagonal, cells, _REALM_DIAG, self.index, _ISO_SLOT)
-            return np.broadcast_to(vals[..., None], vals.shape + (d,)).copy()
-        out = np.empty(cells.shape[:-1] + (d,), dtype=float)
-        for j, law in enumerate(spec.diagonal):
-            out[..., j] = self._draw(law, cells, _REALM_DIAG, self.index, j)
-        return out
+            tile = np.moveaxis(st.slot_values(d), -1, 0)
+            lam[...] = tile[(slice(None),) + tuple(map(np.mod, cells, tile.shape[1:]))]
+            if spec.lower_order is not None:
+                lam0[...] = spec.lower_order.params[0]
+            return lam, lam0
+        if isinstance(st, Laminate):
+            cells = cells[st.axis - 1:st.axis]
 
-    def _lower_from_cells(self, cells) -> np.ndarray:
-        spec = self.spec
-        if spec.lower_order is None:
-            return np.zeros(cells.shape[:-1], dtype=float)
-        if isinstance(spec.structure, Periodic):
-            return np.full(cells.shape[:-1], spec.lower_order.params[0], dtype=float)
-        return self._draw(spec.lower_order, cells, _REALM_LOWER, self.index)
+        def draw(law, *keys):
+            return law.sample(uniform01(key_chain(self.seed, *keys, *cells)))
+
+        if spec.is_isotropic_law:
+            lam[...] = draw(spec.diagonal, _REALM_DIAG, self.index, _ISO_SLOT)
+        else:
+            for j, law in enumerate(spec.diagonal):
+                lam[j] = draw(law, _REALM_DIAG, self.index, j)
+        if spec.lower_order is not None:
+            lam0[...] = draw(spec.lower_order, _REALM_LOWER, self.index)
+        return lam, lam0
 
 
 def sample_field(spec: FieldSpec, seed: int, index: int = 0) -> FieldSample:
@@ -334,18 +337,6 @@ def shift(sample: FieldSample, z) -> FieldSample:
     return replace(sample, origin=sample.origin + z)
 
 
-def _observable_values(sample: FieldSample, cells, observable: str, entry: int):
-    if observable == "lambda_norm":
-        diag = sample._diag_from_cells(cells)
-        return np.sqrt(np.sum(diag * diag, axis=-1))
-    if observable == "entry":
-        diag = sample._diag_from_cells(cells)
-        return diag[..., entry]
-    if observable == "lower":
-        return sample._lower_from_cells(cells)
-    raise ValueError(f"unknown observable {observable!r}; use lambda_norm, entry or lower")
-
-
 def birkhoff_average(sample: FieldSample, t_list, observable: str = "entry",
                      box=None, entry: int = 0):
     """Exact averages of a cell observable over the scaled boxes t*B.
@@ -360,6 +351,8 @@ def birkhoff_average(sample: FieldSample, t_list, observable: str = "entry",
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != d or any(hi <= lo for lo, hi in box):
         raise ValueError("box must give d nondegenerate (lo, hi) intervals")
+    if observable not in ("lambda_norm", "entry", "lower"):
+        raise ValueError(f"unknown observable {observable!r}; use lambda_norm, entry or lower")
 
     out = []
     for t in t_list:
@@ -368,30 +361,22 @@ def birkhoff_average(sample: FieldSample, t_list, observable: str = "entry",
             raise ValueError("t values must be positive")
         axes_cells = []
         axes_weights = []
-        total = 1
         for j, (lo, hi) in enumerate(box):
             a = t * lo + sample.origin[j]
             b = t * hi + sample.origin[j]
-            k0 = int(math.floor(a))
-            k1 = int(math.ceil(b))
-            ks = np.arange(k0, k1, dtype=np.int64)
+            ks = np.arange(math.floor(a), math.ceil(b), dtype=np.int64)
             w = np.minimum(ks + 1.0, b) - np.maximum(ks.astype(float), a)
-            keep = w > 0
-            axes_cells.append(ks[keep])
-            axes_weights.append(w[keep])
-            total *= int(keep.sum())
+            axes_cells.append(ks[w > 0])
+            axes_weights.append(w[w > 0])
+        total = math.prod(ks.size for ks in axes_cells)
         if total > _MAX_INTEGRATION_CELLS:
             raise ValueError(
                 f"exact integration over t={t} enumerates {total} cells; reduce t or the box"
             )
-        mesh = np.meshgrid(*axes_cells, indexing="ij")
-        cells = np.stack(mesh, axis=-1)
-        vals = _observable_values(sample, cells, observable, entry)
-        weight = axes_weights[0]
-        for w in axes_weights[1:]:
-            weight = np.multiply.outer(weight, w)
-        volume = 1.0
-        for lo, hi in box:
-            volume *= t * (hi - lo)
+        lam, lam0 = sample.at_cells(*np.ix_(*axes_cells))
+        vals = (np.sqrt(np.sum(lam * lam, axis=0)) if observable == "lambda_norm"
+                else lam[entry] if observable == "entry" else lam0)
+        weight = functools.reduce(np.multiply, np.ix_(*axes_weights))
+        volume = math.prod(t * (hi - lo) for lo, hi in box)
         out.append((t, float(np.sum(weight * vals) / volume)))
     return out

@@ -46,6 +46,11 @@ class TLevel:
     iterations: np.ndarray = None
     certified: np.ndarray = None
 
+    @property
+    def too_many_flagged(self) -> bool:
+        """More than FLAGGED_FRACTION_LIMIT of the solves failed to certify."""
+        return self.n_flagged > FLAGGED_FRACTION_LIMIT * self.all_values.size
+
 
 @dataclass
 class HomEstimate:
@@ -60,6 +65,11 @@ class HomEstimate:
     flagged: bool
     flags: tuple
     tol: float
+
+    @property
+    def too_many_flagged(self) -> bool:
+        """Some level has too many uncertified solves to stand."""
+        return any(lv.too_many_flagged for lv in self.levels)
 
 
 @dataclass
@@ -126,7 +136,7 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
         levels.append(TLevel(t=t, values=vals, n_flagged=n_flagged,
                              mean=mean, ci_half=half, all_values=all_vals,
                              gaps=gaps, iterations=iters, certified=ok))
-        if n_flagged > FLAGGED_FRACTION_LIMIT * ok.size:
+        if levels[-1].too_many_flagged:
             flags.append(f"flagged_solves_at_t={t:g}")
 
     last = levels[-1]
@@ -152,7 +162,8 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 
     """Check alpha c0 |xi| - slack <= f_hom(xi) <= C0 |xi| + C1 + slack.
 
     slack = tol * |f_hom| + CI of the estimate.  Infinite upper constants
-    make the upper bound vacuous; this is reported, not failed.
+    make the upper bound vacuous; this is reported, not failed.  An
+    estimate with too many uncertified solves at some t fails the check.
     """
     consts = growth_constants(spec)
     details = {"constants": consts, "per_xi": []}
@@ -171,10 +182,11 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 
             "xi": xi, "estimate": est, "lower_margin": lower_margin,
             "upper_margin": upper_margin, "slack": slack,
         })
-    return PropertyReport(name="growth_sandwich", n_instances=len(details["per_xi"]),
-                          worst_slack=worst, budget=0.0, passed=worst >= 0.0,
-                          n_flagged=sum(lv.n_flagged for per in details["per_xi"]
-                                        for lv in per["estimate"].levels),
+    ests = [per["estimate"] for per in details["per_xi"]]
+    return PropertyReport(name="growth_sandwich", n_instances=len(ests),
+                          worst_slack=worst, budget=0.0,
+                          passed=worst >= 0.0 and not any(e.too_many_flagged for e in ests),
+                          n_flagged=sum(lv.n_flagged for e in ests for lv in e.levels),
                           details=details)
 
 

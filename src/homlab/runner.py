@@ -33,7 +33,7 @@ from .config import RunConfig
 from .degeneracy import (cheap_interface, divergence_experiment, hitting_stats,
                          interface_limit_check)
 from .fields import birkhoff_average, sample_field
-from .glue import glue_boxes, glue_with_cutoff
+from .glue import affine_field, glue_boxes, glue_with_cutoff
 from .homogenize import (check_rank_one_convexity, check_stationarity_in_law,
                          check_subadditivity, estimate_f_hom, recession,
                          verify_growth_sandwich)
@@ -117,7 +117,7 @@ def _estimate_records(ctx, label, est):
     ctx.rec(xi_label=label, kind="estimate", value=est.value,
             ci_half=est.ci_half, flags=";".join(est.flags))
     ctx.flags.extend(f"{label}:{f}" for f in est.flags)
-    if any(f.startswith("flagged_solves") for f in est.flags):
+    if est.too_many_flagged:
         ctx.verdict = False
 
 
@@ -300,11 +300,9 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
     gu = ndtri(keyed_uniform(seed, "glue-xi-u", i, np.arange(d)))[None]
     gv = ndtri(keyed_uniform(seed, "glue-xi-v", i, np.arange(d)))[None]
     prob = assemble(fld, grid, gu)
-    nodes = np.prod(grid.node_shape)
-    mesh = np.moveaxis(grid.nodes(), -1, 0)
-    u = np.tensordot(gu[0], mesh, axes=1)[None] * 0.2
-    v = np.tensordot(gv[0], mesh, axes=1)[None] * 0.2
-    noise = keyed_uniform(seed, "glue-noise", i, np.arange(nodes))
+    u = affine_field(grid, gu) * 0.2
+    v = affine_field(grid, gv) * 0.2
+    noise = keyed_uniform(seed, "glue-noise", i, np.arange(np.prod(grid.node_shape)))
     v = v + 0.5 * (noise.reshape(grid.node_shape) - 0.5)[None]
     _, rep = glue_with_cutoff(u, v, prob, inner, outer, other, delta)
     return delta, rep

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import homlab.fields
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic, assemble,
                     birkhoff_average, cube_grid, sample_field, shift, two_sample_test)
 from homlab.fields import _ISO_SLOT, _REALM_DIAG, _REALM_LOWER
-from homlab.randomness import keyed_uniform
+from homlab.randomness import key_chain, keyed_uniform
 
 U12 = DistributionSpec.uniform(1.0, 2.0)
 
@@ -107,6 +108,17 @@ def test_constant_field_everywhere():
     assert np.all(fld.lower(pts) == 0.0)
 
 
+def test_points_and_cells_need_one_coordinate_per_axis():
+    fld = sample_field(iid_iso(U12), 9)
+    for pts in (np.zeros((4, 1)), np.zeros((4, 3))):
+        with pytest.raises(ValueError):
+            fld.lambda_diag(pts)
+        with pytest.raises(ValueError):
+            fld.lower(pts)
+    with pytest.raises(ValueError, match="2 cell-index arrays"):
+        fld.at_cells(np.arange(4))
+
+
 def test_iid_piecewise_constant_on_unit_cells():
     fld = sample_field(iid_iso(U12), 3)
     a = fld.lambda_diag(np.array([0.2, 0.7]))
@@ -136,25 +148,70 @@ def test_laminate_depends_on_axis_only():
     assert not np.array_equal(along[0], across[0])
 
 
-@pytest.mark.parametrize("diagonal", [
-    DistributionSpec.lognormal(0.0, 1.0),
-    (U12, DistributionSpec.pareto(1.0, 1.5), DistributionSpec.two_point(1.0, 0.3, 4.0)),
-])
-def test_laminate_assembly_matches_the_per_cell_draw(diagonal):
-    lower = DistributionSpec.pareto(0.5, 2.0)
-    spec = FieldSpec(dimension=3, structure=Laminate(axis=2), diagonal=diagonal,
-                     lower_order=lower)
-    fld = sample_field(spec, 11, index=4)
-    grid = cube_grid(3, 5.0, cells_per_unit=3, center=(0.3, -7.2, 2.0))
-    prob = assemble(fld, grid, np.array([[1.0, 0.0, 0.0]]))
-    # every cell keyed on its own, as the key chain is defined
-    coord = np.floor(grid.cell_centers()).astype(np.int64)[..., 1]
+LOGNORMAL = DistributionSpec.lognormal(0.0, 1.0)
+PARETO_LOWER = DistributionSpec.pareto(0.5, 2.0)
+PER_SLOT = (U12, DistributionSpec.pareto(1.0, 1.5), DistributionSpec.two_point(1.0, 0.3, 4.0))
+CENTER = (0.3, -7.2, 2.0)
+
+
+def _per_cell_weights(fld, grid):
+    """Every cell keyed on its own from its floored center, as the key
+    chain is defined: (d, *cells) diagonal entries and the lower weight."""
+    spec = fld.spec
+    cells = np.moveaxis(np.floor(grid.cell_centers() + fld.origin).astype(np.int64), -1, 0)
+    st = spec.structure
+    if isinstance(st, Periodic):
+        vals = st.slot_values(spec.dimension)[tuple(map(np.mod, cells, st.tile.shape))]
+        return np.moveaxis(vals, -1, 0), np.full(cells.shape[1:], spec.lower_order.params[0])
+    keys = cells[st.axis - 1:st.axis] if isinstance(st, Laminate) else cells
     slots = [_ISO_SLOT] * 3 if spec.is_isotropic_law else range(3)
-    want = [law.sample(keyed_uniform(11, _REALM_DIAG, 4, j, coord))
-            for j, law in zip(slots, spec.diagonal_laws())]
-    assert prob.lam.tobytes() == np.stack(want).tobytes()
-    want0 = lower.sample(keyed_uniform(11, _REALM_LOWER, 4, coord))
-    assert prob.lam0.tobytes() == want0.tobytes()
+    lam = [law.sample(keyed_uniform(fld.seed, _REALM_DIAG, fld.index, j, *keys))
+           for j, law in zip(slots, spec.diagonal_laws())]
+    lam0 = spec.lower_order.sample(keyed_uniform(fld.seed, _REALM_LOWER, fld.index, *keys))
+    return np.stack(lam), lam0
+
+
+# every structure, each cell against its own draw; the ids diagonal0 and
+# diagonal1 are the laminate cases on the lattice-aligned center
+@pytest.mark.parametrize("structure, diagonal, lower, center", [
+    (Laminate(axis=2), LOGNORMAL, PARETO_LOWER, CENTER),
+    (Laminate(axis=2), PER_SLOT, PARETO_LOWER, CENTER),
+    (IidCubes(), LOGNORMAL, PARETO_LOWER, CENTER),
+    (IidCubes(), PER_SLOT, PARETO_LOWER, CENTER),
+    (Periodic(tile=np.arange(1.0, 25.0).reshape(2, 3, 4)), None,
+     DistributionSpec.constant(0.7), CENTER),
+    (Laminate(axis=3), PER_SLOT, PARETO_LOWER, (0.37, -7.21, 2.05)),
+    (IidCubes(), LOGNORMAL, PARETO_LOWER, (0.37, -7.21, 2.05)),
+], ids=["diagonal0", "diagonal1", "iid-iso", "iid-per-slot", "periodic-lower",
+        "laminate-off-lattice", "iid-off-lattice"])
+def test_laminate_assembly_matches_the_per_cell_draw(structure, diagonal, lower, center):
+    spec = FieldSpec(dimension=3, structure=structure, diagonal=diagonal,
+                     lower_order=lower)
+    fld = shift(sample_field(spec, 11, index=4), np.array([2.0, -1.0, 3.0]))
+    grid = cube_grid(3, 5.0, cells_per_unit=3, center=center)
+    prob = assemble(fld, grid, np.array([[1.0, 0.0, 0.0]]))
+    lam, lam0 = _per_cell_weights(fld, grid)
+    assert prob.lam.flags.c_contiguous and prob.lam0.flags.c_contiguous
+    assert prob.lam.tobytes() == lam.tobytes()
+    assert prob.lam0.tobytes() == lam0.tobytes()
+
+
+def test_laminate_keys_each_stripe_once(monkeypatch):
+    # a 256 x 256 grid of a two-slot laminate with a lower-order term keys
+    # 256 stripes per draw, not 65536 cells
+    keyed = []
+
+    def counting(seed, *components):
+        state = key_chain(seed, *components)
+        keyed.append(state.size)
+        return state
+
+    monkeypatch.setattr(homlab.fields, "key_chain", counting)
+    spec = FieldSpec(dimension=2, structure=Laminate(axis=1), diagonal=(U12, LOGNORMAL),
+                     lower_order=PARETO_LOWER)
+    prob = assemble(sample_field(spec, 3), cube_grid(2, 128.0), np.array([[1.0, 0.0]]))
+    assert prob.lam.shape == (2, 256, 256)
+    assert keyed == [256, 256, 256]
 
 
 def test_periodic_tile_lookup_with_negatives():
@@ -255,6 +312,30 @@ def test_birkhoff_fractional_box_overlap_weights():
     fld = sample_field(FieldSpec(dimension=1, structure=Periodic(tile=[1.0, 2.0])), 0)
     (t, avg), = birkhoff_average(fld, [2.0], box=[(0.0, 0.75)])
     assert avg == pytest.approx((1.0 * 1.0 + 0.5 * 2.0) / 1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("observable, entry", [("entry", 0), ("entry", 1),
+                                               ("lambda_norm", 0), ("lower", 0)])
+def test_birkhoff_laminate_fractional_box_matches_the_per_cell_sum(observable, entry):
+    spec = FieldSpec(dimension=2, structure=Laminate(axis=2), diagonal=(U12, LOGNORMAL),
+                     lower_order=PARETO_LOWER)
+    fld = shift(sample_field(spec, 6, index=2), np.array([0.25, -3.5]))
+    box = [(0.1, 0.83), (-0.4, 0.35)]
+    t = 7.5
+    lo = [t * a + o for (a, _), o in zip(box, fld.origin)]
+    hi = [t * b + o for (_, b), o in zip(box, fld.origin)]
+    total = 0.0
+    for k1 in range(math.floor(lo[0]), math.ceil(hi[0])):
+        for k2 in range(math.floor(lo[1]), math.ceil(hi[1])):
+            overlap = ((min(k1 + 1, hi[0]) - max(k1, lo[0]))
+                       * (min(k2 + 1, hi[1]) - max(k2, lo[1])))
+            lam = [law.sample(keyed_uniform(6, _REALM_DIAG, 2, j, k2))
+                   for j, law in enumerate(spec.diagonal)]
+            value = {"entry": lam[entry], "lambda_norm": math.hypot(*lam),
+                     "lower": PARETO_LOWER.sample(keyed_uniform(6, _REALM_LOWER, 2, k2))}
+            total += overlap * value[observable]
+    (_, avg), = birkhoff_average(fld, [t], observable=observable, box=box, entry=entry)
+    assert avg == pytest.approx(total / (t * 0.73 * t * 0.75), rel=1e-12)
 
 
 def test_birkhoff_uniform_clt_interval():
