@@ -3,9 +3,9 @@
 A config fully determines every numeric output bit (together with the
 seed); unknown keys are rejected at every level so typos fail loudly.
 One table gives the JSON type, default and bound of every value, one row
-per command gives its options, whether it takes a slope and the check
-of the values that join, and validation collects all errors instead of
-stopping at the first.
+per command the top-level values it reads, its options, the check of the
+values that join and how many slopes and cube sizes it takes; a value it
+would not read is an error, and all errors are collected, not the first.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .degeneracy import divergence_setting, interface_setting
 from .fields import LAWS, DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic
 from .glue import glue_boxes
 from .homogenize import rank_one_segment, subcube_parts
@@ -28,8 +29,7 @@ _REQUIRED = object()  # the default of a value every config must give
 
 # What one config value may be: a JSON type, a default and a bound.
 # ``bound`` says in words which values of the type are allowed, with {d}
-# for the field dimension, and ``ok(value, d)`` tests it.  A callable
-# default is computed from the parsed top-level values.
+# for the field dimension, and ``ok(value, d)`` tests it.
 _Rule = namedtuple("_Rule", "type default bound ok",
                    defaults=(None, "", lambda v, d: True))
 
@@ -52,7 +52,6 @@ def _at_least(lo, default):
 _POSITIVE = dict(bound="> 0", ok=lambda v, d: v > 0)
 _POSITIVES = dict(bound="of one or more numbers > 0",
                   ok=lambda v, d: _nums(v) and min(v) > 0)
-_T = _Rule("number", lambda top: top["t_list"][0], **_POSITIVE)
 _OBSERVABLES = ("lambda_norm", "entry", "lower")
 
 # Every top-level and field value by its path.  Parsing fills in the
@@ -71,69 +70,74 @@ _VALUES = {
 
 
 def _joint(key, check):
-    """A check of options that join, made by the library helper that raises
-    at run time; it runs once every option of the command has parsed."""
-    def run(command, opts, spec, cpu, errors):
-        if None not in opts.values():
-            try:
-                check(opts, spec.dimension, cpu)
-            except ValueError as exc:
-                errors.append(f"options.{key}: {exc}")
+    """A check of the parsed config's values that join, made where it can by
+    the library helper that raises at run time; it reports under ``key``."""
+    def run(cfg):
+        try:
+            check(cfg)
+        except ValueError as exc:
+            raise ConfigError([f"{key}: {exc}"]) from exc
     return run
 
 
-def _scalar_laminate(command, opts, spec, cpu, errors):
-    if not (isinstance(spec.structure, Laminate) and spec.is_isotropic_law):
-        errors.append(f"field: {command} requires a laminate with one scalar weight law")
+def _observed(cfg):
+    if cfg.options["observable"] == "lower" and cfg.spec.lower_order is None:
+        raise ValueError("observable 'lower' needs a field with a lower_order term")
 
 
-_SUBCUBES = _joint("depth", lambda o, d, cpu: subcube_parts(o["t"], o["depth"], cpu))
-_RANK_ONE = _joint("xi_b", lambda o, d, cpu: rank_one_segment(o["xi_a"][0], o["xi_b"][0]))
+_SUBCUBES = _joint("options.depth", lambda c: subcube_parts(
+    c.t_list[0], c.options["depth"], c.cells_per_unit))
+_RANK_ONE = _joint("xi", lambda c: rank_one_segment(*c.xi_list))
 # the glue layers are widest at the least delta
-_GLUE = _joint("side", lambda o, d, cpu: glue_boxes(d, o["side"], cpu, o["delta_range"][0]))
+_GLUE = _joint("options.side", lambda c: glue_boxes(
+    c.spec.dimension, c.options["side"], c.cells_per_unit, c.options["delta_range"][0]))
+_DIVERGENCE = _joint("field", lambda c: divergence_setting(c.spec, *c.xi_list))
+_INTERFACE = _joint("field", lambda c: [
+    interface_setting(c.spec, delta, hitting=c.options["n_scans"] > 0)
+    for delta in c.options["delta_list"]])
 
-# One row per command: its options by name, whether it takes the xi key
-# ("none", "optional" or "required"), and a check of what must hold
-# together (options that join, or the field the command needs), which
-# adds its error to the list.
-_Command = namedtuple("_Command", "options xi check", defaults=(None,))
+# One row per command: which of _READS it reads, its options by name,
+# the check of the values that join (options, slopes, sizes, or the field
+# the command needs), and how many slopes its `xi` and how many cube sizes
+# its `t_list` may hold, each as (least, most) with most None for no bound.
+_Command = namedtuple("_Command", "reads options check slopes sizes",
+                      defaults=({}, None, (1, None), (1, None)))
+_READS = ("xi", "t_list", "n_real", "tol", "cells_per_unit")
 _COMMAND_TABLE = {
-    "field-stats": _Command({
+    "field-stats": _Command(("t_list",), {
         "observable": _Rule("string", "entry", f"in {_OBSERVABLES}",
                             lambda v, d: v in _OBSERVABLES),
         "entry": _Rule("integer", 0, "in [0, {d})", lambda v, d: 0 <= v < d),
         "box": _Rule("array", None, "of {d} [lo, hi] pairs with lo < hi",
                      lambda v, d: len(v) == d
                      and all(_nums(r, 2) and r[0] < r[1] for r in v)),
-    }, "none"),
-    "solve-cell": _Command({"t": _T, "save_minimizer": _Rule("boolean", False)}, "required"),
-    "estimate-fhom": _Command({}, "required"),
-    "verify-bounds": _Command({}, "required"),
-    "subadditivity": _Command({"t": _T, "depth": _at_least(1, 1),
-                               "n_instances": _at_least(1, lambda top: top["n_real"]),
-                               "m": _at_least(1, 1)}, "optional", _SUBCUBES),
-    "stationarity": _Command({"t": _T, "z": _Rule("array", None, "of {d} numbers",
-                                                  lambda v, d: _nums(v, d)),
-                              "n_matched": _at_least(1, 5)}, "required"),
-    "recession": _Command({"s_list": _Rule("array", (1.0, 2.0, 5.0), **_POSITIVES),
-                           "t": _T}, "required"),
-    "rank-one": _Command({"xi_a": _Rule("slope", _REQUIRED), "xi_b": _Rule("slope", _REQUIRED),
-                          "n_grid": _at_least(3, 5), "t": _T}, "none", _RANK_ONE),
-    "degenerate-divergence": _Command({}, "optional", _scalar_laminate),
-    "degenerate-interface": _Command({"delta_list": _Rule("array", (0.1, 0.01), **_POSITIVES),
-                                      "search_limit": _at_least(1, 10_000),
-                                      "n_scans": _at_least(0, 0)}, "none", _scalar_laminate),
-    "glue-check": _Command({"n_instances": _at_least(1, 20),
-                            "side": _Rule("number", 32.0, **_POSITIVE),
-                            "delta_range": _Rule("array", (0.3, 0.6),
-                                                 "[lo, hi] with 0 < lo <= hi",
-                                                 lambda v, d: _nums(v, 2) and 0 < v[0] <= v[1])},
-                           "none", _GLUE),
+    }, _joint("options.observable", _observed)),
+    "solve-cell": _Command(_READS, {"save_minimizer": _Rule("boolean", False)}, sizes=(1, 1)),
+    "estimate-fhom": _Command(_READS),
+    "verify-bounds": _Command(_READS),
+    "subadditivity": _Command(_READS, {"depth": _at_least(1, 1), "m": _at_least(1, 1)},
+                              _SUBCUBES, slopes=(0, 1), sizes=(1, 1)),
+    "stationarity": _Command(_READS, {
+        "z": _Rule("array", None, "of {d} numbers", lambda v, d: _nums(v, d)),
+        "n_matched": _at_least(1, 5)}, slopes=(1, 1), sizes=(1, 1)),
+    "recession": _Command(_READS, {"s_list": _Rule("array", (1.0, 2.0, 5.0), **_POSITIVES)},
+                          slopes=(1, 1), sizes=(1, 1)),
+    "rank-one": _Command(_READS, {"n_grid": _at_least(3, 5)}, _RANK_ONE, slopes=(2, 2),
+                         sizes=(1, 1)),
+    "degenerate-divergence": _Command(_READS, {}, _DIVERGENCE, slopes=(0, 1)),
+    "degenerate-interface": _Command((), {
+        "delta_list": _Rule("array", (0.1, 0.01), **_POSITIVES),
+        "search_limit": _at_least(1, 10_000),
+        "n_scans": _at_least(0, 0)}, _INTERFACE),
+    "glue-check": _Command(("cells_per_unit",), {
+        "n_instances": _at_least(1, 20),
+        "side": _Rule("number", 32.0, **_POSITIVE),
+        "delta_range": _Rule("array", (0.3, 0.6), "[lo, hi] with 0 < lo <= hi",
+                             lambda v, d: _nums(v, 2) and 0 < v[0] <= v[1])}, _GLUE),
 }
 COMMANDS = tuple(_COMMAND_TABLE)
-# a slope is shorthand like "e1" or a numeric row/matrix (see parse_xi)
 _JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float),
-               "string": str, "array": list, "slope": (str, list)}
+               "string": str, "array": list}
 # the defaults canonical_config echoes, so run ids stay stable
 _CANONICAL = ("schema_version", "tol", "n_real", "seed", "cells_per_unit")
 
@@ -168,35 +172,25 @@ class RunConfig:
     canonical: dict = field(repr=False, default_factory=dict)
 
 
-def _check_value(key, value, rule, d, errors):
-    """``value`` if it has the rule's type and bound, with numbers as
-    floats and a slope parsed to (xi, label); else None and an error."""
-    if (isinstance(value, bool) == (rule.type == "boolean")
-            and isinstance(value, _JSON_TYPES[rule.type]) and rule.ok(value, d)):
-        if rule.type == "slope":
-            try:
-                return parse_xi(value, d, where=key)
-            except ValueError as exc:
-                errors.append(str(exc))
-                return None
-        return _floats(value) if rule.type in ("number", "array") else value
-    bound = " " + rule.bound.format(d=d) if rule.bound else ""
-    errors.append(f"{key}: expected {rule.type}{bound}, got {value!r}")
-    return None
-
-
 def _floats(v):
     return tuple(_floats(x) for x in v) if isinstance(v, list) else float(v)
 
 
-def _take(obj, key, rule, d, errors, where="", top=None):
-    """obj[key] checked against ``rule``, or the rule's default if absent."""
-    if key in obj:
-        return _check_value(where + key, obj[key], rule, d, errors)
-    if rule.default is _REQUIRED:
-        errors.append(f"{where}{key}: required")
-        return None
-    return rule.default(top) if callable(rule.default) else rule.default
+def _take(obj, key, rule, d, errors, where=""):
+    """obj[key] if it has the rule's type and bound, with numbers as floats,
+    or the rule's default if absent; else None and an error."""
+    if key not in obj:
+        if rule.default is _REQUIRED:
+            errors.append(f"{where}{key}: required")
+            return None
+        return rule.default
+    value = obj[key]
+    if (isinstance(value, bool) == (rule.type == "boolean")
+            and isinstance(value, _JSON_TYPES[rule.type]) and rule.ok(value, d)):
+        return _floats(value) if rule.type in ("number", "array") else value
+    bound = " " + rule.bound.format(d=d) if rule.bound else ""
+    errors.append(f"{where}{key}: expected {rule.type}{bound}, got {value!r}")
+    return None
 
 
 def _kind_of(obj, where, kinds, what, errors):
@@ -316,10 +310,9 @@ def parse_xi(value, dimension, where="xi"):
 
 
 def _parse_xi_block(value, dimension, errors):
-    if isinstance(value, str) or _nums(value):
-        items = [value]
-    elif isinstance(value, list) and value and all(_nums(row) for row in value):
-        items = [value]  # one m x d matrix
+    if isinstance(value, str) or _nums(value) or (
+            isinstance(value, list) and value and all(_nums(row) for row in value)):
+        items = [value]  # one slope: a string, a row or an m x d matrix
     elif isinstance(value, list):
         # list of slopes, each a string, row, or matrix
         items = value
@@ -345,7 +338,7 @@ def _parse_xi_block(value, dimension, errors):
     return xis, labels
 
 
-def _check_options(command, opts, top, d, errors):
+def _check_options(command, opts, d, errors):
     """Every option of ``command``: checked if given, else its default."""
     if not isinstance(opts, dict):
         errors.append("options: expected an object")
@@ -355,8 +348,17 @@ def _check_options(command, opts, top, d, errors):
     if unknown:
         errors.append(f"options: keys {sorted(unknown)} not accepted by "
                       f"command {command!r}")
-    return {key: _take(opts, key, rule, d, errors, "options.", top)
+    return {key: _take(opts, key, rule, d, errors, "options.")
             for key, rule in rules.items()}
+
+
+def _check_count(key, n, given, span, command, errors):
+    """An error unless the n entries of ``key`` lie in the command's (least, most) span."""
+    least, most = span
+    if not least <= n <= (most or n):
+        need = "exactly" if least == most else "at least" if most is None else "at most"
+        errors.append(f"{key}: command {command!r} takes {need} {most or least}, got {n}"
+                      if given else f"{key}: required by command {command!r}")
 
 
 def canonical_config(cfg: dict) -> dict:
@@ -370,8 +372,8 @@ def canonical_config(cfg: dict) -> dict:
 def parse_config_dict(raw: dict) -> RunConfig:
     """Validate a raw config dict against the table; raises ConfigError.
 
-    Slopes and options are checked against the field's dimension, so a
-    bad field stops validation before them.
+    Slopes and options wait for a valid field, whose dimension they are
+    checked against, and the command's joint check for every other value.
     """
     errors = []
     if not isinstance(raw, dict):
@@ -384,38 +386,34 @@ def parse_config_dict(raw: dict) -> RunConfig:
         errors.append(f"command: expected one of {list(COMMANDS)}, got "
                       f"{command!r}")
         raise ConfigError(errors)
-    top = {}
-    for key, rule in _VALUES.items():
-        if "." not in key:
-            value = _take(raw, key, rule, None, errors)
-            # a bad value stands in as its default for the checks below
-            top[key] = rule.default if value is None else value
+    # a value that does not parse is None; it is reported already
+    top = {key: _take(raw, key, rule, None, errors)
+           for key, rule in _VALUES.items() if "." not in key}
 
     spec = _parse_field(raw.get("field"), errors)
     if spec is None:
         raise ConfigError(errors)
 
     row = _COMMAND_TABLE[command]
-    xi_list, xi_labels = [], []
-    if "xi" in raw:
-        if row.xi == "none":
-            errors.append(f"xi: not accepted by command {command!r}")
-        else:
-            xi_list, xi_labels = _parse_xi_block(raw["xi"], spec.dimension,
-                                                 errors)
-    elif row.xi == "required":
-        errors.append(f"xi: required by command {command!r}")
+    errors.extend(f"{key}: not accepted by command {command!r}"
+                  for key in _READS if key in raw and key not in row.reads)
+    if "t_list" in row.reads and top["t_list"] is not None:
+        _check_count("t_list", len(top["t_list"]), "t_list" in raw, row.sizes, command, errors)
+    xi_list, xi_labels, before = [], [], len(errors)
+    if "xi" in row.reads:
+        xi_list, xi_labels = _parse_xi_block(raw.get("xi", []), spec.dimension, errors)
+        if len(errors) == before:  # a slope that did not parse is reported already
+            _check_count("xi", len(xi_list), "xi" in raw, row.slopes, command, errors)
 
-    options = _check_options(command, raw.get("options", {}), top,
-                             spec.dimension, errors)
-    if row.check:
-        row.check(command, options, spec, top["cells_per_unit"], errors)
+    options = _check_options(command, raw.get("options", {}), spec.dimension, errors)
     if errors:
         raise ConfigError(errors)
     del top["schema_version"]  # the rest are RunConfig fields of one name
-    return RunConfig(command=command, spec=spec, xi_list=xi_list,
-                     xi_labels=xi_labels, options=options,
-                     canonical=canonical_config(raw), **top)
+    cfg = RunConfig(command=command, spec=spec, xi_list=xi_list, xi_labels=xi_labels,
+                    options=options, canonical=canonical_config(raw), **top)
+    if row.check:
+        row.check(cfg)
+    return cfg
 
 
 def _reject_constant(name):

@@ -25,14 +25,42 @@ _SCAN_CHUNK = 1024
 _JENSEN_RTOL = 1e-9
 
 
-def _require_isotropic_laminate(spec: FieldSpec, op: str) -> int:
-    """Validate the laminate-with-scalar-weight setting; returns the axis."""
-    if not isinstance(spec.structure, Laminate):
-        raise ValueError(f"{op} requires a laminate field structure")
-    if not spec.is_isotropic_law:
-        raise ValueError(f"{op} requires a single scalar weight law (isotropic "
-                         "diagonal)")
+def _laminate_axis(spec: FieldSpec, experiment: str) -> int:
+    if not (isinstance(spec.structure, Laminate) and spec.is_isotropic_law
+            and spec.lower_order is None):
+        raise ValueError(f"the {experiment} experiment requires a laminate with a single "
+                         "scalar weight law (isotropic diagonal) and no lower-order term")
     return spec.structure.axis
+
+
+def divergence_setting(spec: FieldSpec, xi=None) -> np.ndarray:
+    """The (m, d) slope of a divergence experiment (by default e_2 across an
+    axis-1 lamination, else e_1), once the slicewise Jensen bound is exact for it."""
+    axis = _laminate_axis(spec, "divergence")
+    if spec.dimension < 2:
+        raise ValueError("the divergence experiment requires dimension >= 2")
+    if xi is None:
+        xi = np.eye(spec.dimension)[[1 if axis == 1 else 0]]
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    if np.any(xi[:, axis - 1] != 0.0):
+        raise ValueError("slope must vanish along the lamination axis for the "
+                         "slicewise bound to be exact")
+    if (xi * xi).sum() == 0.0:
+        raise ValueError("slope must be nonzero")
+    return xi
+
+
+def interface_setting(spec: FieldSpec, delta: float, hitting: bool = False):
+    """The lamination axis and the probability p that the weight falls below
+    ``delta``, once delta is positive and, for hitting statistics, 0 < p < 1."""
+    axis = _laminate_axis(spec, "interface")
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta:g}")
+    p = spec.diagonal_laws()[axis - 1].mass_below(delta)
+    if hitting and not 0.0 < p < 1.0:
+        raise ValueError(f"law has hit probability {p:g} below delta={delta:g}; "
+                         "need it strictly between 0 and 1")
+    return axis, p
 
 
 @dataclass
@@ -69,25 +97,11 @@ def divergence_experiment(spec: FieldSpec, xi=None, t_list=(8, 32, 128),
     With E[a] = +infinity the running averages diverge and the per-t
     means increase without bound.
     """
-    axis = _require_isotropic_laminate(spec, "divergence_experiment")
-    d = spec.dimension
-    if d < 2:
-        raise ValueError("divergence_experiment requires dimension >= 2")
-    if spec.lower_order is not None:
-        raise ValueError("divergence_experiment requires no lower-order term")
-    if xi is None:
-        xi = np.zeros((1, d))
-        xi[0, 1 if axis == 1 else 0] = 1.0
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    if np.any(xi[:, axis - 1] != 0.0):
-        raise ValueError("slope must vanish along the lamination axis for the "
-                         "slicewise bound to be exact")
+    xi = divergence_setting(spec, xi)
     xin = float(np.sqrt((xi * xi).sum()))
-    if xin == 0.0:
-        raise ValueError("slope must be nonzero")
     t_list = tuple(float(t) for t in t_list)
 
-    tasks = [SolveTask(spec, seed, r, t, xi, center=(0.5 * t,) * d,
+    tasks = [SolveTask(spec, seed, r, t, xi, center=(0.5 * t,) * spec.dimension,
                        cells_per_unit=cells_per_unit, tol=tol)
              for t in t_list for r in range(n_real)]
     rows = [(rep.normalized, xin * float(rep.problem.lam[0].mean()), rep.converged)
@@ -170,15 +184,10 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
     and the exact ramp energy equals the stripe weight.  On failure the
     probe carries the number of cells scanned and NaN geometry.
     """
-    axis = _require_isotropic_laminate(spec, "cheap_interface")
-    if spec.lower_order is not None:
-        raise ValueError("cheap_interface requires no lower-order term")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    axis, p_delta = interface_setting(spec, delta)
 
     fld = sample_field(spec, seed, index)
     k_hit, a_hit, scanned = _scan_for_cheap_cell(fld, axis, delta, search_limit)
-    p_delta = spec.diagonal_laws()[axis - 1].mass_below(delta)
     if k_hit < 0:
         return InterfaceProbe(delta=delta, success=False, k_index=-1, epsilon=math.nan,
                               interface_pos=math.nan, energy=math.nan,
@@ -266,11 +275,7 @@ def hitting_stats(spec: FieldSpec, delta: float, n_scans: int = 1000,
                   seed: int = 0, search_limit: int = 10_000) -> HittingStats:
     """Scan n_scans independent realizations and compare hit indices
     with the geometric law: mean (1-p)/p, variance (1-p)/p^2 per scan."""
-    axis = _require_isotropic_laminate(spec, "hitting_stats")
-    p = spec.diagonal_laws()[axis - 1].mass_below(delta)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"law has hit probability {p:g} below delta={delta:g}; "
-                         "need it strictly between 0 and 1")
+    axis, p = interface_setting(spec, delta, hitting=True)
     ks = []
     n_failed = 0
     for i in range(n_scans):

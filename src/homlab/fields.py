@@ -249,6 +249,10 @@ class FieldSpec:
     def is_isotropic_law(self) -> bool:
         return isinstance(self.diagonal, DistributionSpec)
 
+    def realizations(self, n_real: int) -> int:
+        """How many of n_real realizations differ: 1 for a (deterministic) periodic field."""
+        return 1 if isinstance(self.structure, Periodic) else n_real
+
     def diagonal_laws(self) -> tuple:
         """Per-slot laws; isotropic specs repeat the single law."""
         if self.is_isotropic_law:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .cell import SolveTask, cell_problem_on_cube, cube_grid, solve_many
-from .fields import FieldSpec, Periodic, sample_field, shift
+from .fields import FieldSpec, sample_field, shift
 from .integrand import growth_constants
 from .randomness import keyed_uniform
 from .stats import TwoSampleResult, mean_ci, two_sample_test
@@ -99,8 +99,7 @@ def _solve_cases(spec, cases, n_real, seed, tol, cells_per_unit, workers):
     (len(cases), n_real) array, of realizations 0..n_real-1 solved at each
     case ``(t, xi)``; a periodic field is deterministic and gets one.
     Reports are reduced as they arrive, holding one minimizer at a time."""
-    if isinstance(spec.structure, Periodic):
-        n_real = 1
+    n_real = spec.realizations(n_real)
     tasks = [SolveTask(spec, seed, r, t, xi, cells_per_unit=cells_per_unit, tol=tol)
              for t, xi in cases for r in range(n_real)]
     rows = [(rep.normalized, rep.gap, rep.iterations, rep.converged)

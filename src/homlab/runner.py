@@ -126,22 +126,21 @@ def _cmd_field_stats(ctx):
     ctx.constants = growth_constants(cfg.spec)
     obs = cfg.options["observable"]
     fld = sample_field(cfg.spec, cfg.seed, 0)
-    if obs != "lower" or cfg.spec.lower_order is not None:
-        for t, avg in birkhoff_average(fld, cfg.t_list, observable=obs,
-                                       box=cfg.options["box"],
-                                       entry=cfg.options["entry"]):
-            ctx.rec(t=t, kind=f"birkhoff_{obs}", value=float(avg))
+    for t, avg in birkhoff_average(fld, cfg.t_list, observable=obs, box=cfg.options["box"],
+                                   entry=cfg.options["entry"]):
+        ctx.rec(t=t, kind=f"birkhoff_{obs}", value=float(avg))
     ctx.report["constants"] = ctx.constants
     ctx.flags.extend(ctx.constants.flags)
 
 
 def _cmd_solve_cell(ctx):
     cfg = ctx.cfg
-    t = cfg.options["t"]
+    t = cfg.t_list[0]
+    n_real = cfg.spec.realizations(cfg.n_real)
 
-    keys = [(label, r) for label in cfg.xi_labels for r in range(cfg.n_real)]
+    keys = [(label, r) for label in cfg.xi_labels for r in range(n_real)]
     tasks = [SolveTask(cfg.spec, cfg.seed, r, t, xi, cells_per_unit=cfg.cells_per_unit,
-                       tol=cfg.tol) for xi in cfg.xi_list for r in range(cfg.n_real)]
+                       tol=cfg.tol) for xi in cfg.xi_list for r in range(n_real)]
     worst_gap = 0.0
     for (label, r), rep in zip(keys, solve_many(tasks, ctx.workers)):
         ctx.rec(xi_label=label, t=t, realization=r, kind="solve",
@@ -192,9 +191,8 @@ def _cmd_verify_bounds(ctx):
 
 def _cmd_subadditivity(ctx):
     cfg = ctx.cfg
-    xi = cfg.xi_list[0] if cfg.xi_list else None
-    rep = check_subadditivity(cfg.spec, xi=xi, seed=cfg.seed, tol=cfg.tol,
-                              cells_per_unit=cfg.cells_per_unit,
+    rep = check_subadditivity(cfg.spec, *cfg.xi_list, t=cfg.t_list[0], n_instances=cfg.n_real,
+                              seed=cfg.seed, tol=cfg.tol, cells_per_unit=cfg.cells_per_unit,
                               workers=ctx.workers, **cfg.options)
     for i, s in enumerate(rep.details["slacks"]):
         ctx.rec(xi_label=cfg.xi_labels[0] if cfg.xi_labels else "random",
@@ -208,7 +206,7 @@ def _cmd_stationarity(ctx):
     cfg = ctx.cfg
     label, xi = cfg.xi_labels[0], cfg.xi_list[0]
     rep = check_stationarity_in_law(
-        cfg.spec, xi, n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
+        cfg.spec, xi, t=cfg.t_list[0], n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
         cells_per_unit=cfg.cells_per_unit, workers=ctx.workers, **cfg.options)
     ctx.rec(xi_label=label, kind="matched_max_diff", value=rep.matched_max_diff)
     ctx.rec(xi_label=label, kind="two_sample_stat",
@@ -220,8 +218,8 @@ def _cmd_stationarity(ctx):
 def _cmd_recession(ctx):
     cfg = ctx.cfg
     label, xi = cfg.xi_labels[0], cfg.xi_list[0]
-    rep = recession(cfg.spec, xi, n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
-                    cells_per_unit=cfg.cells_per_unit, workers=ctx.workers,
+    rep = recession(cfg.spec, xi, t=cfg.t_list[0], n_real=cfg.n_real, seed=cfg.seed,
+                    tol=cfg.tol, cells_per_unit=cfg.cells_per_unit, workers=ctx.workers,
                     **cfg.options)
     for s, mean, ci in zip(rep.s_list, rep.means, rep.ci_halves):
         ctx.rec(xi_label=label, kind=f"ray_mean:s={s:g}", value=float(mean),
@@ -233,9 +231,9 @@ def _cmd_recession(ctx):
 
 def _cmd_rank_one(ctx):
     cfg = ctx.cfg
-    (xi_a, la), (xi_b, lb) = cfg.options["xi_a"], cfg.options["xi_b"]
+    (xi_a, xi_b), (la, lb) = cfg.xi_list, cfg.xi_labels
     rep = check_rank_one_convexity(
-        cfg.spec, xi_a, xi_b, t=cfg.options["t"],
+        cfg.spec, xi_a, xi_b, t=cfg.t_list[0],
         n_grid=cfg.options["n_grid"], n_real=cfg.n_real,
         seed=cfg.seed, tol=cfg.tol, cells_per_unit=cfg.cells_per_unit,
         workers=ctx.workers)
@@ -248,8 +246,7 @@ def _cmd_rank_one(ctx):
 
 def _cmd_divergence(ctx):
     cfg = ctx.cfg
-    xi = cfg.xi_list[0] if cfg.xi_list else None
-    rep = divergence_experiment(cfg.spec, xi=xi, t_list=cfg.t_list,
+    rep = divergence_experiment(cfg.spec, *cfg.xi_list, t_list=cfg.t_list,
                                 n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
                                 cells_per_unit=cfg.cells_per_unit,
                                 workers=ctx.workers)

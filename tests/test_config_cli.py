@@ -35,22 +35,27 @@ def write_config(tmp_path, name="cfg.json", **over):
     return str(path)
 
 
-# the options each command accepts, and the commands that take xi
+# the options each command accepts, the commands that take xi, the
+# commands that read one cube size, and the top-level values each reads
 OPTION_KEYS = {
     "field-stats": {"observable", "entry", "box"},
-    "solve-cell": {"t", "save_minimizer"},
+    "solve-cell": {"save_minimizer"},
     "estimate-fhom": set(),
     "verify-bounds": set(),
-    "subadditivity": {"t", "depth", "n_instances", "m"},
-    "stationarity": {"t", "z", "n_matched"},
-    "recession": {"s_list", "t"},
-    "rank-one": {"xi_a", "xi_b", "n_grid", "t"},
+    "subadditivity": {"depth", "m"},
+    "stationarity": {"z", "n_matched"},
+    "recession": {"s_list"},
+    "rank-one": {"n_grid"},
     "degenerate-divergence": set(),
     "degenerate-interface": {"delta_list", "search_limit", "n_scans"},
     "glue-check": {"n_instances", "side", "delta_range"},
 }
 XI_COMMANDS = {"solve-cell", "estimate-fhom", "verify-bounds", "subadditivity",
-               "stationarity", "recession", "degenerate-divergence"}
+               "stationarity", "recession", "rank-one", "degenerate-divergence"}
+ONE_SIZE = {"solve-cell", "subadditivity", "stationarity", "recession", "rank-one"}
+_SOLVES = {"t_list", "n_real", "tol", "cells_per_unit"}
+READS = {**{c: _SOLVES | {"xi"} for c in XI_COMMANDS}, "field-stats": {"t_list"},
+         "degenerate-interface": set(), "glue-check": {"cells_per_unit"}}
 
 
 def test_defaults_fill_in():
@@ -69,24 +74,22 @@ def test_defaults_fill_in():
 
     # every command's options come back whole, defaults filled in
     for command, keys in OPTION_KEYS.items():
-        raw = base_config(command=command, t_list=[4, 8], n_real=3)
-        if command not in XI_COMMANDS:
-            del raw["xi"]
-        if command == "rank-one":
-            raw["options"] = {"xi_a": "e1", "xi_b": "e2"}
+        raw = _malformed(command)
+        if "t_list" in raw and command not in ONE_SIZE:
+            raw["t_list"] = [4, 8]
         if command.startswith("degenerate-"):
             raw["field"] = PARETO_LAMINATE  # the only field they accept
-        opts = parse_config_dict(raw).options
-        assert set(opts) == keys, command
-        if "t" in keys:
-            assert opts["t"] == 4.0 and isinstance(opts["t"], float)
-    sub = parse_config_dict(base_config(command="subadditivity", n_real=3))
-    assert sub.options == {"t": 16.0, "depth": 1, "n_instances": 3, "m": 1}
-    raw = base_config(command="rank-one", options={"xi_a": "e1", "xi_b": [0, 1]})
-    del raw["xi"]
-    rank = parse_config_dict(raw)
-    assert rank.options["xi_a"][1] == "e1" and rank.options["xi_b"][1] == "[0,1]"
-    assert np.array_equal(rank.options["xi_b"][0], [[0.0, 1.0]])
+            raw.pop("xi", None)  # e1 runs along its lamination axis
+        cfg = parse_config_dict(raw)
+        assert set(cfg.options) == keys, command
+        if command in ONE_SIZE:
+            assert cfg.t_list == (4.0,) and isinstance(cfg.t_list[0], float)
+    sub = parse_config_dict(_malformed("subadditivity", n_real=3))
+    assert sub.options == {"depth": 1, "m": 1}
+    assert (sub.t_list, sub.n_real) == ((4.0,), 3)
+    rank = parse_config_dict(_malformed("rank-one", xi=["e1", [0, 1]]))
+    assert rank.xi_labels == ["e1", "[0,1]"]
+    assert np.array_equal(rank.xi_list[1], [[0.0, 1.0]])
 
 
 @pytest.mark.parametrize("over, needle", [
@@ -153,6 +156,9 @@ def test_xi_required_or_rejected_by_command():
     glue = base_config(command="glue-check", xi="e1")
     with pytest.raises(ConfigError, match="not accepted"):
         parse_config_dict(glue)
+    rank = base_config(command="rank-one", xi=["e1", "e2", "e1+e2"], t_list=[4])
+    with pytest.raises(ConfigError, match="xi: command 'rank-one' takes exactly 2, got 3"):
+        parse_config_dict(rank)
 
 
 def test_all_errors_collected_at_once():
@@ -235,15 +241,16 @@ def test_records_roundtrip_and_volatile_columns(tmp_path):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("solve-cell", "t", "four"),
-    ("solve-cell", "t", True),
+    ("solve-cell", "t_list", "four"),
+    ("solve-cell", "t_list", True),
     ("subadditivity", "depth", "1"),
 ])
 def test_cli_rejects_wrong_typed_option(tmp_path, capsys, command, key, value):
-    path = write_config(tmp_path, command=command, t_list=[4], n_real=1,
-                        options={key: value})
+    where = "" if key == "t_list" else "options."
+    over = {key: value} if key == "t_list" else {"options": {key: value}}
+    path = write_config(tmp_path, command=command, **{"t_list": [4], "n_real": 1, **over})
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert f"config error: options.{key}: expected" in capsys.readouterr().err
+    assert f"config error: {where}{key}: expected" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -313,11 +320,10 @@ PARETO_LAMINATE = {"dimension": 2, "structure": {"kind": "laminate", "axis": 1},
 FAN_OUT = {
     "estimate-fhom": dict(t_list=[4], n_real=3),
     "solve-cell": dict(t_list=[4], n_real=3, xi=["e1", "e1+e2"]),
-    "subadditivity": dict(xi=None, options={"t": 4, "n_instances": 2}),
+    "subadditivity": dict(xi=None, t_list=[4], n_real=2),
     "stationarity": dict(t_list=[4], n_real=3, options={"n_matched": 1}),
-    "recession": dict(n_real=2, options={"t": 4, "s_list": [1, 2]}),
-    "rank-one": dict(xi=None, n_real=2,
-                     options={"t": 4, "xi_a": "e1", "xi_b": "e2", "n_grid": 3}),
+    "recession": dict(t_list=[4], n_real=2, options={"s_list": [1, 2]}),
+    "rank-one": dict(xi=["e1", "e2"], t_list=[4], n_real=2, options={"n_grid": 3}),
     "degenerate-divergence": dict(field=PARETO_LAMINATE, xi="e2", t_list=[2, 4],
                                   n_real=2),
     "glue-check": dict(xi=None, options={"n_instances": 3}),
@@ -377,7 +383,7 @@ def test_outputs_depend_on_the_experiment_only(tmp_path):
 
 def test_solve_cell_saves_one_minimizer_per_slope(tmp_path):
     raw = base_config(command="solve-cell", field=UNIFORM, xi=["e1", [[1, 0], [0, 1]]],
-                      n_real=2, options={"t": 4, "save_minimizer": True})
+                      t_list=[4], n_real=2, options={"save_minimizer": True})
     cfg = parse_config_dict(raw)
     rid = run_id_for(cfg.canonical, cfg.seed)
     dumps = []
@@ -401,6 +407,16 @@ def test_solve_cell_saves_one_minimizer_per_slope(tmp_path):
     assert dumps[0] == dumps[1]
 
 
+def test_solve_cell_solves_a_periodic_field_once(tmp_path):
+    # a periodic field is deterministic, so its realizations are one problem
+    tile = {"dimension": 2, "structure": {"kind": "periodic", "tile": [[1.0, 2.0], [2.0, 1.0]]}}
+    raw = base_config(command="solve-cell", field=tile, xi=["e1", "e2"], t_list=[4], n_real=3)
+    code, csv_path, _ = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
+    rows = [row.split(",") for row in Path(csv_path).read_text().splitlines()[1:]]
+    assert code == 0
+    assert [(row[3], row[5]) for row in rows if row[6] == "solve"] == [("e1", "0"), ("e2", "0")]
+
+
 @pytest.mark.parametrize("key, value", [("workers", 2), ("out_dir", "elsewhere")])
 def test_config_naming_an_execution_setting_exits_2(tmp_path, capsys, monkeypatch,
                                                     key, value):
@@ -422,40 +438,50 @@ def test_run_writes_under_homlab_out_by_default(tmp_path, monkeypatch):
 
 
 def _malformed(command, options=None, **over):
-    raw = base_config(command=command, **{"field": UNIFORM, "t_list": [4],
-                                          "n_real": 1, **over})
-    if command not in XI_COMMANDS:
-        del raw["xi"]
+    """A config of ``command`` on UNIFORM that gives only the values it reads."""
+    given = {"xi": ["e1", "e2"] if command == "rank-one" else "e1", "t_list": [4],
+             "n_real": 1}
+    raw = base_config(command=command, **{"field": UNIFORM, "xi": None, **{
+        k: v for k, v in given.items() if k in READS[command]}, **over})
+    raw = {k: v for k, v in raw.items() if v is not None}  # None drops a key
     if options is not None:
         raw["options"] = options
     return raw
 
 
-_RANK_ONE = {"xi_a": "e1", "xi_b": "e2", "t": 4}
-
 _TWO_LAWS = [UNIFORM["diagonal"], UNIFORM["diagonal"]]
+_ONE_LAW = {"kind": "constant", "value": 1.0}
+_UNIFORM_LAMINATE = {**UNIFORM, "structure": {"kind": "laminate", "axis": 1}}
+_CHEAP_LAMINATE = {**_UNIFORM_LAMINATE, "diagonal": {"kind": "uniform", "a": 0.0, "b": 1.0}}
 
-# Each case passed the checks of earlier versions. Cases 1-16, 24-29, 31
-# and 32 then died in a traceback (exit 1); the rest ran to exit 0, the
-# rank-one slopes of two shapes as one 2 x 2 problem, and the duplicate
-# slope label and the one slope spelled three ways after solving each
-# task once per spelling.
+# Cases 1-34 passed the checks of earlier versions, spelled with the
+# keys of their time (`options.t` for a one-entry `t_list`, subadditivity's
+# `options.n_instances` for `n_real`, rank-one's `options.xi_a` and
+# `options.xi_b` for `xi`). Cases 1-16, 24-29, 31 and 32 then died in a
+# traceback (exit 1); the rest ran to exit 0, the rank-one slopes of two
+# shapes as one 2 x 2 problem, and the duplicate slope label and the one
+# slope spelled three ways after solving each task once per spelling.
+# Cases 35-51 passed the checks of the version before: 44-49 died in a
+# traceback, and the rest ran to exit 0 with a pass, each dropping a
+# value it was given (the second slope or size, the value it never read,
+# the rows of an observable the field lacks) or, with no slope, solving
+# nothing.
 MALFORMED = [
     ("options.depth", _malformed("subadditivity", {"depth": 0})),
-    ("options.n_instances", _malformed("subadditivity", {"n_instances": 0})),
+    ("n_real", _malformed("subadditivity", n_real=0)),
     ("options.s_list", _malformed("recession", {"s_list": ["a"]})),
     ("options.s_list", _malformed("recession", {"s_list": []})),
     ("options.z", _malformed("stationarity", {"z": [1]})),
-    ("options.t", _malformed("solve-cell", {"t": -2})),
+    ("t_list", _malformed("solve-cell", t_list=[-2])),
     ("options.box", _malformed("field-stats", {"box": [[0, 1]]})),
     ("options.entry", _malformed("field-stats", {"entry": 5})),
     ("options.observable", _malformed("field-stats", {"observable": "nope"})),
     ("options.delta_range", _malformed("glue-check", {"delta_range": [0.5]})),
     ("options.delta_list", _malformed("degenerate-interface", {"delta_list": [-0.1]})),
-    ("options.n_grid", _malformed("rank-one", {**_RANK_ONE, "n_grid": 1})),
-    ("options.n_grid", _malformed("rank-one", {**_RANK_ONE, "n_grid": 2})),
-    ("options.xi_a", _malformed("rank-one", {**_RANK_ONE, "xi_a": "e9"})),
-    ("options.xi_a", _malformed("rank-one", {"xi_b": "e2", "t": 4})),
+    ("options.n_grid", _malformed("rank-one", {"n_grid": 1})),
+    ("options.n_grid", _malformed("rank-one", {"n_grid": 2})),
+    ("xi[0]", _malformed("rank-one", xi=["e9", "e2"])),
+    ("xi", _malformed("rank-one", xi=["e2"])),
     ("field.dimension", _malformed("estimate-fhom", field={**UNIFORM, "dimension": True})),
     ("options.n_matched", _malformed("stationarity", {"n_matched": -1})),
     ("options.n_instances", _malformed("glue-check", {"n_instances": 0})),
@@ -465,7 +491,7 @@ MALFORMED = [
     ("t_list", _malformed("estimate-fhom", t_list=[True])),
     ("field.structure.axis", _malformed("estimate-fhom", field={
         **UNIFORM, "structure": {"kind": "laminate", "axis": True}})),
-    ("not valid JSON: Infinity", _malformed("solve-cell", {"t": math.inf})),
+    ("not valid JSON: Infinity", _malformed("solve-cell", t_list=[math.inf])),
     ("field", _malformed("degenerate-interface", {"delta_list": [0.1]})),
     ("field", _malformed("degenerate-divergence", field={
         **UNIFORM, "structure": {"kind": "periodic", "tile": [[1.0, 2.0]]},
@@ -474,14 +500,40 @@ MALFORMED = [
         **PARETO_LAMINATE, "diagonal": _TWO_LAWS})),
     ("field", _malformed("degenerate-divergence", field={
         **PARETO_LAMINATE, "diagonal": _TWO_LAWS})),
-    ("options.depth", _malformed("subadditivity", {"depth": 3, "t": 4})),
-    ("options.xi_b", _malformed("rank-one", {**_RANK_ONE, "xi_b": [[0, 0], [0, 0]]})),
-    ("options.xi_b", _malformed("rank-one", {**_RANK_ONE, "xi_a": [[1, 0], [0, 1]],
-                                             "xi_b": [[0, 0], [0, 0]]})),
+    ("options.depth", _malformed("subadditivity", {"depth": 3})),
+    ("xi", _malformed("rank-one", xi=["e1", [[0, 0], [0, 0]]])),
+    ("xi", _malformed("rank-one", xi=[[[1, 0], [0, 1]], [[0, 0], [0, 0]]])),
     ("options.side", _malformed("glue-check", {"side": 4})),
     ("xi: duplicate slope label 'e1'", _malformed("estimate-fhom", xi=["e1", "e1"])),
     ("xi: slope '[1,0]' equals slope 'e1'",
      _malformed("estimate-fhom", xi=["e1", [1, 0], "1e1"])),
+    # a value the command would drop: more slopes or sizes than it reads
+    ("xi: command 'recession' takes exactly 1, got 2",
+     _malformed("recession", xi=["e1", "e2"])),
+    ("xi: command 'estimate-fhom' takes at least 1, got 0", _malformed("estimate-fhom", xi=[])),
+    ("t_list: command 'stationarity' takes exactly 1, got 2",
+     _malformed("stationarity", xi=["e1", "e2"], t_list=[2, 4])),
+    ("t_list: command 'solve-cell' takes exactly 1, got 2",
+     _malformed("solve-cell", t_list=[2, 4])),
+    ("t_list: required by command 'solve-cell'", _malformed("solve-cell", t_list=None)),
+    # or a value it does not read at all
+    ("tol: not accepted by command 'glue-check'", _malformed("glue-check", tol=1e-3)),
+    ("n_real: not accepted by command 'glue-check'", _malformed("glue-check", n_real=2)),
+    ("t_list: not accepted by command 'glue-check'", _malformed("glue-check", t_list=[4])),
+    ("cells_per_unit: not accepted by command 'degenerate-interface'",
+     _malformed("degenerate-interface", field=_CHEAP_LAMINATE, cells_per_unit=3)),
+    ("n_real: not accepted by command 'field-stats'", _malformed("field-stats", n_real=2)),
+    # settings the degenerate experiments and field-stats cannot run
+    ("field", _malformed("degenerate-divergence", field={**PARETO_LAMINATE,
+                                                         "lower_order": _ONE_LAW})),
+    ("field", _malformed("degenerate-divergence", xi=None,
+                         field={**PARETO_LAMINATE, "dimension": 1})),
+    ("field", _malformed("degenerate-divergence", field=PARETO_LAMINATE, xi="e1")),
+    ("field", _malformed("degenerate-divergence", field=PARETO_LAMINATE, xi=[0, 0])),
+    ("field", _malformed("degenerate-interface", field={**PARETO_LAMINATE,
+                                                        "lower_order": _ONE_LAW})),
+    ("field", _malformed("degenerate-interface", {"n_scans": 5}, field=_UNIFORM_LAMINATE)),
+    ("options.observable", _malformed("field-stats", {"observable": "lower"})),
 ]
 
 

@@ -47,10 +47,24 @@ def test_every_list_of_commands_agrees():
     commands = sorted(config.COMMANDS)
     assert len(commands) == len(set(commands))
     assert commands == sorted(config._COMMAND_TABLE)
-    assert all(row.xi in ("none", "optional", "required")
-               for row in config._COMMAND_TABLE.values())
+    assert all(0 <= least and (most is None or least <= most)
+               and set(row.reads) <= set(config._READS)
+               for row in config._COMMAND_TABLE.values()
+               for least, most in (row.slopes, row.sizes))
     assert sorted(runner._DISPATCH) == commands
     assert sorted(schema["properties"]["command"]["enum"]) == commands
+
+
+def test_each_command_reads_exactly_the_values_its_row_names():
+    # a handler that skipped a value its row accepts would drop it unseen,
+    # and one that read a value its row rejects would run on a default
+    tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for command, row in config._COMMAND_TABLE.items():
+        handler = handlers[runner._DISPATCH[command].__name__]
+        read = {node.attr for node in ast.walk(handler) if isinstance(node, ast.Attribute)
+                and node.attr in (*config._READS, "xi_list")}
+        assert read == {"xi_list" if key == "xi" else key for key in row.reads}, command
 
 
 def test_audit_sees_every_solve_of_a_threaded_run(tmp_path):
