@@ -40,7 +40,7 @@ def main():
 
     tile = FieldSpec(dimension=2, structure=Periodic(tile=[[1.0, 2.0],
                                                            [2.0, 1.0]]))
-    r1 = check_rank_one_convexity(tile, E1, E2, t=8, n_grid=5, seed=args.seed)
+    r1 = check_rank_one_convexity(tile, E1, E2, t=8, n_grid=5, n_real=1, seed=args.seed)
     print("rank-one segment e2 -> e1 on the periodic checkerboard")
     for lam, mean in zip(r1.details["lambdas"], r1.details["means"]):
         print(f"  lambda={lam:.2f}: {mean:.5f}")

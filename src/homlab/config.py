@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -35,8 +36,9 @@ _Rule = namedtuple("_Rule", "type default bound ok",
 
 
 def _num(x):
-    # JSON true/false are not numbers, though Python bools are ints
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # a finite number: JSON true/false are not numbers, though Python bools are
+    # ints, json reads 1e400 as inf, and a 400-digit integer has no float
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _nums(v, n=None):
@@ -49,9 +51,13 @@ def _at_least(lo, default):
     return _Rule("integer", default, f">= {lo}", lambda v, d: v >= lo)
 
 
-_POSITIVE = dict(bound="> 0", ok=lambda v, d: v > 0)
-_POSITIVES = dict(bound="of one or more numbers > 0",
-                  ok=lambda v, d: _nums(v) and min(v) > 0)
+_POSITIVE = dict(bound="> 0", ok=lambda v, d: _num(v) and v > 0)
+# a list value says each entry once: a ladder or ray in increasing order,
+# since its checks compare consecutive entries, and a set without repeats
+_INCREASING = dict(bound="of one or more numbers > 0 in increasing order",
+                   ok=lambda v, d: _nums(v) and v[0] > 0 and all(a < b for a, b in zip(v, v[1:])))
+_DISTINCT = dict(bound="of one or more distinct numbers > 0",
+                 ok=lambda v, d: _nums(v) and min(v) > 0 and len(set(v)) == len(v))
 _OBSERVABLES = ("lambda_norm", "entry", "lower")
 
 # Every top-level and field value by its path.  Parsing fills in the
@@ -62,7 +68,7 @@ _VALUES = {
     "seed": _Rule("integer", 0),
     "tol": _Rule("number", 1e-5, "in (0, 1)", lambda v, d: 0 < v < 1),
     "n_real": _at_least(1, 50),
-    "t_list": _Rule("array", (16.0, 64.0, 256.0), **_POSITIVES),
+    "t_list": _Rule("array", (16.0, 64.0, 256.0), **_INCREASING),
     "cells_per_unit": _at_least(1, 2),
     "field.dimension": _at_least(1, _REQUIRED),
     "field.structure.axis": _Rule("integer", 1, "in 1..{d}", lambda v, d: 1 <= v <= d),
@@ -81,8 +87,12 @@ def _joint(key, check):
 
 
 def _observed(cfg):
-    if cfg.options["observable"] == "lower" and cfg.spec.lower_order is None:
-        raise ValueError("observable 'lower' needs a field with a lower_order term")
+    obs = cfg.options["observable"]
+    if obs == "lower" and cfg.spec.lower_order is None:
+        raise ConfigError(["options.observable: observable 'lower' needs a field with a "
+                           "lower_order term"])
+    if obs != "entry" and "entry" in cfg.canonical.get("options", {}):  # given, not a default
+        raise ConfigError([f"options.entry: read only with observable 'entry', not {obs!r}"])
 
 
 _SUBCUBES = _joint("options.depth", lambda c: subcube_parts(
@@ -111,22 +121,22 @@ _COMMAND_TABLE = {
         "box": _Rule("array", None, "of {d} [lo, hi] pairs with lo < hi",
                      lambda v, d: len(v) == d
                      and all(_nums(r, 2) and r[0] < r[1] for r in v)),
-    }, _joint("options.observable", _observed)),
+    }, _observed),
     "solve-cell": _Command(_READS, {"save_minimizer": _Rule("boolean", False)}, sizes=(1, 1)),
     "estimate-fhom": _Command(_READS),
     "verify-bounds": _Command(_READS),
-    "subadditivity": _Command(_READS, {"depth": _at_least(1, 1), "m": _at_least(1, 1)},
-                              _SUBCUBES, slopes=(0, 1), sizes=(1, 1)),
+    "subadditivity": _Command(_READS, {"depth": _at_least(1, 1)}, _SUBCUBES, slopes=(0, 1),
+                              sizes=(1, 1)),
     "stationarity": _Command(_READS, {
-        "z": _Rule("array", None, "of {d} numbers", lambda v, d: _nums(v, d)),
-        "n_matched": _at_least(1, 5)}, slopes=(1, 1), sizes=(1, 1)),
-    "recession": _Command(_READS, {"s_list": _Rule("array", (1.0, 2.0, 5.0), **_POSITIVES)},
+        "z": _Rule("array", None, "of {d} numbers", lambda v, d: _nums(v, d))},
+        slopes=(1, 1), sizes=(1, 1)),
+    "recession": _Command(_READS, {"s_list": _Rule("array", (1.0, 2.0, 5.0), **_INCREASING)},
                           slopes=(1, 1), sizes=(1, 1)),
     "rank-one": _Command(_READS, {"n_grid": _at_least(3, 5)}, _RANK_ONE, slopes=(2, 2),
                          sizes=(1, 1)),
     "degenerate-divergence": _Command(_READS, {}, _DIVERGENCE, slopes=(0, 1)),
     "degenerate-interface": _Command((), {
-        "delta_list": _Rule("array", (0.1, 0.01), **_POSITIVES),
+        "delta_list": _Rule("array", (0.1, 0.01), **_DISTINCT),
         "search_limit": _at_least(1, 10_000),
         "n_scans": _at_least(0, 0)}, _INTERFACE),
     "glue-check": _Command(("cells_per_unit",), {
@@ -223,7 +233,7 @@ def _parse_distribution(obj, where, errors):
         return None
     bad = [k for k in names if not _num(obj[k])]
     if bad:
-        errors.append(f"{where}: parameters {bad} must be numbers")
+        errors.append(f"{where}: parameters {bad} must be finite numbers")
         return None
     # its bounds are checked with the field's, by FieldSpec.validate
     return DistributionSpec(kind, tuple(float(obj[k]) for k in names))
@@ -240,7 +250,7 @@ def _parse_structure(obj, d, errors):
     if kind == "periodic":
         try:
             return Periodic(tile=np.asarray(obj.get("tile"), dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"field.structure: bad periodic tile: {exc}")
     return None
 
@@ -299,13 +309,19 @@ def parse_xi(value, dimension, where="xi"):
                 raise ValueError(f"{where}: axis e{axis} exceeds dimension "
                                  f"{dimension}")
             row[axis - 1] += coef
-        return row[None, :], value
-    xi = np.asarray(value, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[None, :]
-    if xi.ndim != 2 or xi.shape[1] != dimension:
-        raise ValueError(f"{where}: expected an m x {dimension} matrix")
-    label = "[" + ";".join(",".join(f"{v:g}" for v in row) for row in xi) + "]"
+        xi, label = row[None, :], value
+    else:
+        try:
+            xi = np.asarray(value, dtype=float)
+        except OverflowError:  # an integer with no float
+            xi = np.full(np.shape(value), np.inf)
+        if xi.ndim == 1:
+            xi = xi[None, :]
+        if xi.ndim != 2 or xi.shape[1] != dimension:
+            raise ValueError(f"{where}: expected an m x {dimension} matrix")
+        label = "[" + ";".join(",".join(f"{v:g}" for v in row) for row in xi) + "]"
+    if not np.isfinite(xi).all():
+        raise ValueError(f"{where}: entries must be finite numbers")
     return xi, label
 
 

@@ -85,9 +85,9 @@ class DivergenceReport:
         return self.jensen_ok and self.n_flagged == 0
 
 
-def divergence_experiment(spec: FieldSpec, xi=None, t_list=(8, 32, 128),
-                          n_real: int = 20, seed: int = 0, tol: float = 1e-5,
-                          cells_per_unit: int = 2, workers: int = 1) -> DivergenceReport:
+def divergence_experiment(spec: FieldSpec, xi=None, *, t_list, n_real: int, seed: int = 0,
+                          tol: float = 1e-5, cells_per_unit: int = 2,
+                          workers: int = 1) -> DivergenceReport:
     """Cell energies on (0,t)^d for a laminate weight a(x_axis) I.
 
     For slopes with no component along the lamination axis the discrete
@@ -125,27 +125,50 @@ def divergence_experiment(spec: FieldSpec, xi=None, t_list=(8, 32, 128),
 
 @dataclass
 class InterfaceProbe:
-    """A located cheap stripe and the ramp profile built across it.
+    """A scan for a cheap stripe and the ramp profile built across it.
 
-    The profile is u(x) = clip(x_axis/epsilon - k, 0, 1): zero left of
-    the stripe [eps*k, eps*(k+1)], one right of it.  Its exact energy on
-    the unit cube is the stripe weight itself.  The comparison step
-    jumps at the stripe midpoint; the exact L1 distance to it is eps/4,
-    while the step's interface area in the cube is 1.
+    The scan found the first cell ``k_index`` with weight ``energy`` below
+    delta, or none (k_index -1, NaN energy and geometry).  With epsilon =
+    1/(k+2) the profile is u(x) = clip(x_axis/epsilon - k, 0, 1): zero left
+    of the stripe [eps*k, eps*(k+1)], which sits strictly inside the unit
+    cube, one right of it.  Its exact energy on the unit cube is the stripe
+    weight itself.  The comparison step jumps at the stripe midpoint; the
+    exact L1 distance to it is eps/4, while the step's interface area in the
+    cube is ``bv_limit`` = 1.
     """
 
     delta: float
-    success: bool
     k_index: int
-    epsilon: float
-    interface_pos: float
     energy: float
-    l1_distance: float
-    bv_limit: float
     cells_scanned: int
     p_delta: float
-    breaks_x: np.ndarray
-    breaks_y: np.ndarray
+    bv_limit = 1.0
+
+    @property
+    def success(self) -> bool:
+        return self.k_index >= 0
+
+    @property
+    def epsilon(self) -> float:
+        return 1.0 / (self.k_index + 2.0) if self.success else math.nan
+
+    @property
+    def interface_pos(self) -> float:
+        """The stripe's midpoint, where the comparison step jumps."""
+        return self.epsilon * (self.k_index + 0.5)
+
+    @property
+    def l1_distance(self) -> float:
+        return self.epsilon / 4.0
+
+    @property
+    def breaks_x(self) -> np.ndarray:
+        """The ramp's corners along the axis (``breaks_y`` its values)."""
+        return np.array([0.0, self.epsilon * self.k_index, self.epsilon * (self.k_index + 1), 1.0])
+
+    @property
+    def breaks_y(self) -> np.ndarray:
+        return np.array([0.0, 0.0, 1.0, 1.0])
 
     def profile(self, x1):
         """Evaluate the ramp profile at axis coordinates x1."""
@@ -179,37 +202,15 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
     """Locate a stripe with weight below delta and ramp across it.
 
     Scans laminate cells k = 0, 1, 2, ... of one realization for the
-    first weight strictly below delta.  On success epsilon = 1/(k+2), so
-    the stripe [eps*k, eps*(k+1)] sits strictly inside the unit cube,
-    and the exact ramp energy equals the stripe weight.  On failure the
-    probe carries the number of cells scanned and NaN geometry.
+    first weight strictly below delta, at most ``search_limit`` of them.
+    The ramp's exact energy is the stripe weight: gradient 1/eps on one
+    stripe of width eps and unit cross-section, weighted by the hit value.
     """
     axis, p_delta = interface_setting(spec, delta)
-
     fld = sample_field(spec, seed, index)
     k_hit, a_hit, scanned = _scan_for_cheap_cell(fld, axis, delta, search_limit)
-    if k_hit < 0:
-        return InterfaceProbe(delta=delta, success=False, k_index=-1, epsilon=math.nan,
-                              interface_pos=math.nan, energy=math.nan,
-                              l1_distance=math.nan, bv_limit=1.0,
-                              cells_scanned=scanned,
-                              p_delta=p_delta, breaks_x=np.array([]),
-                              breaks_y=np.array([]))
-
-    eps = 1.0 / (k_hit + 2.0)
-    lo = eps * k_hit
-    hi = eps * (k_hit + 1)
-    # exact integration: gradient eps^{-1} on one stripe of width eps,
-    # unit cross-section, piecewise-constant weight a_hit there
-    energy = a_hit
-    mid = 0.5 * (lo + hi)
-    l1 = eps / 4.0
-    breaks_x = np.array([0.0, lo, hi, 1.0])
-    breaks_y = np.array([0.0, 0.0, 1.0, 1.0])
-    return InterfaceProbe(delta=delta, success=True, k_index=k_hit, epsilon=eps,
-                          interface_pos=mid, energy=energy, l1_distance=l1,
-                          bv_limit=1.0, cells_scanned=scanned,
-                          p_delta=p_delta, breaks_x=breaks_x, breaks_y=breaks_y)
+    return InterfaceProbe(delta=delta, k_index=k_hit, energy=a_hit, cells_scanned=scanned,
+                          p_delta=p_delta)
 
 
 @dataclass
@@ -271,8 +272,8 @@ class HittingStats:
         return self.n_failed == 0 and abs(self.z_score) <= 4.0  # standard errors
 
 
-def hitting_stats(spec: FieldSpec, delta: float, n_scans: int = 1000,
-                  seed: int = 0, search_limit: int = 10_000) -> HittingStats:
+def hitting_stats(spec: FieldSpec, delta: float, *, n_scans: int, seed: int = 0,
+                  search_limit: int = 10_000) -> HittingStats:
     """Scan n_scans independent realizations and compare hit indices
     with the geometric law: mean (1-p)/p, variance (1-p)/p^2 per scan."""
     axis, p = interface_setting(spec, delta, hitting=True)

@@ -214,8 +214,8 @@ class FieldSpec:
                 )
             if tile.size == 0:
                 errs.append("periodic tile must be non-empty")
-            elif not np.all(tile > 0):
-                errs.append("periodic tile values must be > 0")
+            elif not np.all((tile > 0) & np.isfinite(tile)):
+                errs.append("periodic tile values must be finite and > 0")
         elif not isinstance(st, IidCubes):
             errs.append(f"unknown structure {st!r}")
 

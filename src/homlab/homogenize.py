@@ -24,7 +24,6 @@ from .integrand import growth_constants
 from .randomness import keyed_uniform
 from .stats import TwoSampleResult, mean_ci, two_sample_test
 
-DEFAULT_T_LIST = (16, 64, 256)
 FLAGGED_FRACTION_LIMIT = 0.10
 
 
@@ -107,7 +106,7 @@ def _solve_cases(spec, cases, n_real, seed, tol, cells_per_unit, workers):
     return tuple(np.array(col).reshape(len(cases), n_real) for col in zip(*rows))
 
 
-def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int = 0,
+def estimate_f_hom(spec: FieldSpec, xi, *, t_list, n_real: int, seed: int = 0,
                    tol: float = 1e-5, cells_per_unit: int = 2,
                    workers: int = 1) -> HomEstimate:
     """Monte Carlo estimate of the effective density at slope xi.
@@ -120,8 +119,6 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
     agree within their combined CIs.
     """
     xi = _as_xi(xi)
-    if t_list is None:
-        t_list = DEFAULT_T_LIST
     t_list = tuple(float(t) for t in t_list)
 
     solves = _solve_cases(spec, [(t, xi) for t in t_list], n_real, seed, tol,
@@ -155,9 +152,8 @@ def estimate_f_hom(spec: FieldSpec, xi, t_list=None, n_real: int = 50, seed: int
                        flagged=bool(flags), flags=tuple(flags), tol=tol)
 
 
-def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 50,
-                           seed: int = 0, tol: float = 1e-5, cells_per_unit: int = 2,
-                           workers: int = 1):
+def verify_growth_sandwich(spec: FieldSpec, xi_list, *, t_list, n_real: int, seed: int = 0,
+                           tol: float = 1e-5, cells_per_unit: int = 2, workers: int = 1):
     """Check alpha c0 |xi| - slack <= f_hom(xi) <= C0 |xi| + C1 + slack.
 
     slack = tol * |f_hom| + CI of the estimate.  Infinite upper constants
@@ -189,9 +185,8 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, t_list=None, n_real: int = 
                           details=details)
 
 
-def _random_xi(seed, tag, index, m, d) -> np.ndarray:
-    u = keyed_uniform(seed, tag, index, np.arange(m * d))
-    g = ndtri(u).reshape(m, d)
+def _random_xi(seed, tag, index, d) -> np.ndarray:
+    g = ndtri(keyed_uniform(seed, tag, index, np.arange(d)))[None]
     nrm = float(np.sqrt((g * g).sum()))
     if nrm == 0.0:
         g[0, 0] = 1.0
@@ -211,9 +206,8 @@ def subcube_parts(t: float, depth: int, cells_per_unit: int = 2) -> int:
     return parts
 
 
-def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
-                        n_instances: int = 100, seed: int = 0, tol: float = 1e-5,
-                        cells_per_unit: int = 2, m: int = 1,
+def check_subadditivity(spec: FieldSpec, xi=None, *, t: float, n_real: int, depth: int = 1,
+                        seed: int = 0, tol: float = 1e-5, cells_per_unit: int = 2,
                         workers: int = 1) -> PropertyReport:
     """Verify mu(Q_t) <= sum of dyadic subcube energies per realization.
 
@@ -221,7 +215,7 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
     minima satisfy the inequality exactly; reported primal values may
     miss it by at most the large-cube certificate, big.primal - big.dual
     <= tol |big.primal|, budgeted as tol max_r |big.primal|, which scales
-    with the weights.  xi=None draws a random unit slope per instance.
+    with the weights.  xi=None draws a random 1 x d unit slope per realization.
     """
     d = spec.dimension
     parts = subcube_parts(t, depth, cells_per_unit)
@@ -231,17 +225,17 @@ def check_subadditivity(spec: FieldSpec, xi=None, t: float = 16, depth: int = 1,
     # per instance the large cube, then its subcubes
     cubes = [(t, None)] + [(s, tuple(-0.5 * t + 0.5 * s + ki * s for ki in k))
                            for k in np.ndindex(*(parts,) * d)]
-    slopes = [_as_xi(xi) if xi is not None else _random_xi(seed, "subadd-xi", r, m, d)
-              for r in range(n_instances)]
+    slopes = [_as_xi(xi) if xi is not None else _random_xi(seed, "subadd-xi", r, d)
+              for r in range(n_real)]
     tasks = [SolveTask(spec, seed, r, side, xi_r, center=c, cells_per_unit=cells_per_unit,
                        tol=tol) for r, xi_r in enumerate(slopes) for side, c in cubes]
     rows = [(rep.primal, rep.converged) for rep in solve_many(tasks, workers)]
-    primal, ok = (np.array(col).reshape(n_instances, len(cubes)) for col in zip(*rows))
+    primal, ok = (np.array(col).reshape(n_real, len(cubes)) for col in zip(*rows))
     slacks = np.array([sum(p[1:]) - p[0] for p in primal])
-    n_flagged = int((~ok.all(axis=1)).sum())
+    n_flagged = int((~ok).sum())
     worst = float(slacks.min())
     budget = tol * float(np.abs(primal[:, 0]).max())
-    return PropertyReport(name="subadditivity", n_instances=n_instances,
+    return PropertyReport(name="subadditivity", n_instances=n_real,
                           worst_slack=worst, budget=budget,
                           passed=bool(worst >= -budget and n_flagged == 0),
                           n_flagged=n_flagged,
@@ -254,19 +248,17 @@ class StationarityReport:
     matched_exact: bool
     two_sample: TwoSampleResult
     passed: bool
-    n_matched: int
     n_flagged: int
 
 
-def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
-                              n_matched: int = 5, n_real: int = 50, seed: int = 0,
-                              tol: float = 1e-5, cells_per_unit: int = 2,
+def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=None,
+                              seed: int = 0, tol: float = 1e-5, cells_per_unit: int = 2,
                               workers: int = 1) -> StationarityReport:
     """Stationarity of the cell energy under lattice shifts.
 
-    Matched realizations: the problem of omega on Q_t + z and that of the
-    shifted omega on Q_t must assemble to identical weights (exact on
-    binary-representable geometry).  The solver reads the weights, the
+    Matched realizations 0..n_real-1: the problem of omega on Q_t + z and
+    that of the shifted omega on Q_t must assemble to identical weights
+    (exact on binary-representable geometry).  The solver reads the weights, the
     slope and the cell count, not the center, so identical weights give
     identical certified values and the matched pairs are not solved;
     ``matched_max_diff`` is the largest difference of assembled weights.
@@ -282,7 +274,7 @@ def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
 
     max_diff = 0.0
     exact = True
-    for r in range(n_matched):
+    for r in range(n_real):
         fld = sample_field(spec, seed, r)
         prob_a = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=tuple(z))
         prob_b = cell_problem_on_cube(shift(fld, z), t, xi, cells_per_unit)
@@ -298,7 +290,7 @@ def check_stationarity_in_law(spec: FieldSpec, xi, t: float = 16, z=None,
     ts = two_sample_test(vals[:n_real], vals[n_real:])
     n_flagged = int((~ok).sum())
     return StationarityReport(matched_max_diff=max_diff, matched_exact=exact,
-                              two_sample=ts, n_matched=n_matched, n_flagged=n_flagged,
+                              two_sample=ts, n_flagged=n_flagged,
                               passed=exact and ts.same_law and n_flagged == 0)
 
 
@@ -315,10 +307,10 @@ class RecessionReport:
     n_flagged: int
 
 
-def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), t: float = 16,
-              n_real: int = 20, seed: int = 0, tol: float = 1e-5,
-              cells_per_unit: int = 2, workers: int = 1) -> RecessionReport:
-    """Normalized estimates f_hom(s xi)/s along a ray.
+def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), *, t: float, n_real: int,
+              seed: int = 0, tol: float = 1e-5, cells_per_unit: int = 2,
+              workers: int = 1) -> RecessionReport:
+    """Normalized estimates f_hom(s xi)/s along a ray, at increasing s.
 
     Without a lower-order term the cell energy is 1-homogeneous, so the
     series must be constant within solver budgets; with lam present,
@@ -374,10 +366,9 @@ def rank_one_segment(xi_a, xi_b):
     return xi_a, xi_b
 
 
-def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, t: float = 8,
-                             n_grid: int = 5, n_real: int = 20, seed: int = 0,
-                             tol: float = 1e-5, cells_per_unit: int = 2,
-                             workers: int = 1) -> PropertyReport:
+def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, *, t: float, n_real: int,
+                             n_grid: int = 5, seed: int = 0, tol: float = 1e-5,
+                             cells_per_unit: int = 2, workers: int = 1) -> PropertyReport:
     """Midpoint convexity of the estimate along a rank-one segment.
 
     The segment endpoint difference must be rank one (see

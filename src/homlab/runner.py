@@ -7,13 +7,11 @@ randomness is keyed, so outputs are byte-identical across worker
 counts; only the wall-time and timestamp fields vary between reruns.
 
 Workers are threads, and a solve spends most of its time in small numpy
-calls that hold the GIL, so more workers usually make a run slower.  On
-2 Xeon vCPUs the 12 solves of ``perfbench/configs/iso2d-sandwich.json``
-took 1.0-1.3 s serially and 1.1-2.5 s on two threads, over two seeds.
-A two-process fork pool took 0.6-1.0 s with identical results, but a
-solve in a child process escapes every in-process hook on
-``homlab.cell.solve_cell`` (the test suite's certificate audit, the
-benchmark's tracer), so threads stay.
+calls that hold the GIL, so more workers usually make a run slower; the
+benchmark's ``iso2d-sandwich-w2`` workload measures it against the serial
+``iso2d-sandwich``.  A solve in a child process would escape every
+in-process hook on ``homlab.cell.solve_cell`` (the test suite's
+certificate audit, the benchmark's tracer), so threads stay.
 """
 
 from __future__ import annotations
@@ -191,7 +189,7 @@ def _cmd_verify_bounds(ctx):
 
 def _cmd_subadditivity(ctx):
     cfg = ctx.cfg
-    rep = check_subadditivity(cfg.spec, *cfg.xi_list, t=cfg.t_list[0], n_instances=cfg.n_real,
+    rep = check_subadditivity(cfg.spec, *cfg.xi_list, t=cfg.t_list[0], n_real=cfg.n_real,
                               seed=cfg.seed, tol=cfg.tol, cells_per_unit=cfg.cells_per_unit,
                               workers=ctx.workers, **cfg.options)
     for i, s in enumerate(rep.details["slacks"]):

@@ -66,19 +66,26 @@ def _certificates_hold():
     assert not fresh, "certificate violations: " + " | ".join(fresh)
 
 
-@pytest.fixture
-def second_solve_uncertified(monkeypatch):
-    """From here on the second solve comes back uncertified, its certificate
-    intact: the same primal and dual, gap 0.5 and converged=False."""
+def uncertify_solves(monkeypatch, numbers):
+    """From here on the solves numbered ``numbers`` (the first is 0) come back
+    uncertified, their certificates intact: the same primal and dual, gap 0.5
+    and converged=False."""
     inner = homlab.cell.solve_cell
     calls = itertools.count()
 
     def stub(problem, **kwargs):
         rep = inner(problem, **kwargs)
-        return dataclasses.replace(rep, gap=0.5, converged=False) if next(calls) == 1 else rep
+        if next(calls) in numbers:
+            return dataclasses.replace(rep, gap=0.5, converged=False)
+        return rep
 
     for mod in _PATCH_MODULES:
         monkeypatch.setattr(mod, "solve_cell", stub)
+
+
+@pytest.fixture
+def second_solve_uncertified(monkeypatch):
+    uncertify_solves(monkeypatch, {1})
 
 
 def solve_audit_snapshot():

@@ -130,7 +130,7 @@ def test_criterion_04_growth_sandwich():
 
 def test_criterion_05_subadditivity():
     report = check_subadditivity(U12_IID, xi=None, t=16, depth=1,
-                                 n_instances=100, seed=0, tol=TOL)
+                                 n_real=100, seed=0, tol=TOL)
     ok = (report.passed and report.worst_slack >= -report.budget
           and report.n_flagged == 0)
     assert record(5, "subadditivity over dyadic partitions", ok,

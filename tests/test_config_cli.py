@@ -42,8 +42,8 @@ OPTION_KEYS = {
     "solve-cell": {"save_minimizer"},
     "estimate-fhom": set(),
     "verify-bounds": set(),
-    "subadditivity": {"depth", "m"},
-    "stationarity": {"z", "n_matched"},
+    "subadditivity": {"depth"},
+    "stationarity": {"z"},
     "recession": {"s_list"},
     "rank-one": {"n_grid"},
     "degenerate-divergence": set(),
@@ -85,7 +85,7 @@ def test_defaults_fill_in():
         if command in ONE_SIZE:
             assert cfg.t_list == (4.0,) and isinstance(cfg.t_list[0], float)
     sub = parse_config_dict(_malformed("subadditivity", n_real=3))
-    assert sub.options == {"depth": 1, "m": 1}
+    assert sub.options == {"depth": 1}
     assert (sub.t_list, sub.n_real) == ((4.0,), 3)
     rank = parse_config_dict(_malformed("rank-one", xi=["e1", [0, 1]]))
     assert rank.xi_labels == ["e1", "[0,1]"]
@@ -321,7 +321,7 @@ FAN_OUT = {
     "estimate-fhom": dict(t_list=[4], n_real=3),
     "solve-cell": dict(t_list=[4], n_real=3, xi=["e1", "e1+e2"]),
     "subadditivity": dict(xi=None, t_list=[4], n_real=2),
-    "stationarity": dict(t_list=[4], n_real=3, options={"n_matched": 1}),
+    "stationarity": dict(t_list=[4], n_real=3),
     "recession": dict(t_list=[4], n_real=2, options={"s_list": [1, 2]}),
     "rank-one": dict(xi=["e1", "e2"], t_list=[4], n_real=2, options={"n_grid": 3}),
     "degenerate-divergence": dict(field=PARETO_LAMINATE, xi="e2", t_list=[2, 4],
@@ -483,7 +483,8 @@ MALFORMED = [
     ("xi[0]", _malformed("rank-one", xi=["e9", "e2"])),
     ("xi", _malformed("rank-one", xi=["e2"])),
     ("field.dimension", _malformed("estimate-fhom", field={**UNIFORM, "dimension": True})),
-    ("options.n_matched", _malformed("stationarity", {"n_matched": -1})),
+    ("options: keys ['n_matched'] not accepted by command 'stationarity'",
+     _malformed("stationarity", {"n_matched": 1})),
     ("options.n_instances", _malformed("glue-check", {"n_instances": 0})),
     ("seed", _malformed("estimate-fhom", seed=True)),
     ("n_real", _malformed("estimate-fhom", n_real=True)),
@@ -534,6 +535,17 @@ MALFORMED = [
                                                         "lower_order": _ONE_LAW})),
     ("field", _malformed("degenerate-interface", {"n_scans": 5}, field=_UNIFORM_LAMINATE)),
     ("options.observable", _malformed("field-stats", {"observable": "lower"})),
+    # an option read only beside another value, and a list that says an entry
+    # twice or out of order; each exited 0 in the version before
+    ("options: keys ['m'] not accepted by command 'subadditivity'",
+     _malformed("subadditivity", {"m": 3}, n_real=2)),
+    ("options.entry: read only with observable 'entry', not 'lambda_norm'",
+     _malformed("field-stats", {"observable": "lambda_norm", "entry": 0})),
+    ("t_list: expected array", _malformed("estimate-fhom", t_list=[4, 2, 4], n_real=2)),
+    ("t_list: expected array", _malformed("estimate-fhom", t_list=[4, 4])),
+    ("options.s_list: expected array", _malformed("recession", {"s_list": [2, 1]})),
+    ("options.delta_list: expected array",
+     _malformed("degenerate-interface", {"delta_list": [0.1, 0.1]}, field=_CHEAP_LAMINATE)),
 ]
 
 
@@ -545,6 +557,37 @@ def test_cli_rejects_malformed_value(tmp_path, capsys, key, raw):
     assert main([raw["command"], "--config", str(path), "--out", str(out)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_HUGE = 7.25e77  # a placeholder, spelled out of float range in the file
+
+
+# json reads 1e400 as inf, and a 400-digit integer has no float; each
+# exited 0 or died in a traceback in the version before
+@pytest.mark.parametrize("key, raw", [
+    ("t_list", _malformed("estimate-fhom", t_list=[4, _HUGE])),
+    ("field.diagonal: parameters ['b']", _malformed("field-stats", field={
+        **UNIFORM, "diagonal": {"kind": "uniform", "a": 1.0, "b": _HUGE}})),
+    ("options.side", _malformed("glue-check", {"side": _HUGE})),
+    ("options.z", _malformed("stationarity", {"z": [_HUGE, 0]})),
+    ("xi[0]", _malformed("estimate-fhom", xi=[[_HUGE, 0]])),
+    ("field", _malformed("estimate-fhom", field={
+        **UNIFORM, "structure": {"kind": "periodic", "tile": [[1.0, _HUGE]]},
+        "diagonal": None})),
+], ids=["t_list", "law", "side", "z", "xi", "tile"])
+@pytest.mark.parametrize("spelling", ["1e400", "1" + "0" * 400])
+def test_cli_rejects_numbers_out_of_float_range(tmp_path, capsys, key, raw, spelling):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw).replace(repr(_HUGE), spelling))
+    out = tmp_path / "out"
+    assert main([raw["command"], "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+    huge = float("inf") if "e" in spelling else int(spelling)
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict(json.loads(json.dumps(raw), parse_float=lambda s: huge
+                                     if float(s) == _HUGE else float(s)))
+    assert any(e.startswith(key) for e in exc.value.errors), exc.value.errors
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -140,12 +140,8 @@ def test_interface_limit_on_one_realization():
 
 
 def _fake_probe(delta, k):
-    eps = 1.0 / (k + 2.0)
-    return InterfaceProbe(delta=delta, success=True, k_index=k, epsilon=eps, interface_pos=eps * (k + 0.5),
-                          energy=0.5 * delta, l1_distance=eps / 4.0,
-                          bv_limit=1.0, cells_scanned=k + 1, p_delta=0.5,
-                          breaks_x=np.array([0.0, 1.0]),
-                          breaks_y=np.array([0.0, 1.0]))
+    return InterfaceProbe(delta=delta, k_index=k, energy=0.5 * delta, cells_scanned=k + 1,
+                          p_delta=0.5)
 
 
 def test_interface_limit_flags_nonmonotone_hits():

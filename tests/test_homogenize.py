@@ -94,8 +94,7 @@ def test_growth_sandwich_heavy_tail_upper_bound_is_vacuous():
 
 
 def test_subadditivity_constant_field_is_tight():
-    report = check_subadditivity(CONST2, xi=E1, t=8, depth=1, n_instances=2,
-                                 seed=0)
+    report = check_subadditivity(CONST2, xi=E1, t=8, depth=1, n_real=2, seed=0)
     # tol times the large cube's energy, 2 |e1| 8^2
     assert report.budget == pytest.approx(1e-5 * 2.0 * 8 ** 2)
     assert report.passed
@@ -105,8 +104,7 @@ def test_subadditivity_constant_field_is_tight():
 
 
 def test_subadditivity_random_battery():
-    report = check_subadditivity(IID_U12, xi=None, t=8, depth=1,
-                                 n_instances=10, seed=4)
+    report = check_subadditivity(IID_U12, xi=None, t=8, depth=1, n_real=10, seed=4)
     assert report.passed
     assert report.n_instances == 10
     assert report.worst_slack >= -report.budget
@@ -115,16 +113,15 @@ def test_subadditivity_random_battery():
 
 def test_subadditivity_rejects_unsplittable_mesh():
     with pytest.raises(ValueError, match="divisible"):
-        check_subadditivity(IID_U12, xi=E1, t=5, depth=2, n_instances=1)
+        check_subadditivity(IID_U12, xi=E1, t=5, depth=2, n_real=1)
     # depth 0 would compare the cube with itself and pass for no reason
     for depth in (0, -1):
         with pytest.raises(ValueError, match="depth must be at least 1"):
-            check_subadditivity(IID_U12, xi=E1, t=4, depth=depth, n_instances=1)
+            check_subadditivity(IID_U12, xi=E1, t=4, depth=depth, n_real=1)
 
 
 def test_stationarity_matched_shift_is_exact():
-    report = check_stationarity_in_law(IID_U12, E1, t=4, z=(1.0, 0.0),
-                                       n_matched=2, n_real=12, seed=0)
+    report = check_stationarity_in_law(IID_U12, E1, t=4, z=(1.0, 0.0), n_real=12, seed=0)
     assert report.matched_exact
     assert report.matched_max_diff == 0.0
     assert report.two_sample.same_law
@@ -134,12 +131,12 @@ def test_stationarity_matched_shift_is_exact():
 def test_stationarity_compares_matched_weights_without_solving(monkeypatch):
     # the matched pairs cost no solve: only the 2 n_real two-sample tasks run
     before = conftest.solve_audit_snapshot()["solves"]
-    report = check_stationarity_in_law(IID_U12, E1, t=4, n_matched=3, n_real=2, seed=0)
+    report = check_stationarity_in_law(IID_U12, E1, t=4, n_real=2, seed=0)
     assert conftest.solve_audit_snapshot()["solves"] - before == 4
     assert report.matched_exact and report.matched_max_diff == 0.0
     # a shift by the wrong vector assembles other weights, which the check reports
     monkeypatch.setattr(homlab.homogenize, "shift", lambda fld, z: shift(fld, 2 * z))
-    report = check_stationarity_in_law(IID_U12, E1, t=4, n_matched=3, n_real=2, seed=0)
+    report = check_stationarity_in_law(IID_U12, E1, t=4, n_real=2, seed=0)
     fld = sample_field(IID_U12, 0, 0)
     lam_a = cell_problem_on_cube(fld, 4.0, E1, center=(1.0, 0.0)).lam
     lam_b = cell_problem_on_cube(shift(fld, np.array([2.0, 0.0])), 4.0, E1).lam
@@ -178,9 +175,8 @@ PARETO_LAMINATE = FieldSpec(dimension=2, structure=Laminate(axis=1),
 UNCERTIFIED = {
     "recession": lambda: recession(IID_U12, E1, s_list=(1, 2), t=4, n_real=2),
     "rank-one": lambda: check_rank_one_convexity(IID_U12, E1, E2, t=4, n_grid=3, n_real=2),
-    "stationarity": lambda: check_stationarity_in_law(IID_U12, E1, t=4, n_matched=1,
-                                                      n_real=3),
-    "subadditivity": lambda: check_subadditivity(IID_U12, E1, t=4, n_instances=2),
+    "stationarity": lambda: check_stationarity_in_law(IID_U12, E1, t=4, n_real=3),
+    "subadditivity": lambda: check_subadditivity(IID_U12, E1, t=4, n_real=2),
     "degenerate-divergence": lambda: divergence_experiment(PARETO_LAMINATE, xi=E2,
                                                            t_list=(2, 4), n_real=2),
     # one of the two solves at t=4 is more than the estimate allows
@@ -195,6 +191,13 @@ def test_one_uncertified_solve_fails_the_check(check, request):
     request.getfixturevalue("second_solve_uncertified")
     rep = UNCERTIFIED[check]()
     assert (rep.passed, rep.n_flagged) == (False, 1)
+
+
+def test_subadditivity_counts_uncertified_solves_not_instances(monkeypatch):
+    # solves 1 and 2 are subcubes of instance 0: two flagged solves, one instance
+    conftest.uncertify_solves(monkeypatch, {1, 2})
+    rep = check_subadditivity(IID_U12, E1, t=4, n_real=2)
+    assert (rep.passed, rep.n_flagged) == (False, 2)
 
 
 def test_rank_one_rejects_full_rank_segment():
@@ -236,11 +239,11 @@ def test_estimate_periodic_forces_one_realization():
 def _verdicts_on_scaled_tile(k):
     spec = FieldSpec(dimension=2, structure=Periodic(
         tile=np.array([[1.0, 4.0], [4.0, 1.0]]) * 2.0 ** k), diagonal=None)
-    return (estimate_f_hom(spec, E1, t_list=(4, 8)),
-            recession(spec, E1 + E2, s_list=(1.0, 2.0), t=4),
-            check_rank_one_convexity(spec, E1, E2, t=4, n_grid=3),
-            check_subadditivity(spec, xi=E1 + E2, t=4, depth=1, n_instances=1),
-            verify_growth_sandwich(spec, [E1, E1 + E2], t_list=(4, 8)))
+    return (estimate_f_hom(spec, E1, t_list=(4, 8), n_real=1),
+            recession(spec, E1 + E2, s_list=(1.0, 2.0), t=4, n_real=1),
+            check_rank_one_convexity(spec, E1, E2, t=4, n_grid=3, n_real=1),
+            check_subadditivity(spec, xi=E1 + E2, t=4, depth=1, n_real=1),
+            verify_growth_sandwich(spec, [E1, E1 + E2], t_list=(4, 8), n_real=1))
 
 
 @pytest.mark.parametrize("k", [-30, 0, 30], ids=lambda k: f"2^{k}")

@@ -3,6 +3,7 @@
 import ast
 import csv
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ import pytest
 import conftest
 import homlab
 import homlab.cell
-from homlab import DistributionSpec, FieldSpec, IidCubes, config, runner, sample_field
+from homlab import (DistributionSpec, FieldSpec, IidCubes, config, degeneracy, homogenize,
+                    runner, sample_field)
 from homlab.config import parse_config, parse_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +67,43 @@ def test_each_command_reads_exactly_the_values_its_row_names():
         read = {node.attr for node in ast.walk(handler) if isinstance(node, ast.Attribute)
                 and node.attr in (*config._READS, "xi_list")}
         assert read == {"xi_list" if key == "xi" else key for key in row.reads}, command
+
+
+def test_each_option_is_read_or_forwarded_to_a_parameter_of_its_name():
+    # an option neither read nor named by the function it is forwarded to
+    # would be accepted and dropped, or stop the run with a TypeError
+    tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for command, row in config._COMMAND_TABLE.items():
+        handler = handlers[runner._DISPATCH[command].__name__]
+        read = {node.slice.value for node in ast.walk(handler) if isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)}
+        for call in ast.walk(handler):
+            if isinstance(call, ast.Call) and any(
+                    kw.arg is None and ast.unparse(kw.value) == "cfg.options"
+                    for kw in call.keywords):
+                read |= set(inspect.signature(getattr(runner, call.func.id)).parameters)
+        assert set(row.options) <= read, (command, set(row.options) - read)
+
+
+# every library entry point that solves or scans, and its realization count
+# and cube sizes; the config table holds their one default
+_SIZED = {homogenize.estimate_f_hom: ("t_list", "n_real"),
+          homogenize.verify_growth_sandwich: ("t_list", "n_real"),
+          homogenize.check_subadditivity: ("t", "n_real"),
+          homogenize.check_stationarity_in_law: ("t", "n_real"),
+          homogenize.recession: ("t", "n_real"),
+          homogenize.check_rank_one_convexity: ("t", "n_real"),
+          degeneracy.divergence_experiment: ("t_list", "n_real"),
+          degeneracy.hitting_stats: ("n_scans",)}
+
+
+@pytest.mark.parametrize("func", _SIZED, ids=lambda f: f.__name__)
+def test_library_takes_counts_and_sizes_without_a_default(func):
+    params = inspect.signature(func).parameters
+    for name in _SIZED[func]:
+        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+        assert params[name].default is inspect.Parameter.empty, name
 
 
 def test_audit_sees_every_solve_of_a_threaded_run(tmp_path):
