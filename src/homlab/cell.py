@@ -21,7 +21,7 @@ of two scales primal and dual exactly and changes nothing else.
 
 The iteration is over-relaxed (Condat 2013, Alg. 3.2).  With u = tau h^d
 G^T p, one step sets p~ = proj(p + sigma h^d (G vbar + xi)), then
-p <- p + rho (p~ - p) and v <- v - rho u, then vbar = 2 (v - u') - v with
+p <- p + rho (p~ - p) and v <- v - rho u, then vbar = v - 2 u' with
 u' = tau h^d G^T p for the new p.  rho = _RELAXATION = 1.9; any rho in
 (0, 2) converges at these step sizes, and rho = 1 is plain Chambolle-Pock.
 The gap checks certify the relaxed pair (v, p): a relaxed p may leave the
@@ -33,11 +33,15 @@ each at its lowest-corner node, so a cell with a coordinate n is a ghost.
 A step along axis j is the flat stride (n+1)^(d-1-j).  The iteration, the
 primal energy, the certificate and its Poisson matrix all run on it, and
 match the plain (m, d, *cells) reference kept in the tests bit for bit.
-Both projections run in place on the whole cell buffer.  The ellipsoid
-projection gets one projections.Ellipsoids per solve, with unit axes on
-the ghosts, whose p is exactly 0, so they stay inside and untouched; it
-holds the axes-only terms and one multiplier per cell, carried from one
-iteration to the next as the Newton warm start.
+A solve folds 1/h and rho into h^(d-1) step arrays, 0 on ghosts and the
+boundary: step_p = sigma h^d / h, xs = sigma h^d xi, step_v = rho tau h^d / h.
+With D = h G the raw differences, a step (21 numpy calls in 2-d, m = 1)
+projects the gradient buffer D vbar step_p + xs + P in place, then runs
+P += rho (projected - P), V -= U, U = D^T P step_v = rho u' and
+Vbar = V - 2 U / rho; no copy of the old p is kept.  The ghosts' entries
+are exactly 0 and get unit radii or axes, so both projections keep them 0.
+projections.Ellipsoids, one per solve, holds the axes-only terms and each
+cell's multiplier, the Newton warm start of the next iteration.
 """
 
 from __future__ import annotations
@@ -198,6 +202,11 @@ class SolveReport:
                              f"{self.primal!r}, dual {self.dual!r}, gap {self.gap!r}")
 
     @property
+    def nonfinite(self) -> bool:
+        """Overflow or NaN ended the solve at a gap check, uncertified."""
+        return not (math.isfinite(self.primal) and math.isfinite(self.dual))
+
+    @property
     def grid(self) -> Grid:
         return self.problem.grid
 
@@ -321,16 +330,16 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     xi = problem.xi
 
     scale = float(problem.lam.max())
-    if not np.isfinite(scale) or scale <= 0:
-        raise ValueError("weights must be positive and finite")
-    lam_n = problem.lam / scale
+    lam_n = problem.lam / scale if 0.0 < scale < math.inf else None
+    if lam_n is None or not lam_n.min() > 0.0:  # the certificate divides by every weight
+        raise ValueError(f"weights must be finite and positive fractions of the largest; got "
+                         f"{float(problem.lam.min())!r} to {scale!r}")
     iso = bool(np.all(lam_n == lam_n[:1]))
     lam0_total = hd * float(problem.lam0.sum()) if problem.lam0 is not None else 0.0
 
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
     ratio = default_step_ratio(grid, xi)
-    tau = ratio / L
-    sigma = 1.0 / (ratio * L)
+    tau, sigma = ratio / L, 1.0 / (ratio * L)
 
     with _LU_LOCK:
         lu = _laplacian_lu(d, n)
@@ -340,7 +349,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     lam_k = lam_n.reshape(d, -1)
     xi_col = xi.reshape(m, d, 1)
     V, U = np.zeros((m, N)), np.zeros((m, N))
-    G, P, P_old = np.zeros((m, d, N)), np.zeros((m, d, N)), np.empty((m, d, N))
+    G, P = np.zeros((m, d, N)), np.zeros((m, d, N))
     xin = float(np.sqrt((xi * xi).sum()))
     if d == 1 and xin > 0.0:
         # One dimension is closed form: all slope mass on the cheapest
@@ -358,33 +367,24 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         with np.errstate(invalid="ignore", divide="ignore"):
             P[..., lat.real] = np.where(nrm > 0, xi_col * lam_k[None] ** 2 / nrm, 0.0)
     Vbar = V.copy()
-    step_p, step_v = np.zeros(N), np.zeros(N)
-    step_p[lat.real] = sigma * hd
-    step_v[lat.interior] = tau * hd
-    if iso:
-        radii = np.zeros(N)
-        radii[lat.real] = lam_k[0]
-    else:  # ghost cells get unit axes; their p is 0, so they stay inside
-        axes = np.ones((d, N))
-        axes[:, lat.real] = lam_k
-        balls = Ellipsoids(axes)  # also carries each cell's multiplier across iterations
+    step_p, step_v, xs = np.zeros(N), np.zeros(N), np.zeros((m, d, N))
+    step_p[lat.real] = sigma * hd / h
+    xs[..., lat.real] = xi_col * (sigma * hd)
+    step_v[lat.interior] = _RELAXATION * tau * hd / h
+    axes = np.ones((d, N))  # ghost cells get unit axes; their G is 0, so it stays 0
+    axes[:, lat.real] = lam_k
+    radii = axes[0]  # all rows agree when iso
+    balls = None if iso else Ellipsoids(axes)  # carries each cell's multiplier across steps
     grad_views, adjoint_views = lat.diff_views(Vbar, G), lat.adjoint_views(P, U)
 
-    best_primal = math.inf
-    best_dual = -math.inf
-    best_v = V.copy()
-    it = 0
-    next_check = 0
+    best_primal, best_dual, best_v = math.inf, -math.inf, V.copy()
+    it = next_check = checks = 0
     interval = 20  # iterations to the second gap check, then 1.3x per check
-    checks = 0
-    converged = False
-    gap = math.inf
     while True:
         if it >= next_check or it >= max_iter:
             primal_n = hd * float(_cell_norms(lat, V, xi, lam_k, h).sum())
             if primal_n < best_primal:
-                best_primal = primal_n
-                best_v = V.copy()
+                best_primal, best_v = primal_n, V.copy()
             dual_n = _certified_dual(lat, P, lam_k, xi, h, lu)
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
@@ -392,47 +392,35 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             primal_rep = scale * best_primal + lam0_total
             dual_rep = scale * best_dual + lam0_total
             gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
-            if gap <= tol:
-                converged = True
+            converged = gap <= tol
             next_check = it + interval
             interval = min(int(interval * 1.3) + 1, 250)
-        if converged or it >= max_iter:
+            # overflowed or NaN iterates stay so: the first such check ends the solve
+            done = converged or not (math.isfinite(primal_n) and math.isfinite(dual_n))
+        if done or it >= max_iter:
             break
         _forward(grad_views)  # G = D vbar
-        G /= h
-        G += xi_col
-        G *= step_p  # sigma h^d on real cells, 0 on ghosts
-        np.copyto(P_old, P)
-        P += G
+        G *= step_p  # sigma h^d / h on real cells, 0 on ghosts
+        G += xs  # sigma h^d xi on real cells, 0 on ghosts
+        G += P
         if iso:
-            project_radial(P, radii)
+            project_radial(G, radii)
         else:
-            project_ellipsoid(P, balls)
-        P -= P_old  # P = P_old + rho (projected - P_old)
-        P *= _RELAXATION
-        P += P_old
-        U *= _RELAXATION  # U still holds the adjoint of P_old
-        V -= U
+            project_ellipsoid(G, balls)
+        G -= P  # P <- P + rho (projected - P)
+        G *= _RELAXATION
+        P += G
+        V -= U  # U is rho u for the p before this step
         _adjoint(adjoint_views)  # U = D^T P
-        U /= h
-        U *= step_v  # tau h^d on interior nodes, 0 on the boundary
-        np.subtract(V, U, out=Vbar)  # Vbar = 2 (V - U) - V
-        Vbar *= 2.0
-        Vbar -= V
+        U *= step_v  # rho tau h^d / h on interior nodes, 0 on the boundary
+        np.multiply(U, -2.0 / _RELAXATION, out=Vbar)  # Vbar = V - 2 u
+        Vbar += V
         it += 1
 
-    return SolveReport(
-        primal=scale * best_primal + lam0_total,
-        dual=scale * best_dual + lam0_total,
-        gap=gap,
-        iterations=it,
-        converged=converged,
-        minimizer=best_v.reshape((m,) + grid.node_shape),
-        problem=problem,
-        tol=tol,
-        wall_time=time.perf_counter() - t0,
-        gap_checks=checks,
-    )
+    return SolveReport(primal=primal_rep, dual=dual_rep, gap=gap, iterations=it,
+                       converged=converged, minimizer=best_v.reshape((m,) + grid.node_shape),
+                       problem=problem, tol=tol, wall_time=time.perf_counter() - t0,
+                       gap_checks=checks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ import numpy as np
 from .degeneracy import divergence_setting, interface_setting
 from .fields import LAWS, DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic
 from .glue import glue_boxes
-from .homogenize import rank_one_segment, subcube_parts
+from .homogenize import increasing, rank_one_segment, subcube_parts
 
 CONFIG_VERSION = 1
 
@@ -51,11 +51,17 @@ def _at_least(lo, default):
     return _Rule("integer", default, f">= {lo}", lambda v, d: v >= lo)
 
 
+def _increasing(v, d):
+    try:
+        return _nums(v) and increasing(v, "")[0] > 0
+    except ValueError:
+        return False
+
+
 _POSITIVE = dict(bound="> 0", ok=lambda v, d: _num(v) and v > 0)
-# a list value says each entry once: a ladder or ray in increasing order,
-# since its checks compare consecutive entries, and a set without repeats
-_INCREASING = dict(bound="of one or more numbers > 0 in increasing order",
-                   ok=lambda v, d: _nums(v) and v[0] > 0 and all(a < b for a, b in zip(v, v[1:])))
+# a list value says each entry once: a ladder or ray in increasing order
+# (homogenize.increasing), and a set without repeats
+_INCREASING = dict(bound="of one or more numbers > 0 in increasing order", ok=_increasing)
 _DISTINCT = dict(bound="of one or more distinct numbers > 0",
                  ok=lambda v, d: _nums(v) and min(v) > 0 and len(set(v)) == len(v))
 _OBSERVABLES = ("lambda_norm", "entry", "lower")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cell import SolveTask, solve_many
 from .fields import FieldSpec, Laminate, sample_field
+from .homogenize import increasing
 from .integrand import growth_constants
 from .stats import mean_ci
 
@@ -99,7 +100,7 @@ def divergence_experiment(spec: FieldSpec, xi=None, *, t_list, n_real: int, seed
     """
     xi = divergence_setting(spec, xi)
     xin = float(np.sqrt((xi * xi).sum()))
-    t_list = tuple(float(t) for t in t_list)
+    t_list = increasing(t_list, "t_list")
 
     tasks = [SolveTask(spec, seed, r, t, xi, center=(0.5 * t,) * spec.dimension,
                        cells_per_unit=cells_per_unit, tol=tol)
@@ -113,13 +114,13 @@ def divergence_experiment(spec: FieldSpec, xi=None, *, t_list, n_real: int, seed
     cis = np.array([mean_ci(vals[ti])[1] for ti in range(len(t_list))])
     slack = _JENSEN_RTOL * bounds  # the bounds are positive: weights and |xi| are
     jensen_ok = bool(np.all(vals >= bounds - slack))
-    increasing = bool(np.all(np.diff(means) > 0.0))
+    rises = bool(np.all(np.diff(means) > 0.0))
     ratio = float(means[-1] / means[0]) if means[0] > 0 else math.inf
     heavy = "C0_infinite" in growth_constants(spec).flags
     return DivergenceReport(xi=xi, t_list=t_list, means=means, ci_halves=cis,
                             jensen_bounds=bounds.mean(axis=1),
                             jensen_margin=float(margin), jensen_ok=jensen_ok,
-                            strictly_increasing=increasing, growth_ratio=ratio,
+                            strictly_increasing=rises, growth_ratio=ratio,
                             heavy_tail=heavy, n_flagged=n_flagged)
 
 

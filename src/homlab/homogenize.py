@@ -93,6 +93,15 @@ def _as_xi(xi) -> np.ndarray:
     return np.atleast_2d(np.asarray(xi, dtype=float))
 
 
+def increasing(values, name: str) -> tuple:
+    """``values`` as floats, once each is above the one before: the checks
+    along a ladder or a ray compare consecutive entries.  Else ValueError."""
+    values = tuple(float(v) for v in values)
+    if not all(a < b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {list(values)}")
+    return values
+
+
 def _solve_cases(spec, cases, n_real, seed, tol, cells_per_unit, workers):
     """Normalized values, gaps, iterations and certified flags, each a
     (len(cases), n_real) array, of realizations 0..n_real-1 solved at each
@@ -119,7 +128,7 @@ def estimate_f_hom(spec: FieldSpec, xi, *, t_list, n_real: int, seed: int = 0,
     agree within their combined CIs.
     """
     xi = _as_xi(xi)
-    t_list = tuple(float(t) for t in t_list)
+    t_list = increasing(t_list, "t_list")
 
     solves = _solve_cases(spec, [(t, xi) for t in t_list], n_real, seed, tol,
                           cells_per_unit, workers)
@@ -318,7 +327,7 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), *, t: float, n_real: 
     increments must match (1/s - 1/s') E[lam] within budget + CI.
     """
     xi = _as_xi(xi)
-    s_list = tuple(float(s) for s in s_list)
+    s_list = increasing(s_list, "s_list")
 
     vals, _, _, ok = _solve_cases(spec, [(t, s * xi) for s in s_list], n_real, seed, tol,
                                   cells_per_unit, workers)

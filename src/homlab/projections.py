@@ -65,14 +65,15 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 
 def _shrink(p: np.ndarray, sq: np.ndarray, radii) -> np.ndarray:
     """Scale each cell of p, whose norm is sqrt(sq), onto the ball of its
-    radius if it lies outside, in place.  Returns p."""
-    return np.multiply(p, np.minimum(1.0, radii / np.maximum(np.sqrt(sq), 1e-300)), out=p)
+    radius (> 0) if it lies outside, in place; inside, the factor is exactly 1."""
+    return np.multiply(p, radii / np.maximum(np.sqrt(sq), radii), out=p)
 
 
 def project_radial(p: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Shrink each cell's (m, d) block onto the ball of its radius, in place.
 
-    p has shape (m, d, *cells); radii broadcasts over cells.  Returns p.
+    p has shape (m, d, *cells); radii, all > 0, broadcasts over cells.
+    Returns p.
     """
     return _shrink(p, _sum_rows(p * p), radii)
 

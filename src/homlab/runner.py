@@ -144,7 +144,7 @@ def _cmd_solve_cell(ctx):
         ctx.rec(xi_label=label, t=t, realization=r, kind="solve",
                 value=rep.normalized, gap=rep.gap, iterations=rep.iterations,
                 wall_time_s=rep.wall_time,
-                flags="" if rep.converged else "flagged")
+                flags="" if rep.converged else "flagged;nonfinite" if rep.nonfinite else "flagged")
         worst_gap = max(worst_gap, rep.gap)
         if not rep.converged:
             ctx.verdict = False

@@ -462,7 +462,8 @@ def test_relaxation_cuts_iterations_on_degenerate_laws(monkeypatch):
 
 def reference_solve(problem, tol, max_iter):
     """solve_cell without the padded lattice: the same warm start, step
-    sizes, check schedule, over-relaxed step and warm-started ellipsoid
+    sizes, check schedule, over-relaxed step in the same operation order
+    (1/h and rho folded into the step sizes) and warm-started ellipsoid
     multipliers, with each iteration built from _grad, _grad_adjoint and
     the projections on (m, d, *cells) arrays, and the certificate from
     _primal_normalized and the array _certified_dual.  Returns (primal, dual,
@@ -510,14 +511,12 @@ def reference_solve(problem, tol, max_iter):
             interval = min(int(interval * 1.3) + 1, 250)
         if it >= max_iter:
             break
-        w = _grad(vbar, h)
-        w += xib
-        arg = p + (sigma * hd) * w
+        arg = _grad(vbar, 1.0) * (sigma * hd / h) + xib * (sigma * hd) + p
         p_new = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, balls)
-        p = (p_new - p) * rho + p
-        v = v - u * rho  # u is the adjoint of the p before this step
-        u = (tau * hd) * _grad_adjoint(p, h)
-        vbar = 2.0 * (v - u) - v
+        p = p + (p_new - p) * rho
+        v = v - u  # u is rho tau h^d D^T p / h for the p before this step
+        u = _grad_adjoint(p, 1.0) * (rho * tau * hd / h)
+        vbar = u * (-2.0 / rho) + v
         it += 1
     return primal_rep, dual_rep, it, best_v
 
@@ -567,6 +566,50 @@ def test_solver_input_validation():
                       lam=np.zeros((1, 4)))
     with pytest.raises(ValueError):
         solve_cell(bad)
+
+
+@pytest.mark.parametrize("least, largest", [(0.0, None), (1e-30, 1e300), (-1.0, None)],
+                         ids=["zero", "underflows-against-the-largest", "negative"])
+def test_weights_the_certificate_cannot_divide_by_are_refused(least, largest):
+    # the certificate divides by every normalized weight; a zero one used to
+    # run all 150000 iterations and come back with dual -inf and gap inf
+    prob = cell_problem_on_cube(sample_field(FieldSpec(
+        dimension=2, structure=IidCubes(), diagonal=U12), 0, 0), 2.0, np.array([[1.0, 0.0]]))
+    lam = prob.lam.copy()
+    lam[0, 0, 0] = least
+    if largest is not None:
+        lam[1, 1, 1] = largest
+    with pytest.raises(ValueError, match="positive fractions of the largest"):
+        solve_cell(CellProblem(prob.grid, prob.xi, lam))
+
+
+def test_a_nonfinite_check_ends_the_solve_and_is_flagged():
+    # |xi|^2 overflows, so the primal of check 0 is inf; the solve used to
+    # run all 150000 iterations and 608 checks before reporting it
+    fld = sample_field(FieldSpec(dimension=2, structure=IidCubes(), diagonal=U12), 0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = solve_cell(cell_problem_on_cube(fld, 4.0, np.array([[1e200, 0.0]])))
+    assert (rep.iterations, rep.gap_checks, rep.converged) == (0, 1, False)
+    assert rep.primal == math.inf and rep.nonfinite
+    assert not solve_cell(cell_problem_on_cube(fld, 4.0, np.array([[1.0, 0.0]]))).nonfinite
+
+
+@pytest.mark.parametrize("aniso", [False, True], ids=["radial", "ellipsoid"])
+def test_each_step_projects_once_through_the_module_globals(aniso, monkeypatch):
+    # the layer trace times projections by rebinding these two names, so a
+    # step must make exactly one call, through homlab.cell, of the right one
+    calls = {"project_radial": 0, "project_ellipsoid": 0}
+    for name in calls:
+        def counting(*args, _inner=getattr(homlab.cell, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(homlab.cell, name, counting)
+    problem = _bitwise_case(d=2, m=1, aniso=aniso)
+    used, unused = ("project_ellipsoid", "project_radial")[::1 if aniso else -1]
+    for k in (1, 7, 60):
+        before = dict(calls)
+        assert solve_cell(problem, tol=1e-300, max_iter=k).iterations == k
+        assert (calls[used] - before[used], calls[unused] - before[unused]) == (k, 0)
 
 
 def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):

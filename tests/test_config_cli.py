@@ -1,5 +1,6 @@
 """Config parsing, result records, CLI behavior, and rerun determinism."""
 
+import csv
 import json
 import math
 from importlib import resources
@@ -405,6 +406,18 @@ def test_solve_cell_saves_one_minimizer_per_slope(tmp_path):
             assert (sidecar["primal"], sidecar["dual"], sidecar["gap"]) == (
                 rep.primal, rep.dual, rep.gap)
     assert dumps[0] == dumps[1]
+
+
+def test_solve_cell_flags_a_nonfinite_solve(tmp_path):
+    # |xi|^2 overflows: the solve stops at its first check, uncertified
+    raw = base_config(command="solve-cell", field=UNIFORM, xi=[[1e200, 0]], t_list=[4],
+                      n_real=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, csv_path, _ = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
+    rows = list(csv.DictReader(Path(csv_path).read_text().splitlines()))
+    assert code == 1
+    assert [(r["value"], r["iterations"], r["flags"]) for r in rows if r["kind"] == "solve"] == [
+        ("inf", "0", "flagged;nonfinite")]
 
 
 def test_solve_cell_solves_a_periodic_field_once(tmp_path):

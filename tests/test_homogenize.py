@@ -11,6 +11,7 @@ from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
 from homlab.cell import cell_problem_on_cube
 
 import conftest
+import homlab.cell
 import homlab.homogenize
 
 E1 = np.array([[1.0, 0.0]])
@@ -169,6 +170,26 @@ def test_recession_with_lower_order_decreases_by_lambda_mean():
 
 PARETO_LAMINATE = FieldSpec(dimension=2, structure=Laminate(axis=1),
                             diagonal=DistributionSpec.pareto(1.0, 1.0))
+
+
+# each entry point that compares consecutive sizes or scales, given a list
+UNORDERED = {
+    "recession": lambda s: recession(IID_U12, E1, s_list=s, t=4, n_real=2),
+    "estimate": lambda t: estimate_f_hom(IID_U12, E1, t_list=t, n_real=2),
+    "growth-sandwich": lambda t: verify_growth_sandwich(IID_U12, [E1], t_list=t, n_real=2),
+    "divergence": lambda t: divergence_experiment(PARETO_LAMINATE, xi=E2, t_list=t, n_real=2),
+}
+
+
+@pytest.mark.parametrize("values", [(5, 2, 1), (4, 2, 4), (2, 2)])
+@pytest.mark.parametrize("check", UNORDERED)
+def test_lists_that_do_not_strictly_increase_are_refused(check, values, monkeypatch):
+    # refused before any solve: an unsorted s_list used to fail recession's
+    # decreasing check falsely, and a repeated t was solved twice
+    monkeypatch.setattr(homlab.cell, "solve_cell", None)
+    with pytest.raises(ValueError, match="must be strictly increasing"):
+        UNORDERED[check](values)
+
 
 # each check on a tiny case; its report gives the verdict and the
 # number of uncertified solves as (rep.passed, rep.n_flagged)

@@ -56,6 +56,22 @@ def test_radial_out_is_bit_identical_to_the_shrink_formula(m, d):
     assert q.tobytes() == want
 
 
+@pytest.mark.parametrize("radius", [1e-300, 1.0, 1e300])
+def test_radial_keeps_a_zero_block_zero(radius):
+    # sqrt(0) against a positive radius: the factor is radius / radius, no 0/0
+    p = np.zeros((2, 3, 4))
+    assert project_radial(p, np.full(4, radius)).tobytes() == np.zeros((2, 3, 4)).tobytes()
+
+
+def test_radial_keeps_the_bits_of_a_block_on_its_sphere():
+    # each block's norm is exactly its radius
+    p = np.array([[[3.0, 1.0, 0.0, -0.5], [4.0, 0.0, -2.0, 0.5]],
+                  [[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, -0.5]]])
+    radii = np.array([5.0, 1.0, 2.0, 1.0])
+    q = project_radial(p.copy(), radii)
+    assert q.tobytes() == p.tobytes()
+
+
 def test_radial_inside_unchanged_outside_on_sphere():
     p = np.zeros((1, 2, 3))
     p[0, 0] = [0.3, 5.0, -2.0]
