@@ -15,9 +15,11 @@ points, so every reported value carries a certified duality gap
 relative at every weight scale (0 when the primal is exactly 0, as for
 xi = 0 with no lower-order term).  Weights are normalized by their
 maximum before iterating (the energy is 1-homogeneous in Lambda), which
-keeps step sizes well scaled for heavy-tailed fields; reported values
-are restored to the original scale, so scaling Lambda and lam by a power
-of two scales primal and dual exactly and changes nothing else.
+keeps step sizes well scaled for heavy-tailed fields, and the slope by
+c = 2^floor(log2 |xi|_F) (it is 1-homogeneous in xi too, before the
+lower-order total is added).  Reported values are restored to the
+original scale, so scaling Lambda and lam, or xi without lam, by a power
+of two scales primal, dual and minimizer exactly and changes nothing else.
 
 The iteration is over-relaxed (Condat 2013, Alg. 3.2).  With u = tau h^d
 G^T p, one step sets p~ = proj(p + sigma h^d (G vbar + xi)), then
@@ -304,15 +306,26 @@ def _certified_dual(lat: _Lattice, P, lam, xi, h, lu) -> float:
     return s * h**lat.d * float((ptil.sum(axis=-1) * xi).sum())
 
 
+def slope_unit(xi: np.ndarray) -> float:
+    """c = 2^floor(log2 |xi|_F), or 1 for xi = 0: a power of two, so xi / c
+    is exact and has |xi / c|_F in [1, 2).  The norm is taken of xi scaled
+    below 1 by a power of two, so its squares cannot overflow."""
+    if not np.any(xi):
+        return 1.0
+    top = math.frexp(float(np.abs(xi).max()))[1]  # every |entry| < 2^top
+    r = np.ldexp(xi, -top)
+    return math.ldexp(1.0, top + math.frexp(float(np.sqrt((r * r).sum())))[1] - 1)
+
+
 def default_step_ratio(grid: Grid, xi: np.ndarray) -> float:
-    """Primal/dual step balance.
+    """Primal/dual step balance for a normalized slope (|xi|_F in [1, 2), or 0).
 
     The primal iterate scale grows with the cell count per side and the
     slope magnitude while the dual stays in unit balls; benchmarks put
     the optimum near cells/16 * |xi| with a floor of 2.
     """
     xin = float(np.sqrt((xi * xi).sum()))
-    return max(2.0, grid.cells / 16.0 * max(1.0, xin))
+    return max(2.0, grid.cells / 16.0 * xin)
 
 
 def solve_cell(problem: CellProblem, tol: float = 1e-5,
@@ -327,7 +340,8 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
     hd = h**d
-    xi = problem.xi
+    c = slope_unit(problem.xi)
+    xi = problem.xi / c  # exact: c is a power of two
 
     scale = float(problem.lam.max())
     lam_n = problem.lam / scale if 0.0 < scale < math.inf else None
@@ -335,6 +349,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         raise ValueError(f"weights must be finite and positive fractions of the largest; got "
                          f"{float(problem.lam.min())!r} to {scale!r}")
     iso = bool(np.all(lam_n == lam_n[:1]))
+    unit = scale * c  # a normalized value times unit is the reported one
     lam0_total = hd * float(problem.lam0.sum()) if problem.lam0 is not None else 0.0
 
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
@@ -389,14 +404,16 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
             checks += 1
-            primal_rep = scale * best_primal + lam0_total
-            dual_rep = scale * best_dual + lam0_total
+            primal_rep = unit * best_primal + lam0_total
+            dual_rep = unit * best_dual + lam0_total
             gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
             converged = gap <= tol
             next_check = it + interval
             interval = min(int(interval * 1.3) + 1, 250)
-            # overflowed or NaN iterates stay so: the first such check ends the solve
-            done = converged or not (math.isfinite(primal_n) and math.isfinite(dual_n))
+            # overflowed or NaN iterates stay so, and a reported dual of +inf
+            # can only rise: the first such check ends the solve uncertified
+            done = (converged or dual_rep == math.inf
+                    or not (math.isfinite(primal_n) and math.isfinite(dual_n)))
         if done or it >= max_iter:
             break
         _forward(grad_views)  # G = D vbar
@@ -418,7 +435,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         it += 1
 
     return SolveReport(primal=primal_rep, dual=dual_rep, gap=gap, iterations=it,
-                       converged=converged, minimizer=best_v.reshape((m,) + grid.node_shape),
+                       converged=converged, minimizer=(best_v * c).reshape((m,) + grid.node_shape),
                        problem=problem, tol=tol, wall_time=time.perf_counter() - t0,
                        gap_checks=checks)
 

@@ -98,15 +98,21 @@ def _pick(rep, *keys) -> dict:
     return {k: getattr(rep, k) for k in keys}
 
 
+def _solve_row(ctx, label, t, r, value, gap, iterations, certified, wall_time_s=None):
+    """Record one solve, flagged if uncertified and flagged;nonfinite if also not finite."""
+    value, gap = float(value), float(gap)
+    finite = math.isfinite(value) and math.isfinite(gap)
+    ctx.rec(xi_label=label, t=t, realization=r, kind="solve", value=value, gap=gap,
+            iterations=int(iterations), wall_time_s=wall_time_s,
+            flags="" if certified else "flagged" if finite else "flagged;nonfinite")
+
+
 def _estimate_records(ctx, label, est):
     """Record an estimate's solves, levels and value, and copy its flags into
     the run's; too many uncertified solves at any t fail the run."""
     for lv in est.levels:
-        for r in range(lv.all_values.size):
-            ctx.rec(xi_label=label, t=lv.t, realization=r, kind="solve",
-                    value=float(lv.all_values[r]), gap=float(lv.gaps[r]),
-                    iterations=int(lv.iterations[r]),
-                    flags="" if lv.certified[r] else "flagged")
+        for r, solve in enumerate(zip(lv.all_values, lv.gaps, lv.iterations, lv.certified)):
+            _solve_row(ctx, label, lv.t, r, *solve)
         ctx.rec(xi_label=label, t=lv.t, kind="level_mean", value=lv.mean,
                 std=float(np.std(lv.values, ddof=1)) if lv.values.size > 1
                 else None,
@@ -139,13 +145,9 @@ def _cmd_solve_cell(ctx):
     keys = [(label, r) for label in cfg.xi_labels for r in range(n_real)]
     tasks = [SolveTask(cfg.spec, cfg.seed, r, t, xi, cells_per_unit=cfg.cells_per_unit,
                        tol=cfg.tol) for xi in cfg.xi_list for r in range(n_real)]
-    worst_gap = 0.0
     for (label, r), rep in zip(keys, solve_many(tasks, ctx.workers)):
-        ctx.rec(xi_label=label, t=t, realization=r, kind="solve",
-                value=rep.normalized, gap=rep.gap, iterations=rep.iterations,
-                wall_time_s=rep.wall_time,
-                flags="" if rep.converged else "flagged;nonfinite" if rep.nonfinite else "flagged")
-        worst_gap = max(worst_gap, rep.gap)
+        _solve_row(ctx, label, t, r, rep.normalized, rep.gap, rep.iterations, rep.converged,
+                   wall_time_s=rep.wall_time)
         if not rep.converged:
             ctx.verdict = False
             ctx.flags.append(f"flagged_solve:{label}:r={r}")
@@ -153,7 +155,7 @@ def _cmd_solve_cell(ctx):
             path = os.path.join(ctx.out_dir,
                                 f"minimizer-{ctx.run_id}-{label}.npy")
             save_minimizer(rep, path)
-    ctx.report["worst_gap"] = worst_gap
+    ctx.report["worst_gap"] = np.max([rec.gap for rec in ctx.records])  # NaN wins
     ctx.report["t"] = t
 
 

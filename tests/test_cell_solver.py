@@ -14,7 +14,7 @@ from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
                     Laminate, SolveReport, SolveTask, assemble, cell_problem_on_cube,
                     cube_grid, load_minimizer, sample_field, save_minimizer,
                     solve_cell, solve_many)
-from homlab.cell import _Lattice, _laplacian_lu, default_step_ratio
+from homlab.cell import _Lattice, _laplacian_lu, default_step_ratio, slope_unit
 from homlab.projections import Ellipsoids, project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
@@ -461,20 +461,22 @@ def test_relaxation_cuts_iterations_on_degenerate_laws(monkeypatch):
 
 
 def reference_solve(problem, tol, max_iter):
-    """solve_cell without the padded lattice: the same warm start, step
-    sizes, check schedule, over-relaxed step in the same operation order
-    (1/h and rho folded into the step sizes) and warm-started ellipsoid
-    multipliers, with each iteration built from _grad, _grad_adjoint and
-    the projections on (m, d, *cells) arrays, and the certificate from
-    _primal_normalized and the array _certified_dual.  Returns (primal, dual,
-    iterations, minimizer)."""
+    """solve_cell without the padded lattice: the same slope and weight
+    normalization, warm start, step sizes, check schedule, over-relaxed step
+    in the same operation order (1/h and rho folded into the step sizes) and
+    warm-started ellipsoid multipliers, with each iteration built from _grad,
+    _grad_adjoint and the projections on (m, d, *cells) arrays, and the
+    certificate from _primal_normalized and the array _certified_dual.
+    Returns (primal, dual, iterations, minimizer)."""
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
     hd = h ** d
-    xi = problem.xi
+    c = slope_unit(problem.xi)
+    xi = problem.xi / c
     xib = xi.reshape((m, d) + (1,) * d)
     scale = float(problem.lam.max())
     lam_n = problem.lam / scale
+    unit = scale * c
     iso = bool(np.all(lam_n == lam_n[:1]))
     lam0_total = hd * float(problem.lam0.sum()) if problem.lam0 is not None else 0.0
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
@@ -502,8 +504,8 @@ def reference_solve(problem, tol, max_iter):
             if primal_n < best_primal:
                 best_primal, best_v = primal_n, v.copy()
             best_dual = max(best_dual, min(_certified_dual(p, lam_n, xi, h, lu), best_primal))
-            primal_rep = scale * best_primal + lam0_total
-            dual_rep = scale * best_dual + lam0_total
+            primal_rep = unit * best_primal + lam0_total
+            dual_rep = unit * best_dual + lam0_total
             gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
             if gap <= tol:
                 break
@@ -518,7 +520,7 @@ def reference_solve(problem, tol, max_iter):
         u = _grad_adjoint(p, 1.0) * (rho * tau * hd / h)
         vbar = u * (-2.0 / rho) + v
         it += 1
-    return primal_rep, dual_rep, it, best_v
+    return primal_rep, dual_rep, it, best_v * c
 
 
 def _bitwise_case(d, m, aniso=False, lower=False, cells_per_unit=2):
@@ -584,14 +586,52 @@ def test_weights_the_certificate_cannot_divide_by_are_refused(least, largest):
 
 
 def test_a_nonfinite_check_ends_the_solve_and_is_flagged():
-    # |xi|^2 overflows, so the primal of check 0 is inf; the solve used to
-    # run all 150000 iterations and 608 checks before reporting it
+    # the reported bounds overflow at check 0 while the normalized ones stay
+    # finite; either solve used to run all 150000 iterations before reporting it
+    huge = DistributionSpec.constant(1e308)
+    for spec in (FieldSpec(dimension=2, structure=IidCubes(), diagonal=U12, lower_order=huge),
+                 FieldSpec(dimension=2, structure=IidCubes(), diagonal=huge)):
+        fld = sample_field(spec, 0, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = solve_cell(cell_problem_on_cube(fld, 4.0, np.array([[1.0, 0.0]])))
+        assert (rep.iterations, rep.gap_checks, rep.converged) == (0, 1, False)
+        assert rep.primal == rep.dual == math.inf and rep.nonfinite
     fld = sample_field(FieldSpec(dimension=2, structure=IidCubes(), diagonal=U12), 0, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = solve_cell(cell_problem_on_cube(fld, 4.0, np.array([[1e200, 0.0]])))
-    assert (rep.iterations, rep.gap_checks, rep.converged) == (0, 1, False)
-    assert rep.primal == math.inf and rep.nonfinite
     assert not solve_cell(cell_problem_on_cube(fld, 4.0, np.array([[1.0, 0.0]]))).nonfinite
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_scaling_xi_by_a_power_of_two_scales_the_solve_exactly(d):
+    # xi is divided by c = 2^floor(log2 |xi|_F), so xi 2^k runs the same
+    # iterations and every reported number scales by 2^k, minimizer included
+    spec = FieldSpec(dimension=d, structure=IidCubes(), diagonal=U12)
+    fld = sample_field(spec, 0, 0)
+    xi = np.array([[1.0, 0.75][:d]])
+    base = solve_cell(cell_problem_on_cube(fld, 4.0, xi))
+    assert base.converged
+    for k in range(-20, 21):
+        rep = solve_cell(cell_problem_on_cube(fld, 4.0, xi * 2.0 ** k))
+        assert (rep.iterations, rep.gap_checks, rep.gap) == (
+            base.iterations, base.gap_checks, base.gap), k
+        assert (rep.primal, rep.dual) == (base.primal * 2.0 ** k, base.dual * 2.0 ** k), k
+        assert rep.minimizer.tobytes() == (base.minimizer * 2.0 ** k).tobytes(), k
+
+
+def test_slopes_of_every_decade_certify():
+    # without the slope normalization xi = 1e-3 e1 ran out of iterations here
+    fld = sample_field(FieldSpec(dimension=2, structure=IidCubes(), diagonal=U12), 0, 0)
+    for k in range(-6, 7):
+        rep = solve_cell(cell_problem_on_cube(fld, 8.0, np.array([[10.0 ** k, 0.0]])))
+        assert rep.converged, k
+
+
+@pytest.mark.parametrize("xi, c", [
+    ([[0.0, 0.0]], 1.0), ([[1.0, 0.0]], 1.0), ([[1.0, 1.0]], 1.0), ([[3.0, 4.0]], 4.0),
+    ([[1e-3, 0.0]], 2.0 ** -10), ([[1e308, 1e308]], 2.0 ** 1023), ([[5e-324, 0.0]], 5e-324),
+], ids=["zero", "e1", "e1+e2", "3-4-5", "1e-3", "square-overflows", "subnormal"])
+def test_slope_unit_is_the_power_of_two_below_the_norm(xi, c):
+    # computed without forming |xi|^2, which would overflow or underflow here
+    assert slope_unit(np.array(xi)) == c
 
 
 @pytest.mark.parametrize("aniso", [False, True], ids=["radial", "ellipsoid"])

@@ -408,16 +408,21 @@ def test_solve_cell_saves_one_minimizer_per_slope(tmp_path):
     assert dumps[0] == dumps[1]
 
 
-def test_solve_cell_flags_a_nonfinite_solve(tmp_path):
-    # |xi|^2 overflows: the solve stops at its first check, uncertified
-    raw = base_config(command="solve-cell", field=UNIFORM, xi=[[1e200, 0]], t_list=[4],
-                      n_real=1)
+@pytest.mark.parametrize("command", ["solve-cell", "estimate-fhom", "verify-bounds"])
+def test_solve_cell_flags_a_nonfinite_solve(command, tmp_path):
+    # the lower-order total overflows: every command's solve stops at its
+    # first check, uncertified, and its row says why
+    field = dict(UNIFORM, lower_order={"kind": "constant", "value": 1e308})
+    raw = base_config(command=command, field=field, xi="e1", t_list=[4], n_real=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        code, csv_path, _ = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
+        code, csv_path, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
     rows = list(csv.DictReader(Path(csv_path).read_text().splitlines()))
     assert code == 1
-    assert [(r["value"], r["iterations"], r["flags"]) for r in rows if r["kind"] == "solve"] == [
-        ("inf", "0", "flagged;nonfinite")]
+    assert [(r["value"], r["gap"], r["iterations"], r["flags"])
+            for r in rows if r["kind"] == "solve"] == [("inf", "nan", "0", "flagged;nonfinite")]
+    if command == "solve-cell":
+        summary = json.loads(Path(summary_path).read_text())
+        assert summary["report"]["worst_gap"] == "nan"
 
 
 def test_solve_cell_solves_a_periodic_field_once(tmp_path):

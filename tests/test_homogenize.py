@@ -154,6 +154,15 @@ def test_recession_without_lower_order_is_constant():
     assert np.allclose(report.means, report.means[0], atol=1e-4)
 
 
+def test_recession_along_a_short_ray_is_constant():
+    # the solver normalizes the slope like the weights, so s = 0.001 steps
+    # like s = 1; it used to run out of iterations and fail the check
+    report = recession(IID_U12, E1, s_list=(0.001, 1.0), t=8, n_real=2, seed=0)
+    assert report.mode == "constant"
+    assert report.passed and report.n_flagged == 0
+    assert report.means[0] == pytest.approx(report.means[1], rel=1e-4)
+
+
 def test_recession_with_lower_order_decreases_by_lambda_mean():
     spec = FieldSpec(dimension=2, structure=IidCubes(),
                      diagonal=DistributionSpec.two_point(1.0, 0.5, 2.0),

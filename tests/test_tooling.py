@@ -86,6 +86,15 @@ def test_each_option_is_read_or_forwarded_to_a_parameter_of_its_name():
         assert set(row.options) <= read, (command, set(row.options) - read)
 
 
+def test_one_call_writes_every_solve_row():
+    # a second writer of kind="solve" rows could flag them under another rule
+    tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    writers = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and any(kw.arg == "kind" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value == "solve" for kw in node.keywords)]
+    assert len(writers) == 1, [ast.unparse(call) for call in writers]
+
+
 # every library entry point that solves or scans, and its realization count
 # and cube sizes; the config table holds their one default
 _SIZED = {homogenize.estimate_f_hom: ("t_list", "n_real"),
