@@ -125,16 +125,14 @@ class CellProblem:
     grid: Grid
     xi: np.ndarray          # (m, d)
     lam: np.ndarray         # (d, *cells) diagonal entries at cell centers
-    lam0: np.ndarray = None  # (*cells,) lower-order weight, or None
+    lam0: np.ndarray        # (*cells,) lower-order weight, 0 without one
 
     def energy_density(self, v: np.ndarray) -> np.ndarray:
         """Per-cell energy h^d (|(Gv+xi) Lambda|_F + lam), shape (*cells,)."""
         grid = self.grid
         d = grid.dimension
         dens = _cell_norms(_Lattice(d, grid.cells), v.reshape(v.shape[0], -1), self.xi,
-                           self.lam.reshape(d, -1), grid.h)
-        if self.lam0 is not None:
-            dens = dens + self.lam0.ravel()
+                           self.lam.reshape(d, -1), grid.h) + self.lam0.ravel()
         return (grid.h ** d * dens).reshape(grid.cell_shape)
 
     def energy(self, v: np.ndarray, cell_mask=None) -> float:
@@ -158,8 +156,7 @@ def assemble(field: FieldSample, grid: Grid, xi) -> CellProblem:
         raise ValueError("field dimension does not match grid dimension")
     lam, lam0 = field.at_cells(*(np.floor(x + o).astype(np.int64)
                                  for x, o in zip(grid.open_mesh(), field.origin)))
-    return CellProblem(grid=grid, xi=xi, lam=lam,
-                       lam0=lam0 if field.spec.lower_order is not None else None)
+    return CellProblem(grid=grid, xi=xi, lam=lam, lam0=lam0)
 
 
 def cube_grid(dimension: int, t: float, cells_per_unit: int = 2,
@@ -350,7 +347,8 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
                          f"{float(problem.lam.min())!r} to {scale!r}")
     iso = bool(np.all(lam_n == lam_n[:1]))
     unit = scale * c  # a normalized value times unit is the reported one
-    lam0_total = hd * float(problem.lam0.sum()) if problem.lam0 is not None else 0.0
+    with np.errstate(over="ignore"):  # an infinite total ends the solve at its first check
+        lam0_total = hd * float(problem.lam0.sum())
 
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
     ratio = default_step_ratio(grid, xi)

@@ -168,7 +168,7 @@ def glue_with_cutoff(u: np.ndarray, v: np.ndarray, problem: CellProblem,
     lam_norm = np.sqrt(np.sum(problem.lam * problem.lam, axis=0))
     hd = h**d
     transport = (4.0 / dist) * hd * float((diff_low * lam_norm)[overlap].sum())
-    lower = delta * hd * float(problem.lam0[overlap].sum()) if problem.lam0 is not None else 0.0
+    lower = delta * hd * float(problem.lam0[overlap].sum())
 
     rhs = base + transport + lower
     report = GlueReport(

@@ -288,9 +288,8 @@ def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=N
         prob_a = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=tuple(z))
         prob_b = cell_problem_on_cube(shift(fld, z), t, xi, cells_per_unit)
         for a, b in ((prob_a.lam, prob_b.lam), (prob_a.lam0, prob_b.lam0)):
-            if a is not None:
-                exact = exact and np.array_equal(a, b)
-                max_diff = max(max_diff, float(np.abs(a - b).max()))
+            exact = exact and np.array_equal(a, b)
+            max_diff = max(max_diff, float(np.abs(a - b).max()))
 
     tasks = [SolveTask(spec, seed, r, t, xi, center=tuple(z) if r < n_real else None,
                        cells_per_unit=cells_per_unit, tol=tol) for r in range(2 * n_real)]

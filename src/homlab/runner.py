@@ -341,10 +341,11 @@ _DISPATCH = {
 def run(cfg: RunConfig, workers: int = 1, out_dir: str = None):
     """Execute a validated config; returns (exit_code, csv_path, summary_path).
 
-    Exit code 0 means every property verdict passed and no estimate was
-    flagged; partial results are still written on failure.  A command
-    that checks a property returns its report, whose uncertified solves
-    are flagged here and whose verdict joins the run's.
+    Exit code 0 means every property verdict passed; of an estimate's
+    flags only ``too_many_flagged`` fails the run, so ``trend_inconsistent``
+    alone exits 0.  Partial results are still written on failure.  A
+    command that checks a property returns its report, whose uncertified
+    solves are flagged here and whose verdict joins the run's.
     """
     out_dir = out_dir or "homlab-out"
     os.makedirs(out_dir, exist_ok=True)

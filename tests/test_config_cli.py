@@ -13,7 +13,7 @@ import pytest
 from homlab import (cell_problem_on_cube, load_minimizer, runner, sample_field,
                     solve_cell)
 from homlab.cli import main
-from homlab.config import (ConfigError, parse_config, parse_config_dict,
+from homlab.config import (COMMANDS, ConfigError, parse_config, parse_config_dict,
                            parse_xi)
 from homlab.records import (CSV_COLUMNS, ResultRecord, canonical_csv_bytes,
                             run_id_for, write_csv)
@@ -115,10 +115,17 @@ def test_defaults_fill_in():
                 "diagonal": {"kind": "gaussian", "mu": 0.0}}},
      "unknown distribution kind"),
     ({"options": {"bogus": 1}}, "not accepted by command"),
+    ({"field": 3}, "field: required, as an object"),
+    ({"field": {**base_config()["field"], "colour": "red"}}, "field: unknown keys ['colour']"),
+    ({"field": {k: v for k, v in base_config()["field"].items() if k != "dimension"}},
+     "field.dimension: required"),
+    ({"options": []}, "options: expected an object"),
+    ({"xi": 3}, "xi: expected a slope or a list of slopes"),
+    ([], "config root must be a JSON object"),
 ])
 def test_each_problem_is_named(over, needle):
     with pytest.raises(ConfigError) as exc:
-        parse_config_dict(base_config(**over))
+        parse_config_dict(base_config(**over) if isinstance(over, dict) else over)
     assert any(needle in e for e in exc.value.errors), exc.value.errors
 
 
@@ -316,10 +323,13 @@ UNIFORM = {"dimension": 2, "structure": {"kind": "iid_cubes"},
            "diagonal": {"kind": "uniform", "a": 1.0, "b": 2.0}}
 PARETO_LAMINATE = {"dimension": 2, "structure": {"kind": "laminate", "axis": 1},
                    "diagonal": {"kind": "pareto", "x_m": 1.0, "alpha_tail": 1.0}}
+CHEAP_LAMINATE = {**PARETO_LAMINATE, "diagonal": {"kind": "uniform", "a": 0.0, "b": 1.0}}
 
-# one tiny config for every command that fans out over realizations
+# one tiny config for every command
 FAN_OUT = {
+    "field-stats": dict(xi=None, t_list=[4, 8]),
     "estimate-fhom": dict(t_list=[4], n_real=3),
+    "verify-bounds": dict(t_list=[4], n_real=2),
     "solve-cell": dict(t_list=[4], n_real=3, xi=["e1", "e1+e2"]),
     "subadditivity": dict(xi=None, t_list=[4], n_real=2),
     "stationarity": dict(t_list=[4], n_real=3),
@@ -327,33 +337,48 @@ FAN_OUT = {
     "rank-one": dict(xi=["e1", "e2"], t_list=[4], n_real=2, options={"n_grid": 3}),
     "degenerate-divergence": dict(field=PARETO_LAMINATE, xi="e2", t_list=[2, 4],
                                   n_real=2),
+    "degenerate-interface": dict(field=CHEAP_LAMINATE, xi=None,
+                                 options={"delta_list": [0.1, 0.01], "n_scans": 20}),
     "glue-check": dict(xi=None, options={"n_instances": 3}),
 }
 
 
-@pytest.mark.parametrize("command", list(FAN_OUT))
-def test_outputs_identical_across_workers_and_reruns(command, tmp_path):
+def test_fan_out_runs_every_command():
+    assert set(FAN_OUT) == set(COMMANDS)
+
+
+def _fan_out(command):
+    """The parsed FAN_OUT config of ``command``."""
     raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command]})
     if raw["xi"] is None:
         del raw["xi"]
+    return parse_config_dict(raw)
+
+
+@pytest.mark.parametrize("command", list(FAN_OUT))
+def test_outputs_identical_across_workers_and_reruns(command, tmp_path):
     paths = []
     for sub, workers in (("w1", 1), ("w3", 3)):
-        cfg = parse_config_dict(raw)
-        code, csv_path, _ = runner.run(cfg, workers=workers,
+        code, csv_path, _ = runner.run(_fan_out(command), workers=workers,
                                        out_dir=str(tmp_path / sub))
         assert code == 0
         paths.append(csv_path)
     assert canonical_csv_bytes(paths[0]) == canonical_csv_bytes(paths[1])
 
 
+def test_interface_summary_keeps_the_terms_a_probe_can_fail(tmp_path):
+    code, _, summary_path = runner.run(_fan_out("degenerate-interface"), out_dir=str(tmp_path))
+    limit = json.loads(Path(summary_path).read_text())["report"]["interface_limit"]
+    assert code == 0 and limit["passed"] is True
+    assert set(limit) == {"deltas", "all_success", "energies_below_delta", "k_monotone",
+                          "passed", "details"}
+
+
 @pytest.mark.parametrize("command", ["recession", "rank-one", "stationarity",
                                      "subadditivity", "degenerate-divergence"])
 def test_uncertified_solve_fails_the_run_and_is_flagged(command, tmp_path,
                                                         second_solve_uncertified):
-    raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command]})
-    if raw["xi"] is None:
-        del raw["xi"]
-    code, _, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
+    code, _, summary_path = runner.run(_fan_out(command), out_dir=str(tmp_path))
     assert code == 1
     assert "n_flagged=1" in json.loads(Path(summary_path).read_text())["flags"]
 
@@ -414,8 +439,7 @@ def test_solve_cell_flags_a_nonfinite_solve(command, tmp_path):
     # first check, uncertified, and its row says why
     field = dict(UNIFORM, lower_order={"kind": "constant", "value": 1e308})
     raw = base_config(command=command, field=field, xi="e1", t_list=[4], n_real=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, csv_path, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
+    code, csv_path, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
     rows = list(csv.DictReader(Path(csv_path).read_text().splitlines()))
     assert code == 1
     assert [(r["value"], r["gap"], r["iterations"], r["flags"])
@@ -470,7 +494,6 @@ def _malformed(command, options=None, **over):
 _TWO_LAWS = [UNIFORM["diagonal"], UNIFORM["diagonal"]]
 _ONE_LAW = {"kind": "constant", "value": 1.0}
 _UNIFORM_LAMINATE = {**UNIFORM, "structure": {"kind": "laminate", "axis": 1}}
-_CHEAP_LAMINATE = {**_UNIFORM_LAMINATE, "diagonal": {"kind": "uniform", "a": 0.0, "b": 1.0}}
 
 # Cases 1-34 passed the checks of earlier versions, spelled with the
 # keys of their time (`options.t` for a one-entry `t_list`, subadditivity's
@@ -540,7 +563,7 @@ MALFORMED = [
     ("n_real: not accepted by command 'glue-check'", _malformed("glue-check", n_real=2)),
     ("t_list: not accepted by command 'glue-check'", _malformed("glue-check", t_list=[4])),
     ("cells_per_unit: not accepted by command 'degenerate-interface'",
-     _malformed("degenerate-interface", field=_CHEAP_LAMINATE, cells_per_unit=3)),
+     _malformed("degenerate-interface", field=CHEAP_LAMINATE, cells_per_unit=3)),
     ("n_real: not accepted by command 'field-stats'", _malformed("field-stats", n_real=2)),
     # settings the degenerate experiments and field-stats cannot run
     ("field", _malformed("degenerate-divergence", field={**PARETO_LAMINATE,
@@ -563,7 +586,7 @@ MALFORMED = [
     ("t_list: expected array", _malformed("estimate-fhom", t_list=[4, 4])),
     ("options.s_list: expected array", _malformed("recession", {"s_list": [2, 1]})),
     ("options.delta_list: expected array",
-     _malformed("degenerate-interface", {"delta_list": [0.1, 0.1]}, field=_CHEAP_LAMINATE)),
+     _malformed("degenerate-interface", {"delta_list": [0.1, 0.1]}, field=CHEAP_LAMINATE)),
 ]
 
 
@@ -617,6 +640,15 @@ def test_cli_rejects_bad_worker_count(tmp_path, capsys, workers):
     assert (f"config error: --workers: expected integer >= 1, got {workers}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_a_trend_flag_alone_leaves_exit_code_0(tmp_path):
+    # the 1-d ladder is solved in closed form; its means drift past their CIs
+    path = Path(__file__).resolve().parents[1] / "demos/configs/laminate-ladder.json"
+    code, _, summary_path = runner.run(parse_config(str(path)), out_dir=str(tmp_path))
+    summary = json.loads(Path(summary_path).read_text())
+    assert code == 0 and summary["verdict"] == "pass"
+    assert summary["flags"] == ["e1:trend_inconsistent"]
 
 
 def test_every_shipped_config_parses():

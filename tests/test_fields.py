@@ -97,6 +97,22 @@ def test_spec_validation_errors():
     errs = FieldSpec(dimension=2, structure=Periodic(tile=[[1.0, 2.0], [2.0, 1.0]]),
                      lower_order=U12).validate()
     assert any("deterministic" in e for e in errs)
+    for spec, needle in [
+        (FieldSpec(dimension=0, structure=IidCubes(), diagonal=U12),
+         "dimension must be an integer >= 1, got 0"),
+        (FieldSpec(dimension=2, structure=Periodic(tile=np.ones((2, 2, 3)))),
+         "periodic tile must have shape dims or dims+(2,), got (2, 2, 3)"),
+        (FieldSpec(dimension=1, structure=Periodic(tile=[])), "periodic tile must be non-empty"),
+        (FieldSpec(dimension=2, structure="spiral", diagonal=U12), "unknown structure 'spiral'"),
+        (FieldSpec(dimension=2, structure=IidCubes(), diagonal="uniform"),
+         "diagonal must be a DistributionSpec or a tuple of them"),
+        (FieldSpec(dimension=2, structure=IidCubes(), diagonal=U12, lower_order=1.0),
+         "lower_order must be a DistributionSpec or None"),
+        (FieldSpec(dimension=2, structure=IidCubes(),
+                   diagonal=DistributionSpec("uniform", (1.0,))),
+         "diagonal: uniform law needs parameters (a, b)"),
+    ]:
+        assert needle in spec.validate(), (needle, spec.validate())
     with pytest.raises(ValueError, match="alpha_tail"):
         sample_field(iid_iso(DistributionSpec.pareto(1.0, 0.0)), 0)
 
