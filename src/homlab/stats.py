@@ -25,13 +25,13 @@ _ECDF_SEED = 2026  # key of the calibration draws
 
 
 def mean_ci(values):
-    """(mean, Z99 * std / sqrt(n)) with ddof=1; half-width 0 for n < 2."""
+    """(mean, Z99 * std / sqrt(n)) with ddof=1; half-width 0 for one value
+    and (nan, nan) for none."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    mean = float(values.mean()) if n else math.nan
     if n < 2:
-        return mean, 0.0
-    return mean, Z99 * float(values.std(ddof=1)) / math.sqrt(n)
+        return (float(values[0]), 0.0) if n else (math.nan, math.nan)
+    return float(values.mean()), Z99 * float(values.std(ddof=1)) / math.sqrt(n)
 
 
 def max_ecdf_distance(a, b) -> float:

@@ -168,6 +168,8 @@ def test_assemble_deterministic_and_validates_xi():
     assert np.array_equal(a.lam, b.lam)
     with pytest.raises(ValueError):
         assemble(fld, g, np.array([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError, match="field dimension"):
+        assemble(sample_field(const_spec(d=3), 7), g, np.array([[1.0, 2.0]]))
 
 
 def test_energy_density_hand_value():

@@ -10,8 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from homlab import (cell_problem_on_cube, load_minimizer, runner, sample_field,
-                    solve_cell)
+from homlab import (birkhoff_average, cell_problem_on_cube, load_minimizer, runner,
+                    sample_field, solve_cell)
 from homlab.cli import main
 from homlab.config import (COMMANDS, ConfigError, parse_config, parse_config_dict,
                            parse_xi)
@@ -347,9 +347,9 @@ def test_fan_out_runs_every_command():
     assert set(FAN_OUT) == set(COMMANDS)
 
 
-def _fan_out(command):
-    """The parsed FAN_OUT config of ``command``."""
-    raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command]})
+def _fan_out(command, **over):
+    """The parsed FAN_OUT config of ``command``, with the values ``over``."""
+    raw = base_config(command=command, **{"field": UNIFORM, **FAN_OUT[command], **over})
     if raw["xi"] is None:
         del raw["xi"]
     return parse_config_dict(raw)
@@ -375,12 +375,56 @@ def test_interface_summary_keeps_the_terms_a_probe_can_fail(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["recession", "rank-one", "stationarity",
-                                     "subadditivity", "degenerate-divergence"])
+                                     "subadditivity", "degenerate-divergence",
+                                     "solve-cell", "estimate-fhom", "verify-bounds"])
 def test_uncertified_solve_fails_the_run_and_is_flagged(command, tmp_path,
                                                         second_solve_uncertified):
-    code, _, summary_path = runner.run(_fan_out(command), out_dir=str(tmp_path))
-    assert code == 1
-    assert "n_flagged=1" in json.loads(Path(summary_path).read_text())["flags"]
+    # an estimate of two solves at one t: the uncertified one is half of them
+    cfg = _fan_out(command, **({"n_real": 2} if command == "estimate-fhom" else {}))
+    code, _, summary_path = runner.run(cfg, out_dir=str(tmp_path))
+    summary = json.loads(Path(summary_path).read_text())
+    assert code == 1 and summary["verdict"] == "fail"
+    assert "n_flagged=1" in summary["flags"]
+    assert not [f for f in summary["flags"] if f.startswith("flagged_solve:")]
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.5])
+def test_interface_run_fails_when_a_scan_finds_no_hit(delta, tmp_path):
+    # one cell per scan: at delta 0.01 the probe and every scan miss; at 0.5
+    # the probe hits and some scans miss, so the hitting verdict alone fails
+    cfg = _fan_out("degenerate-interface",
+                   options={"delta_list": [delta], "search_limit": 1, "n_scans": 20})
+    code, _, summary_path = runner.run(cfg, out_dir=str(tmp_path))
+    summary = json.loads(Path(summary_path).read_text())
+    (hitting,) = summary["report"]["hitting"]
+    assert code == 1 and summary["verdict"] == "fail"
+    assert summary["report"]["interface_limit"]["passed"] is (delta == 0.5)
+    if delta == 0.01:
+        assert (hitting["n_failed"], hitting["mean_observed"], hitting["z_score"]) == (
+            20, "nan", "inf")
+    else:
+        assert 0 < hitting["n_failed"] < 20
+
+
+def test_field_stats_averages_over_its_box(tmp_path):
+    box = [[0.0, 0.5], [0.25, 1.0]]
+    cfg = _fan_out("field-stats", options={"box": box})
+    code, csv_path, summary_path = runner.run(cfg, out_dir=str(tmp_path))
+    with open(csv_path, newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["kind"] == "birkhoff_entry"]
+    want = birkhoff_average(sample_field(cfg.spec, cfg.seed, 0), [4, 8], observable="entry",
+                            box=box, entry=0)
+    assert code == 0
+    assert [(float(r["t"]), float(r["value"])) for r in rows] == want
+    # the growth constants are written once, at the summary's top level
+    summary = json.loads(Path(summary_path).read_text())
+    assert summary["report"] == {} and summary["constants"]["C1"] == 0.0
+
+
+def test_summary_takes_numpy_scalars():
+    out = runner._jsonable({"n": np.int64(3), "ok": np.bool_(True)})
+    assert out == {"n": 3, "ok": True}
+    assert (type(out["n"]), type(out["ok"])) == (int, bool)
 
 
 def test_verify_bounds_fails_on_an_estimate_with_uncertified_solves(tmp_path,

@@ -8,7 +8,8 @@ from scipy import integrate
 
 import homlab.fields
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate, Periodic, assemble,
-                    birkhoff_average, cube_grid, sample_field, shift, two_sample_test)
+                    birkhoff_average, cube_grid, growth_constants, sample_field, shift,
+                    two_sample_test)
 from homlab.fields import _ISO_SLOT, _REALM_DIAG, _REALM_LOWER
 from homlab.randomness import key_chain, keyed_uniform
 
@@ -241,6 +242,21 @@ def test_periodic_tile_lookup_with_negatives():
     assert np.array_equal(fld.lambda_diag(pts)[:, 0], fld.lambda_diag(pts)[:, 1])
 
 
+def test_periodic_tile_per_diagonal_slot():
+    # shape dims + (d,): slot j of cell k is tile[k mod 2][j]
+    tile = np.stack([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]], axis=-1)
+    spec = FieldSpec(dimension=2, structure=Periodic(tile=tile))
+    assert spec.validate() == []
+    grid = cube_grid(2, 4.0)
+    prob = assemble(sample_field(spec, 0), grid, np.array([[1.0, 0.0]]))
+    k = np.floor(grid.cell_centers()).astype(int) % 2
+    assert np.array_equal(np.moveaxis(prob.lam, 0, -1), tile[k[..., 0], k[..., 1]])
+    gc = growth_constants(spec)
+    # the least weights sit in one cell, (1, 5); slot 1 averages 6.5
+    assert gc.c0 == pytest.approx(1.0 / math.sqrt(1.0 + 1.0 / 25.0))
+    assert gc.C0 == pytest.approx(6.5)
+
+
 def test_periodic_one_dimensional_tile():
     spec = FieldSpec(dimension=1, structure=Periodic(tile=[1.0, 2.0]))
     fld = sample_field(spec, 0)
@@ -384,3 +400,6 @@ def test_birkhoff_input_validation():
         birkhoff_average(fld, [4.0], box=[(0.0, 1.0)])
     with pytest.raises(ValueError):
         birkhoff_average(fld, [4.0], observable="trace")
+    # 10^8 cells to enumerate, above the cap
+    with pytest.raises(ValueError, match="enumerates 100000000 cells"):
+        birkhoff_average(fld, [10000.0])

@@ -177,6 +177,11 @@ def test_geometry_errors():
     # inner not strictly inside outer
     with pytest.raises(GlueGeometryError, match="strictly inside"):
         glue_with_cutoff(u, v, prob, outer, outer, other, delta=0.5)
+    # a box of the wrong dimension, or with an empty interval
+    with pytest.raises(GlueGeometryError, match="nondegenerate intervals"):
+        glue_with_cutoff(u, v, prob, inner[:1], outer, other, delta=0.5)
+    with pytest.raises(GlueGeometryError, match="nondegenerate intervals"):
+        glue_with_cutoff(u, v, prob, inner, outer, ((1.0, 1.0), (-1.0, 1.0)), delta=0.5)
     # nonpositive delta
     with pytest.raises(GlueGeometryError, match="delta"):
         glue_with_cutoff(u, v, prob, inner, outer, other, delta=0.0)

@@ -6,7 +6,7 @@ import pytest
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
                     Periodic, check_rank_one_convexity,
                     check_stationarity_in_law, check_subadditivity,
-                    divergence_experiment, estimate_f_hom, recession,
+                    divergence_experiment, estimate_f_hom, mean_ci, recession,
                     sample_field, shift, solve_cell, verify_growth_sandwich)
 from homlab.cell import cell_problem_on_cube
 
@@ -110,6 +110,14 @@ def test_subadditivity_random_battery():
     assert report.n_instances == 10
     assert report.worst_slack >= -report.budget
     assert report.n_flagged == 0
+
+
+def test_random_slope_of_zero_draws_falls_back_to_e1(monkeypatch):
+    # every draw exactly 0.5 makes ndtri's slope zero, which cannot be normalized
+    monkeypatch.setattr(homlab.homogenize, "keyed_uniform",
+                        lambda *keys: np.full(np.shape(keys[-1]), 0.5))
+    xi = homlab.homogenize._random_xi(0, "subadd-xi", 0, 3)
+    assert np.array_equal(xi, [[1.0, 0.0, 0.0]])
 
 
 def test_subadditivity_rejects_unsplittable_mesh():
@@ -228,6 +236,15 @@ def test_subadditivity_counts_uncertified_solves_not_instances(monkeypatch):
     conftest.uncertify_solves(monkeypatch, {1, 2})
     rep = check_subadditivity(IID_U12, E1, t=4, n_real=2)
     assert (rep.passed, rep.n_flagged) == (False, 2)
+
+
+def test_all_flagged_level_has_no_confidence_interval(monkeypatch):
+    # no certified value: the level's mean and its CI half-width are both nan
+    conftest.uncertify_solves(monkeypatch, {0, 1})
+    (lv,) = estimate_f_hom(IID_U12, E1, t_list=(4,), n_real=2).levels
+    assert lv.n_flagged == 2
+    assert np.isnan(lv.mean) and np.isnan(lv.ci_half)
+    assert mean_ci([3.0]) == (3.0, 0.0)
 
 
 def test_rank_one_rejects_full_rank_segment():

@@ -95,6 +95,24 @@ def test_one_call_writes_every_solve_row():
     assert len(writers) == 1, [ast.unparse(call) for call in writers]
 
 
+def test_only_run_decides_the_verdict():
+    # a handler that set the verdict itself could pass a run its report
+    # fails; each returns (passed, n_flagged) for run to apply
+    tree = ast.parse(Path(runner.__file__).read_text(encoding="utf-8"))
+    assert not [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "verdict"]
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert {h.name for h in handlers} == {f.__name__ for f in runner._DISPATCH.values()}
+    for handler in handlers:
+        returns = [node for node in ast.walk(handler) if isinstance(node, ast.Return)]
+        if handler.name == "_cmd_field_stats":
+            assert returns == []
+        else:
+            assert handler.body[-1] in returns, handler.name
+            assert all(node.value is not None for node in returns), handler.name
+
+
 # every library entry point that solves or scans, and its realization count
 # and cube sizes; the config table holds their one default
 _SIZED = {homogenize.estimate_f_hom: ("t_list", "n_real"),
