@@ -48,6 +48,7 @@ cell's multiplier, the Newton warm start of the next iteration.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
@@ -464,21 +465,37 @@ def _solve_task(task: SolveTask) -> SolveReport:
     return solve_cell(problem, tol=task.tol)
 
 
+# Smallest dual array, m*d*(n+1)^d entries, whose solve goes to the pool;
+# below it short numpy calls hold the GIL and threads slow a solve.  Four
+# solves on 2 CPUs at workers 1 -> 2: 3.6 -> 4.0 s at 18,818 entries, ties
+# at 22,050 and 24,000, 5.9 -> 5.2 s at 25,538 (README, Performance).
+_POOL_MIN_DUAL = 25_000
+
+
 def solve_many(tasks, workers: int = 1):
     """Yield one SolveReport per task, in task order.
 
     With one worker this is a plain generator that solves each task when
     it is asked for, so a caller that reduces as it goes holds a single
-    minimizer at a time.  More workers share a thread pool; solves
-    mostly hold the GIL, so this rarely shortens a run.  Every solve
-    goes through this module's ``solve_cell``, which is what
-    instrumentation that rebinds it sees.
+    minimizer at a time.  With more workers, each run of consecutive
+    tasks whose dual array holds at least ``_POOL_MIN_DUAL`` entries goes
+    to a thread pool and every other task is solved in the calling
+    thread, where threads would only trade the GIL.  Every solve goes
+    through this module's ``solve_cell``, which is what instrumentation
+    that rebinds it sees.
     """
     if workers <= 1:
         yield from map(_solve_task, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_solve_task, tasks)
+        return
+
+    def pooled(task):
+        d = task.spec.dimension
+        n = cube_grid(d, task.t, task.cells_per_unit).cells
+        return np.atleast_2d(task.xi).shape[0] * d * (n + 1) ** d >= _POOL_MIN_DUAL
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for large, run in itertools.groupby(tasks, pooled):
+            yield from (pool.map if large else map)(_solve_task, run)
 
 
 def save_minimizer(report: SolveReport, path) -> None:

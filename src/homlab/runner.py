@@ -7,12 +7,13 @@ reports in task order; a single writer serializes the results, and
 are byte-identical across worker counts; only the wall-time and
 timestamp fields vary between reruns.
 
-Workers are threads, and a solve spends most of its time in small numpy
-calls that hold the GIL, so more workers usually make a run slower; the
-benchmark's ``iso2d-sandwich-w2`` workload measures it against the serial
-``iso2d-sandwich``.  A solve in a child process would escape every
-in-process hook on ``homlab.cell.solve_cell`` (the test suite's
-certificate audit, the benchmark's tracer), so threads stay.
+Workers are threads.  On a small lattice a solve spends most of its time
+in short numpy calls that hold the GIL, so ``solve_many`` gives the pool
+only solves on lattices large enough for threads to pay and runs the rest,
+the solves of most runs, in the calling thread.  A solve in a child
+process would escape every in-process hook on ``homlab.cell.solve_cell``
+(the test suite's certificate audit, the benchmark's tracer), so threads
+stay.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Cell-problem discretization and the certified primal-dual solver."""
 
 import math
+import threading
 import time
 
 import numpy as np
@@ -660,15 +661,18 @@ def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):
         return rep
 
     monkeypatch.setattr(homlab.cell, "solve_cell", recording_solve_cell)
-    spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=TP)
-    sides = (12.0, 1.0, 2.0, 1.5, 1.0, 3.0)
-    tasks = [SolveTask(spec, 4, r, t, np.array([[1.0, 0.5]]))
+    spec = FieldSpec(dimension=3, structure=IidCubes(), diagonal=TP)
+    # every cube is large enough for the pool; the first is solved to a
+    # tight tol and the others to a loose one, which keeps them quick
+    sides = (12.0, 11.0, 11.5, 11.0, 11.5, 11.0)
+    tasks = [SolveTask(spec, 4, r, t, np.array([[1.0, 0.5, 0.0]]),
+                       tol=1e-2 if r else 1e-4)
              for r, t in enumerate(sides)]
     serial = list(solve_many(tasks))
     assert finished == list(sides)
     finished.clear()
     threaded = list(solve_many(tasks, workers=3))
-    # the big first cube finishes last, yet its report still comes first
+    # the slow first cube finishes after others, yet its report comes first
     assert sorted(finished) == sorted(sides) and finished != list(sides)
     assert [rep.grid.side for rep in threaded] == list(sides)
     for a, b in zip(serial, threaded):
@@ -688,11 +692,31 @@ def test_concurrent_solves_of_one_size_factor_the_laplacian_once(monkeypatch):
 
     homlab.cell._laplacian_lu.cache_clear()
     monkeypatch.setattr(homlab.cell, "splu", slow_counting_splu)
-    tasks = [SolveTask(const_spec(), 0, r, 4.0, np.array([[1.0, 0.0]]))
+    # n = 128: large enough for the pool, so the three solves run concurrently
+    tasks = [SolveTask(const_spec(), 0, r, 64.0, np.array([[1.0, 0.0]]))
              for r in range(3)]
     reports = list(solve_many(tasks, workers=3))
     assert all(rep.converged for rep in reports)
     assert len(factored) == 1
+
+
+def test_only_large_lattices_go_to_the_pool(monkeypatch):
+    # the stub records where each solve would run, so no large one runs
+    ran = []
+
+    def recording_solve_cell(problem, **kwargs):
+        ran.append(threading.get_ident())
+        return problem.grid.side, problem.xi.shape[0]
+
+    monkeypatch.setattr(homlab.cell, "solve_cell", recording_solve_cell)
+    # m*d*(n+1)^d = 24642, 25088, 25600 and 12800 dual entries, about 25000
+    keys = [(55.0, 1), (55.5, 1), (39.5, 2), (39.5, 1)]
+    tasks = [SolveTask(const_spec(), 0, r, t, np.ones((m, 2)))
+             for r, (t, m) in enumerate(keys)]
+    assert list(solve_many(tasks, workers=3)) == keys
+    caller = threading.get_ident()
+    assert ran[0] == ran[3] == caller
+    assert caller not in ran[1:3]
 
 
 # ------------------------------------------------------------ minimizers

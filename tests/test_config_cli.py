@@ -355,11 +355,17 @@ def _fan_out(command, **over):
     return parse_config_dict(raw)
 
 
-@pytest.mark.parametrize("command", list(FAN_OUT))
-def test_outputs_identical_across_workers_and_reruns(command, tmp_path):
+# every tiny config, whose solves all stay in the calling thread, and one
+# ladder whose t=64 solves (n = 128) are large enough for the thread pool
+@pytest.mark.parametrize("command, over, workers", [
+    *(pytest.param(command, {}, 3, id=command) for command in FAN_OUT),
+    pytest.param("estimate-fhom", dict(t_list=[4, 64], n_real=2, tol=1e-2), 2,
+                 id="estimate-fhom-pooled"),
+])
+def test_outputs_identical_across_workers_and_reruns(command, over, workers, tmp_path):
     paths = []
-    for sub, workers in (("w1", 1), ("w3", 3)):
-        code, csv_path, _ = runner.run(_fan_out(command), workers=workers,
+    for sub, count in (("w1", 1), (f"w{workers}", workers)):
+        code, csv_path, _ = runner.run(_fan_out(command, **over), workers=count,
                                        out_dir=str(tmp_path / sub))
         assert code == 0
         paths.append(csv_path)

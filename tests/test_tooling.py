@@ -95,6 +95,27 @@ def test_one_call_writes_every_solve_row():
     assert len(writers) == 1, [ast.unparse(call) for call in writers]
 
 
+def test_one_executor_runs_every_thread():
+    # a second pool or thread would run solves outside solve_many's rule
+    # for which lattices threads pay; the lock guards the factor cache
+    users = {}
+    for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names
+                 if (getattr(node, "module", None) or alias.name).split(".")[0]
+                 in ("concurrent", "multiprocessing", "threading")}
+        for top in tree.body:
+            used = {node.id for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and node.id in bound}
+            if used:
+                owner = getattr(top, "name", None) or ast.unparse(top.targets[0])
+                users[f"{path.name}:{owner}"] = used
+    assert users == {"cell.py:_LU_LOCK": {"threading"},
+                     "cell.py:solve_many": {"ThreadPoolExecutor"}}
+
+
 def test_only_run_decides_the_verdict():
     # a handler that set the verdict itself could pass a run its report
     # fails; each returns (passed, n_flagged) for run to apply
@@ -139,8 +160,9 @@ def test_audit_sees_every_solve_of_a_threaded_run(tmp_path):
         "field": {"dimension": 2, "structure": {"kind": "iid_cubes"},
                   "diagonal": {"kind": "uniform", "a": 1.0, "b": 2.0}},
         "xi": ["e1", "e1+e2"],
-        "t_list": [2, 4],
+        "t_list": [64, 66],  # n = 128 and 132: every solve goes to the pool
         "n_real": 2,
+        "tol": 1e-2,
     })
     before = conftest.solve_audit_snapshot()["solves"]
     code, csv_path, _ = runner.run(cfg, workers=2, out_dir=str(tmp_path))
