@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .randomness import key_chain, uniform01
+from .randomness import key_chain, normal_cdf, normal_quantile, uniform01
 
 _REALM_DIAG = 1
 _REALM_LOWER = 2
@@ -75,11 +74,11 @@ LAWS = {
         below=lambda x, xm, al: 0.0 if x <= xm else 1.0 - (xm / x) ** al),
     "lognormal": _Law(
         ("mu", "sigma"), [("sigma > 0", lambda mu, sigma: sigma > 0)],
-        sample=lambda u, mu, sigma: np.exp(mu + sigma * ndtri(u)),
+        sample=lambda u, mu, sigma: np.exp(mu + sigma * normal_quantile(u)),
         mean=lambda mu, sigma: math.exp(mu + 0.5 * sigma * sigma),
         inf=lambda mu, sigma: 0.0,
         below=lambda x, mu, sigma: (0.0 if x <= 0.0
-                                    else float(ndtr((math.log(x) - mu) / sigma)))),
+                                    else float(normal_cdf((math.log(x) - mu) / sigma)))),
 }
 
 

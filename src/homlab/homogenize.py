@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .cell import SolveTask, cell_problem_on_cube, cube_grid, solve_many
 from .fields import FieldSpec, sample_field, shift
 from .integrand import growth_constants
-from .randomness import keyed_uniform
+from .randomness import keyed_uniform, normal_quantile
 from .stats import TwoSampleResult, mean_ci, two_sample_test
 
 FLAGGED_FRACTION_LIMIT = 0.10
@@ -195,7 +194,7 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, *, t_list, n_real: int, see
 
 
 def _random_xi(seed, tag, index, d) -> np.ndarray:
-    g = ndtri(keyed_uniform(seed, tag, index, np.arange(d)))[None]
+    g = normal_quantile(keyed_uniform(seed, tag, index, np.arange(d)))[None]
     nrm = float(np.sqrt((g * g).sum()))
     if nrm == 0.0:
         g[0, 0] = 1.0

@@ -18,7 +18,14 @@ of a climb from 0 (a warm start, as in Conn, Gould & Toint,
 
 A solve builds one Ellipsoids from its semiaxes.  It holds every term
 that depends on the semiaxes alone, computed once, and the multipliers,
-so a call does only the work that depends on p.  The root lies in
+so a call does only the work that depends on p.  It also holds the
+projection's scratch arrays, made on the first call from the shape of p:
+a call writes every intermediate into them with ``out=`` and sums rows
+one by one, in order, into a buffer, so it allocates nothing and does the
+same floating-point operations in the same order as one that allocates.
+On the small lattices of a solve a call costs numpy call overhead more
+than arithmetic.  Each solve owns its Ellipsoids, so solves on pool
+threads share no scratch.  The root lies in
 [0, hi] with hi = sum_ij |p_ij s_j|, which makes phi(hi) <= 1, and every
 start and every Newton step is clipped into it: NaN and negative values
 become 0, values above hi (+inf too) become hi.  By the concavity above
@@ -87,7 +94,9 @@ class Ellipsoids:
     scale of each cell, ``s2`` = (k s_j)^2 and ``sk2`` = _A k^2 s_j.  ``nu``
     holds each cell's multiplier, as k^2 nu, from one projection to the next
     (zeros: a cold start); a projection clips it into its
-    [0, sum_ij |p_ij s_j|] before it starts.
+    [0, sum_ij |p_ij s_j|] before it starts.  The scratch arrays of the
+    projection are made on its first call, sized from that call's p, and
+    reused by every later call on a p of that shape.
     """
 
     def __init__(self, axes: np.ndarray):
@@ -98,6 +107,26 @@ class Ellipsoids:
         self.s2 = s_k * s_k
         self.sk2 = s_k * k * _A  # p * sk2 is _A p_ij s_j in scaled units
         self.nu = np.zeros(axes.shape[1:])
+        self.ps = None
+
+    def _scratch(self, shape) -> None:
+        self.ps = np.empty(shape)  # _A p_ij s_j in scaled units
+        self.w = np.empty(shape)  # the per-entry terms, summed row by row
+        self.rows = tuple(self.w.reshape((-1,) + shape[2:]))
+        self.denom = np.empty_like(self.s2)
+        self.hi, self.phi, self.rate, self.step = (np.empty_like(self.nu) for _ in range(4))
+        self.inside, self.alive = np.empty(self.nu.shape, bool), np.empty(self.nu.shape, bool)
+
+    def _sum_w(self, out: np.ndarray) -> np.ndarray:
+        """Sum the rows of ``w`` one by one, in order, into ``out``."""
+        rows = self.rows
+        if len(rows) > 1:
+            np.add(rows[0], rows[1], out=out)
+        else:
+            np.copyto(out, rows[0])
+        for row in rows[2:]:
+            out += row
+        return out
 
 
 def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
@@ -108,42 +137,59 @@ def project_ellipsoid(p: np.ndarray, balls: Ellipsoids) -> np.ndarray:
     |p_ij s_j|] (NaN counts as 0, inside cells start at 0), and on return
     ``balls.nu`` holds this call's multipliers, 0 on inside cells.
     """
-    ratio = p / balls.axes  # _A p_ij / s_j
-    ratio *= ratio
-    inside = _sum_rows(ratio) <= _A * _A
-    if inside.all():
-        balls.nu[...] = 0.0
+    if balls.ps is None or balls.ps.shape != p.shape:
+        balls._scratch(p.shape)
+    s2, nu, ps, w, denom = balls.s2, balls.nu, balls.ps, balls.w, balls.denom
+    hi, phi, rate, step = balls.hi, balls.phi, balls.rate, balls.step
+    inside, alive = balls.inside, balls.alive
+
+    np.divide(p, balls.axes, out=w)  # _A p_ij / s_j
+    w *= w
+    np.less_equal(balls._sum_w(phi), _A * _A, out=inside)
+    if np.count_nonzero(inside) == inside.size:
+        nu[...] = 0.0
         return p
 
-    s2 = balls.s2
-    ps = p * balls.sk2  # _A p_ij s_j in scaled units
-    hi = _sum_rows(np.abs(ps)) / _A  # phi(hi) <= 1, so the root lies in [0, hi]
-    nu = balls.nu  # the carried start, clipped (NaN to 0) and updated in place
+    np.multiply(p, balls.sk2, out=ps)
+    np.abs(ps, out=w)
+    balls._sum_w(hi)
+    hi /= _A  # phi(hi) <= 1, so the root lies in [0, hi]
+    # the carried start, clipped (NaN to 0) and updated in place
     np.fmin(np.fmax(nu, 0.0, out=nu), hi, out=nu)
     np.copyto(nu, 0.0, where=inside)
-    alive = ~inside
-    denom, w = np.empty_like(s2), np.empty_like(ps)
+    np.logical_not(inside, out=alive)
     for _ in range(_NEWTON_MAX):
         np.add(s2, nu, out=denom)
         np.divide(ps, denom, out=w)
         w *= w
-        phi = _sum_rows(w)  # _A^2 phi
-        alive &= np.abs(phi - _A * _A) > _NEWTON_RTOL * _A * _A
-        if not alive.any():
+        balls._sum_w(phi)  # _A^2 phi
+        # inside is free from here on: it holds this trip's unfrozen cells
+        np.subtract(phi, _A * _A, out=step)
+        np.greater(np.abs(step, out=step), _NEWTON_RTOL * _A * _A, out=inside)
+        alive &= inside
+        if not np.count_nonzero(alive):
             break
         # Newton on g = phi^(-1/2) = 1: nu += (1 - g) / g' = (sqrt(phi) - 1) / rate
         # with rate = -phi' / (2 phi) = sum_ij (w_ij / phi) / denom_j, summed
         # from weights in [0, 1] so that it does not overflow; on the scaled
         # sums this is (sqrt(_A^2 phi) - _A) / (_A rate), bit for bit the
         # same; the floors spare zero blocks a 0/0
-        w /= np.maximum(phi, 1e-300)
+        w /= np.maximum(phi, 1e-300, out=step)
         w /= denom
-        step = nu + (np.sqrt(phi) - _A) / np.maximum(_A * _sum_rows(w), 1e-300)
+        np.multiply(balls._sum_w(rate), _A, out=rate)
+        np.maximum(rate, 1e-300, out=rate)
+        np.sqrt(phi, out=step)
+        step -= _A
+        step /= rate
+        step += nu
         np.copyto(nu, np.fmin(np.fmax(step, 0.0, out=step), hi, out=step), where=alive)
 
     # inside cells have nu = 0, so their factors below are exactly 1
-    p *= s2 / (s2 + nu)
+    np.add(s2, nu, out=denom)
+    p *= np.divide(s2, denom, out=denom)
     # Force strict feasibility against roundoff (dual values must certify).
-    ratio = p / balls.axes
-    ratio *= ratio
-    return _shrink(p, _sum_rows(ratio), _A)
+    np.divide(p, balls.axes, out=w)
+    w *= w
+    # _shrink onto the radius _A, its temporaries in phi
+    np.maximum(np.sqrt(balls._sum_w(phi), out=phi), _A, out=phi)
+    return np.multiply(p, np.divide(_A, phi, out=phi), out=p)

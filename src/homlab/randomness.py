@@ -22,6 +22,11 @@ integers reduced modulo 2**64, strings via 8-byte blake2s) as::
 with ``GOLDEN = 0x9E3779B97F4A7C15``.  Uniform variates take the top 53
 bits: ``u = ((state >> 11) + 0.5) * 2**-53``, which lies in the open
 interval (0, 1).
+
+The standard normal quantile and distribution function come from
+scipy.special, which only the lognormal law and the random slopes use:
+``_special`` imports it on their first call, so a run that needs neither
+never loads it.
 """
 
 from __future__ import annotations
@@ -86,3 +91,18 @@ def keyed_uniform(seed, *components):
     """Uniform (0, 1) variates keyed by the component tuple."""
     return uniform01(key_chain(seed, *components))
 
+
+def _special():
+    """scipy.special, imported on the first call."""
+    import scipy.special
+    return scipy.special
+
+
+def normal_quantile(u):
+    """The standard normal quantile of u in (0, 1), elementwise (ndtri)."""
+    return _special().ndtri(u)
+
+
+def normal_cdf(x):
+    """The standard normal distribution function, elementwise (ndtr)."""
+    return _special().ndtr(x)

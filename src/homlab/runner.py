@@ -26,7 +26,6 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.special import ndtri
 
 from .cell import SolveTask, assemble, cube_grid, save_minimizer, solve_many
 from .config import RunConfig
@@ -38,7 +37,7 @@ from .homogenize import (check_rank_one_convexity, check_stationarity_in_law,
                          check_subadditivity, estimate_f_hom, recession,
                          verify_growth_sandwich)
 from .integrand import growth_constants
-from .randomness import keyed_uniform
+from .randomness import keyed_uniform, normal_quantile
 from .records import ResultRecord, run_id_for, write_csv
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -289,8 +288,8 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
 
     fld = sample_field(spec, seed, i)
     grid = cube_grid(d, side, cells_per_unit, components=1)
-    gu = ndtri(keyed_uniform(seed, "glue-xi-u", i, np.arange(d)))[None]
-    gv = ndtri(keyed_uniform(seed, "glue-xi-v", i, np.arange(d)))[None]
+    gu = normal_quantile(keyed_uniform(seed, "glue-xi-u", i, np.arange(d)))[None]
+    gv = normal_quantile(keyed_uniform(seed, "glue-xi-v", i, np.arange(d)))[None]
     prob = assemble(fld, grid, gu)
     u = affine_field(grid, gu) * 0.2
     v = affine_field(grid, gv) * 0.2

@@ -7,12 +7,14 @@ one line to the terminal acceptance section, and asserts.
 
 import json
 import math
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 
 import conftest
+import homlab.cell
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
                     Periodic, birkhoff_average, cell_problem_on_cube,
                     cheap_interface, check_rank_one_convexity,
@@ -237,24 +239,40 @@ def test_criterion_11_gluing_inequality(tmp_path):
                   f"worst slack {glue['worst_slack']:.3e} over 20 instances")
 
 
-def test_criterion_12_reproducibility(tmp_path):
+def test_criterion_12_reproducibility(tmp_path, monkeypatch):
+    # t = 56 is n = 112 at 2 cells per unit, 2 * 113^2 = 25538 dual entries:
+    # large enough for the pool, so its solves run on pool threads at 8 workers
     raw = {
         "command": "verify-bounds",
         "field": {"dimension": 2, "structure": {"kind": "iid_cubes"},
                   "diagonal": {"kind": "two_point", "v1": 1.0, "p": 0.5,
                                "v2": 2.0}},
         "xi": "e1",
-        "t_list": [4, 8],
+        "t_list": [4, 8, 56],
         "n_real": 6,
+        "tol": 1e-2,
         "seed": 0,
     }
-    blobs = []
+    assert 2 * (2 * 56 + 1) ** 2 >= homlab.cell._POOL_MIN_DUAL
+    inner, threads = homlab.cell.solve_cell, []
+
+    def solve_cell(problem, **kwargs):
+        threads.append(threading.get_ident())
+        return inner(problem, **kwargs)
+
+    for mod in conftest._PATCH_MODULES:
+        monkeypatch.setattr(mod, "solve_cell", solve_cell)
+    blobs, pooled = [], []
     for sub, workers in (("w1", 1), ("w8", 8)):
+        threads.clear()
         cfg = parse_config_dict(raw)
         code, csv_path, _ = runner.run(cfg, workers=workers,
                                        out_dir=str(tmp_path / sub))
         assert code == 0
         blobs.append(canonical_csv_bytes(csv_path))
+        pooled.append(sum(ident != threading.get_ident() for ident in threads))
+    assert pooled[0] == 0 and pooled[1] > 0
     ok = blobs[0] == blobs[1]
     assert record(12, "worker-count reproducibility", ok,
-                  f"{len(blobs[0])} canonical bytes compared")
+                  f"{len(blobs[0])} canonical bytes compared, "
+                  f"{pooled[1]} solves on pool threads")

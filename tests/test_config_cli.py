@@ -324,6 +324,10 @@ UNIFORM = {"dimension": 2, "structure": {"kind": "iid_cubes"},
 PARETO_LAMINATE = {"dimension": 2, "structure": {"kind": "laminate", "axis": 1},
                    "diagonal": {"kind": "pareto", "x_m": 1.0, "alpha_tail": 1.0}}
 CHEAP_LAMINATE = {**PARETO_LAMINATE, "diagonal": {"kind": "uniform", "a": 0.0, "b": 1.0}}
+ANISO_3D = {"dimension": 3, "structure": {"kind": "iid_cubes"},
+            "diagonal": [{"kind": "uniform", "a": 1.0, "b": 2.0},
+                         {"kind": "uniform", "a": 1.0, "b": 4.0},
+                         {"kind": "uniform", "a": 1.0, "b": 2.0}]}
 
 # one tiny config for every command
 FAN_OUT = {
@@ -355,12 +359,16 @@ def _fan_out(command, **over):
     return parse_config_dict(raw)
 
 
-# every tiny config, whose solves all stay in the calling thread, and one
-# ladder whose t=64 solves (n = 128) are large enough for the thread pool
+# every tiny config, whose solves all stay in the calling thread, one
+# ladder whose t=64 solves (n = 128) are large enough for the thread pool,
+# and anisotropic 3-d solves (n = 20, 3 * 21^3 = 27783 dual entries) that
+# run side by side on pool threads, each with its own projection scratch
 @pytest.mark.parametrize("command, over, workers", [
     *(pytest.param(command, {}, 3, id=command) for command in FAN_OUT),
     pytest.param("estimate-fhom", dict(t_list=[4, 64], n_real=2, tol=1e-2), 2,
                  id="estimate-fhom-pooled"),
+    pytest.param("estimate-fhom", dict(field=ANISO_3D, t_list=[10], n_real=2, tol=1e-3), 2,
+                 id="estimate-fhom-aniso-pooled"),
 ])
 def test_outputs_identical_across_workers_and_reruns(command, over, workers, tmp_path):
     paths = []

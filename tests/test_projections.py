@@ -12,7 +12,8 @@ from scipy.optimize import brentq
 import homlab.projections
 from homlab import DistributionSpec, FieldSpec, IidCubes, sample_field, solve_cell
 from homlab.cell import cell_problem_on_cube
-from homlab.projections import Ellipsoids, _sum_rows, project_ellipsoid, project_radial
+from homlab.projections import (_A, _NEWTON_MAX, _NEWTON_RTOL, Ellipsoids, _shrink, _sum_rows,
+                                project_ellipsoid, project_radial)
 from homlab.randomness import keyed_uniform
 
 
@@ -388,6 +389,86 @@ def test_lean_trips_match_the_bracketed_reference_along_a_solver_sequence():
         e, o = _assert_agrees_with_reference(p, axes, nu_ref, balls)
         exact, other = exact + e, other + o
     assert exact > 10 * other > 0
+
+
+# ------------------------------------------- the allocating reference
+
+
+def allocating_project_ellipsoid(p, balls):
+    """project_ellipsoid as it was before its scratch arrays moved into
+    Ellipsoids, allocating on every call and every Newton trip, kept
+    verbatim as the bitwise reference of the one that reuses them."""
+    ratio = p / balls.axes  # _A p_ij / s_j
+    ratio *= ratio
+    inside = _sum_rows(ratio) <= _A * _A
+    if inside.all():
+        balls.nu[...] = 0.0
+        return p
+
+    s2 = balls.s2
+    ps = p * balls.sk2  # _A p_ij s_j in scaled units
+    hi = _sum_rows(np.abs(ps)) / _A  # phi(hi) <= 1, so the root lies in [0, hi]
+    nu = balls.nu  # the carried start, clipped (NaN to 0) and updated in place
+    np.fmin(np.fmax(nu, 0.0, out=nu), hi, out=nu)
+    np.copyto(nu, 0.0, where=inside)
+    alive = ~inside
+    denom, w = np.empty_like(s2), np.empty_like(ps)
+    for _ in range(_NEWTON_MAX):
+        np.add(s2, nu, out=denom)
+        np.divide(ps, denom, out=w)
+        w *= w
+        phi = _sum_rows(w)  # _A^2 phi
+        alive &= np.abs(phi - _A * _A) > _NEWTON_RTOL * _A * _A
+        if not alive.any():
+            break
+        w /= np.maximum(phi, 1e-300)
+        w /= denom
+        step = nu + (np.sqrt(phi) - _A) / np.maximum(_A * _sum_rows(w), 1e-300)
+        np.copyto(nu, np.fmin(np.fmax(step, 0.0, out=step), hi, out=step), where=alive)
+
+    # inside cells have nu = 0, so their factors below are exactly 1
+    p *= s2 / (s2 + nu)
+    # Force strict feasibility against roundoff (dual values must certify).
+    ratio = p / balls.axes
+    ratio *= ratio
+    return _shrink(p, _sum_rows(ratio), _A)
+
+
+CARRIED = {"nan": np.nan, "negative": -1.0, "above-hi": 1e300, "inf": np.inf}
+
+
+@pytest.mark.parametrize("low", [-3.0, -120.0])
+@pytest.mark.parametrize("m, d", [(m, d) for d in (1, 2, 3) for m in range(1, 9 // d + 1)])
+def test_workspace_keeps_the_bits_of_the_allocating_projection(m, d, low):
+    # a solve's calls on one Ellipsoids each: the point drifts from call to
+    # call, jumps now and then, and some calls start from a spoiled multiplier
+    # or find every cell inside or every cell outside.  Entries of p/s spread
+    # over six decades, so each order of the row sums rounds differently
+    rng = np.random.default_rng(100 * m + d)
+    cells = 40
+    axes = 10.0 ** rng.uniform(low, 0.0, (d, cells))
+    dirs = rng.normal(size=(m, d, cells)) * 10.0 ** rng.uniform(-6.0, 0.0, (m, d, cells))
+    dirs /= np.sqrt(np.sum(dirs ** 2, axis=(0, 1)))
+    p = dirs * axes[None] * 10.0 ** rng.uniform(-0.5, 3.0, cells)
+    ref, balls = Ellipsoids(axes), Ellipsoids(axes)
+    kinds = set()
+    for call in range(24):
+        p = p * (1.0 + (0.5 if call % 8 == 7 else 1e-3) * rng.normal(size=p.shape))
+        q = p * {5: 1e-8, 6: 1e8}.get(call, 1.0)  # all inside, then all outside
+        if call % 6 == 3:
+            spoiled = CARRIED[list(CARRIED)[call // 6]]
+            nu = np.where(rng.random(cells) < 0.5, spoiled, ref.nu)
+            ref.nu[...] = balls.nu[...] = nu
+        outside = ell_norm(q, axes) > 1.0
+        kinds.add("all outside" if outside.all() else "all inside" if not outside.any()
+                  else "mixed")
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            want = allocating_project_ellipsoid(q.copy(), ref)
+            got = q.copy()
+            assert project_ellipsoid(got, balls) is got
+        assert got.tobytes() == want.tobytes(), call
+        assert balls.nu.tobytes() == ref.nu.tobytes(), call
+    assert kinds == {"all outside", "all inside", "mixed"}
 
 
 # ---------------------------------------------------- extreme anisotropy

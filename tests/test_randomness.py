@@ -1,16 +1,24 @@
-"""The keyed generator against a pure-integer reimplementation.
+"""The keyed generator against a pure-integer reimplementation, and the
+normal-law helpers that load scipy.special on demand.
 
 The documented bit-exact derivation is re-coded here with Python ints
 only (no numpy), so any change to the mixing chain breaks these tests.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
+from homlab import DistributionSpec, FieldSpec, IidCubes, sample_field
+from homlab.fields import _ISO_SLOT, _REALM_DIAG
 from homlab.randomness import key_chain, keyed_uniform, mix64, uniform01
 
 MASK = (1 << 64) - 1
@@ -121,3 +129,37 @@ def test_string_hash_stability():
     assert component_int("diag") == int.from_bytes(
         hashlib.blake2s(b"diag", digest_size=8).digest(), "little")
     assert int(key_chain(0)) == mix64_int(INIT)
+
+
+# ---------------------------------------------- the normal law, on demand
+
+
+def test_a_uniform_law_run_never_loads_scipy_special(tmp_path):
+    # scipy.special is imported by the normal-law helpers on their first
+    # call, and a uniform field with fixed slopes calls neither
+    code = (
+        "import sys\n"
+        "from homlab import runner\n"
+        "from homlab.config import parse_config_dict\n"
+        "cfg = parse_config_dict({'command': 'solve-cell', 'field': {'dimension': 2,"
+        " 'structure': {'kind': 'iid_cubes'}, 'diagonal': {'kind': 'uniform', 'a': 1.0,"
+        " 'b': 2.0}}, 'xi': 'e1+e2', 't_list': [2], 'n_real': 1, 'seed': 0})\n"
+        f"assert runner.run(cfg, out_dir={str(tmp_path)!r})[0] == 0\n"
+        "print('scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_lognormal_weights_are_exp_of_the_normal_quantile_bit_for_bit():
+    mu, sigma = 0.3, 1.7
+    spec = FieldSpec(dimension=2, structure=IidCubes(),
+                     diagonal=DistributionSpec.lognormal(mu, sigma))
+    fld = sample_field(spec, 11, 2)
+    cells = np.ix_(np.arange(-5, 6), np.arange(-3, 9))
+    lam, _ = fld.at_cells(*cells)
+    u = keyed_uniform(11, _REALM_DIAG, 2, _ISO_SLOT, *cells)
+    want = np.exp(mu + sigma * ndtri(u))
+    assert lam[0].tobytes() == want.tobytes()

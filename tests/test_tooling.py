@@ -116,6 +116,22 @@ def test_one_executor_runs_every_thread():
                      "cell.py:solve_many": {"ThreadPoolExecutor"}}
 
 
+def test_only_the_normal_law_helper_imports_scipy_special():
+    # scipy.special costs a run about 3.5 MB and 50 ms to load, and only the
+    # lognormal law and the random slopes need it
+    importers = []
+    for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [f"{node.module}.{alias.name}" for alias in node.names]
+                         if isinstance(node, ast.ImportFrom) and node.module else [])
+                if any(name.startswith("scipy.special") for name in names):
+                    importers.append(f"{path.name}:{getattr(top, 'name', ast.unparse(top))}")
+    assert importers == ["randomness.py:_special"]
+
+
 def test_only_run_decides_the_verdict():
     # a handler that set the verdict itself could pass a run its report
     # fails; each returns (passed, n_flagged) for run to apply
