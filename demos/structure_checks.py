@@ -3,7 +3,9 @@
 Three verified inequalities on small cubes: the growth sandwich
 (coercivity below, mean weight above), midpoint convexity along a
 rank-one slope segment on a periodic checkerboard, and homogeneity
-along rays with and without a lower-order term.
+along rays with and without a lower-order term.  Every number is an
+interval, and each check counts its claims as holding, undecided or
+failing.
 """
 
 import argparse
@@ -16,6 +18,12 @@ from homlab import (DistributionSpec, FieldSpec, IidCubes, Periodic,
 
 E1 = np.array([[1.0, 0.0]])
 E2 = np.array([[0.0, 1.0]])
+
+
+def counts(report):
+    """A report's claims as homlab.decide counts them."""
+    return (f"claims: {report.holds} hold, {report.undecided} undecided, "
+            f"{report.fails} fail")
 
 
 def main():
@@ -32,10 +40,11 @@ def main():
           f"(c0={consts.c0:.4f}, C0={consts.C0:.4f})")
     for row in sw.details["per_xi"]:
         est = row["estimate"]
-        print(f"  xi={np.ravel(row['xi'])}: estimate {est.value:.4f}, "
+        print(f"  xi={np.ravel(row['xi'])}: estimate {est.value:.4f} "
+              f"in [{est.lower:.4f}, {est.upper:.4f}], "
               f"lower margin {row['lower_margin']:+.4f}, "
               f"upper margin {row['upper_margin']:+.4f}")
-    print(f"  passed: {sw.passed}")
+    print(f"  {counts(sw)}, passed: {sw.passed}")
     print()
 
     tile = FieldSpec(dimension=2, structure=Periodic(tile=[[1.0, 2.0],
@@ -44,16 +53,17 @@ def main():
     print("rank-one segment e2 -> e1 on the periodic checkerboard")
     for lam, mean in zip(r1.details["lambdas"], r1.details["means"]):
         print(f"  lambda={lam:.2f}: {mean:.5f}")
-    print(f"  worst midpoint slack {r1.worst_slack:+.2e} "
-          f"(budget {r1.budget:.1e}), passed: {r1.passed}")
+    print("  midpoint slacks in " + ", ".join(
+        f"[{lo:+.2e}, {hi:+.2e}]" for lo, hi in zip(r1.details["lower"], r1.details["upper"])))
+    print(f"  {counts(r1)}, passed: {r1.passed}")
     print()
 
     rec = recession(tp, E1 + E2, s_list=(1.0, 2.0, 5.0), t=8, n_real=6,
                     seed=args.seed)
     print("ray s -> f(s xi)/s without lower-order term (must be flat)")
     print("  " + ", ".join(f"s={s:g}: {m:.5f}"
-                           for s, m in zip(rec.s_list, rec.means)))
-    print(f"  mode={rec.mode}, passed: {rec.passed}")
+                           for s, m in zip(rec.details["s_list"], rec.details["means"])))
+    print(f"  mode={rec.details['mode']}, {counts(rec)}, passed: {rec.passed}")
 
     with_lam = FieldSpec(dimension=2, structure=IidCubes(),
                          diagonal=DistributionSpec.two_point(1.0, 0.5, 2.0),
@@ -62,8 +72,8 @@ def main():
                      seed=args.seed)
     print("same ray with lambda = 1 (must decrease by (1/s - 1/s') E[lambda])")
     print("  " + ", ".join(f"s={s:g}: {m:.5f}"
-                           for s, m in zip(rec2.s_list, rec2.means)))
-    print(f"  mode={rec2.mode}, passed: {rec2.passed}")
+                           for s, m in zip(rec2.details["s_list"], rec2.details["means"])))
+    print(f"  mode={rec2.details['mode']}, {counts(rec2)}, passed: {rec2.passed}")
 
 
 if __name__ == "__main__":

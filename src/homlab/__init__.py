@@ -18,10 +18,10 @@ from .cell import (CellProblem, Grid, SolveReport, SolveTask, assemble,
                    cell_problem_on_cube, cube_grid, load_minimizer, save_minimizer,
                    solve_cell, solve_many)
 from .glue import GlueGeometryError, GlueReport, affine_field, glue_with_cutoff
-from .homogenize import (HomEstimate, PropertyReport, check_rank_one_convexity,
-                         check_stationarity_in_law, check_subadditivity,
-                         estimate_f_hom, recession, verify_growth_sandwich)
-from .homogenize import RecessionReport, StationarityReport
+from .homogenize import (HomEstimate, PropertyReport, StationarityReport,
+                         check_rank_one_convexity, check_stationarity_in_law,
+                         check_subadditivity, decide, estimate_f_hom, recession,
+                         verify_growth_sandwich)
 from .degeneracy import (DivergenceReport, HittingStats, InterfaceLimitReport,
                          InterfaceProbe, cheap_interface, divergence_experiment,
                          hitting_stats, interface_limit_check)

@@ -12,7 +12,8 @@ integer cell-index arrays that broadcast together.  Each draw is keyed
 by the indices it depends on, all d of them for iid cubes and the axis
 index alone for a laminate, so on the ``np.ix_`` open mesh of a grid a
 laminate is keyed once per stripe; a periodic field indexes its tile.
-``lambda_diag`` and ``lower`` floor points into cells and call it.
+A point lies in the cell ``floor(x + origin)``, where ``origin`` is the
+shift the realization has accumulated.
 """
 
 from __future__ import annotations
@@ -248,9 +249,14 @@ class FieldSpec:
     def is_isotropic_law(self) -> bool:
         return isinstance(self.diagonal, DistributionSpec)
 
+    @property
+    def deterministic(self) -> bool:
+        """A periodic field has one realization, which is its law."""
+        return isinstance(self.structure, Periodic)
+
     def realizations(self, n_real: int) -> int:
-        """How many of n_real realizations differ: 1 for a (deterministic) periodic field."""
-        return 1 if isinstance(self.structure, Periodic) else n_real
+        """How many of n_real realizations differ: 1 for a deterministic field."""
+        return 1 if self.deterministic else n_real
 
     def diagonal_laws(self) -> tuple:
         """Per-slot laws; isotropic specs repeat the single law."""
@@ -267,16 +273,6 @@ class FieldSample:
     seed: int
     index: int
     origin: np.ndarray
-
-    def lambda_diag(self, x) -> np.ndarray:
-        """Diagonal entries at points x of shape (..., d) -> (..., d)."""
-        cells = np.floor(x + np.broadcast_to(self.origin, np.shape(x))).astype(np.int64)
-        return self.at_cells(*cells.T)[0].T
-
-    def lower(self, x) -> np.ndarray:
-        """Lower-order weight at points x of shape (..., d) -> (...,)."""
-        cells = np.floor(x + np.broadcast_to(self.origin, np.shape(x))).astype(np.int64)
-        return self.at_cells(*cells.T)[1].T
 
     def at_cells(self, *cells):
         """The weights on the unit cells with integer indices ``cells``.

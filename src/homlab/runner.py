@@ -91,7 +91,7 @@ class _Ctx:
 
 
 # what the summary keeps of an inequality battery's report
-_BATTERY = ("worst_slack", "budget", "passed", "n_flagged")
+_BATTERY = ("holds", "undecided", "fails", "passed", "n_flagged")
 
 
 def _pick(rep, *keys) -> dict:
@@ -184,7 +184,7 @@ def _cmd_verify_bounds(ctx):
         ctx.rec(xi_label=label, kind="lower_margin", value=per["lower_margin"])
         ctx.rec(xi_label=label, kind="upper_margin",
                 value=per["upper_margin"])
-    ctx.report["sandwich"] = _pick(rep, "worst_slack", "passed", "n_instances")
+    ctx.report["sandwich"] = _pick(rep, "n_instances", *_BATTERY)
     return rep.passed, rep.n_flagged
 
 
@@ -220,11 +220,12 @@ def _cmd_recession(ctx):
     rep = recession(cfg.spec, xi, t=cfg.t_list[0], n_real=cfg.n_real, seed=cfg.seed,
                     tol=cfg.tol, cells_per_unit=cfg.cells_per_unit, workers=ctx.workers,
                     **cfg.options)
-    for s, mean, ci in zip(rep.s_list, rep.means, rep.ci_halves):
+    ray = rep.details
+    for s, mean, ci in zip(ray["s_list"], ray["means"], ray["ci_halves"]):
         ctx.rec(xi_label=label, kind=f"ray_mean:s={s:g}", value=float(mean),
                 ci_half=float(ci))
-    ctx.report["recession"] = _pick(rep, "s_list", "means", "mode", "worst_dev", "budget",
-                                    "passed", "n_flagged")
+    ctx.report["recession"] = {**_pick(rep, *_BATTERY),
+                               **{k: ray[k] for k in ("s_list", "means", "mode")}}
     return rep.passed, rep.n_flagged
 
 

@@ -24,13 +24,17 @@ _ECDF_PAIRS = 500  # simulated same-law pairs per calibration
 _ECDF_SEED = 2026  # key of the calibration draws
 
 
-def mean_ci(values):
-    """(mean, Z99 * std / sqrt(n)) with ddof=1; half-width 0 for one value
-    and (nan, nan) for none."""
+def mean_ci(values, exact: bool = False):
+    """(mean, Z99 * std / sqrt(n)) with ddof=1, and (nan, nan) for none.
+
+    One value says nothing of the spread of its law, so its half-width is
+    inf, unless ``exact``: the value is the law's only one, as the one
+    realization of a periodic field is, and its half-width is 0.
+    """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < 2:
-        return (float(values[0]), 0.0) if n else (math.nan, math.nan)
+        return (float(values[0]), 0.0 if exact else math.inf) if n else (math.nan, math.nan)
     return float(values.mean()), Z99 * float(values.std(ddof=1)) / math.sqrt(n)
 
 

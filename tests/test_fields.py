@@ -21,6 +21,18 @@ def iid_iso(law, d=2, lower=None):
                      lower_order=lower)
 
 
+def at_points(fld, x):
+    """``at_cells`` on the cells floor(x + origin) holding the points x of
+    shape (..., d): the diagonal entries (..., d) and the lower weight (...)."""
+    cells = np.floor(np.asarray(x, dtype=float) + fld.origin).astype(np.int64)
+    lam, lam0 = fld.at_cells(*cells.T)
+    return lam.T, lam0.T
+
+
+def diag_at(fld, x):
+    return at_points(fld, x)[0]
+
+
 # ---------------------------------------------------------------- laws
 
 
@@ -121,47 +133,47 @@ def test_spec_validation_errors():
 def test_constant_field_everywhere():
     fld = sample_field(iid_iso(DistributionSpec.constant(2.0)), 9)
     pts = keyed_uniform(1, "pts", np.arange(60)).reshape(30, 2) * 20 - 10
-    assert np.all(fld.lambda_diag(pts) == 2.0)
-    assert np.all(fld.lower(pts) == 0.0)
+    lam, lam0 = at_points(fld, pts)
+    assert lam.shape == (30, 2) and lam0.shape == (30,)
+    assert np.all(lam == 2.0)
+    assert np.all(lam0 == 0.0)
 
 
 def test_points_and_cells_need_one_coordinate_per_axis():
     fld = sample_field(iid_iso(U12), 9)
     for pts in (np.zeros((4, 1)), np.zeros((4, 3))):
-        with pytest.raises(ValueError):
-            fld.lambda_diag(pts)
-        with pytest.raises(ValueError):
-            fld.lower(pts)
+        with pytest.raises(ValueError, match="2 cell-index arrays"):
+            fld.at_cells(*np.floor(pts).astype(np.int64).T)
     with pytest.raises(ValueError, match="2 cell-index arrays"):
         fld.at_cells(np.arange(4))
 
 
 def test_iid_piecewise_constant_on_unit_cells():
     fld = sample_field(iid_iso(U12), 3)
-    a = fld.lambda_diag(np.array([0.2, 0.7]))
-    b = fld.lambda_diag(np.array([0.9, 0.01]))
-    c = fld.lambda_diag(np.array([1.1, 0.5]))
+    a = diag_at(fld, np.array([0.2, 0.7]))
+    b = diag_at(fld, np.array([0.9, 0.01]))
+    c = diag_at(fld, np.array([1.1, 0.5]))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_isotropic_shares_one_draw_across_slots():
     iso = sample_field(iid_iso(U12), 5)
-    vals = iso.lambda_diag(keyed_uniform(2, "p", np.arange(40)).reshape(20, 2) * 9)
+    vals = diag_at(iso, keyed_uniform(2, "p", np.arange(40)).reshape(20, 2) * 9)
     assert np.array_equal(vals[:, 0], vals[:, 1])
     indep = sample_field(FieldSpec(dimension=2, structure=IidCubes(),
                                    diagonal=(U12, U12)), 5)
-    vals = indep.lambda_diag(np.array([[0.5, 0.5], [3.2, 7.9]]))
+    vals = diag_at(indep, np.array([[0.5, 0.5], [3.2, 7.9]]))
     assert not np.array_equal(vals[:, 0], vals[:, 1])
 
 
 def test_laminate_depends_on_axis_only():
     spec = FieldSpec(dimension=2, structure=Laminate(axis=2), diagonal=U12)
     fld = sample_field(spec, 8)
-    along = fld.lambda_diag(np.array([[0.1, 0.4], [57.9, 0.4], [-3.2, 0.6]]))
+    along = diag_at(fld, np.array([[0.1, 0.4], [57.9, 0.4], [-3.2, 0.6]]))
     assert np.array_equal(along[0], along[1])
     assert np.array_equal(along[0], along[2])
-    across = fld.lambda_diag(np.array([[0.1, 1.4]]))
+    across = diag_at(fld, np.array([[0.1, 1.4]]))
     assert not np.array_equal(along[0], across[0])
 
 
@@ -237,9 +249,9 @@ def test_periodic_tile_lookup_with_negatives():
     fld = sample_field(spec, 0)
     pts = np.array([[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5],
                     [-0.5, -0.5], [2.5, -1.5]])
-    vals = fld.lambda_diag(pts)[:, 0]
+    vals = diag_at(fld, pts)[:, 0]
     assert np.array_equal(vals, [1.0, 2.0, 3.0, 4.0, 4.0, 1.0])
-    assert np.array_equal(fld.lambda_diag(pts)[:, 0], fld.lambda_diag(pts)[:, 1])
+    assert np.array_equal(diag_at(fld, pts)[:, 0], diag_at(fld, pts)[:, 1])
 
 
 def test_periodic_tile_per_diagonal_slot():
@@ -261,22 +273,23 @@ def test_periodic_one_dimensional_tile():
     spec = FieldSpec(dimension=1, structure=Periodic(tile=[1.0, 2.0]))
     fld = sample_field(spec, 0)
     xs = np.array([[0.5], [1.5], [2.5], [-0.5]])
-    assert np.array_equal(fld.lambda_diag(xs)[:, 0], [1.0, 2.0, 1.0, 2.0])
+    assert np.array_equal(diag_at(fld, xs)[:, 0], [1.0, 2.0, 1.0, 2.0])
 
 
 def test_positivity_on_many_probes():
     spec = iid_iso(DistributionSpec.lognormal(0.0, 1.0), lower=U12)
     fld = sample_field(spec, 17)
     pts = keyed_uniform(6, "pos", np.arange(2 * 10 ** 5)).reshape(-1, 2) * 2000 - 1000
-    assert np.all(fld.lambda_diag(pts) > 0.0)
-    assert np.all(fld.lower(pts) >= 0.0)
+    lam, lam0 = at_points(fld, pts)
+    assert np.all(lam > 0.0)
+    assert np.all(lam0 >= 0.0)
 
 
 def test_empirical_cell_mean_clt_interval():
     fld = sample_field(iid_iso(U12), 31)
     cells = np.stack(np.meshgrid(np.arange(100), np.arange(100), indexing="ij"),
                      axis=-1) + 0.5
-    vals = fld.lambda_diag(cells.reshape(-1, 2))[:, 0]
+    vals = diag_at(fld, cells.reshape(-1, 2))[:, 0]
     assert abs(vals.mean() - 1.5) < 3.0 * (1.0 / math.sqrt(12.0)) / 100.0
 
 
@@ -288,8 +301,8 @@ def test_shift_is_bit_exact_on_integer_vectors():
     z = np.array([3.0, -2.0])
     g = shift(fld, z)
     x = keyed_uniform(7, "x", np.arange(100)).reshape(50, 2) * 10 - 5
-    assert np.array_equal(g.lambda_diag(x), fld.lambda_diag(x + z))
-    assert np.array_equal(g.lower(x), fld.lower(x + z))
+    for a, b in zip(at_points(g, x), at_points(fld, x + z)):
+        assert np.array_equal(a, b)
 
 
 def test_shift_group_property():
@@ -297,10 +310,10 @@ def test_shift_group_property():
     z1 = np.array([1.0, 4.0])
     z2 = np.array([-2.0, 7.0])
     x = np.array([[0.3, 0.9], [5.5, -3.25]])
-    assert np.array_equal(shift(shift(fld, z1), z2).lambda_diag(x),
-                          shift(fld, z1 + z2).lambda_diag(x))
-    assert np.array_equal(shift(fld, np.zeros(2)).lambda_diag(x),
-                          fld.lambda_diag(x))
+    assert np.array_equal(diag_at(shift(shift(fld, z1), z2), x),
+                          diag_at(shift(fld, z1 + z2), x))
+    assert np.array_equal(diag_at(shift(fld, np.zeros(2)), x),
+                          diag_at(fld, x))
     with pytest.raises(ValueError):
         shift(fld, np.zeros(3))
 
@@ -311,7 +324,7 @@ def test_shifted_marginal_same_law():
                      axis=-1).reshape(-1, 2) + 0.5
     a = shift(sample_field(spec, 10, index=0), np.array([11.0, -4.0]))
     b = sample_field(spec, 10, index=1)
-    res = two_sample_test(a.lambda_diag(cells)[:, 0], b.lambda_diag(cells)[:, 0])
+    res = two_sample_test(diag_at(a, cells)[:, 0], diag_at(b, cells)[:, 0])
     assert res.same_law
 
 

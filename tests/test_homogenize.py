@@ -6,7 +6,7 @@ import pytest
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
                     Periodic, check_rank_one_convexity,
                     check_stationarity_in_law, check_subadditivity,
-                    divergence_experiment, estimate_f_hom, mean_ci, recession,
+                    decide, divergence_experiment, estimate_f_hom, mean_ci, recession,
                     sample_field, shift, solve_cell, verify_growth_sandwich)
 from homlab.cell import cell_problem_on_cube
 
@@ -77,11 +77,15 @@ def test_growth_sandwich_two_point_isotropic():
                                     n_real=6, seed=1)
     assert report.name == "growth_sandwich"
     assert report.passed
-    assert report.worst_slack >= 0.0
+    # two claims per slope, each clear of its bound by the row's margin
+    assert (report.holds, report.undecided, report.fails) == (4, 0, 0)
     for row in report.details["per_xi"]:
+        est = row["estimate"]
         assert row["lower_margin"] >= 0.0
         assert row["upper_margin"] >= 0.0
         assert np.isfinite(row["upper_margin"])
+        assert (est.lower, est.upper) == (est.levels[-1].lower, est.levels[-1].upper)
+        assert est.lower < est.value < est.upper
 
 
 def test_growth_sandwich_heavy_tail_upper_bound_is_vacuous():
@@ -92,23 +96,26 @@ def test_growth_sandwich_heavy_tail_upper_bound_is_vacuous():
     assert row["upper_margin"] == np.inf
     assert np.isinf(report.details["constants"].C0)
     assert report.passed  # decided by the lower bound alone
+    assert report.fails == 0
 
 
 def test_subadditivity_constant_field_is_tight():
     report = check_subadditivity(CONST2, xi=E1, t=8, depth=1, n_real=2, seed=0)
-    # tol times the large cube's energy, 2 |e1| 8^2
-    assert report.budget == pytest.approx(1e-5 * 2.0 * 8 ** 2)
     assert report.passed
     assert report.n_flagged == 0
-    # partition energies add up exactly for a constant field
+    # partition energies add up exactly for a constant field, so each
+    # realization's interval contains 0 and is as wide as the certificates
     assert np.max(np.abs(report.details["slacks"])) <= 1e-9 * 8 ** 2
+    lo, hi = report.details["lower"], report.details["upper"]
+    assert np.all(lo <= 0.0) and np.all(hi >= 0.0) and report.fails == 0
+    assert np.all(hi - lo <= 2 * 1e-5 * 2.0 * 8 ** 2)
 
 
 def test_subadditivity_random_battery():
     report = check_subadditivity(IID_U12, xi=None, t=8, depth=1, n_real=10, seed=4)
     assert report.passed
     assert report.n_instances == 10
-    assert report.worst_slack >= -report.budget
+    assert report.holds + report.undecided == 10 and report.fails == 0
     assert report.n_flagged == 0
 
 
@@ -156,19 +163,21 @@ def test_stationarity_compares_matched_weights_without_solving(monkeypatch):
 def test_recession_without_lower_order_is_constant():
     report = recession(TP_ISO, E1 + E2, s_list=(1.0, 2.0, 5.0), t=8,
                        n_real=6, seed=0)
-    assert report.mode == "constant"
+    assert report.details["mode"] == "constant"
     assert report.passed
-    assert report.worst_dev <= report.budget
-    assert np.allclose(report.means, report.means[0], atol=1e-4)
+    # x = 0 and -x = 0 for each of 6 realizations and 2 steps of the ray
+    assert report.holds + report.undecided == 24 and report.fails == 0
+    assert np.allclose(report.details["means"], report.details["means"][0], atol=1e-4)
 
 
 def test_recession_along_a_short_ray_is_constant():
     # the solver normalizes the slope like the weights, so s = 0.001 steps
     # like s = 1; it used to run out of iterations and fail the check
     report = recession(IID_U12, E1, s_list=(0.001, 1.0), t=8, n_real=2, seed=0)
-    assert report.mode == "constant"
+    assert report.details["mode"] == "constant"
     assert report.passed and report.n_flagged == 0
-    assert report.means[0] == pytest.approx(report.means[1], rel=1e-4)
+    means = report.details["means"]
+    assert means[0] == pytest.approx(means[1], rel=1e-4)
 
 
 def test_recession_with_lower_order_decreases_by_lambda_mean():
@@ -177,11 +186,11 @@ def test_recession_with_lower_order_decreases_by_lambda_mean():
                      lower_order=DistributionSpec.constant(1.0))
     report = recession(spec, E1 + E2, s_list=(1.0, 2.0, 5.0), t=8,
                        n_real=6, seed=0)
-    assert report.mode == "decreasing"
-    assert report.passed
+    assert report.details["mode"] == "decreasing"
+    assert report.passed and report.fails == 0
     assert report.details["decreasing"]
     # f(s xi)/s = f(xi) + 1/s, so consecutive drops are 0.5 and 0.3
-    assert np.diff(report.means) == pytest.approx([-0.5, -0.3], abs=1e-4)
+    assert np.diff(report.details["means"]) == pytest.approx([-0.5, -0.3], abs=1e-4)
     assert report.details["expected_lambda_mean"] == pytest.approx(1.0)
 
 
@@ -244,7 +253,7 @@ def test_all_flagged_level_has_no_confidence_interval(monkeypatch):
     (lv,) = estimate_f_hom(IID_U12, E1, t_list=(4,), n_real=2).levels
     assert lv.n_flagged == 2
     assert np.isnan(lv.mean) and np.isnan(lv.ci_half)
-    assert mean_ci([3.0]) == (3.0, 0.0)
+    assert np.isnan(lv.lower) and np.isnan(lv.upper)
 
 
 def test_rank_one_rejects_full_rank_segment():
@@ -259,8 +268,12 @@ def test_rank_one_rejects_full_rank_segment():
 def test_rank_one_degenerate_segment_passes():
     report = check_rank_one_convexity(IID_U12, E1, E1, t=4, n_grid=3,
                                       n_real=2, seed=0)
-    assert report.passed
-    assert report.worst_slack == pytest.approx(0.0, abs=1e-12)
+    assert report.passed and report.fails == 0
+    # every slope is e1, so the midpoint slacks are 0 and each interval
+    # is as wide as the certificates of its three solves
+    lo, hi = report.details["lower"], report.details["upper"]
+    assert np.all(lo <= 0.0) and np.all(hi >= 0.0)
+    assert np.all(hi - lo <= 4 * 1e-5 * np.abs(report.details["means"]).max())
 
 
 def test_rank_one_periodic_runs_single_realization():
@@ -271,8 +284,10 @@ def test_rank_one_periodic_runs_single_realization():
                                       n_real=20, seed=0)
     assert report.details["values"].shape == (3, 1)
     assert report.passed
-    assert report.budget == pytest.approx(
-        2.0 * 1e-5 * 0.5 * float(np.abs(report.details["means"]).max()))
+    # one realization is the periodic law itself: no CI widens the interval
+    assert (report.holds, report.fails) == (1, 0)
+    assert report.details["upper"] - report.details["lower"] <= (
+        4 * 1e-5 * np.abs(report.details["means"]).max())
 
 
 def test_estimate_periodic_forces_one_realization():
@@ -296,21 +311,81 @@ def _verdicts_on_scaled_tile(k):
 @pytest.mark.parametrize("k", [-30, 0, 30], ids=lambda k: f"2^{k}")
 def test_verdict_budgets_scale_with_the_weights(k):
     # the energy is 1-homogeneous in Lambda, and scaling by 2^k is exact
-    # in floating point, so every budget and slack must scale exactly and
-    # no verdict may move; a budget floored at 1 is absolute below scale 1
+    # in floating point, so every interval must scale exactly and no count
+    # or verdict may move; an absolute slack in an interval would not scale
     s = 2.0 ** k
-    est, rec, rank_one, subadd, sandwich = _verdicts_on_scaled_tile(k)
-    est1, rec1, rank_one1, subadd1, sandwich1 = _verdicts_on_scaled_tile(0)
-    assert [lv.mean for lv in est.levels] == [lv.mean * s for lv in est1.levels]
+    est, *reports = _verdicts_on_scaled_tile(k)
+    est1, *reports1 = _verdicts_on_scaled_tile(0)
+    for lv, lv1 in zip(est.levels, est1.levels):
+        assert (lv.lower, lv.mean, lv.upper) == (lv1.lower * s, lv1.mean * s, lv1.upper * s)
+    assert (est.lower, est.upper) == (est1.lower * s, est1.upper * s)
     assert est.trend_consistent == est1.trend_consistent
-    assert (rec.budget, rec.worst_dev, rec.passed) == (
-        rec1.budget * s, rec1.worst_dev * s, rec1.passed)
-    assert (rank_one.budget, rank_one.worst_slack, rank_one.passed) == (
-        rank_one1.budget * s, rank_one1.worst_slack * s, rank_one1.passed)
-    assert (subadd.budget, subadd.worst_slack, subadd.passed) == (
-        subadd1.budget * s, subadd1.worst_slack * s, subadd1.passed)
-    assert (sandwich.worst_slack, sandwich.passed) == (
-        sandwich1.worst_slack * s, sandwich1.passed)
-    for row, row1 in zip(sandwich.details["per_xi"], sandwich1.details["per_xi"]):
-        assert (row["slack"], row["lower_margin"], row["upper_margin"]) == (
-            row1["slack"] * s, row1["lower_margin"] * s, row1["upper_margin"] * s)
+    for rep, rep1 in zip(reports, reports1):
+        assert np.array_equal(rep.details["lower"], rep1.details["lower"] * s), rep.name
+        assert np.array_equal(rep.details["upper"], rep1.details["upper"] * s), rep.name
+        assert (rep.holds, rep.undecided, rep.fails, rep.passed) == (
+            rep1.holds, rep1.undecided, rep1.fails, rep1.passed), rep.name
+    for row, row1 in zip(reports[-1].details["per_xi"], reports1[-1].details["per_xi"]):
+        assert (row["lower_margin"], row["upper_margin"]) == (
+            row1["lower_margin"] * s, row1["upper_margin"] * s)
+
+
+@pytest.mark.parametrize("lo, hi, counts", [
+    (0.0, 1.0, (1, 0, 0)),  # touching 0 from above holds
+    (0.0, 0.0, (1, 0, 0)),
+    (-1.0, 0.0, (0, 1, 0)),  # touching 0 from below is undecided
+    (-1.0, 1.0, (0, 1, 0)),  # straddles 0
+    (-1.0, -0.0, (0, 1, 0)),
+    (-2.0, -1.0, (0, 0, 1)),
+    (-np.inf, np.inf, (0, 1, 0)),
+    (0.5, np.inf, (1, 0, 0)),
+    (np.inf, np.inf, (1, 0, 0)),
+    (-np.inf, -1.0, (0, 0, 1)),
+    (-np.inf, -np.inf, (0, 0, 1)),
+    (np.nan, np.nan, (0, 1, 0)),  # no certified value decides nothing
+    (np.nan, -1.0, (0, 0, 1)),
+])
+def test_decide_counts_one_claim(lo, hi, counts):
+    assert decide(lo, hi) == counts
+    assert decide([lo, lo], [hi, hi]) == tuple(2 * c for c in counts)
+
+
+def test_decide_counts_claims_of_mixed_verdicts():
+    assert decide([1.0, -1.0, -3.0, 0.0], [2.0, 1.0, -2.0, 0.0]) == (2, 1, 1)
+    assert decide([], []) == (0, 0, 0)
+
+
+def test_gap_zero_level_interval_is_its_ci():
+    # every 1-d laminate solve certifies with gap 0, so a level's interval is
+    # its CI and no tolerance widens it, whatever tol
+    for tol in (1e-5, 1e-2):
+        est = estimate_f_hom(LAM1D, np.array([[1.0]]), t_list=(4, 8), n_real=6,
+                             seed=3, tol=tol)
+        for lv in est.levels:
+            assert np.all(lv.gaps == 0.0)
+            assert (lv.lower, lv.upper) == (lv.mean - lv.ci_half, lv.mean + lv.ci_half)
+        assert (est.lower, est.upper) == (est.levels[-1].lower, est.levels[-1].upper)
+
+
+def test_one_value_of_a_random_field_has_an_infinite_ci():
+    # one realization of a random field says nothing of its law's spread
+    est = estimate_f_hom(IID_U12, E1, t_list=(4, 8), n_real=1)
+    for lv in est.levels:
+        assert lv.ci_half == np.inf
+        assert (lv.lower, lv.upper) == (-np.inf, np.inf)
+    assert est.trend_consistent
+    report = verify_growth_sandwich(IID_U12, [E1], t_list=(4,), n_real=1)
+    assert (report.holds, report.undecided, report.fails) == (0, 2, 0)
+    assert report.passed
+    assert mean_ci([3.0]) == (3.0, np.inf)
+
+
+def test_one_value_of_a_periodic_field_is_its_law():
+    spec = FieldSpec(dimension=2, structure=Periodic(tile=[[1.0, 2.0], [2.0, 1.0]]),
+                     diagonal=None)
+    (lv,) = estimate_f_hom(spec, E1, t_list=(4,), n_real=5).levels
+    assert lv.values.shape == (1,)
+    assert lv.ci_half == 0.0
+    assert lv.lower <= lv.mean == lv.upper
+    assert lv.mean - lv.lower <= 1e-5 * lv.mean
+    assert mean_ci([3.0], exact=True) == (3.0, 0.0)

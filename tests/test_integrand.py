@@ -73,10 +73,11 @@ def test_eval_stays_inside_its_own_bounds():
     fld = sample_field(spec, 11)
     xi = np.array([[0.4, -1.1]])
     centers = cube_grid(2, 4.0).cell_centers()
-    norm = np.sqrt(((xi[0] * fld.lambda_diag(centers)) ** 2).sum(axis=-1))
+    lam, lam0 = fld.at_cells(*np.floor(centers).astype(np.int64).T)
+    norm = np.sqrt(((xi[0] * lam.T) ** 2).sum(axis=-1))
     val = density(fld, xi)
     assert np.all(norm <= val)
-    assert np.all(val <= norm + fld.lower(centers) + 1e-12)
+    assert np.all(val <= norm + lam0.T + 1e-12)
 
 
 # ------------------------------------------------------------- constants

@@ -150,6 +150,51 @@ def test_only_run_decides_the_verdict():
             assert all(node.value is not None for node in returns), handler.name
 
 
+def test_no_check_builds_a_slack_from_tol():
+    # tol only asks each solve for a certificate; an interval is as wide as
+    # the certificate the solve returned, so tol is passed on or stored and
+    # never multiplied or added into a quantity
+    tree = ast.parse(Path(homogenize.__file__).read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "tol"
+            or isinstance(node, ast.Attribute) and node.attr == "tol"]
+    assert uses
+    for node in uses:
+        parent = parents[node]
+        assert isinstance(node.ctx, ast.Store) or isinstance(parent, ast.keyword) or (
+            isinstance(parent, ast.Call) and node in parent.args), ast.unparse(parent)
+
+
+def test_every_claim_is_counted_by_decide():
+    # a check that counted its own claims could decide by another rule
+    counted = {}
+    for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+            # each name bound in the function, and whether every binding is decide's
+            bound = {}
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+                    by_decide = (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                                 and ast.unparse(node.value.func) == "decide")
+                    for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                        for elt in ast.walk(target):
+                            if isinstance(elt, ast.Name):
+                                bound[elt.id] = bound.get(elt.id, True) and by_decide
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "PropertyReport":
+                    counts = {kw.arg: kw.value for kw in call.keywords
+                              if kw.arg in ("holds", "undecided", "fails")}
+                    counted[f"{path.name}:{func.name}"] = len(counts) == 3 and all(
+                        isinstance(value, ast.Name) and bound.get(value.id, False)
+                        for value in counts.values())
+            if func.name == "estimate_f_hom":
+                assert "decide" in {ast.unparse(node.func) for node in ast.walk(func)
+                                    if isinstance(node, ast.Call)}
+    assert counted == {"homogenize.py:_report": True}
+
+
 # every library entry point that solves or scans, and its realization count
 # and cube sizes; the config table holds their one default
 _SIZED = {homogenize.estimate_f_hom: ("t_list", "n_real"),
