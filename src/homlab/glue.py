@@ -147,8 +147,8 @@ def glue_with_cutoff(u: np.ndarray, v: np.ndarray, problem: CellProblem,
         raise GlueGeometryError("empty overlap between the outer box and the other box")
 
     quarter = 0.25 * layer
-    candidates = []
     layer_energies = []
+    chosen = 0
     for i in range(n_layers):
         r_lo = i * layer + quarter
         r_hi = (i + 1) * layer - quarter
@@ -157,11 +157,10 @@ def glue_with_cutoff(u: np.ndarray, v: np.ndarray, problem: CellProblem,
         # contribute exactly E(u) and E(v).
         w_i = np.where(phi[None] == 1.0, u, v + phi[None] * (u - v))
         in_layer = (center_dist > i * layer) & (center_dist < (i + 1) * layer) & overlap
-        e_i = problem.energy(w_i, in_layer)
-        candidates.append(w_i)
-        layer_energies.append(e_i)
-    chosen = int(np.argmin(layer_energies))
-    w = candidates[chosen]
+        layer_energies.append(problem.energy(w_i, in_layer))
+        # the running least layer; on a tie the first wins, as with np.argmin
+        if i == 0 or layer_energies[i] < layer_energies[chosen]:
+            chosen, w = i, w_i
 
     lhs = problem.energy(w, in_inner | in_other)
     base = (1.0 + delta) * (problem.energy(u, in_outer) + problem.energy(v, in_other))

@@ -196,9 +196,11 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, *, t_list, n_real: int, see
 
     The claims are estimate - lower bound >= 0 and upper bound - estimate
     >= 0; a slope's ``lower_margin`` and ``upper_margin`` are the distances
-    by which its interval clears the bounds, >= 0 when a claim holds.  An
-    infinite upper constant's claim cannot fail.  An estimate with too many
-    uncertified solves at some t fails the check.
+    by which its interval clears the bounds, >= 0 when a claim holds.  The
+    upper bound is the interval (C0 -+ C0_ci) |xi| + C1, a point unless C0
+    is a Monte Carlo estimate.  An infinite upper constant's claim cannot
+    fail.  An estimate with too many uncertified solves at some t fails
+    the check.
     """
     consts = growth_constants(spec)
     details = {"constants": consts, "per_xi": []}
@@ -209,8 +211,9 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, *, t_list, n_real: int, see
                              tol=tol, cells_per_unit=cells_per_unit, workers=workers)
         xin = float(np.sqrt((xi * xi).sum()))
         below, above = consts.lower_bound(xin), consts.upper_bound(xin)
-        lo += [est.lower - below, above - est.upper]
-        hi += [est.upper - below, above - est.lower]
+        spread = consts.C0_ci * xin  # a Monte Carlo C0 carries its own CI
+        lo += [est.lower - below, above - spread - est.upper]
+        hi += [est.upper - below, above + spread - est.lower]
         details["per_xi"].append({"xi": xi, "estimate": est, "lower_margin": lo[-2],
                                   "upper_margin": lo[-1]})
     ests = [per["estimate"] for per in details["per_xi"]]

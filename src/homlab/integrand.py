@@ -7,9 +7,11 @@ cell by cell.  Growth constants for the sandwich
 
     alpha * c0 * |xi|  <=  f_hom(xi)  <=  C0 * |xi| + C1
 
-are computed analytically where the law allows and by probe/Monte-Carlo
-estimation otherwise; infinite constants are returned as ``inf`` with a
-flag rather than raising.
+are computed analytically where the law allows.  Otherwise C0 is read
+off one table of the law of a cell's diagonal, squared values (K, d)
+with weights (K,): the cells of a periodic tile, the atoms of
+finite-support laws, or one Monte Carlo sample.  Infinite constants
+are returned as ``inf`` with a flag rather than raising.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 
 from .fields import FieldSpec, Periodic
 from .randomness import keyed_uniform
-from .stats import Z99
+from .stats import mean_ci
 
 ALPHA = 1.0  # f == |xi Lambda| + lam bounds itself from below with constant 1
-_MC_BUDGET = 20000  # Monte Carlo samples per probe for laws without atoms
+_MC_BUDGET = 20000  # Monte Carlo cells of the table of a law without atoms
 _N_PROBES = 16  # random column-mass probes beyond the axes and the center
 _SEED = 0  # key of the probe and Monte Carlo draws
 
@@ -74,86 +76,68 @@ def _column_mass_probes(d: int) -> np.ndarray:
     return np.array(probes)
 
 
-def _expected_weighted_norm(laws, c, probe_id):
-    """E[sqrt(sum_j c_j Lambda_j^2)] exactly for finite-support laws, else MC."""
+def _cell_table(spec: FieldSpec):
+    """The law of one cell's squared diagonal: Lambda_jj^2 as a table (K, d),
+    weights (K,), and whether the table is a sample.
+
+    A periodic tile lists its cells with equal weights; finite-support
+    laws list every combination of atoms with the product of their
+    probabilities; any other law draws _MC_BUDGET cells once, one key
+    per slot.
+    """
+    d = spec.dimension
+    if isinstance(spec.structure, Periodic):
+        values = spec.structure.slot_values(d).reshape(-1, d)
+        return values ** 2, np.full(len(values), 1.0 / len(values)), False
+    laws = spec.diagonal_laws()
     atoms = [law.atoms() for law in laws]
     if all(a is not None for a in atoms):
-        value = 0.0
-        for combo in product(*[range(len(a[0])) for a in atoms]):
-            pr = 1.0
-            s = 0.0
-            for j, idx in enumerate(combo):
-                vals, probs = atoms[j]
-                pr *= probs[idx]
-                s += c[j] * vals[idx] ** 2
-            value += pr * math.sqrt(s)
-        return value, 0.0
-    samples = np.empty((_MC_BUDGET, len(laws)))
+        weights = np.array([math.prod(p) for p in product(*[p for _, p in atoms])])
+        return np.array(list(product(*[v for v, _ in atoms]))) ** 2, weights, False
+    squares = np.empty((_MC_BUDGET, d))
     for j, law in enumerate(laws):
-        u = keyed_uniform(_SEED, "C0-mc", probe_id, j, np.arange(_MC_BUDGET))
-        samples[:, j] = law.sample(u)
-    vals = np.sqrt(samples ** 2 @ c)
-    mean = float(vals.mean())
-    half = Z99 * float(vals.std(ddof=1)) / math.sqrt(_MC_BUDGET)
-    return mean, half
+        squares[:, j] = law.sample(keyed_uniform(_SEED, "C0-mc", j, np.arange(_MC_BUDGET))) ** 2
+    return squares, np.full(_MC_BUDGET, 1.0 / _MC_BUDGET), True
 
 
 def growth_constants(spec: FieldSpec) -> GrowthConstants:
     """Sandwich constants for the law of the field.
 
     c0 = 1 / esssup |Lambda^{-1}|_F (0 when the weight degenerates),
-    C0 = sup_{|eta|=1} E|eta Lambda| and C1 = E[lam].  E|eta Lambda|
-    depends on eta only through its column masses, and is concave in
-    them, so C0 is taken as the max over axes, the simplex center and
-    random probes; expectations are exact for finite-support laws and
-    Monte Carlo (99% CI reported) otherwise.
+    C0 = sup_{|eta|=1} E|eta Lambda| and C1 = E[lam].  An isotropic or
+    1-d law gives C0 = E[Lambda_11].  Otherwise E|eta Lambda| depends on
+    eta only through its column masses c, and is concave in them, so C0
+    is the largest ``weights @ sqrt(squares @ c)`` of the cell table
+    over the axes, the simplex center and random probes: exact for
+    periodic tiles and finite-support laws, and with the 99% CI of the
+    winning probe's sample for a Monte Carlo table.
     """
-    flags = []
     coer = coercivity_constant(spec)
-    if math.isinf(coer):
-        c0 = 0.0
-        flags.append("zero_coercivity")
-    else:
-        c0 = 1.0 / coer
+    flags = ["zero_coercivity"] if math.isinf(coer) else []
+    c0 = 1.0 / coer  # 0.0 when coer is inf
 
-    method = "analytic"
-    ci = 0.0
-    if isinstance(spec.structure, Periodic):
-        d = spec.dimension
-        vals = spec.structure.slot_values(d).reshape(-1, d)
-        best = -math.inf
-        for c in _column_mass_probes(d):
-            best = max(best, float(np.mean(np.sqrt(vals ** 2 @ c))))
-        C0 = best
-        method = "probe_exact"
+    method, ci = "analytic", 0.0
+    means = [] if spec.deterministic else [law.mean() for law in spec.diagonal_laws()]
+    if any(math.isinf(mu) for mu in means):
+        C0 = math.inf
+        flags.append("C0_infinite")
+    elif means and (spec.is_isotropic_law or spec.dimension == 1):
+        C0 = means[0]
     else:
-        laws = spec.diagonal_laws()
-        means = [law.mean() for law in laws]
-        if any(math.isinf(mu) for mu in means):
-            C0 = math.inf
-            flags.append("C0_infinite")
-        elif spec.is_isotropic_law or spec.dimension == 1:
-            C0 = means[0]
-        elif all(law.kind == "constant" for law in laws):
-            C0 = max(law.params[0] for law in laws)
-        else:
-            best = -math.inf
-            best_ci = 0.0
-            exact = all(law.atoms() is not None for law in laws)
-            for pid, c in enumerate(_column_mass_probes(spec.dimension)):
-                val, half = _expected_weighted_norm(laws, c, pid)
-                if val > best:
-                    best, best_ci = val, half
-            C0 = best
-            ci = best_ci
-            method = "probe_exact" if exact else "probe_mc"
+        squares, weights, sampled = _cell_table(spec)
+        C0, best = -math.inf, None
+        for c in _column_mass_probes(spec.dimension):
+            val = float(weights @ np.sqrt(squares @ c))
+            if val > C0:
+                C0, best = val, c
+        # |eta Lambda| <= max_j Lambda_jj when |eta| = 1: rounding in c cannot lift C0 past it
+        C0 = min(C0, math.sqrt(squares.max()))
+        ci = mean_ci(np.sqrt(squares @ best))[1] if sampled else 0.0
+        method = "probe_mc" if sampled else "probe_exact"
 
-    if spec.lower_order is None:
-        C1 = 0.0
-    else:
-        C1 = spec.lower_order.mean()
-        if math.isinf(C1):
-            flags.append("C1_infinite")
+    C1 = 0.0 if spec.lower_order is None else spec.lower_order.mean()
+    if math.isinf(C1):
+        flags.append("C1_infinite")
 
     return GrowthConstants(alpha=ALPHA, c0=c0, C0=C0, C1=C1,
                            C0_method=method, C0_ci=ci, flags=tuple(flags))

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .cell import SolveTask, assemble, cube_grid, save_minimizer, solve_many
+from .cell import SolveTask, cell_problem_on_cube, save_minimizer, solve_many
 from .config import RunConfig
 from .degeneracy import (cheap_interface, divergence_experiment, hitting_stats,
                          interface_limit_check)
@@ -287,11 +287,10 @@ def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
     delta = delta_range[0] + (delta_range[1] - delta_range[0]) * float(u01)
     inner, outer, other = glue_boxes(d, side, cells_per_unit, delta)
 
-    fld = sample_field(spec, seed, i)
-    grid = cube_grid(d, side, cells_per_unit, components=1)
     gu = normal_quantile(keyed_uniform(seed, "glue-xi-u", i, np.arange(d)))[None]
     gv = normal_quantile(keyed_uniform(seed, "glue-xi-v", i, np.arange(d)))[None]
-    prob = assemble(fld, grid, gu)
+    prob = cell_problem_on_cube(sample_field(spec, seed, i), side, gu, cells_per_unit)
+    grid = prob.grid
     u = affine_field(grid, gu) * 0.2
     v = affine_field(grid, gv) * 0.2
     noise = keyed_uniform(seed, "glue-noise", i, np.arange(np.prod(grid.node_shape)))

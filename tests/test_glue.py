@@ -169,6 +169,17 @@ def test_random_instances_always_verify():
         assert rep.chosen_layer == int(np.argmin(rep.layer_energies))
 
 
+def test_equal_layers_choose_the_first():
+    # u = v = 0 gives every layer energy 0; as with np.argmin, the first wins
+    prob = make_problem()
+    inner, outer, other = boxes()
+    zero = affine_field(prob.grid, np.zeros((1, 2)))
+    _, rep = glue_with_cutoff(zero, zero, prob, inner, outer, other, delta=0.2)
+    assert rep.n_layers == 5
+    assert rep.layer_energies == [0.0] * 5
+    assert rep.chosen_layer == 0
+
+
 def test_geometry_errors():
     prob = make_problem()
     u = affine_field(prob.grid, np.array([[0.1, 0.0]]))

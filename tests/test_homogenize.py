@@ -99,6 +99,26 @@ def test_growth_sandwich_heavy_tail_upper_bound_is_vacuous():
     assert report.fails == 0
 
 
+def test_growth_sandwich_upper_bound_carries_the_monte_carlo_ci():
+    # a C0 without atoms is a Monte Carlo estimate; both ends of the upper
+    # claim move out by its CI times |xi|
+    spec = FieldSpec(dimension=2, structure=IidCubes(),
+                     diagonal=(DistributionSpec.uniform(1.0, 2.0),
+                               DistributionSpec.uniform(1.0, 4.0)))
+    xi = E1 + E2
+    report = verify_growth_sandwich(spec, [xi], t_list=(4,), n_real=3, seed=0)
+    consts = report.details["constants"]
+    assert consts.C0_method == "probe_mc" and consts.C0_ci > 0.0
+    est = report.details["per_xi"][0]["estimate"]
+    xin = float(np.sqrt(2.0))
+    spread = consts.C0_ci * xin
+    point_margin = consts.upper_bound(xin) - est.upper
+    assert report.details["per_xi"][0]["upper_margin"] == pytest.approx(
+        point_margin - spread, rel=0.0, abs=1e-12)
+    assert report.details["upper"][1] == pytest.approx(
+        consts.upper_bound(xin) - est.lower + spread, rel=0.0, abs=1e-12)
+
+
 def test_subadditivity_constant_field_is_tight():
     report = check_subadditivity(CONST2, xi=E1, t=8, depth=1, n_real=2, seed=0)
     assert report.passed

@@ -184,3 +184,24 @@ def test_growth_constants_periodic_tile():
     assert gc.c0 == pytest.approx(1.0 / math.sqrt(2.0))
     assert gc.C0 == pytest.approx(1.5)
     assert gc.C1 == 0.0
+
+
+def test_one_table_serves_periodic_tiles_and_finite_laws():
+    # a per-slot tile whose four cells list the atoms of two iid p = 0.5
+    # laws is the same cell law, so it has the same C0
+    a = DistributionSpec.two_point(0.1, 0.5, 3.0)
+    b = DistributionSpec.two_point(1.4, 0.5, 1.6)
+    tile = np.array([[[0.1, 1.4], [0.1, 1.6]], [[3.0, 1.4], [3.0, 1.6]]])
+    periodic = growth_constants(FieldSpec(dimension=2, structure=Periodic(tile=tile)))
+    iid = growth_constants(FieldSpec(dimension=2, structure=IidCubes(), diagonal=(a, b)))
+    assert periodic.C0_method == iid.C0_method == "probe_exact"
+    assert abs(periodic.C0 - iid.C0) <= 1e-15 * iid.C0
+    assert periodic.C0_ci == iid.C0_ci == 0.0
+
+
+@pytest.mark.parametrize("values", [(2.0, 3.0), (0.1, 0.1), (7.3, 7.3, 7.3),
+                                    (1.3, 0.2, 1.3), (0.7, 2.0, 1e-3, 2.0)])
+def test_all_constant_law_gives_its_largest_entry(values):
+    gc = growth_constants(const_field(values).spec)
+    assert gc.C0 == max(values)
+    assert (gc.C0_method, gc.C0_ci) == ("probe_exact", 0.0)

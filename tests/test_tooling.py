@@ -18,7 +18,7 @@ import conftest
 import homlab
 import homlab.cell
 from homlab import (DistributionSpec, FieldSpec, IidCubes, config, degeneracy, homogenize,
-                    runner, sample_field)
+                    integrand, runner, sample_field)
 from homlab.config import parse_config, parse_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,6 +130,25 @@ def test_only_the_normal_law_helper_imports_scipy_special():
                 if any(name.startswith("scipy.special") for name in names):
                     importers.append(f"{path.name}:{getattr(top, 'name', ast.unparse(top))}")
     assert importers == ["randomness.py:_special"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_growth_constants_draw_the_monte_carlo_table_once(d, monkeypatch):
+    # every column-mass probe reads one shared sample: d draws of the whole
+    # budget, one per slot, however many probes there are
+    sizes = []
+    real = integrand.keyed_uniform
+
+    def counting(*key):
+        u = real(*key)
+        sizes.append(np.size(u))
+        return u
+
+    monkeypatch.setattr(integrand, "keyed_uniform", counting)
+    laws = (DistributionSpec.uniform(1.0, 2.0),) * (d - 1) + (DistributionSpec.lognormal(0.0, 0.4),)
+    gc = integrand.growth_constants(FieldSpec(dimension=d, structure=IidCubes(), diagonal=laws))
+    assert gc.C0_method == "probe_mc"
+    assert sizes.count(integrand._MC_BUDGET) == d
 
 
 def test_only_run_decides_the_verdict():
