@@ -25,13 +25,15 @@ def show_divergence(seed):
     rep = divergence_experiment(spec, xi=xi, t_list=(8, 32, 128), n_real=20,
                                 seed=seed)
     print("heavy-tail divergence (Pareto(1,1) laminate, slope e2)")
+    div = rep.details
     print(f"{'t':>6} {'mean':>10} {'99% CI':>10} {'Jensen bound':>13}")
-    for t, m, ci, jb in zip(rep.t_list, rep.means, rep.ci_halves,
-                            rep.jensen_bounds):
+    for t, m, ci, jb in zip(div["t_list"], div["means"], div["ci_halves"],
+                            div["jensen_bounds"]):
         print(f"{t:6g} {m:10.3f} {ci:10.3f} {jb:13.3f}")
-    print(f"means strictly increasing: {rep.strictly_increasing}, "
-          f"final/initial ratio: {rep.growth_ratio:.2f}")
-    print(f"every solve above its per-realization bound: {rep.jensen_ok}")
+    print(f"means strictly increasing: {div['strictly_increasing']}, "
+          f"final/initial ratio: {div['growth_ratio']:.2f}")
+    # one claim per solve: its value is above its per-realization bound
+    print(f"every solve above its per-realization bound: {rep.fails == 0}")
     print()
 
 
@@ -46,7 +48,7 @@ def show_interfaces(seed):
         print(f"delta={delta:g}: stripe at cell {p.k_index}, "
               f"ramp width eps={p.epsilon:.4f}, energy {p.energy:.5f} "
               f"(<= delta), L1 distance to the step {p.l1_distance:.2e}")
-    rep = interface_limit_check(probes)
+    rep = interface_limit_check(probes, [])
     print(f"limit check passed: {rep.passed} "
           f"(interface area stays {probes[0].bv_limit:g})")
     stats = hitting_stats(spec, 0.1, n_scans=1000, seed=seed)

@@ -291,21 +291,27 @@ def _parse_field(obj, errors):
     return spec if parsed else None
 
 
-_XI_TERM = re.compile(r"^([+-]?\d*\.?\d*)e([1-9]\d*)$")
+_XI_TERM = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)?)e([1-9]\d*)")
 
 
 def parse_xi(value, dimension, where="xi"):
-    """One slope from shorthand like 'e1', '2e1-0.5e2', or an m x d list."""
+    """One slope from shorthand like 'e1', '2e1-0.5e2', or an m x d list.
+
+    A string is read only when its signed terms rebuild all of it, so a
+    sign that starts no term is an error, not dropped."""
     if isinstance(value, str):
         row = np.zeros(dimension)
         compact = value.replace(" ", "")
         terms = re.findall(r"[+-]?[^+-]+", compact)
         if not terms:
             raise ValueError(f"{where}: empty slope string")
+        if "".join(terms) != compact:
+            raise ValueError(f"{where}: stray sign in slope {value!r} "
+                             "(use e.g. 'e1', '2e1-0.5e2')")
         for term in terms:
-            m = _XI_TERM.match(term)
+            m = _XI_TERM.fullmatch(term)
             if not m:
-                raise ValueError(f"{where}: cannot parse term {term!r} "
+                raise ValueError(f"{where}: cannot parse term {term!r} of slope {value!r} "
                                  "(use e.g. 'e1', '2e1-0.5e2')")
             coef_s, axis_s = m.groups()
             coef = 1.0 if coef_s in ("", "+") else (-1.0 if coef_s == "-"

@@ -7,6 +7,12 @@ is bounded below by a running spatial average of the weight (a Jensen
 bound that the solver can never beat).  If the inverse weight is
 unbounded, arbitrarily cheap stripes exist along the lamination and a
 unit interface can be approximated at cost below any delta.
+
+Both checks return a ``homogenize.PropertyReport`` whose claims are
+points (lo = hi), counted by ``decide`` like every other claim:
+``divergence_experiment`` one Jensen claim per solve, and
+``interface_limit_check`` the hit, energy and monotonicity claims of its
+probes and the z-score and miss claims of its hitting statistics.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from .cell import SolveTask, solve_many
 from .fields import FieldSpec, Laminate, sample_field
-from .homogenize import increasing
+from .homogenize import PropertyReport, _report, increasing
 from .integrand import growth_constants
 from .stats import mean_ci
 
@@ -64,39 +70,19 @@ def interface_setting(spec: FieldSpec, delta: float, hitting: bool = False):
     return axis, p
 
 
-@dataclass
-class DivergenceReport:
-    """Per-size means of the normalized cell energy under a heavy-tail weight."""
-
-    xi: np.ndarray
-    t_list: tuple
-    means: np.ndarray
-    ci_halves: np.ndarray
-    jensen_bounds: np.ndarray
-    jensen_margin: float
-    jensen_ok: bool
-    strictly_increasing: bool
-    growth_ratio: float
-    heavy_tail: bool
-    n_flagged: int
-
-    @property
-    def passed(self) -> bool:
-        """Every solve certified and above its per-realization bound."""
-        return self.jensen_ok and self.n_flagged == 0
-
-
 def divergence_experiment(spec: FieldSpec, xi=None, *, t_list, n_real: int, seed: int = 0,
                           tol: float = 1e-5, cells_per_unit: int = 2,
-                          workers: int = 1) -> DivergenceReport:
+                          workers: int = 1) -> PropertyReport:
     """Cell energies on (0,t)^d for a laminate weight a(x_axis) I.
 
     For slopes with no component along the lamination axis the discrete
     minimum equals |xi| times the spatial average of the weight over the
     cube (slicewise Jensen; the zero competitor is optimal), so every
-    certified primal value must sit above that per-realization bound.
-    With E[a] = +infinity the running averages diverge and the per-t
-    means increase without bound.
+    certified primal value must sit above that per-realization bound: one
+    claim per solve, value - (1 - _JENSEN_RTOL) bound >= 0, the bound being
+    positive.  With E[a] = +infinity the running averages diverge and the
+    per-t means increase without bound; ``details`` holds the means, their
+    CIs, the mean bounds, ``growth_ratio`` and ``strictly_increasing``.
     """
     xi = divergence_setting(spec, xi)
     xin = float(np.sqrt((xi * xi).sum()))
@@ -109,19 +95,18 @@ def divergence_experiment(spec: FieldSpec, xi=None, *, t_list, n_real: int, seed
             for rep in solve_many(tasks, workers)]
     vals, bounds, ok = (np.array(col).reshape(len(t_list), n_real) for col in zip(*rows))
     n_flagged = int((~ok).sum())
-    margin = (vals - bounds).min()
     means = vals.mean(axis=1)
-    cis = np.array([mean_ci(vals[ti])[1] for ti in range(len(t_list))])
-    slack = _JENSEN_RTOL * bounds  # the bounds are positive: weights and |xi| are
-    jensen_ok = bool(np.all(vals >= bounds - slack))
-    rises = bool(np.all(np.diff(means) > 0.0))
-    ratio = float(means[-1] / means[0]) if means[0] > 0 else math.inf
-    heavy = "C0_infinite" in growth_constants(spec).flags
-    return DivergenceReport(xi=xi, t_list=t_list, means=means, ci_halves=cis,
-                            jensen_bounds=bounds.mean(axis=1),
-                            jensen_margin=float(margin), jensen_ok=jensen_ok,
-                            strictly_increasing=rises, growth_ratio=ratio,
-                            heavy_tail=heavy, n_flagged=n_flagged)
+    claims = (vals - (bounds - _JENSEN_RTOL * bounds)).ravel()
+    return _report("divergence", vals.size, claims, claims, ok=n_flagged == 0,
+                   n_flagged=n_flagged, details={
+                       "xi": xi, "t_list": t_list, "means": means,
+                       "ci_halves": np.array([mean_ci(row)[1] for row in vals]),
+                       "jensen_bounds": bounds.mean(axis=1),
+                       "jensen_margin": float((vals - bounds).min()),
+                       "strictly_increasing": bool(np.all(np.diff(means) > 0.0)),
+                       "growth_ratio": float(means[-1] / means[0]) if means[0] > 0
+                       else math.inf,
+                       "heavy_tail": "C0_infinite" in growth_constants(spec).flags})
 
 
 @dataclass
@@ -197,42 +182,6 @@ def cheap_interface(spec: FieldSpec, delta: float, seed: int = 0, index: int = 0
 
 
 @dataclass
-class InterfaceLimitReport:
-    """Zero-cost verdict over a family of probes with delta -> 0."""
-
-    deltas: tuple
-    all_success: bool
-    energies_below_delta: bool
-    k_monotone: bool
-    passed: bool
-    details: dict
-
-
-def interface_limit_check(probes) -> InterfaceLimitReport:
-    """Check a decreasing-delta probe family for the zero-cost limit.
-
-    Every probe must hit, with energy below its delta exactly, and on a
-    single realization the hit index must be nondecreasing as delta
-    decreases (cheaper stripes are rarer).
-    """
-    probes = list(probes)
-    if not probes:
-        raise ValueError("need at least one probe")
-    deltas = tuple(p.delta for p in probes)
-    ok_succ = all(p.success for p in probes)
-    ok_energy = ok_succ and all(p.energy <= p.delta for p in probes)
-    order = np.argsort(-np.array(deltas))
-    ks = [probes[i].k_index for i in order]
-    ok_mono = ok_succ and all(ks[i] <= ks[i + 1] for i in range(len(ks) - 1))
-    passed = ok_succ and ok_energy and ok_mono
-    return InterfaceLimitReport(deltas=deltas, all_success=ok_succ,
-                                energies_below_delta=ok_energy,
-                                k_monotone=ok_mono, passed=passed,
-                                details={"k_indices": [p.k_index for p in probes],
-                                         "energies": [p.energy for p in probes]})
-
-
-@dataclass
 class HittingStats:
     """Empirical hit-index statistics against the geometric law."""
 
@@ -244,9 +193,6 @@ class HittingStats:
     mean_observed: float
     se: float
     z_score: float
-
-    def within(self) -> bool:
-        return self.n_failed == 0 and abs(self.z_score) <= 4.0  # standard errors
 
 
 def hitting_stats(spec: FieldSpec, delta: float, *, n_scans: int, seed: int = 0,
@@ -270,3 +216,24 @@ def hitting_stats(spec: FieldSpec, delta: float, *, n_scans: int, seed: int = 0,
     return HittingStats(delta=delta, n_scans=n_scans, n_failed=n_failed,
                         p_delta=p, mean_expected=mean_exp,
                         mean_observed=mean_obs, se=se, z_score=float(z))
+
+
+def interface_limit_check(probes, stats) -> PropertyReport:
+    """Check a probe family with delta -> 0 for the zero-cost limit, and
+    hitting statistics against the geometric law, on point claims.
+
+    Per probe, it hits (k_index >= 0) with energy at most its delta
+    (delta - energy >= 0).  On the probes' one realization, cheaper stripes
+    are rarer, so per step to a smaller delta the hit index does not fall
+    (k_fine - k_coarse >= 0).  Per hitting statistic, |z| is at most 4
+    standard errors (4 - |z| >= 0) and every scan hits (-n_failed >= 0).
+    """
+    probes, stats = list(probes), list(stats)
+    if not probes:
+        raise ValueError("need at least one probe")
+    ks = [probes[i].k_index for i in np.argsort([-p.delta for p in probes])]
+    claims = ([p.k_index for p in probes] + [p.delta - p.energy for p in probes]
+              + [fine - coarse for coarse, fine in zip(ks, ks[1:])]
+              + [4.0 - abs(hs.z_score) for hs in stats] + [-hs.n_failed for hs in stats])
+    return _report("interface_limit", len(probes) + len(stats), claims, claims, ok=True,
+                   n_flagged=0, details={"probes": probes, "hitting": stats})

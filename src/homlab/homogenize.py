@@ -25,7 +25,7 @@ from .cell import SolveTask, cell_problem_on_cube, cube_grid, solve_many
 from .fields import FieldSpec, sample_field, shift
 from .integrand import growth_constants
 from .randomness import keyed_uniform, normal_quantile
-from .stats import TwoSampleResult, mean_ci, two_sample_test
+from .stats import mean_ci, two_sample_test
 
 FLAGGED_FRACTION_LIMIT = 0.10
 
@@ -70,7 +70,6 @@ class HomEstimate:
     lower: float
     upper: float
     trend_consistent: bool
-    flagged: bool
     flags: tuple
     tol: float
 
@@ -99,8 +98,9 @@ def _zero(lo, hi) -> tuple:
 
 @dataclass
 class PropertyReport:
-    """Outcome of a verified-inequality battery: ``decide``'s counts of its
-    claims on the intervals ``details["lower"]`` and ``details["upper"]``."""
+    """Outcome of a property check, here or in ``degeneracy`` and ``glue``:
+    ``decide``'s counts of its claims on the intervals ``details["lower"]``
+    and ``details["upper"]``, which are points for a claim known exactly."""
 
     name: str
     n_instances: int
@@ -186,7 +186,7 @@ def estimate_f_hom(spec: FieldSpec, xi, *, t_list, n_real: int, seed: int = 0,
         flags.append("trend_inconsistent")
     return HomEstimate(xi=xi, t_list=t_list, levels=levels, value=last.mean,
                        ci_half=last.ci_half, lower=last.lower, upper=last.upper,
-                       trend_consistent=trend, flagged=bool(flags), flags=tuple(flags),
+                       trend_consistent=trend, flags=tuple(flags),
                        tol=tol)
 
 
@@ -277,28 +277,21 @@ def check_subadditivity(spec: FieldSpec, xi=None, *, t: float, n_real: int, dept
                    details={"slacks": sub_p - primal[:, 0], "depth": depth, "t": t})
 
 
-@dataclass
-class StationarityReport:
-    matched_max_diff: float
-    matched_exact: bool
-    two_sample: TwoSampleResult
-    passed: bool
-    n_flagged: int
-
-
 def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=None,
                               seed: int = 0, tol: float = 1e-5, cells_per_unit: int = 2,
-                              workers: int = 1) -> StationarityReport:
+                              workers: int = 1) -> PropertyReport:
     """Stationarity of the cell energy under lattice shifts.
 
     Matched realizations 0..n_real-1: the problem of omega on Q_t + z and
     that of the shifted omega on Q_t must assemble to identical weights
     (exact on binary-representable geometry).  The solver reads the weights, the
     slope and the cell count, not the center, so identical weights give
-    identical certified values and the matched pairs are not solved;
-    ``matched_max_diff`` is the largest difference of assembled weights.
-    Independent realizations at the two placements must agree in law
-    (calibrated two-sample test), and each of those solves must certify.
+    identical certified values and the matched pairs are not solved; the
+    claim -``matched_max_diff`` >= 0 holds on the largest difference of
+    assembled weights, which are finite, only when it is 0.  Independent
+    realizations at the two placements must agree in law: the claim
+    threshold - statistic >= 0 of the calibrated two-sample test, whose
+    solves must each certify.
     """
     xi = _as_xi(xi)
     d = spec.dimension
@@ -308,13 +301,11 @@ def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=N
     z = np.asarray(z, dtype=float)
 
     max_diff = 0.0
-    exact = True
     for r in range(n_real):
         fld = sample_field(spec, seed, r)
         prob_a = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=tuple(z))
         prob_b = cell_problem_on_cube(shift(fld, z), t, xi, cells_per_unit)
         for a, b in ((prob_a.lam, prob_b.lam), (prob_a.lam0, prob_b.lam0)):
-            exact = exact and np.array_equal(a, b)
             max_diff = max(max_diff, float(np.abs(a - b).max()))
 
     tasks = [SolveTask(spec, seed, r, t, xi, center=tuple(z) if r < n_real else None,
@@ -323,9 +314,10 @@ def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=N
                                    for rep in solve_many(tasks, workers))))
     ts = two_sample_test(vals[:n_real], vals[n_real:])
     n_flagged = int((~ok).sum())
-    return StationarityReport(matched_max_diff=max_diff, matched_exact=exact,
-                              two_sample=ts, n_flagged=n_flagged,
-                              passed=exact and ts.same_law and n_flagged == 0)
+    claims = [-max_diff, ts.threshold - ts.statistic]
+    return _report("stationarity", n_real, claims, claims, ok=n_flagged == 0,
+                   n_flagged=n_flagged, details={"matched_max_diff": max_diff,
+                                                 "two_sample": ts})
 
 
 def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), *, t: float, n_real: int,

@@ -3,9 +3,11 @@
 Every command that solves cell problems builds an immutable list of
 ``SolveTask``s, runs it through ``cell.solve_many`` and records the
 reports in task order; a single writer serializes the results, and
-``run`` alone decides the verdict.  All randomness is keyed, so outputs
-are byte-identical across worker counts; only the wall-time and
-timestamp fields vary between reruns.
+``run`` alone decides the verdict.  A property command's handler writes
+its rows and summary from the ``PropertyReport`` of one library check
+and returns its ``passed`` and ``n_flagged``; no handler decides a claim.
+All randomness is keyed, so outputs are byte-identical across worker
+counts; only the wall-time and timestamp fields vary between reruns.
 
 Workers are threads.  On a small lattice a solve spends most of its time
 in short numpy calls that hold the GIL, so ``solve_many`` gives the pool
@@ -27,17 +29,16 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .cell import SolveTask, cell_problem_on_cube, save_minimizer, solve_many
+from .cell import SolveTask, save_minimizer, solve_many
 from .config import RunConfig
 from .degeneracy import (cheap_interface, divergence_experiment, hitting_stats,
                          interface_limit_check)
 from .fields import birkhoff_average, sample_field
-from .glue import affine_field, glue_boxes, glue_with_cutoff
+from .glue import glue_check
 from .homogenize import (check_rank_one_convexity, check_stationarity_in_law,
                          check_subadditivity, estimate_f_hom, recession,
                          verify_growth_sandwich)
 from .integrand import growth_constants
-from .randomness import keyed_uniform, normal_quantile
 from .records import ResultRecord, run_id_for, write_csv
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -90,12 +91,12 @@ class _Ctx:
         self.records.append(ResultRecord(**kw))
 
 
-# what the summary keeps of an inequality battery's report
-_BATTERY = ("holds", "undecided", "fails", "passed", "n_flagged")
-
-
-def _pick(rep, *keys) -> dict:
-    return {k: getattr(rep, k) for k in keys}
+def _summary(rep, *details) -> dict:
+    """What the summary keeps of a PropertyReport: its counts and verdict,
+    and the named entries of its details."""
+    return {**{k: getattr(rep, k) for k in ("holds", "undecided", "fails", "passed",
+                                            "n_flagged")},
+            **{k: rep.details[k] for k in details}}
 
 
 def _solve_row(ctx, label, t, r, value, gap, iterations, certified, wall_time_s=None):
@@ -184,7 +185,7 @@ def _cmd_verify_bounds(ctx):
         ctx.rec(xi_label=label, kind="lower_margin", value=per["lower_margin"])
         ctx.rec(xi_label=label, kind="upper_margin",
                 value=per["upper_margin"])
-    ctx.report["sandwich"] = _pick(rep, "n_instances", *_BATTERY)
+    ctx.report["sandwich"] = {"n_instances": rep.n_instances, **_summary(rep)}
     return rep.passed, rep.n_flagged
 
 
@@ -197,7 +198,7 @@ def _cmd_subadditivity(ctx):
         ctx.rec(xi_label=cfg.xi_labels[0] if cfg.xi_labels else "random",
                 t=rep.details["t"], realization=i, kind="subadd_slack",
                 value=float(s))
-    ctx.report["subadditivity"] = _pick(rep, *_BATTERY)
+    ctx.report["subadditivity"] = _summary(rep)
     return rep.passed, rep.n_flagged
 
 
@@ -207,10 +208,10 @@ def _cmd_stationarity(ctx):
     rep = check_stationarity_in_law(
         cfg.spec, xi, t=cfg.t_list[0], n_real=cfg.n_real, seed=cfg.seed, tol=cfg.tol,
         cells_per_unit=cfg.cells_per_unit, workers=ctx.workers, **cfg.options)
-    ctx.rec(xi_label=label, kind="matched_max_diff", value=rep.matched_max_diff)
+    ctx.rec(xi_label=label, kind="matched_max_diff", value=rep.details["matched_max_diff"])
     ctx.rec(xi_label=label, kind="two_sample_stat",
-            value=rep.two_sample.statistic)
-    ctx.report["stationarity"] = rep
+            value=rep.details["two_sample"].statistic)
+    ctx.report["stationarity"] = _summary(rep, "matched_max_diff", "two_sample")
     return rep.passed, rep.n_flagged
 
 
@@ -224,8 +225,7 @@ def _cmd_recession(ctx):
     for s, mean, ci in zip(ray["s_list"], ray["means"], ray["ci_halves"]):
         ctx.rec(xi_label=label, kind=f"ray_mean:s={s:g}", value=float(mean),
                 ci_half=float(ci))
-    ctx.report["recession"] = {**_pick(rep, *_BATTERY),
-                               **{k: ray[k] for k in ("s_list", "means", "mode")}}
+    ctx.report["recession"] = _summary(rep, "s_list", "means", "mode")
     return rep.passed, rep.n_flagged
 
 
@@ -240,7 +240,7 @@ def _cmd_rank_one(ctx):
     for lam, mean in zip(rep.details["lambdas"], rep.details["means"]):
         ctx.rec(xi_label=f"{la}|{lb}", kind=f"segment_mean:lambda={lam:g}",
                 value=float(mean))
-    ctx.report["rank_one"] = _pick(rep, *_BATTERY)
+    ctx.report["rank_one"] = _summary(rep)
     return rep.passed, rep.n_flagged
 
 
@@ -251,12 +251,15 @@ def _cmd_divergence(ctx):
                                 cells_per_unit=cfg.cells_per_unit,
                                 workers=ctx.workers)
     label = cfg.xi_labels[0] if cfg.xi_labels else "e_transverse"
-    for t, mean, ci, jb in zip(rep.t_list, rep.means, rep.ci_halves,
-                               rep.jensen_bounds):
+    div = rep.details
+    for t, mean, ci, jb in zip(div["t_list"], div["means"], div["ci_halves"],
+                               div["jensen_bounds"]):
         ctx.rec(xi_label=label, t=t, kind="mean", value=float(mean),
                 ci_half=float(ci))
         ctx.rec(xi_label=label, t=t, kind="jensen_bound", value=float(jb))
-    ctx.report["divergence"] = rep
+    ctx.report["divergence"] = _summary(rep, "xi", "t_list", "means", "ci_halves",
+                                        "jensen_bounds", "jensen_margin",
+                                        "strictly_increasing", "growth_ratio", "heavy_tail")
     return rep.passed, rep.n_flagged
 
 
@@ -266,51 +269,28 @@ def _cmd_interface(ctx):
     deltas, limit, n_scans = opts["delta_list"], opts["search_limit"], opts["n_scans"]
     probes = [cheap_interface(cfg.spec, d, seed=cfg.seed, index=0,
                               search_limit=limit) for d in deltas]
-    for p in probes:
+    stats = [hitting_stats(cfg.spec, d, n_scans=n_scans, seed=cfg.seed, search_limit=limit)
+             for d in deltas] if n_scans > 0 else []
+    rep = interface_limit_check(probes, stats)
+    for p in rep.details["probes"]:
         ctx.rec(xi_label=f"delta={p.delta:g}", kind="probe_energy",
                 value=p.energy, flags="" if p.success else "no_hit")
         ctx.rec(xi_label=f"delta={p.delta:g}", kind="probe_l1", value=p.l1_distance)
-    lim = interface_limit_check(probes)
-    ctx.report["interface_limit"] = lim
-    stats = [hitting_stats(cfg.spec, d, n_scans=n_scans, seed=cfg.seed, search_limit=limit)
-             for d in deltas] if n_scans > 0 else []
-    for hs in stats:
+    for hs in rep.details["hitting"]:
         ctx.rec(xi_label=f"delta={hs.delta:g}", kind="hitting_z", value=hs.z_score)
-    if stats:
-        ctx.report["hitting"] = stats
-    return lim.passed and all(hs.within() for hs in stats), 0
-
-
-def _glue_instance(spec, seed, i, side, cells_per_unit, delta_range):
-    d = spec.dimension
-    u01 = keyed_uniform(seed, "glue-delta", i)
-    delta = delta_range[0] + (delta_range[1] - delta_range[0]) * float(u01)
-    inner, outer, other = glue_boxes(d, side, cells_per_unit, delta)
-
-    gu = normal_quantile(keyed_uniform(seed, "glue-xi-u", i, np.arange(d)))[None]
-    gv = normal_quantile(keyed_uniform(seed, "glue-xi-v", i, np.arange(d)))[None]
-    prob = cell_problem_on_cube(sample_field(spec, seed, i), side, gu, cells_per_unit)
-    grid = prob.grid
-    u = affine_field(grid, gu) * 0.2
-    v = affine_field(grid, gv) * 0.2
-    noise = keyed_uniform(seed, "glue-noise", i, np.arange(np.prod(grid.node_shape)))
-    v = v + 0.5 * (noise.reshape(grid.node_shape) - 0.5)[None]
-    return glue_with_cutoff(u, v, prob, inner, outer, other, delta)[1]
+    ctx.report["interface_limit"] = _summary(rep, "probes", "hitting")
+    return rep.passed, rep.n_flagged
 
 
 def _cmd_glue(ctx):
     cfg = ctx.cfg
-    opts = cfg.options
-    n_inst, side, dr = opts["n_instances"], opts["side"], opts["delta_range"]
-
-    worst = math.inf
-    for i in range(n_inst):
-        rep = _glue_instance(cfg.spec, cfg.seed, i, side, cfg.cells_per_unit, dr)
-        ctx.rec(realization=i, kind="glue_slack", value=rep.slack,
-                flags=f"layers={rep.n_layers}")
-        worst = min(worst, rep.slack)
-    ctx.report["glue"] = {"n_instances": n_inst, "worst_slack": worst}
-    return worst >= 0.0, 0
+    rep = glue_check(cfg.spec, seed=cfg.seed, cells_per_unit=cfg.cells_per_unit, **cfg.options)
+    for i, (slack, layers) in enumerate(zip(rep.details["slacks"], rep.details["n_layers"])):
+        ctx.rec(realization=i, kind="glue_slack", value=float(slack),
+                flags=f"layers={layers}" + ("" if math.isfinite(slack) else ";nonfinite"))
+    ctx.report["glue"] = {"n_instances": rep.n_instances, **_summary(rep),
+                          "worst_slack": np.min(rep.details["slacks"])}  # NaN wins
+    return rep.passed, rep.n_flagged
 
 
 _DISPATCH = {

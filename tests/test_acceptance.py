@@ -169,12 +169,14 @@ def test_criterion_06_ergodic_averaging():
 def test_criterion_07_divergence_regime():
     report = divergence_experiment(PARETO_LAM, xi=E2, t_list=(8, 32, 128),
                                    n_real=20, seed=13, tol=TOL)
-    ok = (report.jensen_ok and report.strictly_increasing
-          and report.growth_ratio > 2.0 and report.heavy_tail
+    div = report.details
+    # no Jensen claim fails: every solve sits above its per-realization bound
+    ok = (report.fails == 0 and div["strictly_increasing"]
+          and div["growth_ratio"] > 2.0 and div["heavy_tail"]
           and report.n_flagged == 0)
     assert record(7, "heavy-tail divergence", ok,
-                  f"growth ratio {report.growth_ratio:.2f}, jensen margin "
-                  f"{report.jensen_margin:.1e}")
+                  f"growth ratio {div['growth_ratio']:.2f}, jensen margin "
+                  f"{div['jensen_margin']:.1e}")
 
 
 def test_criterion_08_cheap_interfaces():
@@ -190,14 +192,14 @@ def test_criterion_08_cheap_interfaces():
     worst_z = 0.0
     for spec, delta in cases:
         probe = cheap_interface(spec, delta, seed=0)
-        ok = (ok and probe.success and probe.energy <= delta
-              and probe.l1_distance <= probe.epsilon and probe.bv_limit == 1.0)
         stats = hitting_stats(spec, delta, n_scans=1000, seed=0)
         worst_z = max(worst_z, abs(stats.z_score))
-        ok = ok and stats.within()
+        # the probe hits below delta; every scan hits, within 4 standard errors
+        ok = (ok and interface_limit_check([probe], [stats]).passed
+              and probe.l1_distance <= probe.epsilon and probe.bv_limit == 1.0)
     # shrinking delta on one uniform realization: the zero-cost limit
     family = [cheap_interface(u01, d, seed=0) for d in (0.1, 0.01)]
-    ok = ok and interface_limit_check(family).passed
+    ok = ok and interface_limit_check(family, []).passed
     assert record(8, "zero-cost interfaces", ok,
                   f"worst hitting |z| {worst_z:.2f} over 1000 scans")
 

@@ -384,8 +384,10 @@ def test_interface_summary_keeps_the_terms_a_probe_can_fail(tmp_path):
     code, _, summary_path = runner.run(_fan_out("degenerate-interface"), out_dir=str(tmp_path))
     limit = json.loads(Path(summary_path).read_text())["report"]["interface_limit"]
     assert code == 0 and limit["passed"] is True
-    assert set(limit) == {"deltas", "all_success", "energies_below_delta", "k_monotone",
-                          "passed", "details"}
+    assert set(limit) == {"holds", "undecided", "fails", "passed", "n_flagged", "probes",
+                          "hitting"}
+    # every probe keeps its delta, hit index and hit weight
+    assert all({"delta", "k_index", "energy"} <= set(p) for p in limit["probes"])
 
 
 @pytest.mark.parametrize("command", ["recession", "rank-one", "stationarity",
@@ -410,9 +412,11 @@ def test_interface_run_fails_when_a_scan_finds_no_hit(delta, tmp_path):
                    options={"delta_list": [delta], "search_limit": 1, "n_scans": 20})
     code, _, summary_path = runner.run(cfg, out_dir=str(tmp_path))
     summary = json.loads(Path(summary_path).read_text())
-    (hitting,) = summary["report"]["hitting"]
+    limit = summary["report"]["interface_limit"]
+    (probe,), (hitting,) = limit["probes"], limit["hitting"]
     assert code == 1 and summary["verdict"] == "fail"
-    assert summary["report"]["interface_limit"]["passed"] is (delta == 0.5)
+    # the probe's own claims hold only at 0.5: it hits, below its delta
+    assert (probe["k_index"] >= 0 and probe["energy"] <= delta) is (delta == 0.5)
     if delta == 0.01:
         assert (hitting["n_failed"], hitting["mean_observed"], hitting["z_score"]) == (
             20, "nan", "inf")
@@ -645,6 +649,13 @@ MALFORMED = [
     ("options.s_list: expected array", _malformed("recession", {"s_list": [2, 1]})),
     ("options.delta_list: expected array",
      _malformed("degenerate-interface", {"delta_list": [0.1, 0.1]}, field=CHEAP_LAMINATE)),
+    # a sign that starts no term, and a coefficient with no digit; the first
+    # four ran to exit 0 with the stray sign dropped, and the last was refused
+    # with a float conversion error that named no slope
+    *((f"xi[0]: stray sign in slope {xi!r}", _malformed("estimate-fhom", xi=xi))
+      for xi in ("e1+", "e1-", "e1+-e2", "e1++e2")),
+    ("xi[1]: cannot parse term '.e1' of slope '.e1'",
+     _malformed("estimate-fhom", xi=["e1", ".e1"])),
 ]
 
 

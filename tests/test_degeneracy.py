@@ -10,7 +10,7 @@ import homlab.cell
 from homlab import (DistributionSpec, FieldSpec, IidCubes, Laminate,
                     cheap_interface, divergence_experiment, hitting_stats,
                     interface_limit_check)
-from homlab.degeneracy import InterfaceProbe
+from homlab.degeneracy import HittingStats, InterfaceProbe
 
 E1 = np.array([[1.0, 0.0]])
 E2 = np.array([[0.0, 1.0]])
@@ -28,25 +28,27 @@ U01 = laminate_spec(DistributionSpec.uniform(0.0, 1.0))
 def test_divergence_heavy_tail_tracks_the_spatial_average():
     report = divergence_experiment(PARETO, xi=E2, t_list=(4, 8, 16), n_real=6,
                                    seed=12)
-    assert report.jensen_ok
-    assert report.jensen_margin >= -1e-9 * max(1.0, np.max(report.jensen_bounds))
-    assert report.heavy_tail
+    div = report.details
+    assert report.fails == 0 and report.passed
+    assert div["jensen_margin"] >= -1e-9 * max(1.0, np.max(div["jensen_bounds"]))
+    assert div["heavy_tail"]
     assert report.n_flagged == 0
     # transverse slope: the zero corrector is optimal, so certified
     # primals can exceed the slicewise average bound only by the gap
-    assert report.means == pytest.approx(report.jensen_bounds, rel=2e-5)
-    assert report.strictly_increasing
-    assert report.growth_ratio > 1.0
+    assert div["means"] == pytest.approx(div["jensen_bounds"], rel=2e-5)
+    assert div["strictly_increasing"]
+    assert div["growth_ratio"] > 1.0
 
 
 def test_divergence_constant_control_stays_flat():
     spec = laminate_spec(DistributionSpec.constant(3.0))
     report = divergence_experiment(spec, xi=E2, t_list=(4, 8, 16), n_real=3,
                                    seed=0)
-    assert not report.heavy_tail
-    assert report.growth_ratio == pytest.approx(1.0, abs=1e-6)
-    assert not report.strictly_increasing
-    assert np.allclose(report.means, 3.0, rtol=1e-6)
+    div = report.details
+    assert not div["heavy_tail"]
+    assert div["growth_ratio"] == pytest.approx(1.0, abs=1e-6)
+    assert not div["strictly_increasing"]
+    assert np.allclose(div["means"], 3.0, rtol=1e-6)
 
 
 @pytest.mark.parametrize("k", [-30, 0], ids=lambda k: f"2^{k}")
@@ -63,8 +65,8 @@ def test_divergence_jensen_check_is_relative_at_any_weight_scale(k, monkeypatch)
     s = 2.0 ** k
     spec = laminate_spec(DistributionSpec.two_point(s, 0.5, 4.0 * s))
     report = divergence_experiment(spec, t_list=(4, 8), n_real=2, seed=0)
-    assert report.jensen_margin < 0.0
-    assert not report.jensen_ok
+    assert report.details["jensen_margin"] < 0.0
+    assert report.fails == 4 and not report.passed
 
 
 def test_divergence_validation():
@@ -122,13 +124,12 @@ def test_cheap_interface_errors():
 
 def test_interface_limit_on_one_realization():
     probes = [cheap_interface(U01, delta=d, seed=7) for d in (0.1, 0.01)]
-    report = interface_limit_check(probes)
-    assert report.all_success
-    assert report.energies_below_delta
-    assert report.k_monotone
+    report = interface_limit_check(probes, [])
+    # each probe hits below its delta, and the hit index does not fall
+    assert (report.holds, report.undecided, report.fails) == (5, 0, 0)
     assert report.passed
     # rarer stripes cannot appear earlier on the same sample path
-    k_coarse, k_fine = report.details["k_indices"]
+    k_coarse, k_fine = (p.k_index for p in report.details["probes"])
     assert k_fine >= k_coarse
 
 
@@ -138,12 +139,31 @@ def _fake_probe(delta, k):
 
 
 def test_interface_limit_flags_nonmonotone_hits():
-    report = interface_limit_check([_fake_probe(0.1, 5), _fake_probe(0.01, 3)])
-    assert not report.k_monotone
-    assert not report.passed
-    assert report.energies_below_delta
+    report = interface_limit_check([_fake_probe(0.1, 5), _fake_probe(0.01, 3)], [])
+    # claims: both hit, both energies below delta, and the one step, which fails
+    assert list(report.details["lower"]) == [5.0, 3.0, 0.05, 0.005, -2.0]
+    assert report.fails == 1 and not report.passed
+    # the order of the probes does not matter, only that of their deltas
+    assert interface_limit_check([_fake_probe(0.01, 3), _fake_probe(0.1, 5)], []).fails == 1
     with pytest.raises(ValueError, match="at least one probe"):
-        interface_limit_check([])
+        interface_limit_check([], [])
+
+
+def _fake_stats(z, n_failed=0):
+    return HittingStats(delta=0.1, n_scans=100, n_failed=n_failed, p_delta=0.5,
+                        mean_expected=1.0, mean_observed=1.0 + 0.1 * z, se=0.1, z_score=z)
+
+
+@pytest.mark.parametrize("stats, fails", [
+    (_fake_stats(4.0), 0),  # |z| = 4 standard errors still holds
+    (_fake_stats(-4.5), 1),
+    (_fake_stats(0.0, n_failed=1), 1),
+    (_fake_stats(math.inf, n_failed=100), 2),  # no scan hit
+], ids=["z=4", "z=-4.5", "one-miss", "all-miss"])
+def test_interface_check_decides_hitting_claims(stats, fails):
+    report = interface_limit_check([_fake_probe(0.1, 5)], [stats])
+    assert report.fails == fails and report.passed is (fails == 0)
+    assert report.n_instances == 2
 
 
 def test_hitting_stats_match_the_geometric_law():
@@ -152,7 +172,6 @@ def test_hitting_stats_match_the_geometric_law():
     assert stats.mean_expected == pytest.approx(1.0)
     assert stats.n_failed == 0
     assert abs(stats.z_score) <= 4.0
-    assert stats.within()
     assert stats.se == pytest.approx(math.sqrt(0.5 / 0.25 / 300))
 
     u = hitting_stats(U01, delta=0.1, n_scans=200, seed=1)

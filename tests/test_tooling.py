@@ -17,8 +17,8 @@ import pytest
 import conftest
 import homlab
 import homlab.cell
-from homlab import (DistributionSpec, FieldSpec, IidCubes, config, degeneracy, homogenize,
-                    integrand, runner, sample_field)
+from homlab import (DistributionSpec, FieldSpec, IidCubes, config, degeneracy, glue,
+                    homogenize, integrand, runner, sample_field)
 from homlab.config import parse_config, parse_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -214,8 +214,28 @@ def test_every_claim_is_counted_by_decide():
     assert counted == {"homogenize.py:_report": True}
 
 
-# every library entry point that solves or scans, and its realization count
-# and cube sizes; the config table holds their one default
+def test_one_report_class_carries_a_verdict():
+    # a second class with its own `passed` would decide its claims by its own
+    # rule; every check returns a PropertyReport, whose claims decide counts
+    carriers = []
+    for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            names = set()
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if "passed" in names:
+                carriers.append(f"{path.name}:{cls.name}")
+    assert carriers == ["homogenize.py:PropertyReport"]
+
+
+# every library entry point that solves, scans or glues, and its count of
+# realizations, scans or instances and its cube sizes; the config table holds
+# their one default
 _SIZED = {homogenize.estimate_f_hom: ("t_list", "n_real"),
           homogenize.verify_growth_sandwich: ("t_list", "n_real"),
           homogenize.check_subadditivity: ("t", "n_real"),
@@ -223,7 +243,8 @@ _SIZED = {homogenize.estimate_f_hom: ("t_list", "n_real"),
           homogenize.recession: ("t", "n_real"),
           homogenize.check_rank_one_convexity: ("t", "n_real"),
           degeneracy.divergence_experiment: ("t_list", "n_real"),
-          degeneracy.hitting_stats: ("n_scans",)}
+          degeneracy.hitting_stats: ("n_scans",),
+          glue.glue_check: ("n_instances",)}
 
 
 @pytest.mark.parametrize("func", _SIZED, ids=lambda f: f.__name__)
