@@ -24,7 +24,7 @@ import numpy as np
 
 from .cell import SolveTask, solve_many
 from .fields import FieldSpec, Laminate, sample_field
-from .homogenize import PropertyReport, _report, increasing
+from .homogenize import PropertyReport, _point_report, increasing
 from .integrand import growth_constants
 from .stats import mean_ci
 
@@ -97,16 +97,16 @@ def divergence_experiment(spec: FieldSpec, xi=None, *, t_list, n_real: int, seed
     n_flagged = int((~ok).sum())
     means = vals.mean(axis=1)
     claims = (vals - (bounds - _JENSEN_RTOL * bounds)).ravel()
-    return _report("divergence", vals.size, claims, claims, ok=n_flagged == 0,
-                   n_flagged=n_flagged, details={
-                       "xi": xi, "t_list": t_list, "means": means,
-                       "ci_halves": np.array([mean_ci(row)[1] for row in vals]),
-                       "jensen_bounds": bounds.mean(axis=1),
-                       "jensen_margin": float((vals - bounds).min()),
-                       "strictly_increasing": bool(np.all(np.diff(means) > 0.0)),
-                       "growth_ratio": float(means[-1] / means[0]) if means[0] > 0
-                       else math.inf,
-                       "heavy_tail": "C0_infinite" in growth_constants(spec).flags})
+    return _point_report("divergence", vals.size, claims, ok=n_flagged == 0,
+                         n_flagged=n_flagged, details={
+                             "xi": xi, "t_list": t_list, "means": means,
+                             "ci_halves": np.array([mean_ci(row)[1] for row in vals]),
+                             "jensen_bounds": bounds.mean(axis=1),
+                             "jensen_margin": float((vals - bounds).min()),
+                             "strictly_increasing": bool(np.all(np.diff(means) > 0.0)),
+                             "growth_ratio": float(means[-1] / means[0]) if means[0] > 0
+                             else math.inf,
+                             "heavy_tail": "C0_infinite" in growth_constants(spec).flags})
 
 
 @dataclass
@@ -235,5 +235,5 @@ def interface_limit_check(probes, stats) -> PropertyReport:
     claims = ([p.k_index for p in probes] + [p.delta - p.energy for p in probes]
               + [fine - coarse for coarse, fine in zip(ks, ks[1:])]
               + [4.0 - abs(hs.z_score) for hs in stats] + [-hs.n_failed for hs in stats])
-    return _report("interface_limit", len(probes) + len(stats), claims, claims, ok=True,
-                   n_flagged=0, details={"probes": probes, "hitting": stats})
+    return _point_report("interface_limit", len(probes) + len(stats), claims, ok=True,
+                         n_flagged=0, details={"probes": probes, "hitting": stats})

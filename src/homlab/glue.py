@@ -31,7 +31,7 @@ import numpy as np
 
 from .cell import CellProblem, cell_problem_on_cube
 from .fields import FieldSpec, sample_field
-from .homogenize import PropertyReport, _report
+from .homogenize import PropertyReport, _point_report
 from .integrand import ALPHA
 from .randomness import keyed_uniform, normal_quantile
 
@@ -188,8 +188,8 @@ def glue_with_cutoff(u: np.ndarray, v: np.ndarray, problem: CellProblem,
     return w, report
 
 
-def glue_check(spec: FieldSpec, *, n_instances: int, side: float = 32.0,
-               delta_range=(0.3, 0.6), seed: int = 0, cells_per_unit: int = 2) -> PropertyReport:
+def glue_check(spec: FieldSpec, *, n_instances: int, side: float, delta_range,
+               seed: int = 0, cells_per_unit: int = 2) -> PropertyReport:
     """The gluing inequality on ``n_instances`` keyed instances: the claim
     slack >= 0 per instance, a point.
 
@@ -218,5 +218,5 @@ def glue_check(spec: FieldSpec, *, n_instances: int, side: float = 32.0,
         n_layers.append(rep.n_layers)
     slacks = np.array(slacks)
     n_flagged = int((~np.isfinite(slacks)).sum())
-    return _report("glue", n_instances, slacks, slacks, ok=n_flagged == 0, n_flagged=n_flagged,
-                   details={"slacks": slacks, "n_layers": n_layers})
+    return _point_report("glue", n_instances, slacks, ok=n_flagged == 0, n_flagged=n_flagged,
+                         details={"slacks": slacks, "n_layers": n_layers})

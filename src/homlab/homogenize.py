@@ -122,6 +122,12 @@ def _report(name, n_instances, lo, hi, ok, n_flagged, details) -> PropertyReport
                                    "upper": np.atleast_1d(hi)})
 
 
+def _point_report(name, n_instances, claims, ok, n_flagged, details) -> PropertyReport:
+    """The report on claims known exactly; a NaN, a false comparison, fails."""
+    claims = np.where(np.isnan(claims), -np.inf, claims)
+    return _report(name, n_instances, claims, claims, ok, n_flagged, details)
+
+
 def _as_xi(xi) -> np.ndarray:
     return np.atleast_2d(np.asarray(xi, dtype=float))
 
@@ -287,8 +293,8 @@ def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=N
     (exact on binary-representable geometry).  The solver reads the weights, the
     slope and the cell count, not the center, so identical weights give
     identical certified values and the matched pairs are not solved; the
-    claim -``matched_max_diff`` >= 0 holds on the largest difference of
-    assembled weights, which are finite, only when it is 0.  Independent
+    claim -``matched_max_diff`` >= 0 holds when the weights differ in no cell:
+    an inf weight matches an inf, and a NaN weight fails.  Independent
     realizations at the two placements must agree in law: the claim
     threshold - statistic >= 0 of the calibrated two-sample test, whose
     solves must each certify.
@@ -306,7 +312,8 @@ def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=N
         prob_a = cell_problem_on_cube(fld, t, xi, cells_per_unit, center=tuple(z))
         prob_b = cell_problem_on_cube(shift(fld, z), t, xi, cells_per_unit)
         for a, b in ((prob_a.lam, prob_b.lam), (prob_a.lam0, prob_b.lam0)):
-            max_diff = max(max_diff, float(np.abs(a - b).max()))
+            gap = np.subtract(a, b, out=np.zeros(a.shape), where=a != b)
+            max_diff = float(np.maximum(max_diff, np.abs(gap).max()))  # NaN wins
 
     tasks = [SolveTask(spec, seed, r, t, xi, center=tuple(z) if r < n_real else None,
                        cells_per_unit=cells_per_unit, tol=tol) for r in range(2 * n_real)]
@@ -314,10 +321,9 @@ def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=N
                                    for rep in solve_many(tasks, workers))))
     ts = two_sample_test(vals[:n_real], vals[n_real:])
     n_flagged = int((~ok).sum())
-    claims = [-max_diff, ts.threshold - ts.statistic]
-    return _report("stationarity", n_real, claims, claims, ok=n_flagged == 0,
-                   n_flagged=n_flagged, details={"matched_max_diff": max_diff,
-                                                 "two_sample": ts})
+    return _point_report("stationarity", n_real, [-max_diff, ts.threshold - ts.statistic],
+                         ok=n_flagged == 0, n_flagged=n_flagged,
+                         details={"matched_max_diff": max_diff, "two_sample": ts})
 
 
 def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), *, t: float, n_real: int,

@@ -10,8 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from homlab import (birkhoff_average, cell_problem_on_cube, load_minimizer, runner,
-                    sample_field, solve_cell)
+from homlab import (birkhoff_average, cell_problem_on_cube, cheap_interface,
+                    interface_limit_check, load_minimizer, runner, sample_field, solve_cell)
 from homlab.cli import main
 from homlab.config import (COMMANDS, ConfigError, parse_config, parse_config_dict,
                            parse_xi)
@@ -415,8 +415,10 @@ def test_interface_run_fails_when_a_scan_finds_no_hit(delta, tmp_path):
     limit = summary["report"]["interface_limit"]
     (probe,), (hitting,) = limit["probes"], limit["hitting"]
     assert code == 1 and summary["verdict"] == "fail"
-    # the probe's own claims hold only at 0.5: it hits, below its delta
-    assert (probe["k_index"] >= 0 and probe["energy"] <= delta) is (delta == 0.5)
+    # the check decides the probe alone to pass only at 0.5, where it hits
+    assert probe["k_index"] == (-1 if delta == 0.01 else 0)
+    alone = cheap_interface(cfg.spec, delta, seed=cfg.seed, search_limit=1)
+    assert interface_limit_check([alone], []).passed is (delta == 0.5)
     if delta == 0.01:
         assert (hitting["n_failed"], hitting["mean_observed"], hitting["z_score"]) == (
             20, "nan", "inf")

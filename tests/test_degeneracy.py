@@ -149,6 +149,17 @@ def test_interface_limit_flags_nonmonotone_hits():
         interface_limit_check([], [])
 
 
+@pytest.mark.parametrize("k, energy, fails", [
+    (-1, math.nan, 2),  # a missed scan: no hit, and no energy below delta
+    (5, math.nan, 1),  # a NaN energy is not below delta
+], ids=["miss", "nan-energy"])
+def test_interface_check_fails_a_probe_without_a_cheap_stripe(k, energy, fails):
+    probe = dataclasses.replace(_fake_probe(0.1, k), energy=energy)
+    report = interface_limit_check([probe], [])
+    assert (report.holds, report.undecided, report.fails) == (2 - fails, 0, fails)
+    assert not report.passed
+
+
 def _fake_stats(z, n_failed=0):
     return HittingStats(delta=0.1, n_scans=100, n_failed=n_failed, p_delta=0.5,
                         mean_expected=1.0, mean_observed=1.0 + 0.1 * z, se=0.1, z_score=z)

@@ -196,7 +196,8 @@ def test_nonfinite_slacks_fail_the_glue_check(field, n_instances, n_nonfinite, t
     for row in rows:
         assert ("nonfinite" in row["flags"].split(";")) is (not math.isfinite(float(row["value"])))
     rep = glue_check(cfg.spec, n_instances=n_instances, side=32.0, delta_range=(0.3, 0.6))
-    assert (rep.passed, rep.n_flagged) == (False, n_nonfinite)
+    # a NaN slack's claim fails, as well as being flagged
+    assert (rep.passed, rep.n_flagged, rep.fails) == (False, n_nonfinite, n_nonfinite)
     assert rep.holds + rep.undecided + rep.fails == n_instances
 
 

@@ -1,5 +1,7 @@
 """Effective-density estimation and its structural property checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,25 @@ def test_stationarity_compares_matched_weights_without_solving(monkeypatch):
     lam_b = cell_problem_on_cube(shift(fld, np.array([2.0, 0.0])), 4.0, E1).lam
     assert report.fails >= 1 and not report.passed
     assert report.details["matched_max_diff"] >= np.abs(lam_a - lam_b).max() > 0.0
+
+
+def test_stationarity_sees_a_wrong_shift_past_matching_infinite_weights(monkeypatch):
+    # an inf weight in the same cell of both placements matches, though
+    # inf - inf is NaN: a largest difference over every cell would be NaN
+    # and hide the cells that a wrong shift moves
+    def with_inf(*args, **kwargs):
+        prob = cell_problem_on_cube(*args, **kwargs)
+        lam = prob.lam.copy()
+        lam[:, 0, 0] = np.inf
+        return dataclasses.replace(prob, lam=lam)
+
+    monkeypatch.setattr(homlab.homogenize, "cell_problem_on_cube", with_inf)
+    report = check_stationarity_in_law(IID_U12, E1, t=4, n_real=2, seed=0)
+    assert report.details["matched_max_diff"] == 0.0 and report.passed
+    monkeypatch.setattr(homlab.homogenize, "shift", lambda fld, z: shift(fld, 2 * z))
+    report = check_stationarity_in_law(IID_U12, E1, t=4, n_real=2, seed=0)
+    assert 0.0 < report.details["matched_max_diff"] < np.inf
+    assert report.fails == 1 and not report.passed
 
 
 def test_recession_without_lower_order_is_constant():

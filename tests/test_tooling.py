@@ -244,7 +244,7 @@ _SIZED = {homogenize.estimate_f_hom: ("t_list", "n_real"),
           homogenize.check_rank_one_convexity: ("t", "n_real"),
           degeneracy.divergence_experiment: ("t_list", "n_real"),
           degeneracy.hitting_stats: ("n_scans",),
-          glue.glue_check: ("n_instances",)}
+          glue.glue_check: ("n_instances", "side")}
 
 
 @pytest.mark.parametrize("func", _SIZED, ids=lambda f: f.__name__)
