@@ -94,11 +94,10 @@ def divergence_experiment(spec: FieldSpec, xi=None, *, t_list, n_real: int, seed
     rows = [(rep.normalized, xin * float(rep.problem.lam[0].mean()), rep.converged)
             for rep in solve_many(tasks, workers)]
     vals, bounds, ok = (np.array(col).reshape(len(t_list), n_real) for col in zip(*rows))
-    n_flagged = int((~ok).sum())
     means = vals.mean(axis=1)
     claims = (vals - (bounds - _JENSEN_RTOL * bounds)).ravel()
-    return _point_report("divergence", vals.size, claims, ok=n_flagged == 0,
-                         n_flagged=n_flagged, details={
+    return _point_report("divergence", vals.size, claims, n_flagged=int((~ok).sum()),
+                         details={
                              "xi": xi, "t_list": t_list, "means": means,
                              "ci_halves": np.array([mean_ci(row)[1] for row in vals]),
                              "jensen_bounds": bounds.mean(axis=1),
@@ -235,5 +234,5 @@ def interface_limit_check(probes, stats) -> PropertyReport:
     claims = ([p.k_index for p in probes] + [p.delta - p.energy for p in probes]
               + [fine - coarse for coarse, fine in zip(ks, ks[1:])]
               + [4.0 - abs(hs.z_score) for hs in stats] + [-hs.n_failed for hs in stats])
-    return _point_report("interface_limit", len(probes) + len(stats), claims, ok=True,
-                         n_flagged=0, details={"probes": probes, "hitting": stats})
+    return _point_report("interface_limit", len(probes) + len(stats), claims, n_flagged=0,
+                         details={"probes": probes, "hitting": stats})

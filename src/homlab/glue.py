@@ -217,6 +217,5 @@ def glue_check(spec: FieldSpec, *, n_instances: int, side: float, delta_range,
         slacks.append(rep.slack)
         n_layers.append(rep.n_layers)
     slacks = np.array(slacks)
-    n_flagged = int((~np.isfinite(slacks)).sum())
-    return _point_report("glue", n_instances, slacks, ok=n_flagged == 0, n_flagged=n_flagged,
+    return _point_report("glue", n_instances, slacks, n_flagged=int((~np.isfinite(slacks)).sum()),
                          details={"slacks": slacks, "n_layers": n_layers})

@@ -10,8 +10,9 @@ and a level's expected energy in [mean dual - h, mean primal + h], h the
 99% normal CI half-width of the primals.  A check writes each inequality
 as a claim "x >= 0" on such an interval, and ``decide`` alone counts the
 claims that hold, stay undecided or fail.  ``tol`` only asks each solve
-for a certificate and widens no interval.  A report fails on a failing
-claim or on uncertified solves, which it counts in ``n_flagged``.
+for a certificate and widens no interval.  Every solve enters its
+intervals, certified or not, and one rule decides every report: it
+passes when no claim fails and every solve certified (``n_flagged`` 0).
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ from .integrand import growth_constants
 from .randomness import keyed_uniform, normal_quantile
 from .stats import mean_ci, two_sample_test
 
-FLAGGED_FRACTION_LIMIT = 0.10
-
 
 @dataclass
 class TLevel:
     """Monte Carlo summary of normalized cell energies at one cube size.
 
-    ``all_values`` keeps one primal per realization (certified or not);
-    ``values`` holds the certified subset used for the statistics, whose
-    mean dual less ``ci_half`` and mean primal plus it are the interval.
+    ``values`` holds one primal per realization and ``certified`` says
+    which solves certified; the statistics use every solve, uncertified
+    ones too, whose [dual, primal] still holds the energy.  The interval
+    is the mean dual less ``ci_half`` to the mean primal plus it.
     """
 
     t: float
@@ -46,15 +46,9 @@ class TLevel:
     ci_half: float
     lower: float
     upper: float
-    all_values: np.ndarray
     gaps: np.ndarray
     iterations: np.ndarray
     certified: np.ndarray
-
-    @property
-    def too_many_flagged(self) -> bool:
-        """More than FLAGGED_FRACTION_LIMIT of the solves failed to certify."""
-        return self.n_flagged > FLAGGED_FRACTION_LIMIT * self.all_values.size
 
 
 @dataclass
@@ -70,13 +64,7 @@ class HomEstimate:
     lower: float
     upper: float
     trend_consistent: bool
-    flags: tuple
     tol: float
-
-    @property
-    def too_many_flagged(self) -> bool:
-        """Some level has too many uncertified solves to stand."""
-        return any(lv.too_many_flagged for lv in self.levels)
 
 
 Counts = namedtuple("Counts", "holds undecided fails")
@@ -100,32 +88,43 @@ def _zero(lo, hi) -> tuple:
 class PropertyReport:
     """Outcome of a property check, here or in ``degeneracy`` and ``glue``:
     ``decide``'s counts of its claims on the intervals ``details["lower"]``
-    and ``details["upper"]``, which are points for a claim known exactly."""
+    and ``details["upper"]``, which are points for a claim known exactly,
+    and its count of uncertified solves."""
 
     name: str
     n_instances: int
     holds: int
     undecided: int
     fails: int
-    passed: bool
     n_flagged: int
     details: dict
 
+    @property
+    def passed(self) -> bool:
+        """The one verdict rule: no claim fails and every solve certified."""
+        return self.fails == 0 and self.n_flagged == 0
 
-def _report(name, n_instances, lo, hi, ok, n_flagged, details) -> PropertyReport:
-    """The report on claims in [lo, hi]: it passes if none fails and ``ok``."""
+
+def _report(name, n_instances, lo, hi, n_flagged, details) -> PropertyReport:
+    """The report on claims in [lo, hi] and ``n_flagged`` uncertified solves."""
     holds, undecided, fails = decide(lo, hi)
     return PropertyReport(name=name, n_instances=n_instances, holds=holds,
-                          undecided=undecided, fails=fails, passed=bool(fails == 0 and ok),
-                          n_flagged=n_flagged,
+                          undecided=undecided, fails=fails, n_flagged=n_flagged,
                           details={**details, "lower": np.atleast_1d(lo),
                                    "upper": np.atleast_1d(hi)})
 
 
-def _point_report(name, n_instances, claims, ok, n_flagged, details) -> PropertyReport:
-    """The report on claims known exactly; a NaN, a false comparison, fails."""
-    claims = np.where(np.isnan(claims), -np.inf, claims)
-    return _report(name, n_instances, claims, claims, ok, n_flagged, details)
+def _points(claims) -> np.ndarray:
+    """Claims known exactly, each its own interval; a NaN, which stands for
+    a false comparison, fails."""
+    claims = np.atleast_1d(np.asarray(claims, dtype=float))
+    return np.where(np.isnan(claims), -np.inf, claims)
+
+
+def _point_report(name, n_instances, claims, n_flagged, details) -> PropertyReport:
+    """The report on claims known exactly and ``n_flagged`` uncertified solves."""
+    claims = _points(claims)
+    return _report(name, n_instances, claims, claims, n_flagged, details)
 
 
 def _as_xi(xi) -> np.ndarray:
@@ -160,40 +159,31 @@ def estimate_f_hom(spec: FieldSpec, xi, *, t_list, n_real: int, seed: int = 0,
     """Monte Carlo estimate of the effective density at slope xi.
 
     Realizations are indexed 0..n_real-1 under ``seed`` and reused for
-    every t; flagged (non-certified) solves are excluded and counted,
-    and the estimate itself is flagged when more than 10% of solves at
-    any level failed to certify.  The reported value is the mean at the
-    largest t; ``trend_consistent`` records whether the intervals of the
-    last two levels meet.
+    every t.  Every solve enters its level's statistics; each level counts
+    its uncertified ones in ``n_flagged``.  The reported value is the mean
+    at the largest t; ``trend_consistent`` records whether the intervals of
+    the last two levels meet.
     """
     xi = _as_xi(xi)
     t_list = increasing(t_list, "t_list")
 
     solves = _solve_cases(spec, [(t, xi) for t in t_list], n_real, seed, tol,
                           cells_per_unit, workers)
-    levels, flags = [], []
-    for t, all_vals, duals, gaps, iters, ok in zip(t_list, *solves):
-        vals = all_vals[ok]
+    levels = []
+    for t, vals, duals, gaps, iters, ok in zip(t_list, *solves):
         mean, half = mean_ci(vals, exact=spec.deterministic)
-        dual_mean = mean_ci(duals[ok])[0]  # nan when no solve certified
         levels.append(TLevel(t=t, values=vals, n_flagged=int((~ok).sum()), mean=mean,
-                             ci_half=half, lower=dual_mean - half, upper=mean + half,
-                             all_values=all_vals, gaps=gaps, iterations=iters,
-                             certified=ok))
-        if levels[-1].too_many_flagged:
-            flags.append(f"flagged_solves_at_t={t:g}")
+                             ci_half=half, lower=mean_ci(duals)[0] - half, upper=mean + half,
+                             gaps=gaps, iterations=iters, certified=ok))
 
     last = levels[-1]
     prev = levels[-2] if len(levels) >= 2 else last  # one level meets itself
     # the last two levels estimate one number: the trend is off only when
     # their intervals are disjoint
     trend = decide(*_zero(last.lower - prev.upper, last.upper - prev.lower)).fails == 0
-    if not trend:
-        flags.append("trend_inconsistent")
     return HomEstimate(xi=xi, t_list=t_list, levels=levels, value=last.mean,
                        ci_half=last.ci_half, lower=last.lower, upper=last.upper,
-                       trend_consistent=trend, flags=tuple(flags),
-                       tol=tol)
+                       trend_consistent=trend, tol=tol)
 
 
 def verify_growth_sandwich(spec: FieldSpec, xi_list, *, t_list, n_real: int, seed: int = 0,
@@ -205,8 +195,7 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, *, t_list, n_real: int, see
     by which its interval clears the bounds, >= 0 when a claim holds.  The
     upper bound is the interval (C0 -+ C0_ci) |xi| + C1, a point unless C0
     is a Monte Carlo estimate.  An infinite upper constant's claim cannot
-    fail.  An estimate with too many uncertified solves at some t fails
-    the check.
+    fail.
     """
     consts = growth_constants(spec)
     details = {"constants": consts, "per_xi": []}
@@ -224,7 +213,6 @@ def verify_growth_sandwich(spec: FieldSpec, xi_list, *, t_list, n_real: int, see
                                   "upper_margin": lo[-1]})
     ests = [per["estimate"] for per in details["per_xi"]]
     return _report("growth_sandwich", len(ests), lo, hi,
-                   ok=not any(e.too_many_flagged for e in ests),
                    n_flagged=sum(lv.n_flagged for e in ests for lv in e.levels),
                    details=details)
 
@@ -277,9 +265,8 @@ def check_subadditivity(spec: FieldSpec, xi=None, *, t: float, n_real: int, dept
     primal, dual, ok = (np.array(col).reshape(n_real, len(cubes)) for col in zip(*rows))
     # each realization's subcube energies, added in order
     sub_p, sub_d = (np.array([sum(row[1:]) for row in a]) for a in (primal, dual))
-    n_flagged = int((~ok).sum())
     return _report("subadditivity", n_real, sub_d - primal[:, 0], sub_p - dual[:, 0],
-                   ok=n_flagged == 0, n_flagged=n_flagged,
+                   n_flagged=int((~ok).sum()),
                    details={"slacks": sub_p - primal[:, 0], "depth": depth, "t": t})
 
 
@@ -320,9 +307,8 @@ def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=N
     vals, ok = map(np.array, zip(*((rep.normalized, rep.converged)
                                    for rep in solve_many(tasks, workers))))
     ts = two_sample_test(vals[:n_real], vals[n_real:])
-    n_flagged = int((~ok).sum())
     return _point_report("stationarity", n_real, [-max_diff, ts.threshold - ts.statistic],
-                         ok=n_flagged == 0, n_flagged=n_flagged,
+                         n_flagged=int((~ok).sum()),
                          details={"matched_max_diff": max_diff, "two_sample": ts})
 
 
@@ -336,33 +322,34 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), *, t: float, n_real: 
     the energy is 1-homogeneous, so each realization's difference is 0
     (mode "constant"); with lam, v(s) = v_0 + L/s for the realization's
     mean weight L, so the mean difference is (1/s - 1/s') E[lam] within its
-    CI, and the means decrease (mode "decreasing").
+    CI, and the means decrease (mode "decreasing"): per step the point
+    claim mean(s) - (the float after mean(s')) >= 0, which a tie fails.
     """
     xi = _as_xi(xi)
     s_list = increasing(s_list, "s_list")
 
     vals, duals, _, _, ok = _solve_cases(spec, [(t, s * xi) for s in s_list], n_real, seed,
                                          tol, cells_per_unit, workers)
-    n_flagged = int((~ok).sum())
     vals, duals = (a / np.array(s_list)[:, None] for a in (vals, duals))
     means = vals.mean(axis=1)
     details = {"s_list": s_list, "means": means, "values": vals,
                "ci_halves": np.array([mean_ci(row, exact=spec.deterministic)[1]
                                       for row in vals])}
     lo, hi = duals[:-1] - vals[1:], vals[:-1] - duals[1:]
-    decreasing = True
     if spec.lower_order is None:
         details["mode"] = "constant"
+        lo, hi = _zero(lo.ravel(), hi.ravel())
     else:
         c1 = growth_constants(spec).C1
         expected = (1.0 / np.array(s_list[:-1]) - 1.0 / np.array(s_list[1:])) * c1
         half = np.array([mean_ci(row, exact=spec.deterministic)[1]
                          for row in vals[:-1] - vals[1:]])
-        lo, hi = lo.mean(axis=1) - expected - half, hi.mean(axis=1) - expected + half
-        decreasing = bool(np.all(np.diff(means) < 0.0))
-        details.update(mode="decreasing", expected_lambda_mean=c1, decreasing=decreasing)
-    return _report("recession", len(s_list) - 1, *_zero(lo.ravel(), hi.ravel()),
-                   ok=n_flagged == 0 and decreasing, n_flagged=n_flagged, details=details)
+        lo, hi = _zero(lo.mean(axis=1) - expected - half, hi.mean(axis=1) - expected + half)
+        steps = _points(means[:-1] - np.nextafter(means[1:], np.inf))
+        lo, hi = np.concatenate([lo, steps]), np.concatenate([hi, steps])
+        details.update(mode="decreasing", expected_lambda_mean=c1)
+    return _report("recession", len(s_list) - 1, lo, hi, n_flagged=int((~ok).sum()),
+                   details=details)
 
 
 def rank_one_segment(xi_a, xi_b):
@@ -395,11 +382,9 @@ def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, *, t: float, n_real: i
     vals, duals, _, _, ok = _solve_cases(spec, [(t, lam * xi_a + (1.0 - lam) * xi_b)
                                                 for lam in lambdas],
                                          n_real, seed, tol, cells_per_unit, workers)
-    n_flagged = int((~ok).sum())
     half = np.array([mean_ci(row, exact=spec.deterministic)[1]
                      for row in 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]])
     lo = (0.5 * (duals[:-2] + duals[2:]) - vals[1:-1]).mean(axis=1) - half
     hi = (0.5 * (vals[:-2] + vals[2:]) - duals[1:-1]).mean(axis=1) + half
-    return _report("rank_one_convexity", n_grid - 2, lo, hi, ok=n_flagged == 0,
-                   n_flagged=n_flagged,
+    return _report("rank_one_convexity", n_grid - 2, lo, hi, n_flagged=int((~ok).sum()),
                    details={"lambdas": lambdas, "means": vals.mean(axis=1), "values": vals})

@@ -40,6 +40,7 @@ from .homogenize import (check_rank_one_convexity, check_stationarity_in_law,
                          verify_growth_sandwich)
 from .integrand import growth_constants
 from .records import ResultRecord, run_id_for, write_csv
+from .stats import sample_std
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -109,19 +110,20 @@ def _solve_row(ctx, label, t, r, value, gap, iterations, certified, wall_time_s=
 
 
 def _estimate_records(ctx, label, est):
-    """Record an estimate's solves, levels and value, and copy its flags into
-    the run's."""
+    """Record an estimate's solves, levels and value; an estimate whose last
+    two levels disagree is flagged ``trend_inconsistent``, in the run's
+    flags too."""
     for lv in est.levels:
-        for r, solve in enumerate(zip(lv.all_values, lv.gaps, lv.iterations, lv.certified)):
+        for r, solve in enumerate(zip(lv.values, lv.gaps, lv.iterations, lv.certified)):
             _solve_row(ctx, label, lv.t, r, *solve)
         ctx.rec(xi_label=label, t=lv.t, kind="level_mean", value=lv.mean,
-                std=float(np.std(lv.values, ddof=1)) if lv.values.size > 1
-                else None,
+                std=sample_std(lv.values) if lv.values.size > 1 else None,
                 ci_half=lv.ci_half,
                 flags=f"n_flagged={lv.n_flagged}" if lv.n_flagged else "")
-    ctx.rec(xi_label=label, kind="estimate", value=est.value,
-            ci_half=est.ci_half, flags=";".join(est.flags))
-    ctx.flags.extend(f"{label}:{f}" for f in est.flags)
+    flag = "" if est.trend_consistent else "trend_inconsistent"
+    ctx.rec(xi_label=label, kind="estimate", value=est.value, ci_half=est.ci_half, flags=flag)
+    if flag:
+        ctx.flags.append(f"{label}:{flag}")
 
 
 def _cmd_field_stats(ctx):
@@ -169,8 +171,8 @@ def _cmd_estimate(ctx):
         out[label] = est
     ctx.report["estimates"] = out
     ctx.constants = growth_constants(cfg.spec)
-    return (not any(est.too_many_flagged for est in out.values()),
-            sum(lv.n_flagged for est in out.values() for lv in est.levels))
+    n_flagged = sum(lv.n_flagged for est in out.values() for lv in est.levels)
+    return n_flagged == 0, n_flagged
 
 
 def _cmd_verify_bounds(ctx):
@@ -315,9 +317,10 @@ def run(cfg: RunConfig, workers: int = 1, out_dir: str = None):
     its count of uncertified solves (``field-stats`` returns None and
     passes); only this function reads them, adding the run flag
     ``n_flagged=K`` when K > 0 and setting the summary's verdict and the
-    exit code (0 pass, 1 fail).  An estimate fails only on its
-    ``flagged_solves_at_t=`` flag, so ``trend_inconsistent`` alone exits 0.
-    Partial results are still written on failure.
+    exit code (0 pass, 1 fail).  Every command that solves fails on any
+    uncertified solve: ``solve-cell`` and ``estimate-fhom`` by their count,
+    the others by their ``PropertyReport``.  ``trend_inconsistent`` alone
+    exits 0.  Partial results are still written on failure.
     """
     out_dir = out_dir or "homlab-out"
     os.makedirs(out_dir, exist_ok=True)

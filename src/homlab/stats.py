@@ -24,18 +24,27 @@ _ECDF_PAIRS = 500  # simulated same-law pairs per calibration
 _ECDF_SEED = 2026  # key of the calibration draws
 
 
+@np.errstate(invalid="ignore", over="ignore")
+def sample_std(values) -> float:
+    """The ddof=1 standard deviation of two or more values: NaN or inf,
+    without a numpy warning, once a value is not finite or a square overflows."""
+    return float(np.std(values, ddof=1))
+
+
+@np.errstate(invalid="ignore", over="ignore")
 def mean_ci(values, exact: bool = False):
     """(mean, Z99 * std / sqrt(n)) with ddof=1, and (nan, nan) for none.
 
     One value says nothing of the spread of its law, so its half-width is
     inf, unless ``exact``: the value is the law's only one, as the one
-    realization of a periodic field is, and its half-width is 0.
+    realization of a periodic field is, and its half-width is 0.  A value
+    that is not finite makes both non-finite, without a numpy warning.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < 2:
         return (float(values[0]), 0.0 if exact else math.inf) if n else (math.nan, math.nan)
-    return float(values.mean()), Z99 * float(values.std(ddof=1)) / math.sqrt(n)
+    return float(values.mean()), Z99 * sample_std(values) / math.sqrt(n)
 
 
 def max_ecdf_distance(a, b) -> float:

@@ -10,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import conftest
 from homlab import (birkhoff_average, cell_problem_on_cube, cheap_interface,
                     interface_limit_check, load_minimizer, runner, sample_field, solve_cell)
 from homlab.cli import main
@@ -395,9 +396,7 @@ def test_interface_summary_keeps_the_terms_a_probe_can_fail(tmp_path):
                                      "solve-cell", "estimate-fhom", "verify-bounds"])
 def test_uncertified_solve_fails_the_run_and_is_flagged(command, tmp_path,
                                                         second_solve_uncertified):
-    # an estimate of two solves at one t: the uncertified one is half of them
-    cfg = _fan_out(command, **({"n_real": 2} if command == "estimate-fhom" else {}))
-    code, _, summary_path = runner.run(cfg, out_dir=str(tmp_path))
+    code, _, summary_path = runner.run(_fan_out(command), out_dir=str(tmp_path))
     summary = json.loads(Path(summary_path).read_text())
     assert code == 1 and summary["verdict"] == "fail"
     assert "n_flagged=1" in summary["flags"]
@@ -449,12 +448,36 @@ def test_summary_takes_numpy_scalars():
 
 def test_verify_bounds_fails_on_an_estimate_with_uncertified_solves(tmp_path,
                                                                    second_solve_uncertified):
-    # one of the two solves at t=4 is uncertified: more than the estimate allows
+    # one of the two solves at t=4 is uncertified, and its claims still hold
     raw = base_config(command="verify-bounds", field=UNIFORM, xi="e1", t_list=[4], n_real=2)
     code, _, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
     summary = json.loads(Path(summary_path).read_text())
+    sandwich = summary["report"]["sandwich"]
     assert code == 1 and summary["verdict"] == "fail"
-    assert "e1:flagged_solves_at_t=4" in summary["flags"]
+    assert summary["flags"] == ["n_flagged=1"]
+    assert (sandwich["fails"], sandwich["n_flagged"], sandwich["passed"]) == (0, 1, False)
+
+
+def test_one_uncertified_solve_in_eleven_fails_the_estimate(tmp_path, monkeypatch):
+    # an estimate used to drop up to 10% of a level's solves and pass; now
+    # the run fails, and the level's mean and interval include the solve
+    raw = base_config(command="estimate-fhom", field=UNIFORM, xi="e1", t_list=[4], n_real=11)
+    code, _, clean_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path / "clean"))
+    assert code == 0
+    conftest.uncertify_solves(monkeypatch, {3})
+    code, csv_path, summary_path = runner.run(parse_config_dict(raw),
+                                              out_dir=str(tmp_path / "flagged"))
+    summary = json.loads(Path(summary_path).read_text())
+    assert code == 1 and summary["verdict"] == "fail"
+    assert summary["flags"] == ["n_flagged=1"]
+    (level,) = summary["report"]["estimates"]["e1"]["levels"]
+    (clean,) = json.loads(Path(clean_path).read_text())["report"]["estimates"]["e1"]["levels"]
+    assert level["n_flagged"] == 1 and level["certified"].count(False) == 1
+    assert len(level["values"]) == 11
+    for key in ("values", "mean", "ci_half", "lower", "upper"):
+        assert level[key] == clean[key], key
+    rows = list(csv.DictReader(Path(csv_path).read_text().splitlines()))
+    assert [r["flags"] for r in rows if r["kind"] == "level_mean"] == ["n_flagged=1"]
 
 
 def test_outputs_depend_on_the_experiment_only(tmp_path):
@@ -500,14 +523,19 @@ def test_solve_cell_saves_one_minimizer_per_slope(tmp_path):
 @pytest.mark.parametrize("command", ["solve-cell", "estimate-fhom", "verify-bounds"])
 def test_solve_cell_flags_a_nonfinite_solve(command, tmp_path):
     # the lower-order total overflows: every command's solve stops at its
-    # first check, uncertified, and its row says why
+    # first check, uncertified, and its row says why; the estimates take
+    # both inf values into their statistics without a numpy warning
     field = dict(UNIFORM, lower_order={"kind": "constant", "value": 1e308})
-    raw = base_config(command=command, field=field, xi="e1", t_list=[4], n_real=1)
+    raw = base_config(command=command, field=field, xi="e1", t_list=[4], n_real=2)
     code, csv_path, summary_path = runner.run(parse_config_dict(raw), out_dir=str(tmp_path))
     rows = list(csv.DictReader(Path(csv_path).read_text().splitlines()))
     assert code == 1
     assert [(r["value"], r["gap"], r["iterations"], r["flags"])
-            for r in rows if r["kind"] == "solve"] == [("inf", "nan", "0", "flagged;nonfinite")]
+            for r in rows if r["kind"] == "solve"] == [("inf", "nan", "0", "flagged;nonfinite")] * 2
+    assert "n_flagged=2" in json.loads(Path(summary_path).read_text())["flags"]
+    if command != "solve-cell":
+        (level,) = [r for r in rows if r["kind"] == "level_mean"]
+        assert (level["value"], level["std"], level["ci_half"]) == ("inf", "nan", "nan")
     if command == "solve-cell":
         summary = json.loads(Path(summary_path).read_text())
         assert summary["report"]["worst_gap"] == "nan"

@@ -174,6 +174,9 @@ def _fake_stats(z, n_failed=0):
 def test_interface_check_decides_hitting_claims(stats, fails):
     report = interface_limit_check([_fake_probe(0.1, 5)], [stats])
     assert report.fails == fails and report.passed is (fails == 0)
+    # the interface check solves nothing, so no solve goes uncertified
+    assert report.n_flagged == 0
+    assert report.passed == (report.fails == 0 and report.n_flagged == 0)
     assert report.n_instances == 2
 
 

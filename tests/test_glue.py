@@ -198,6 +198,7 @@ def test_nonfinite_slacks_fail_the_glue_check(field, n_instances, n_nonfinite, t
     rep = glue_check(cfg.spec, n_instances=n_instances, side=32.0, delta_range=(0.3, 0.6))
     # a NaN slack's claim fails, as well as being flagged
     assert (rep.passed, rep.n_flagged, rep.fails) == (False, n_nonfinite, n_nonfinite)
+    assert rep.passed == (rep.fails == 0 and rep.n_flagged == 0)
     assert rep.holds + rep.undecided + rep.fails == n_instances
 
 

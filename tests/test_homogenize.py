@@ -36,7 +36,6 @@ def test_constant_field_estimate_hits_closed_form():
         assert est.value == pytest.approx(want, rel=1e-6)
         assert est.ci_half <= 1e-8
         assert est.trend_consistent
-        assert est.flags == ()
         assert [lv.t for lv in est.levels] == [4.0, 8.0]
         for lv in est.levels:
             assert lv.n_flagged == 0
@@ -49,12 +48,12 @@ def test_realizations_shared_across_cube_sizes():
     b = estimate_f_hom(IID_U12, E1, t_list=(4, 8), n_real=4, seed=5)
     short = estimate_f_hom(IID_U12, E1, t_list=(4,), n_real=4, seed=5)
     for lv_a, lv_b in zip(a.levels, b.levels):
-        assert np.array_equal(lv_a.all_values, lv_b.all_values)
+        assert np.array_equal(lv_a.values, lv_b.values)
     # same realization indices at t=4 whether or not t=8 follows
-    assert np.array_equal(a.levels[0].all_values, short.levels[0].all_values)
+    assert np.array_equal(a.levels[0].values, short.levels[0].values)
     # different seed: different draws
     c = estimate_f_hom(IID_U12, E1, t_list=(4,), n_real=4, seed=6)
-    assert not np.array_equal(c.levels[0].all_values, short.levels[0].all_values)
+    assert not np.array_equal(c.levels[0].values, short.levels[0].values)
 
 
 def test_one_dimensional_ladder_matches_order_statistic_mean():
@@ -69,7 +68,7 @@ def test_one_dimensional_ladder_matches_order_statistic_mean():
         assert np.all(lv.values >= 1.0) and np.all(lv.values <= 2.0)
     fld = sample_field(LAM1D, 3, 0)
     rep = solve_cell(cell_problem_on_cube(fld, 8.0, np.array([[1.0]])))
-    assert rep.normalized == pytest.approx(float(est.levels[1].all_values[0]),
+    assert rep.normalized == pytest.approx(float(est.levels[1].values[0]),
                                            rel=1e-12)
 
 
@@ -229,7 +228,10 @@ def test_recession_with_lower_order_decreases_by_lambda_mean():
                        n_real=6, seed=0)
     assert report.details["mode"] == "decreasing"
     assert report.passed and report.fails == 0
-    assert report.details["decreasing"]
+    # per step x = 0 as two claims, then the point claim that the means
+    # decrease, which holds
+    assert report.holds + report.undecided == 6
+    assert np.all(report.details["lower"][-2:] > 0.0)
     # f(s xi)/s = f(xi) + 1/s, so consecutive drops are 0.5 and 0.3
     assert np.diff(report.details["means"]) == pytest.approx([-0.5, -0.3], abs=1e-4)
     assert report.details["expected_lambda_mean"] == pytest.approx(1.0)
@@ -267,7 +269,6 @@ UNCERTIFIED = {
     "subadditivity": lambda: check_subadditivity(IID_U12, E1, t=4, n_real=2),
     "degenerate-divergence": lambda: divergence_experiment(PARETO_LAMINATE, xi=E2,
                                                            t_list=(2, 4), n_real=2),
-    # one of the two solves at t=4 is more than the estimate allows
     "growth-sandwich": lambda: verify_growth_sandwich(IID_U12, [E1], t_list=(4,), n_real=2),
 }
 
@@ -277,8 +278,42 @@ def test_one_uncertified_solve_fails_the_check(check, request):
     rep = UNCERTIFIED[check]()
     assert (rep.passed, rep.n_flagged) == (True, 0)
     request.getfixturevalue("second_solve_uncertified")
-    rep = UNCERTIFIED[check]()
-    assert (rep.passed, rep.n_flagged) == (False, 1)
+    flagged = UNCERTIFIED[check]()
+    assert (flagged.passed, flagged.n_flagged) == (False, 1)
+    # one rule: the claims still decide as before, and the uncertified
+    # solve alone fails the check
+    assert (flagged.holds, flagged.undecided, flagged.fails) == (
+        rep.holds, rep.undecided, rep.fails)
+    for r in (rep, flagged):
+        assert r.passed == (r.fails == 0 and r.n_flagged == 0)
+
+
+@pytest.mark.parametrize("means, passed", [
+    ([3.0, 2.0, 1.0], True),
+    ([3.0, 2.0, 2.0], False),  # a tie is no decrease
+    ([3.0, 1.0, 2.0], False),
+    ([3.0, np.nan, 1.0], False),  # a NaN comparison is false
+])
+def test_recession_needs_strictly_decreasing_means(means, passed, monkeypatch):
+    # a lower-order ray whose solves return the values ``means`` per s, in
+    # intervals so wide that only the decrease claims decide
+    spec = FieldSpec(dimension=2, structure=IidCubes(),
+                     diagonal=DistributionSpec.constant(1.0),
+                     lower_order=DistributionSpec.constant(1.0))
+    real = homlab.homogenize._solve_cases
+
+    def shifted(*args):
+        vals, duals, gaps, iters, ok = real(*args)
+        s = np.array([1.0, 2.0, 4.0])[:, None]
+        vals = np.broadcast_to(np.array(means)[:, None] * s, vals.shape).copy()
+        return vals, vals - 1e3 * s, gaps, iters, ok
+
+    monkeypatch.setattr(homlab.homogenize, "_solve_cases", shifted)
+    rep = recession(spec, E1, s_list=(1.0, 2.0, 4.0), t=4, n_real=2)
+    assert rep.details["mode"] == "decreasing"
+    assert rep.n_flagged == 0
+    assert rep.passed is passed
+    assert rep.fails == sum(not a > b for a, b in zip(means, means[1:]))
 
 
 def test_subadditivity_counts_uncertified_solves_not_instances(monkeypatch):
@@ -288,13 +323,17 @@ def test_subadditivity_counts_uncertified_solves_not_instances(monkeypatch):
     assert (rep.passed, rep.n_flagged) == (False, 2)
 
 
-def test_all_flagged_level_has_no_confidence_interval(monkeypatch):
-    # no certified value: the level's mean and its CI half-width are both nan
+def test_all_flagged_level_keeps_its_confidence_interval(monkeypatch):
+    # an uncertified solve keeps its [dual, primal]: the level's mean, CI
+    # and interval use every solve, as when all of them certify
+    (clean,) = estimate_f_hom(IID_U12, E1, t_list=(4,), n_real=2).levels
     conftest.uncertify_solves(monkeypatch, {0, 1})
     (lv,) = estimate_f_hom(IID_U12, E1, t_list=(4,), n_real=2).levels
-    assert lv.n_flagged == 2
-    assert np.isnan(lv.mean) and np.isnan(lv.ci_half)
-    assert np.isnan(lv.lower) and np.isnan(lv.upper)
+    assert lv.n_flagged == 2 and not lv.certified.any()
+    assert np.array_equal(lv.values, clean.values)
+    assert (lv.mean, lv.ci_half, lv.lower, lv.upper) == (
+        clean.mean, clean.ci_half, clean.lower, clean.upper)
+    assert np.isfinite([lv.mean, lv.ci_half, lv.lower, lv.upper]).all()
 
 
 def test_rank_one_rejects_full_rank_segment():
@@ -336,7 +375,7 @@ def test_estimate_periodic_forces_one_realization():
                                                            [2.0, 1.0]]),
                      diagonal=None)
     est = estimate_f_hom(spec, E1, t_list=(4,), n_real=7, seed=0)
-    assert est.levels[0].all_values.shape == (1,)
+    assert est.levels[0].values.shape == (1,)
 
 
 def _verdicts_on_scaled_tile(k):

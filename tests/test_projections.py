@@ -590,7 +590,9 @@ def test_solve_on_extreme_anisotropy_warns_nothing_from_the_projection():
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        xi=st.tuples(st.floats(min_value=-2.0, max_value=2.0),
                     st.floats(min_value=-2.0, max_value=2.0)))
-@settings(max_examples=15, deadline=None)
+# derandomized: the same examples on every run, so the suite's solve
+# audit tally can be compared between trees
+@settings(max_examples=15, deadline=None, derandomize=True)
 def test_solves_on_extreme_laws_are_certified_flagged_or_refused(sigma, t, seed, xi):
     # lognormal(0, 60) spreads the semiaxes of one cell over 1e50 and more,
     # where Newton steps leave [0, sum |p s|] and are clipped back into it

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -253,6 +254,32 @@ def test_library_takes_counts_and_sizes_without_a_default(func):
     for name in _SIZED[func]:
         assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
         assert params[name].default is inspect.Parameter.empty, name
+
+
+def test_library_defaults_equal_the_config_defaults():
+    # the config table is the one place a default lives: a library default
+    # of tol, cells_per_unit, seed or an option that differed from it would
+    # run another experiment than the config that leaves the value out
+    want = {key: config._VALUES[key].default for key in ("tol", "cells_per_unit", "seed")}
+    for row in config._COMMAND_TABLE.values():
+        for key, rule in row.options.items():
+            assert want.setdefault(key, rule.default) == rule.default, key
+    checked = set()
+    for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"homlab.{path.stem}")
+        for name, obj in vars(module).items():
+            if not ((inspect.isfunction(obj) or dataclasses.is_dataclass(obj))
+                    and obj.__module__ == module.__name__):
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                if param.name in want and param.default is not inspect.Parameter.empty:
+                    assert param.default == want[param.name], (
+                        f"{path.stem}.{name}({param.name}={param.default!r}) differs from "
+                        f"the config default {want[param.name]!r}")
+                    checked.add(param.name)
+    # every value with a library default is compared; the rest are required
+    assert checked == {"tol", "cells_per_unit", "seed", "observable", "entry", "box",
+                       "depth", "z", "s_list", "n_grid", "search_limit"}
 
 
 def test_audit_sees_every_solve_of_a_threaded_run(tmp_path):
