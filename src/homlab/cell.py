@@ -33,8 +33,11 @@ One class, _Lattice, defines the discretization: flat buffers over the
 padded node lattice, nodes (m, N) with N = (n+1)^d and cells (m, d, N),
 each at its lowest-corner node, so a cell with a coordinate n is a ghost.
 A step along axis j is the flat stride (n+1)^(d-1-j).  The iteration, the
-primal energy, the certificate and its Poisson matrix all run on it, and
-match the plain (m, d, *cells) reference kept in the tests bit for bit.
+primal energy and the certificate all run on it, and match the plain
+(m, d, *cells) reference kept in the tests bit for bit.  The certificate's
+Poisson solve works in the sine basis of axis 0 when d >= 2, where the
+interior Laplacian splits into n-1 shifted Laplacians of the (d-1)-cube:
+one sparse LU of those per grid size, and two dense sine products per solve.
 A solve folds 1/h and rho into h^(d-1) step arrays, 0 on ghosts and the
 boundary: step_p = sigma h^d / h, xs = sigma h^d xi, step_v = rho tau h^d / h.
 With D = h G the raw differences, a step (21 numpy calls in 2-d, m = 1)
@@ -271,16 +274,45 @@ def _cell_norms(lat: _Lattice, V, xi, lam, h) -> np.ndarray:
 _LU_LOCK = threading.Lock()
 
 
+@dataclass(frozen=True)
+class _SinePoisson:
+    """Solver of A x = rhs, rhs (n-1, ...) in axis-0 order: A = S B S, so
+    x = S B^-1 S rhs, with B factored once by ``lu``; S None means B = A."""
+
+    S: np.ndarray
+    lu: object
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.S is None:
+            return self.lu.solve(rhs)
+        k = len(self.S)
+        y = self.lu.solve((self.S @ rhs.reshape(k, -1)).reshape(rhs.shape))
+        return (self.S @ y.reshape(k, -1)).reshape(rhs.shape)
+
+
 @lru_cache(maxsize=32)
-def _laplacian_lu(d: int, n: int):
-    """Sparse LU of the Dirichlet graph Laplacian on the interior nodes."""
+def _laplacian_lu(d: int, n: int) -> _SinePoisson:
+    """Dirichlet graph Laplacian on the interior nodes, A = T (x) I + I (x) A',
+    T = tridiag(-1, 2, -1) along axis 0 and A' that of the (d-1)-cube.  The
+    orthogonal sine matrix S_jk = sqrt(2/n) sin(pi j k / n) diagonalizes T,
+    so S A S = B = diag(2 - 2 cos(pi k / n)) (x) I + I (x) A': n-1 shifted,
+    decoupled (d-1)-dimensional Laplacians, whose sparse LU fills far less.
+    In 1-d, A = T fills nothing and S would hold n^2 entries: B = A there."""
     lat = _Lattice(d, n)
-    offsets = [0] + [sign * s for s in lat.strides for sign in (1, -1)]
-    A = sp.diags([2.0 * d] + [-1.0] * (2 * d), offsets, shape=(lat.N, lat.N), format="csr")
-    A = A[lat.interior][:, lat.interior]
+    sine = d > 1  # axis 0 in the sine basis
+    # B on the lattice: the couplings of the other axes, and on the diagonal
+    # their 2 each plus the eigenvalue of T at the node's axis-0 coordinate
+    eig = 2.0 - 2.0 * np.cos(np.pi / n * np.arange(n + 1)) if sine else np.zeros(n + 1)
+    diag = 2.0 * (d - sine) + np.repeat(eig, lat.strides[0])
+    offsets = [0] + [sign * s for s in lat.strides[sine:] for sign in (1, -1)]
+    B = sp.diags([diag] + [-1.0] * (len(offsets) - 1), offsets, shape=(lat.N, lat.N),
+                 format="csr")
+    k = np.arange(1, n)
+    S = math.sqrt(2.0 / n) * np.sin(np.pi / n * np.outer(k, k)) if sine else None
     # symmetric positive definite: a symmetric ordering and no pivoting
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+    return _SinePoisson(S, splu(B[lat.interior][:, lat.interior].tocsc(),
+                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True}))
 
 
 def _certified_dual(lat: _Lattice, P, lam, xi, h, lu) -> float:
@@ -289,7 +321,8 @@ def _certified_dual(lat: _Lattice, P, lam, xi, h, lu) -> float:
     Subtracts the gradient of a discrete Poisson solve so the repaired
     point annihilates all interior nodes, then rescales it into the
     dual balls (a relaxed iterate may lie outside them); the resulting
-    value bounds the discrete minimum from below (up to sparse-LU roundoff).
+    value bounds the discrete minimum from below (up to roundoff of the
+    sine transform and the LU).
     """
     m = P.shape[0]
     R = np.zeros((m, lat.N))

@@ -265,9 +265,10 @@ def check_subadditivity(spec: FieldSpec, xi=None, *, t: float, n_real: int, dept
     primal, dual, ok = (np.array(col).reshape(n_real, len(cubes)) for col in zip(*rows))
     # each realization's subcube energies, added in order
     sub_p, sub_d = (np.array([sum(row[1:]) for row in a]) for a in (primal, dual))
-    return _report("subadditivity", n_real, sub_d - primal[:, 0], sub_p - dual[:, 0],
-                   n_flagged=int((~ok).sum()),
-                   details={"slacks": sub_p - primal[:, 0], "depth": depth, "t": t})
+    with np.errstate(invalid="ignore"):  # inf - inf of non-finite solves: NaN claims fail
+        return _report("subadditivity", n_real, sub_d - primal[:, 0], sub_p - dual[:, 0],
+                       n_flagged=int((~ok).sum()),
+                       details={"slacks": sub_p - primal[:, 0], "depth": depth, "t": t})
 
 
 def check_stationarity_in_law(spec: FieldSpec, xi, *, t: float, n_real: int, z=None,
@@ -335,19 +336,21 @@ def recession(spec: FieldSpec, xi, s_list=(1.0, 2.0, 5.0), *, t: float, n_real: 
     details = {"s_list": s_list, "means": means, "values": vals,
                "ci_halves": np.array([mean_ci(row, exact=spec.deterministic)[1]
                                       for row in vals])}
-    lo, hi = duals[:-1] - vals[1:], vals[:-1] - duals[1:]
-    if spec.lower_order is None:
-        details["mode"] = "constant"
-        lo, hi = _zero(lo.ravel(), hi.ravel())
-    else:
-        c1 = growth_constants(spec).C1
-        expected = (1.0 / np.array(s_list[:-1]) - 1.0 / np.array(s_list[1:])) * c1
-        half = np.array([mean_ci(row, exact=spec.deterministic)[1]
-                         for row in vals[:-1] - vals[1:]])
-        lo, hi = _zero(lo.mean(axis=1) - expected - half, hi.mean(axis=1) - expected + half)
-        steps = _points(means[:-1] - np.nextafter(means[1:], np.inf))
-        lo, hi = np.concatenate([lo, steps]), np.concatenate([hi, steps])
-        details.update(mode="decreasing", expected_lambda_mean=c1)
+    with np.errstate(invalid="ignore"):  # inf - inf of non-finite solves: NaN claims fail
+        lo, hi = duals[:-1] - vals[1:], vals[:-1] - duals[1:]
+        if spec.lower_order is None:
+            details["mode"] = "constant"
+            lo, hi = _zero(lo.ravel(), hi.ravel())
+        else:
+            c1 = growth_constants(spec).C1
+            expected = (1.0 / np.array(s_list[:-1]) - 1.0 / np.array(s_list[1:])) * c1
+            half = np.array([mean_ci(row, exact=spec.deterministic)[1]
+                             for row in vals[:-1] - vals[1:]])
+            lo, hi = _zero(lo.mean(axis=1) - expected - half,
+                           hi.mean(axis=1) - expected + half)
+            steps = _points(means[:-1] - np.nextafter(means[1:], np.inf))
+            lo, hi = np.concatenate([lo, steps]), np.concatenate([hi, steps])
+            details.update(mode="decreasing", expected_lambda_mean=c1)
     return _report("recession", len(s_list) - 1, lo, hi, n_flagged=int((~ok).sum()),
                    details=details)
 
@@ -382,9 +385,10 @@ def check_rank_one_convexity(spec: FieldSpec, xi_a, xi_b, *, t: float, n_real: i
     vals, duals, _, _, ok = _solve_cases(spec, [(t, lam * xi_a + (1.0 - lam) * xi_b)
                                                 for lam in lambdas],
                                          n_real, seed, tol, cells_per_unit, workers)
-    half = np.array([mean_ci(row, exact=spec.deterministic)[1]
-                     for row in 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]])
-    lo = (0.5 * (duals[:-2] + duals[2:]) - vals[1:-1]).mean(axis=1) - half
-    hi = (0.5 * (vals[:-2] + vals[2:]) - duals[1:-1]).mean(axis=1) + half
+    with np.errstate(invalid="ignore"):  # inf - inf of non-finite solves: NaN claims fail
+        half = np.array([mean_ci(row, exact=spec.deterministic)[1]
+                         for row in 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]])
+        lo = (0.5 * (duals[:-2] + duals[2:]) - vals[1:-1]).mean(axis=1) - half
+        hi = (0.5 * (vals[:-2] + vals[2:]) - duals[1:-1]).mean(axis=1) + half
     return _report("rank_one_convexity", n_grid - 2, lo, hi, n_flagged=int((~ok).sum()),
                    details={"lambdas": lambdas, "means": vals.mean(axis=1), "values": vals})

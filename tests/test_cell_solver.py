@@ -68,7 +68,8 @@ def _certified_dual(p, lam_n, xi, h, lu) -> float:
     Subtracts the gradient of a discrete Poisson solve so the repaired
     point annihilates all interior nodes, then rescales it into the
     dual balls (a relaxed iterate may lie outside them); the resulting
-    value bounds the discrete minimum from below (up to sparse-LU roundoff).
+    value bounds the discrete minimum from below (up to roundoff of the
+    sine transform and the LU).
     """
     m = p.shape[0]
     d = p.shape[1]
@@ -220,12 +221,46 @@ def test_gradient_adjoint_identity():
                                                      rel=1e-12)
 
 
-@pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 17), (3, 6)])
+@pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 17), (3, 6), (3, 24)])
 def test_lattice_laplacian_solves_like_the_kron_sum(d, n):
+    # the factor is of B = S A S, A the kron sum and S the sine matrix of
+    # axis 0; in 1-d, where T's LU fills nothing, of A itself
+    poisson = _laplacian_lu(d, n)
+    if d == 1:
+        assert poisson.S is None
+        B = _kron_laplacian(1, n)
+    else:
+        assert np.abs(poisson.S @ poisson.S - np.eye(n - 1)).max() <= 1e-14
+        k = np.arange(1, n)
+        inner = _kron_laplacian(d - 1, n)
+        B = (sp.kron(sp.diags(2.0 - 2.0 * np.cos(np.pi / n * k)), sp.identity(inner.shape[0]))
+             + sp.kron(sp.identity(n - 1), inner))
+    reference = splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
     rhs = keyed_uniform(3, "rhs", np.arange(2 * (n - 1) ** d)).reshape(-1, 2)
-    reference = splu(_kron_laplacian(d, n), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    assert _laplacian_lu(d, n).solve(rhs).tobytes() == reference.solve(rhs).tobytes()
+    assert poisson.lu.solve(rhs).tobytes() == reference.solve(rhs).tobytes()
+    x = poisson.solve(rhs)
+    assert np.abs(_kron_laplacian(d, n) @ x - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_repaired_dual_point_is_divergence_free(d, m):
+    # _certified_dual's repair: ptil = P - D psi / h with psi = A^-1 D^T P h
+    n, h = 7, 0.37
+    lat = _Lattice(d, n)
+    P = np.zeros((m, d, lat.N))
+    P[..., lat.real] = keyed_uniform(4, "P", d, m, np.arange(m * d * n ** d)).reshape(
+        m, d, -1) - 0.5
+    R = np.zeros((m, lat.N))
+    homlab.cell._adjoint(lat.adjoint_views(P, R))
+    psi = np.zeros((m, lat.N))
+    psi[:, lat.interior] = _laplacian_lu(d, n).solve(R[:, lat.interior].T * h).T
+    ptil = np.zeros_like(P)
+    ptil[..., lat.real] = np.take(P, lat.real, axis=-1) - homlab.cell._differences(lat, psi, h)
+    div = np.zeros((m, lat.N))
+    homlab.cell._adjoint(lat.adjoint_views(ptil, div))
+    assert np.abs(div[:, lat.interior]).max() <= 1e-12 * np.abs(R[:, lat.interior]).max()
 
 
 def test_gradient_of_affine_field_is_constant():

@@ -288,6 +288,25 @@ def test_one_uncertified_solve_fails_the_check(check, request):
         assert r.passed == (r.fails == 0 and r.n_flagged == 0)
 
 
+# a lower-order total of 16 * 1e308 overflows: every solve ends non-finite
+# at its first gap check, and its inf - inf claims are NaN, which fail
+NONFINITE_U12 = dataclasses.replace(IID_U12, lower_order=DistributionSpec.constant(1e308))
+NONFINITE = {
+    "recession": (lambda: recession(NONFINITE_U12, E1, s_list=(1, 2), t=4, n_real=2), 4),
+    "rank-one": (lambda: check_rank_one_convexity(NONFINITE_U12, E1, E2, t=4, n_grid=3,
+                                                  n_real=2), 6),
+    "subadditivity": (lambda: check_subadditivity(NONFINITE_U12, E1, t=4, n_real=2), 10),
+}
+
+
+@pytest.mark.parametrize("check", NONFINITE)
+def test_nonfinite_solves_fail_the_check_without_a_warning(check):
+    # the suite raises any numpy warning as an error
+    run, n_solves = NONFINITE[check]
+    rep = run()
+    assert (rep.passed, rep.n_flagged) == (False, n_solves)
+
+
 @pytest.mark.parametrize("means, passed", [
     ([3.0, 2.0, 1.0], True),
     ([3.0, 2.0, 2.0], False),  # a tie is no decrease

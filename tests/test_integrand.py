@@ -149,7 +149,7 @@ def test_growth_constants_lower_order_mean():
 def test_growth_constants_independent_entries_vs_gridded_oracle():
     # E|eta Lambda| depends on eta only through the column masses c and
     # is concave there; brute-force the simplex on a fine grid and
-    # require the probe maximum to land within its documented undershoot.
+    # require C0 to climb from the best probe (1.733305) to its maximum.
     laws = (DistributionSpec.two_point(0.1, 0.5, 3.0),
             DistributionSpec.two_point(1.4, 0.5, 1.6))
     spec = FieldSpec(dimension=2, structure=IidCubes(), diagonal=laws)
@@ -163,8 +163,7 @@ def test_growth_constants_independent_entries_vs_gridded_oracle():
     axis_max = max(law.mean() for law in laws)
     assert gc.C0_method == "probe_exact"
     assert gc.C0 >= axis_max - 1e-12
-    assert gc.C0 <= grid_max + 1e-12
-    assert gc.C0 >= grid_max * (1.0 - 5e-3)
+    assert grid_max - 1e-12 <= gc.C0 <= grid_max * (1.0 + 1e-9)
 
 
 def test_growth_constants_monte_carlo_reports_ci():

@@ -152,6 +152,13 @@ def test_growth_constants_draw_the_monte_carlo_table_once(d, monkeypatch):
     assert sizes.count(integrand._MC_BUDGET) == d
 
 
+@pytest.mark.parametrize("d, n, max_mnnz", [(3, 24, 0.3), (2, 128, 0.1)])
+def test_poisson_factor_fill_stays_small(d, n, max_mnnz):
+    # the entries of L + U bound the factor's memory: 3.335 and 0.653
+    # Mnnz when the Laplacian was factored in the lattice basis
+    assert homlab.cell._laplacian_lu(d, n).lu.nnz <= max_mnnz * 1e6
+
+
 def test_only_run_decides_the_verdict():
     # a handler that set the verdict itself could pass a run its report
     # fails; each returns (passed, n_flagged) for run to apply
