@@ -35,9 +35,9 @@ each at its lowest-corner node, so a cell with a coordinate n is a ghost.
 A step along axis j is the flat stride (n+1)^(d-1-j).  The iteration, the
 primal energy and the certificate all run on it, and match the plain
 (m, d, *cells) reference kept in the tests bit for bit.  The certificate's
-Poisson solve works in the sine basis of axis 0 when d >= 2, where the
-interior Laplacian splits into n-1 shifted Laplacians of the (d-1)-cube:
-one sparse LU of those per grid size, and two dense sine products per solve.
+Poisson solve is exact in the sine basis when d >= 2, where the interior
+Laplacian is diagonal: 2d dense sine products per solve and no factor; the
+1-d tridiagonal one gets a sparse LU per grid size.
 A solve folds 1/h and rho into h^(d-1) step arrays, 0 on ghosts and the
 boundary: step_p = sigma h^d / h, xs = sigma h^d xi, step_v = rho tau h^d / h.
 With D = h G the raw differences, a step (21 numpy calls in 2-d, m = 1)
@@ -61,8 +61,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .fields import FieldSample, FieldSpec, sample_field
 from .projections import Ellipsoids, project_ellipsoid, project_radial
@@ -270,65 +268,72 @@ def _cell_norms(lat: _Lattice, V, xi, lam, h) -> np.ndarray:
     return np.sqrt(np.sum(w * w, axis=(0, 1)))
 
 
-# serializes cache misses, so concurrent solves of one size factor it once
+# serializes cache misses, so concurrent 1-d solves of one size factor once
 _LU_LOCK = threading.Lock()
+
+
+def splu(A, **options):
+    """scipy.sparse.linalg.splu, imported on the first call: only 1-d
+    repairs factor, so a 2-d or 3-d run never loads scipy.sparse."""
+    from scipy.sparse.linalg import splu as factor
+    return factor(A, **options)
 
 
 @dataclass(frozen=True)
 class _SinePoisson:
-    """Solver of A x = rhs, rhs (n-1, ...) in axis-0 order: A = S B S, so
-    x = S B^-1 S rhs, with B factored once by ``lu``; S None means B = A."""
+    """Solver of A x = rhs, rhs ((n-1)^d, m) as for a sparse factor, where
+    A = S^(x)d diag(E) S^(x)d: x = S^(x)d ((S^(x)d rhs) / E)."""
 
-    S: np.ndarray
-    lu: object
+    S: np.ndarray      # (n-1, n-1), orthogonal and symmetric
+    inv_E: np.ndarray  # (n-1,)*d, 1 / E
+
+    def _sines(self, x: np.ndarray) -> np.ndarray:
+        """S along every axis of each row of x, (m, (n-1)^d) in C order."""
+        k, d = len(self.S), self.inv_E.ndim
+        for j in range(d - 1):
+            x = self.S @ x.reshape(-1, k, k ** (d - 1 - j))
+        return x.reshape(-1, k) @ self.S  # the last axis; S is symmetric
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.S is None:
-            return self.lu.solve(rhs)
-        k = len(self.S)
-        y = self.lu.solve((self.S @ rhs.reshape(k, -1)).reshape(rhs.shape))
-        return (self.S @ y.reshape(k, -1)).reshape(rhs.shape)
+        m = rhs.shape[1]
+        y = self._sines(rhs.T).reshape((m,) + self.inv_E.shape) * self.inv_E
+        return self._sines(y).reshape(m, -1).T
 
 
 @lru_cache(maxsize=32)
-def _laplacian_lu(d: int, n: int) -> _SinePoisson:
-    """Dirichlet graph Laplacian on the interior nodes, A = T (x) I + I (x) A',
-    T = tridiag(-1, 2, -1) along axis 0 and A' that of the (d-1)-cube.  The
-    orthogonal sine matrix S_jk = sqrt(2/n) sin(pi j k / n) diagonalizes T,
-    so S A S = B = diag(2 - 2 cos(pi k / n)) (x) I + I (x) A': n-1 shifted,
-    decoupled (d-1)-dimensional Laplacians, whose sparse LU fills far less.
-    In 1-d, A = T fills nothing and S would hold n^2 entries: B = A there."""
-    lat = _Lattice(d, n)
-    sine = d > 1  # axis 0 in the sine basis
-    # B on the lattice: the couplings of the other axes, and on the diagonal
-    # their 2 each plus the eigenvalue of T at the node's axis-0 coordinate
-    eig = 2.0 - 2.0 * np.cos(np.pi / n * np.arange(n + 1)) if sine else np.zeros(n + 1)
-    diag = 2.0 * (d - sine) + np.repeat(eig, lat.strides[0])
-    offsets = [0] + [sign * s for s in lat.strides[sine:] for sign in (1, -1)]
-    B = sp.diags([diag] + [-1.0] * (len(offsets) - 1), offsets, shape=(lat.N, lat.N),
-                 format="csr")
+def _poisson_solver(d: int, n: int):
+    """Solver of the Dirichlet graph Laplacian on the interior nodes, the
+    kron sum A of T = tridiag(-1, 2, -1) along every axis.  The orthogonal
+    sine matrix S_jk = sqrt(2/n) sin(pi j k / n) diagonalizes T, so S^(x)d
+    diagonalizes A, with eigenvalues E = sum_j (2 - 2 cos(pi k_j / n)).  In
+    1-d, where S would hold n^2 entries and T's LU fills nothing, T is
+    factored instead."""
+    if d == 1:
+        import scipy.sparse as sp
+        T = sp.diags([2.0, -1.0, -1.0], [0, 1, -1], shape=(n - 1, n - 1), format="csc")
+        # symmetric positive definite: a symmetric ordering and no pivoting
+        return splu(T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
     k = np.arange(1, n)
-    S = math.sqrt(2.0 / n) * np.sin(np.pi / n * np.outer(k, k)) if sine else None
-    # symmetric positive definite: a symmetric ordering and no pivoting
-    return _SinePoisson(S, splu(B[lat.interior][:, lat.interior].tocsc(),
-                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True}))
+    eig = 2.0 - 2.0 * np.cos(np.pi / n * k)
+    return _SinePoisson(math.sqrt(2.0 / n) * np.sin(np.pi / n * np.outer(k, k)),
+                        1.0 / sum(np.ix_(*(eig,) * d)))
 
 
-def _certified_dual(lat: _Lattice, P, lam, xi, h, lu) -> float:
+def _certified_dual(lat: _Lattice, P, lam, xi, h, poisson) -> float:
     """Lower bound from any dual point, made divergence-free and feasible.
 
     Subtracts the gradient of a discrete Poisson solve so the repaired
     point annihilates all interior nodes, then rescales it into the
     dual balls (a relaxed iterate may lie outside them); the resulting
     value bounds the discrete minimum from below (up to roundoff of the
-    sine transform and the LU).
+    sine transforms, or of the LU in 1-d).
     """
     m = P.shape[0]
     R = np.zeros((m, lat.N))
     _adjoint(lat.adjoint_views(P, R))  # D^T p on interior nodes
     psi = np.zeros((m, lat.N))
-    psi[:, lat.interior] = lu.solve(R[:, lat.interior].T * h).T
+    psi[:, lat.interior] = poisson.solve(R[:, lat.interior].T * h).T
     ptil = np.take(P, lat.real, axis=-1) - _differences(lat, psi, h)
     ratio = ptil / lam[None]
     nb = np.sqrt(np.sum(ratio * ratio, axis=(0, 1)))
@@ -389,7 +394,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     tau, sigma = ratio / L, 1.0 / (ratio * L)
 
     with _LU_LOCK:
-        lu = _laplacian_lu(d, n)
+        poisson = _poisson_solver(d, n)
     # Iterate on the padded node lattice (see the module docstring).
     lat = _Lattice(d, n)
     N = lat.N
@@ -432,7 +437,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             primal_n = hd * float(_cell_norms(lat, V, xi, lam_k, h).sum())
             if primal_n < best_primal:
                 best_primal, best_v = primal_n, V.copy()
-            dual_n = _certified_dual(lat, P, lam_k, xi, h, lu)
+            dual_n = _certified_dual(lat, P, lam_k, xi, h, poisson)
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
             checks += 1

@@ -75,10 +75,6 @@ class TwoSampleResult:
     n1: int
     n2: int
 
-    @property
-    def same_law(self) -> bool:
-        return self.statistic <= self.threshold
-
 
 def two_sample_test(a, b) -> TwoSampleResult:
     a = np.asarray(a, dtype=float)

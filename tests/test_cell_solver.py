@@ -1,8 +1,12 @@
 """Cell-problem discretization and the certified primal-dual solver."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
                     Laminate, SolveReport, SolveTask, assemble, cell_problem_on_cube,
                     cube_grid, load_minimizer, sample_field, save_minimizer,
                     solve_cell, solve_many)
-from homlab.cell import _Lattice, _laplacian_lu, default_step_ratio, slope_unit
+from homlab.cell import _Lattice, _poisson_solver, default_step_ratio, slope_unit
 from homlab.projections import Ellipsoids, project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
@@ -62,14 +66,14 @@ def _grad_adjoint(p: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _certified_dual(p, lam_n, xi, h, lu) -> float:
+def _certified_dual(p, lam_n, xi, h, poisson) -> float:
     """Lower bound from any dual point, made divergence-free and feasible.
 
     Subtracts the gradient of a discrete Poisson solve so the repaired
     point annihilates all interior nodes, then rescales it into the
     dual balls (a relaxed iterate may lie outside them); the resulting
     value bounds the discrete minimum from below (up to roundoff of the
-    sine transform and the LU).
+    sine transforms, or of the LU in 1-d).
     """
     m = p.shape[0]
     d = p.shape[1]
@@ -77,7 +81,7 @@ def _certified_dual(p, lam_n, xi, h, lu) -> float:
     r = _grad_adjoint(p, 1.0)  # D^T p on interior nodes
     interior = (slice(None),) + tuple(slice(1, n) for _ in range(d))
     rhs = r[interior].reshape(m, -1).T * h
-    psi_flat = lu.solve(rhs)
+    psi_flat = poisson.solve(rhs)
     psi = np.zeros_like(r)
     psi[interior] = psi_flat.T.reshape((m,) + (n - 1,) * d)
     ptil = p - _grad(psi, h)
@@ -221,26 +225,44 @@ def test_gradient_adjoint_identity():
                                                      rel=1e-12)
 
 
-@pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 17), (3, 6), (3, 24)])
+@pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 17), (2, 128), (3, 6), (3, 24)])
 def test_lattice_laplacian_solves_like_the_kron_sum(d, n):
-    # the factor is of B = S A S, A the kron sum and S the sine matrix of
-    # axis 0; in 1-d, where T's LU fills nothing, of A itself
-    poisson = _laplacian_lu(d, n)
+    # 1-d factors T = tridiag(-1, 2, -1) itself; from 2-d on the sine matrix S
+    # along every axis diagonalizes the kron sum A, and no factor is made
+    poisson = _poisson_solver(d, n)
+    A = _kron_laplacian(d, n)
+    rhs = keyed_uniform(3, "rhs", np.arange(2 * (n - 1) ** d)).reshape(-1, 2)
+    x = poisson.solve(rhs)
     if d == 1:
-        assert poisson.S is None
-        B = _kron_laplacian(1, n)
+        reference = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        assert x.tobytes() == reference.solve(rhs).tobytes()
     else:
         assert np.abs(poisson.S @ poisson.S - np.eye(n - 1)).max() <= 1e-14
-        k = np.arange(1, n)
-        inner = _kron_laplacian(d - 1, n)
-        B = (sp.kron(sp.diags(2.0 - 2.0 * np.cos(np.pi / n * k)), sp.identity(inner.shape[0]))
-             + sp.kron(sp.identity(n - 1), inner))
-    reference = splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
-    rhs = keyed_uniform(3, "rhs", np.arange(2 * (n - 1) ** d)).reshape(-1, 2)
-    assert poisson.lu.solve(rhs).tobytes() == reference.solve(rhs).tobytes()
-    x = poisson.solve(rhs)
-    assert np.abs(_kron_laplacian(d, n) @ x - rhs).max() <= 1e-13 * np.abs(rhs).max()
+    # the solution, and with it the residual's roundoff, grows like n^2 |rhs|
+    eps = np.finfo(float).eps
+    assert np.abs(A @ x - rhs).max() <= 4 * eps * n**2 * np.abs(rhs).max()
+
+
+def test_only_a_1d_solve_loads_scipy_sparse():
+    # the repair's sine transforms need no sparse matrix from 2-d on; only
+    # the tridiagonal LU of a 1-d repair imports scipy.sparse, on first use
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from homlab import (DistributionSpec, FieldSpec, IidCubes, cell_problem_on_cube,"
+        " sample_field, solve_cell)\n"
+        "for d in (2, 3, 1):\n"
+        "    spec = FieldSpec(dimension=d, structure=IidCubes(),"
+        " diagonal=DistributionSpec.uniform(1.0, 2.0))\n"
+        "    prob = cell_problem_on_cube(sample_field(spec, 0, 0), 3.0, np.eye(1, d))\n"
+        "    assert solve_cell(prob).converged\n"
+        "    print('scipy.sparse' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -255,7 +277,7 @@ def test_repaired_dual_point_is_divergence_free(d, m):
     R = np.zeros((m, lat.N))
     homlab.cell._adjoint(lat.adjoint_views(P, R))
     psi = np.zeros((m, lat.N))
-    psi[:, lat.interior] = _laplacian_lu(d, n).solve(R[:, lat.interior].T * h).T
+    psi[:, lat.interior] = _poisson_solver(d, n).solve(R[:, lat.interior].T * h).T
     ptil = np.zeros_like(P)
     ptil[..., lat.real] = np.take(P, lat.real, axis=-1) - homlab.cell._differences(lat, psi, h)
     div = np.zeros((m, lat.N))
@@ -519,7 +541,7 @@ def reference_solve(problem, tol, max_iter):
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
     ratio = default_step_ratio(grid, xi)
     tau, sigma = ratio / L, 1.0 / (ratio * L)
-    lu = _laplacian_lu(d, n)
+    poisson = _poisson_solver(d, n)
     v = np.zeros((m,) + grid.node_shape)
     wxi = xib * lam_n[None]
     nrm = np.sqrt(np.sum(wxi * wxi, axis=(0, 1)))
@@ -540,7 +562,7 @@ def reference_solve(problem, tol, max_iter):
             primal_n = _primal_normalized(v, xib, lam_n, h, d)
             if primal_n < best_primal:
                 best_primal, best_v = primal_n, v.copy()
-            best_dual = max(best_dual, min(_certified_dual(p, lam_n, xi, h, lu), best_primal))
+            best_dual = max(best_dual, min(_certified_dual(p, lam_n, xi, h, poisson), best_primal))
             primal_rep = unit * best_primal + lam0_total
             dual_rep = unit * best_dual + lam0_total
             gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
@@ -717,6 +739,8 @@ def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):
 
 
 def test_concurrent_solves_of_one_size_factor_the_laplacian_once(monkeypatch):
+    # only 1-d repairs factor; n = 25200 makes 25201 dual entries, large
+    # enough for the pool, so the three solves run concurrently
     factored = []
     inner = homlab.cell.splu
 
@@ -725,14 +749,14 @@ def test_concurrent_solves_of_one_size_factor_the_laplacian_once(monkeypatch):
         time.sleep(0.1)  # keep the other threads waiting on the cache miss
         return inner(A, **kwargs)
 
-    homlab.cell._laplacian_lu.cache_clear()
+    homlab.cell._poisson_solver.cache_clear()
     monkeypatch.setattr(homlab.cell, "splu", slow_counting_splu)
-    # n = 128: large enough for the pool, so the three solves run concurrently
-    tasks = [SolveTask(const_spec(), 0, r, 64.0, np.array([[1.0, 0.0]]))
+    tasks = [SolveTask(const_spec(d=1), 0, r, 12_600.0, np.array([[1.0]]))
              for r in range(3)]
+    assert 25_201 >= homlab.cell._POOL_MIN_DUAL
     reports = list(solve_many(tasks, workers=3))
     assert all(rep.converged for rep in reports)
-    assert len(factored) == 1
+    assert factored == [(25_199, 25_199)]
 
 
 def test_only_large_lattices_go_to_the_pool(monkeypatch):

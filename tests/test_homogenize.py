@@ -159,8 +159,9 @@ def test_subadditivity_rejects_unsplittable_mesh():
 def test_stationarity_matched_shift_is_exact():
     report = check_stationarity_in_law(IID_U12, E1, t=4, z=(1.0, 0.0), n_real=12, seed=0)
     assert report.details["matched_max_diff"] == 0.0
-    assert report.details["two_sample"].same_law
     # both claims hold: the weights match and the two samples agree in law
+    ts = report.details["two_sample"]
+    assert list(report.details["lower"]) == [0.0, ts.threshold - ts.statistic]
     assert (report.holds, report.fails) == (2, 0)
     assert report.passed
 

@@ -117,9 +117,8 @@ def test_one_executor_runs_every_thread():
                      "cell.py:solve_many": {"ThreadPoolExecutor"}}
 
 
-def test_only_the_normal_law_helper_imports_scipy_special():
-    # scipy.special costs a run about 3.5 MB and 50 ms to load, and only the
-    # lognormal law and the random slopes need it
+def _importers(prefix):
+    """'module:top-level name' of every import of a module under ``prefix``."""
     importers = []
     for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -128,9 +127,26 @@ def test_only_the_normal_law_helper_imports_scipy_special():
                 names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                          else [f"{node.module}.{alias.name}" for alias in node.names]
                          if isinstance(node, ast.ImportFrom) and node.module else [])
-                if any(name.startswith("scipy.special") for name in names):
+                if any(name.startswith(prefix) for name in names):
                     importers.append(f"{path.name}:{getattr(top, 'name', ast.unparse(top))}")
-    assert importers == ["randomness.py:_special"]
+    return importers
+
+
+def test_only_the_normal_law_helper_imports_scipy_special():
+    # scipy.special costs a run about 3.5 MB and 50 ms to load, and only the
+    # lognormal law and the random slopes need it
+    assert _importers("scipy.special") == ["randomness.py:_special"]
+
+
+def test_only_the_1d_repair_imports_scipy_sparse():
+    # scipy.sparse costs a run about 27 MB and 0.19 s to load, and only the
+    # tridiagonal LU of a 1-d repair needs it: splu and that branch
+    assert _importers("scipy.sparse") == ["cell.py:splu", "cell.py:_poisson_solver"]
+    tree = ast.parse(Path(homlab.cell.__file__).read_text(encoding="utf-8"))
+    solver = next(top for top in tree.body if getattr(top, "name", "") == "_poisson_solver")
+    branch = next(node for node in solver.body if isinstance(node, ast.If))
+    assert ast.unparse(branch.test) == "d == 1"
+    assert any(isinstance(node, ast.Import) for node in ast.walk(branch))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -152,11 +168,14 @@ def test_growth_constants_draw_the_monte_carlo_table_once(d, monkeypatch):
     assert sizes.count(integrand._MC_BUDGET) == d
 
 
-@pytest.mark.parametrize("d, n, max_mnnz", [(3, 24, 0.3), (2, 128, 0.1)])
-def test_poisson_factor_fill_stays_small(d, n, max_mnnz):
-    # the entries of L + U bound the factor's memory: 3.335 and 0.653
-    # Mnnz when the Laplacian was factored in the lattice basis
-    assert homlab.cell._laplacian_lu(d, n).lu.nnz <= max_mnnz * 1e6
+@pytest.mark.parametrize("d, n", [(3, 24), (2, 128)])
+def test_poisson_solver_stores_no_sparse_factor(d, n):
+    # a solve needs only the sine matrix and 1 / E; a sparse factor's fill
+    # grows far faster with n and set a run's memory
+    poisson = homlab.cell._poisson_solver(d, n)
+    arrays = list(vars(poisson).values())
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    assert sum(a.size for a in arrays) <= (n - 1) ** 2 + (n - 1) ** d
 
 
 def test_only_run_decides_the_verdict():
