@@ -38,13 +38,21 @@ primal energy and the certificate all run on it, and match the plain
 Poisson solve is exact in the sine basis when d >= 2, where the interior
 Laplacian is diagonal: 2d dense sine products per solve and no factor; the
 1-d tridiagonal one gets a sparse LU per grid size.
-A solve folds 1/h and rho into h^(d-1) step arrays, 0 on ghosts and the
-boundary: step_p = sigma h^d / h, xs = sigma h^d xi, step_v = rho tau h^d / h.
-With D = h G the raw differences, a step (21 numpy calls in 2-d, m = 1)
-projects the gradient buffer D vbar step_p + xs + P in place, then runs
-P += rho (projected - P), V -= U, U = D^T P step_v = rho u' and
-Vbar = V - 2 U / rho; no copy of the old p is kept.  The ghosts' entries
-are exactly 0 and get unit radii or axes, so both projections keep them 0.
+With D = h G the raw differences and c_p = sigma h^d / h, the primal
+iterate is W = c_p (v + xi.x), x the node coordinates from the lowest
+corner: D W = sigma h^d (G v + xi) on every real cell, the whole dual
+step before p is added, and W stays c_p xi.x on the boundary.  A step
+(18 numpy calls in 2-d, m = 1) projects the gradient buffer D Wbar + P in
+place, the projection returning rho times the projected point, then runs
+P <- (1 - rho) P + that, W -= U, U = D^T P step_w = c_p rho u' (step_w is
+c_p rho tau h^d / h on interior nodes, 0 on the boundary) and
+Wbar = W - 2 U / rho; no copy of the old p is kept.  The gap checks read
+v = W / c_p - xi.x on interior nodes and set it exactly 0 on the boundary,
+so the primal is the energy of an admissible v and that v is the minimizer
+returned.  The ghosts get unit radii or axes.  Their entries of G and P
+are bounded (a projected point is in a unit ball, and P contracts by
+|1 - rho| < 1 before it is added), and no real cell, interior node or
+certificate reads them.
 projections.Ellipsoids, one per solve, holds the axes-only terms and each
 cell's multiplier, the Newton warm start of the next iteration.
 """
@@ -219,14 +227,15 @@ class SolveReport:
 
 class _Lattice:
     """The padded node lattice of n^d cells, flat in C order: N = (n+1)^d
-    nodes, cell k at its lowest-corner node k; ``real`` indexes the cells
-    with every coordinate below n, ``interior`` the nodes off the boundary."""
+    nodes, cell k at its lowest-corner node k; ``coords`` holds each node's
+    integer coordinates, (d, N), ``real`` indexes the cells with every
+    coordinate below n, ``interior`` the nodes off the boundary."""
 
     def __init__(self, d: int, n: int):
         self.d = d
         self.N = (n + 1) ** d
         self.strides = [(n + 1) ** (d - 1 - j) for j in range(d)]
-        coords = np.indices((n + 1,) * d).reshape(d, self.N)
+        self.coords = coords = np.indices((n + 1,) * d).reshape(d, self.N)
         self.real = np.flatnonzero(np.all(coords < n, axis=0))
         self.interior = np.flatnonzero(np.all((coords > 0) & (coords < n), axis=0))
 
@@ -400,6 +409,9 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     N = lat.N
     lam_k = lam_n.reshape(d, -1)
     xi_col = xi.reshape(m, d, 1)
+    rho = _RELAXATION
+    c_p = sigma * hd / h  # W = c_p (v + xi.x) carries the slope
+    X = sum(xi[:, j, None] * (lat.coords[j] * h) for j in range(d))  # xi.x on the nodes
     V, U = np.zeros((m, N)), np.zeros((m, N))
     G, P = np.zeros((m, d, N)), np.zeros((m, d, N))
     xin = float(np.sqrt((xi * xi).sum()))
@@ -418,25 +430,27 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         nrm = np.sqrt(np.sum(wxi * wxi, axis=(0, 1)))
         with np.errstate(invalid="ignore", divide="ignore"):
             P[..., lat.real] = np.where(nrm > 0, xi_col * lam_k[None] ** 2 / nrm, 0.0)
-    Vbar = V.copy()
-    step_p, step_v, xs = np.zeros(N), np.zeros(N), np.zeros((m, d, N))
-    step_p[lat.real] = sigma * hd / h
-    xs[..., lat.real] = xi_col * (sigma * hd)
-    step_v[lat.interior] = _RELAXATION * tau * hd / h
-    axes = np.ones((d, N))  # ghost cells get unit axes; their G is 0, so it stays 0
+    W = (V + X) * c_p
+    Wbar = W.copy()
+    step_w = np.zeros(N)
+    step_w[lat.interior] = c_p * (rho * tau * hd / h)
+    axes = np.ones((d, N))  # ghost cells get unit axes
     axes[:, lat.real] = lam_k
     radii = axes[0]  # all rows agree when iso
     balls = None if iso else Ellipsoids(axes)  # carries each cell's multiplier across steps
-    grad_views, adjoint_views = lat.diff_views(Vbar, G), lat.adjoint_views(P, U)
+    grad_views, adjoint_views = lat.diff_views(Wbar, G), lat.adjoint_views(P, U)
+    interior, X_in = lat.interior, X[:, lat.interior]
 
-    best_primal, best_dual, best_v = math.inf, -math.inf, V.copy()
+    best_primal, best_dual, best_v = math.inf, -math.inf, V
     it = next_check = checks = 0
     interval = 20  # iterations to the second gap check, then 1.3x per check
     while True:
         if it >= next_check or it >= max_iter:
+            V = np.zeros((m, N))  # exactly 0 on the boundary
+            V[:, interior] = W[:, interior] / c_p - X_in
             primal_n = hd * float(_cell_norms(lat, V, xi, lam_k, h).sum())
             if primal_n < best_primal:
-                best_primal, best_v = primal_n, V.copy()
+                best_primal, best_v = primal_n, V
             dual_n = _certified_dual(lat, P, lam_k, xi, h, poisson)
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
@@ -453,22 +467,19 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
                     or not (math.isfinite(primal_n) and math.isfinite(dual_n)))
         if done or it >= max_iter:
             break
-        _forward(grad_views)  # G = D vbar
-        G *= step_p  # sigma h^d / h on real cells, 0 on ghosts
-        G += xs  # sigma h^d xi on real cells, 0 on ghosts
+        _forward(grad_views)  # G = D Wbar, sigma h^d (grad vbar + xi) on real cells
         G += P
         if iso:
-            project_radial(G, radii)
+            project_radial(G, radii, rho)
         else:
-            project_ellipsoid(G, balls)
-        G -= P  # P <- P + rho (projected - P)
-        G *= _RELAXATION
+            project_ellipsoid(G, balls, rho)
+        P *= 1.0 - rho  # P <- P + rho (projected - P)
         P += G
-        V -= U  # U is rho u for the p before this step
+        W -= U  # U is c_p rho u for the p before this step
         _adjoint(adjoint_views)  # U = D^T P
-        U *= step_v  # rho tau h^d / h on interior nodes, 0 on the boundary
-        np.multiply(U, -2.0 / _RELAXATION, out=Vbar)  # Vbar = V - 2 u
-        Vbar += V
+        U *= step_w  # c_p rho tau h^d / h on interior nodes, 0 on the boundary
+        np.multiply(U, -2.0 / rho, out=Wbar)  # Wbar = W - 2 c_p u
+        Wbar += W
         it += 1
 
     return SolveReport(primal=primal_rep, dual=dual_rep, gap=gap, iterations=it,

@@ -522,11 +522,12 @@ def test_relaxation_cuts_iterations_on_degenerate_laws(monkeypatch):
 def reference_solve(problem, tol, max_iter):
     """solve_cell without the padded lattice: the same slope and weight
     normalization, warm start, step sizes, check schedule, over-relaxed step
-    in the same operation order (1/h and rho folded into the step sizes) and
-    warm-started ellipsoid multipliers, with each iteration built from _grad,
-    _grad_adjoint and the projections on (m, d, *cells) arrays, and the
-    certificate from _primal_normalized and the array _certified_dual.
-    Returns (primal, dual, iterations, minimizer)."""
+    in the same operation order (the slope carried in the primal iterate
+    w = c_p (v + xi.x), 1/h folded into c_p and the step size, rho into the
+    projection's scale) and warm-started ellipsoid multipliers, with each
+    iteration built from _grad, _grad_adjoint and the projections on
+    (m, d, *cells) arrays, and the certificate from _primal_normalized and
+    the array _certified_dual.  Returns (primal, dual, iterations, minimizer)."""
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
     hd = h ** d
@@ -541,7 +542,12 @@ def reference_solve(problem, tol, max_iter):
     L = 2.0 * math.sqrt(d) * h ** (d - 1)
     ratio = default_step_ratio(grid, xi)
     tau, sigma = ratio / L, 1.0 / (ratio * L)
+    rho = homlab.cell._RELAXATION
+    c_p = sigma * hd / h
     poisson = _poisson_solver(d, n)
+    x = np.indices(grid.node_shape) * h  # node coordinates from the lowest corner
+    slope = sum(xib[:, j] * x[j] for j in range(d))  # xi.x, (m, *(n+1)^d)
+    interior = (slice(None),) + (slice(1, n),) * d
     v = np.zeros((m,) + grid.node_shape)
     wxi = xib * lam_n[None]
     nrm = np.sqrt(np.sum(wxi * wxi, axis=(0, 1)))
@@ -553,15 +559,18 @@ def reference_solve(problem, tol, max_iter):
         nodes = np.arange(n + 1, dtype=float)
         v = xi[:, 0:1] * (np.where(nodes > k_star, grid.side, 0.0) - h * nodes)[None, :]
         p = np.repeat(((xi[:, 0] / xin) * float(lam_n[0, k_star]))[:, None, None], n, axis=2)
-    vbar, u, rho = v.copy(), np.zeros_like(v), homlab.cell._RELAXATION
+    w = (v + slope) * c_p
+    wbar, u = w.copy(), np.zeros_like(w)
     balls = None if iso else Ellipsoids(lam_n)  # carries multipliers across iterations
-    best_primal, best_dual, best_v = math.inf, -math.inf, v.copy()
+    best_primal, best_dual, best_v = math.inf, -math.inf, v
     it, next_check, interval = 0, 0, 20
     while True:
         if it >= next_check or it >= max_iter:
+            v = np.zeros_like(w)
+            v[interior] = w[interior] / c_p - slope[interior]
             primal_n = _primal_normalized(v, xib, lam_n, h, d)
             if primal_n < best_primal:
-                best_primal, best_v = primal_n, v.copy()
+                best_primal, best_v = primal_n, v
             best_dual = max(best_dual, min(_certified_dual(p, lam_n, xi, h, poisson), best_primal))
             primal_rep = unit * best_primal + lam0_total
             dual_rep = unit * best_dual + lam0_total
@@ -572,12 +581,12 @@ def reference_solve(problem, tol, max_iter):
             interval = min(int(interval * 1.3) + 1, 250)
         if it >= max_iter:
             break
-        arg = _grad(vbar, 1.0) * (sigma * hd / h) + xib * (sigma * hd) + p
-        p_new = project_radial(arg, lam_n[0]) if iso else project_ellipsoid(arg, balls)
-        p = p + (p_new - p) * rho
-        v = v - u  # u is rho tau h^d D^T p / h for the p before this step
-        u = _grad_adjoint(p, 1.0) * (rho * tau * hd / h)
-        vbar = u * (-2.0 / rho) + v
+        arg = _grad(wbar, 1.0) + p
+        g = project_radial(arg, lam_n[0], rho) if iso else project_ellipsoid(arg, balls, rho)
+        p = p * (1.0 - rho) + g
+        w = w - u  # u is c_p rho tau h^d D^T p / h for the p before this step
+        u = _grad_adjoint(p, 1.0) * (c_p * (rho * tau * hd / h))
+        wbar = u * (-2.0 / rho) + w
         it += 1
     return primal_rep, dual_rep, it, best_v * c
 
@@ -617,6 +626,23 @@ def test_lattice_loop_is_bit_identical_to_reference(name, tol):
         dens = np.sqrt(np.sum(w * w, axis=(0, 1))) + problem.lam0
         density = grid.h ** grid.dimension * dens
         assert problem.energy_density(rep.minimizer).tobytes() == density.tobytes()
+
+
+@pytest.mark.parametrize("aniso", [False, True], ids=["iso", "aniso"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_minimizer_vanishes_exactly_on_the_boundary(d, m, aniso):
+    # the primal is the energy of the returned minimizer, so that must be a
+    # competitor: exactly 0 on every boundary node, not 0 up to roundoff.
+    # In 1-d the closed-form start certifies at check 0
+    problem = _bitwise_case(d=d, m=m, aniso=aniso)
+    for k in (0, 1, 7, 60, 150_000):
+        rep = solve_cell(problem, max_iter=k)
+        assert rep.primal == pytest.approx(problem.energy(rep.minimizer), rel=1e-13), k
+        for axis in range(1, d + 1):
+            ends = np.moveaxis(rep.minimizer, axis, 0)[[0, -1]]
+            assert np.all(ends == 0.0), (k, axis)
+    assert rep.converged
 
 
 def test_solver_input_validation():

@@ -12,9 +12,19 @@ from scipy.optimize import brentq
 import homlab.projections
 from homlab import DistributionSpec, FieldSpec, IidCubes, sample_field, solve_cell
 from homlab.cell import cell_problem_on_cube
-from homlab.projections import (_A, _NEWTON_MAX, _NEWTON_RTOL, Ellipsoids, _shrink, _sum_rows,
+from homlab.projections import (_A, _NEWTON_MAX, _NEWTON_RTOL, Ellipsoids, _shrink,
                                 project_ellipsoid, project_radial)
 from homlab.randomness import keyed_uniform
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum the m * d rows of an (m, d, *cells) array one by one, in order,
+    into a new array: the order of the projections' sums of squares."""
+    rows = a.reshape((-1,) + a.shape[2:])
+    total = rows[0] + rows[1] if len(rows) > 1 else rows[0].copy()
+    for row in rows[2:]:
+        total += row
+    return total
 
 
 def ell_norm(q, s):
@@ -55,6 +65,44 @@ def test_radial_out_is_bit_identical_to_the_shrink_formula(m, d):
     q = p.copy()
     assert project_radial(q, radii) is q
     assert q.tobytes() == want
+
+
+def _scaled_case(m, d, cells=400):
+    # a third of the cells inside their balls, the rest up to 1e3 outside
+    rng = np.random.default_rng(10 * m + d)
+    axes = 10.0 ** rng.uniform(-2.0, 0.0, (d, cells))
+    p = rng.normal(size=(m, d, cells))
+    p *= axes[None] / np.sqrt(np.sum((p / axes[None]) ** 2, axis=(0, 1)))
+    return p * 10.0 ** rng.uniform(-0.5, 3.0, cells), axes
+
+
+@pytest.mark.parametrize("scale", [1.9, 0.3, 0.5, 4.0])
+@pytest.mark.parametrize("m, d", [(1, 1), (1, 2), (2, 2), (1, 3), (3, 3)])
+def test_scale_multiplies_the_projection(m, d, scale):
+    # the solver folds its relaxation rho into the projection's last factor,
+    # so p f s is rounded as p (f s), where s times the unscaled result rounds
+    # it as (p f) s: two roundings each, so they may differ by 2 ulps (the
+    # most seen on these cases); a power-of-two scale is exact either way
+    p, axes = _scaled_case(m, d)
+    radii = axes[0]
+    pairs = []
+    q1, qs = p.copy(), p.copy()
+    assert project_radial(qs, radii, scale) is qs
+    pairs.append((project_radial(q1, radii), qs))
+    b1, bs = Ellipsoids(axes), Ellipsoids(axes)
+    for call in range(3):  # warm-started calls carry the same multipliers
+        q1, qs = p * (1.0 + 0.01 * call), p * (1.0 + 0.01 * call)
+        assert project_ellipsoid(qs, bs, scale) is qs
+        pairs.append((project_ellipsoid(q1, b1), qs))
+        assert bs.nu.tobytes() == b1.nu.tobytes()
+    q1, qs = p * 1e-4, p * 1e-4  # every cell inside
+    assert project_ellipsoid(qs, bs, scale) is qs
+    pairs.append((project_ellipsoid(q1, b1), qs))
+    for unscaled, scaled in pairs:
+        if scale in (0.5, 4.0):
+            assert scaled.tobytes() == (unscaled * scale).tobytes()
+        else:
+            np.testing.assert_array_max_ulp(scaled, unscaled * scale, maxulp=2)
 
 
 @pytest.mark.parametrize("radius", [1e-300, 1.0, 1e300])
