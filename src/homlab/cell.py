@@ -21,11 +21,24 @@ lower-order total is added).  Reported values are restored to the
 original scale, so scaling Lambda and lam, or xi without lam, by a power
 of two scales primal, dual and minimizer exactly and changes nothing else.
 
-The iteration is over-relaxed (Condat 2013, Alg. 3.2).  With u = tau h^d
-G^T p, one step sets p~ = proj(p + sigma h^d (G vbar + xi)), then
+The iteration is over-relaxed (Condat 2013, Alg. 3.2).  With u = T h^d
+G^T p, one step sets p~ = proj(p + Sigma h^d (G vbar + xi)), then
 p <- p + rho (p~ - p) and v <- v - rho u, then vbar = v - 2 u' with
-u' = tau h^d G^T p for the new p.  rho = _RELAXATION = 1.9; any rho in
-(0, 2) converges at these step sizes, and rho = 1 is plain Chambolle-Pock.
+u' = T h^d G^T p for the new p.  With isotropic weights Sigma = sigma,
+T = tau and proj is the Euclidean projection onto the dual balls.  With
+anisotropic ones both steps are diagonally preconditioned (Pock &
+Chambolle, ICCV 2011).  Sigma = sigma omega, where omega_Kj =
+(s_Kj / max_i s_Ki)^2 <= 1 for the semiaxes s_K = diag Lambda_K of cell
+K's dual ball, and proj projects in the metric Sigma^-1, where it is the
+closed-form shrink q / max(1, |q/s|_F) (the projections module says why).
+T = tau kappa, where kappa_x = 2d / (omega summed over the 2d grid edges
+at node x) is in [1, 2d]: it gives back to the primal step what omega
+takes from the dual one.  Every row of |K|, K = h^d G, sums to at most
+2 h^(d-1) and column x of Sigma |K| to sigma h^(d-1) times that sum of
+omega, so Cauchy-Schwarz on each row gives |Sigma^(1/2) K T^(1/2)|^2 <=
+4 d sigma tau h^(2d-2) = sigma tau L^2 = 1, the bound of the isotropic
+steps.  rho = _RELAXATION = 1.9; any rho in (0, 2) converges at these
+step sizes, and rho = 1 is plain Chambolle-Pock.
 The gap checks certify the relaxed pair (v, p): a relaxed p may leave the
 dual balls, and the repair in _certified_dual rescales it back into them.
 
@@ -42,19 +55,21 @@ With D = h G the raw differences and c_p = sigma h^d / h, the primal
 iterate is W = c_p (v + xi.x), x the node coordinates from the lowest
 corner: D W = sigma h^d (G v + xi) on every real cell, the whole dual
 step before p is added, and W stays c_p xi.x on the boundary.  A step
-(18 numpy calls in 2-d, m = 1) projects the gradient buffer D Wbar + P in
-place, the projection returning rho times the projected point, then runs
+(18 numpy calls in 2-d, m = 1; 20 with anisotropic weights, which
+multiply D Wbar by omega and divide by the semiaxes in the projection)
+projects the gradient buffer D Wbar + P in place, the projection
+returning rho times the projected point, then runs
 P <- (1 - rho) P + that, W -= U, U = D^T P step_w = c_p rho u' (step_w is
-c_p rho tau h^d / h on interior nodes, 0 on the boundary) and
+c_p rho T h^d / h on interior nodes, 0 on the boundary) and
 Wbar = W - 2 U / rho; no copy of the old p is kept.  The gap checks read
 v = W / c_p - xi.x on interior nodes and set it exactly 0 on the boundary,
 so the primal is the energy of an admissible v and that v is the minimizer
-returned.  The ghosts get unit radii or axes.  Their entries of G and P
-are bounded (a projected point is in a unit ball, and P contracts by
-|1 - rho| < 1 before it is added), and no real cell, interior node or
-certificate reads them.
-projections.Ellipsoids, one per solve, holds the axes-only terms and each
-cell's multiplier, the Newton warm start of the next iteration.
+returned.  The ghosts get unit radii or axes, so omega 1.  Their entries
+of G and P are bounded (a projected point is in a unit ball, and P
+contracts by |1 - rho| < 1 before it is added), and no real cell, interior
+node or certificate reads them.  omega, kappa and the projection's
+divisors depend on the weights alone, so a solve computes them once; a
+projection carries nothing from one step to the next.
 """
 
 from __future__ import annotations
@@ -71,7 +86,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldSample, FieldSpec, sample_field
-from .projections import Ellipsoids, project_ellipsoid, project_radial
+from .projections import (ellipsoid_bounds, ellipsoid_weights, project_ellipsoid,
+                          project_radial)
 
 _RELAXATION = 1.9  # rho of the over-relaxed step, in (0, 2)
 
@@ -345,7 +361,8 @@ def _certified_dual(lat: _Lattice, P, lam, xi, h, poisson) -> float:
     psi[:, lat.interior] = poisson.solve(R[:, lat.interior].T * h).T
     ptil = np.take(P, lat.real, axis=-1) - _differences(lat, psi, h)
     ratio = ptil / lam[None]
-    nb = np.sqrt(np.sum(ratio * ratio, axis=(0, 1)))
+    with np.errstate(over="ignore"):  # an infinite norm scales ptil to 0, still a bound
+        nb = np.sqrt(np.sum(ratio * ratio, axis=(0, 1)))
     mx = float(nb.max())
     s = 1.0 if mx <= 1.0 else 1.0 / mx
     return s * h**lat.d * float((ptil.sum(axis=-1) * xi).sum())
@@ -437,7 +454,12 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     axes = np.ones((d, N))  # ghost cells get unit axes
     axes[:, lat.real] = lam_k
     radii = axes[0]  # all rows agree when iso
-    balls = None if iso else Ellipsoids(axes)  # carries each cell's multiplier across steps
+    if not iso:  # the preconditioned steps (see the module docstring)
+        omega, bounds = ellipsoid_weights(axes), ellipsoid_bounds(axes)
+        near = omega.sum(axis=0)  # omega over the 2d edges at each node
+        for j, s in enumerate(lat.strides):
+            near[s:] += omega[j, :N - s]
+        step_w[lat.interior] *= 2 * d / near[lat.interior]  # T = tau kappa
     grad_views, adjoint_views = lat.diff_views(Wbar, G), lat.adjoint_views(P, U)
     interior, X_in = lat.interior, X[:, lat.interior]
 
@@ -468,16 +490,18 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         if done or it >= max_iter:
             break
         _forward(grad_views)  # G = D Wbar, sigma h^d (grad vbar + xi) on real cells
+        if not iso:
+            G *= omega  # the dual step Sigma = sigma omega
         G += P
         if iso:
             project_radial(G, radii, rho)
         else:
-            project_ellipsoid(G, balls, rho)
+            project_ellipsoid(G, bounds, rho)
         P *= 1.0 - rho  # P <- P + rho (projected - P)
         P += G
         W -= U  # U is c_p rho u for the p before this step
         _adjoint(adjoint_views)  # U = D^T P
-        U *= step_w  # c_p rho tau h^d / h on interior nodes, 0 on the boundary
+        U *= step_w  # c_p rho T h^d / h on interior nodes, 0 on the boundary
         np.multiply(U, -2.0 / rho, out=Wbar)  # Wbar = W - 2 c_p u
         Wbar += W
         it += 1

@@ -1,65 +1,36 @@
-"""Projections onto the per-cell dual balls {p : |p diag(s)^{-1}|_F <= 1}.
+"""Projections onto the per-cell dual balls {q : |q diag(s)^{-1}|_F <= 1}.
 
-The ball is an axis-aligned ellipsoid whose semiaxis for every column j
-(repeated over the m rows) is s_j.  The general projection finds the
-Lagrange multiplier nu >= 0 of
+The ball of a cell is an axis-aligned ellipsoid whose semiaxis for every
+column j (repeated over the m rows) is s_j; when all semiaxes of a cell
+agree it is a sphere of radius s.  Both projections are closed form.
 
-    phi(nu) = sum_ij (p_ij * s_j / (s_j^2 + nu))^2 = 1.
+project_radial is the Euclidean projection onto a sphere, the shrink
+q min(1, r / |q|_F).  The Euclidean projection onto an ellipsoid has no
+closed form, so the solver projects in another metric instead: its
+preconditioned dual step (Pock & Chambolle, ICCV 2011) takes the step
+Sigma = sigma omega with omega_j = (s_j / max_i s_i)^2 on each cell, and
+projects in the norm |x|_{Sigma^-1}^2 = sum_ij x_ij^2 / (sigma omega_j),
+which is (max_i s_i)^2 / sigma times sum_ij (x_ij / s_j)^2.  In y = x / s
+both that distance and the ball are Euclidean (|y - q/s|, |y|_F <= 1), so
+the projection is the radial shrink y = (q/s) / max(1, |q/s|_F), that is
+x = q / max(1, |q/s|_F): each block shrinks along its own ray.  With
+omega <= 1 the iteration converges at the step sizes of the isotropic one
+(homlab.cell says how its primal step takes back the difference).
 
-Newton runs on the secular form g(nu) = phi(nu)^(-1/2) = 1 (More &
-Sorensen, "Computing a trust region step", 1983).  g is increasing and
-concave, so its tangent lies above it: from a start left of the root
-Newton climbs to the root without overshooting, and from a start right
-of it one step lands at or left of the root and the climb begins there.
-The solver passes each cell's multiplier from one iteration to the next,
-where the dual iterate barely moves, so a call needs a few steps instead
-of a climb from 0 (a warm start, as in Conn, Gould & Toint,
-"Trust-Region Methods", 2000, ch. 7).
-
-A solve builds one Ellipsoids from its semiaxes.  It holds every term
-that depends on the semiaxes alone, computed once, and the multipliers,
-so a call does only the work that depends on p.  It also holds the
-projection's scratch arrays, made on the first call from the shape of p:
-a call writes every intermediate into them with ``out=`` and sums rows
-one by one, in order, into a buffer, so it allocates nothing and does the
-same floating-point operations in the same order as one that allocates.
-On the small lattices of a solve a call costs numpy call overhead more
-than arithmetic.  Each solve owns its Ellipsoids, so solves on pool
-threads share no scratch.  The root lies in
-[0, hi] with hi = sum_ij |p_ij s_j|, which makes phi(hi) <= 1, and every
-start and every Newton step is clipped into it: NaN and negative values
-become 0, values above hi (+inf too) become hi.  By the concavity above
-no bracket is needed: a step from right of the root lands at or left of
-it or is clipped to 0, and the climb from there never passes the root,
-so in exact arithmetic each cell restarts from 0 at most once.  Each
-cell is frozen as soon as |phi - 1| <= _NEWTON_RTOL.  Replaying the 2239
-projections of the anisotropic benchmark ladder (2-d, up to 289 lattice
-cells), a call takes 3.24 Newton trips and 11 calls restart a cell from 0.
-
-Each cell is scaled by k = 2^-e, where 2^(e-1) <= max_j s_j < 2^e: a
-power of two, so the scaling is exact, and the multipliers are kept in
-these units, as k^2 nu.  phi is summed from (p_ij s_j / (s_j^2 + nu))^2,
-never from (s_j^2 + nu)^2, and the Newton step from weights in [0, 1], so
-semiaxes that span 1e-120 to 1 within a cell neither underflow into a
-division nor overflow a term, as long as every |p_ij / s_j| is below
-1e154.  Their sum, phi(0) = |p/s|_F^2, may still exceed the largest
-double, so every sum of squares runs on its terms times _A^2 = 1/16: exact,
-and finite for m d <= 28.  An overflowing phi(0) would make the first step
-+inf, the clip send it to hi and the next step back to 0, trip after trip.
-When all semiaxes of a cell agree the ellipsoid is a sphere and the
-projection is the closed-form radial shrinkage.  Both projections
-overwrite p in place with ``scale`` times the projection and return it:
-the solver's over-relaxation multiplies the projected point by rho, and
-folding it into the per-cell factor spares a pass over p.
+The squares of q/s are summed as those of _A q/s, an exact power-of-two
+scale: every term stays finite while |q_ij / s_j| is below 1e154 and the
+sum for m d <= 28 does too, and semiaxes from 1e-120 to 1 in one cell are
+divided by, never squared.  Both projections overwrite p in place with
+``scale`` times the projection and return it: the solver's
+over-relaxation multiplies the projected point by rho, and folding it into
+the per-cell factor spares a pass over p.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_NEWTON_MAX = 80
-_NEWTON_RTOL = 1e-13
-_A = 0.25  # the exact scale of every term under a sum of squares
+_A = 0.25  # the exact scale of every ratio under a sum of squares
 
 
 def _shrink(p: np.ndarray, sq: np.ndarray, radii, scale: float = 1.0) -> np.ndarray:
@@ -83,113 +54,29 @@ def project_radial(p: np.ndarray, radii: np.ndarray, scale: float = 1.0) -> np.n
     return _shrink(p, np.einsum("ij...,ij...->...", p, p), radii, scale)
 
 
-class Ellipsoids:
-    """The dual balls {q : |q diag(axes)^{-1}|_F <= 1} of one solve.
+def ellipsoid_weights(axes: np.ndarray) -> np.ndarray:
+    """The dual step weights omega_j = (s_j / max_i s_i)^2 of each cell, for
+    semiaxes ``axes`` of shape (d, *cells), all > 0.  Every weight is at most
+    1, and exactly 1 on a cell's largest semiaxis; it underflows to 0 where
+    a semiaxis is below 1e-162 of its cell's largest."""
+    top = axes / axes.max(axis=0)
+    return top * top
 
-    ``axes``, the semiaxes, has shape (d, *cells) with positive entries and
-    stays fixed for the solve, so everything that depends on it alone is
-    computed here once: ``axes`` holds s_j / _A, and with k the power-of-two
-    scale of each cell, ``s2`` = (k s_j)^2 and ``sk2`` = _A k^2 s_j.  ``nu``
-    holds each cell's multiplier, as k^2 nu, from one projection to the next
-    (zeros: a cold start); a projection clips it into its
-    [0, sum_ij |p_ij s_j|] before it starts.  The scratch arrays of the
-    projection are made on its first call, sized from that call's p, and
-    reused by every later call on a p of that shape.
+
+def ellipsoid_bounds(axes: np.ndarray) -> np.ndarray:
+    """The divisors project_ellipsoid takes for semiaxes ``axes``: s / _A,
+    exact, since _A is a power of two."""
+    return axes / _A
+
+
+def project_ellipsoid(p: np.ndarray, bounds: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Shrink each cell's (m, d) block q to q / max(1, |q diag(s)^-1|_F),
+    its projection onto the ellipsoid in the metric of the module
+    docstring, and multiply it by ``scale``, in place.
+
+    p has shape (m, d, *cells) and ``bounds``, ellipsoid_bounds of the
+    semiaxes, shape (d, *cells).  Blocks already inside are only multiplied
+    by ``scale``.  Returns p.
     """
-
-    def __init__(self, axes: np.ndarray):
-        self.axes = axes[None] / _A  # broadcasts against p of shape (m, d, *cells)
-        # exact power-of-two scale per cell: the largest semiaxis goes to [1/2, 1)
-        k = np.ldexp(1.0, -np.frexp(axes.max(axis=0))[1])
-        s_k = axes * k
-        self.s2 = s_k * s_k
-        self.sk2 = s_k * k * _A  # p * sk2 is _A p_ij s_j in scaled units
-        self.nu = np.zeros(axes.shape[1:])
-        self.ps = None
-
-    def _scratch(self, shape) -> None:
-        self.ps = np.empty(shape)  # _A p_ij s_j in scaled units
-        self.w = np.empty(shape)  # the per-entry terms, summed row by row
-        self.rows = tuple(self.w.reshape((-1,) + shape[2:]))
-        self.denom = np.empty_like(self.s2)
-        self.hi, self.phi, self.rate, self.step = (np.empty_like(self.nu) for _ in range(4))
-        self.inside, self.alive = np.empty(self.nu.shape, bool), np.empty(self.nu.shape, bool)
-
-    def _sum_w(self, out: np.ndarray) -> np.ndarray:
-        """Sum the rows of ``w`` one by one, in order, into ``out``."""
-        rows = self.rows
-        if len(rows) > 1:
-            np.add(rows[0], rows[1], out=out)
-        else:
-            np.copyto(out, rows[0])
-        for row in rows[2:]:
-            out += row
-        return out
-
-
-def project_ellipsoid(p: np.ndarray, balls: Ellipsoids, scale: float = 1.0) -> np.ndarray:
-    """Project per-cell blocks onto the balls of ``balls`` and multiply them
-    by ``scale``, in place.
-
-    p has shape (m, d, *cells).  Cells already inside are only multiplied
-    by ``scale``.  Returns p.  Newton starts from ``balls.nu`` clipped into
-    [0, sum_ij |p_ij s_j|] (NaN counts as 0, inside cells start at 0), and
-    on return ``balls.nu`` holds this call's multipliers, 0 on inside cells.
-    """
-    if balls.ps is None or balls.ps.shape != p.shape:
-        balls._scratch(p.shape)
-    s2, nu, ps, w, denom = balls.s2, balls.nu, balls.ps, balls.w, balls.denom
-    hi, phi, rate, step = balls.hi, balls.phi, balls.rate, balls.step
-    inside, alive = balls.inside, balls.alive
-
-    np.divide(p, balls.axes, out=w)  # _A p_ij / s_j
-    w *= w
-    np.less_equal(balls._sum_w(phi), _A * _A, out=inside)
-    if np.count_nonzero(inside) == inside.size:
-        nu[...] = 0.0
-        p *= scale
-        return p
-
-    np.multiply(p, balls.sk2, out=ps)
-    np.abs(ps, out=w)
-    balls._sum_w(hi)
-    hi /= _A  # phi(hi) <= 1, so the root lies in [0, hi]
-    # the carried start, clipped (NaN to 0) and updated in place
-    np.fmin(np.fmax(nu, 0.0, out=nu), hi, out=nu)
-    np.copyto(nu, 0.0, where=inside)
-    np.logical_not(inside, out=alive)
-    for _ in range(_NEWTON_MAX):
-        np.add(s2, nu, out=denom)
-        np.divide(ps, denom, out=w)
-        w *= w
-        balls._sum_w(phi)  # _A^2 phi
-        # inside is free from here on: it holds this trip's unfrozen cells
-        np.subtract(phi, _A * _A, out=step)
-        np.greater(np.abs(step, out=step), _NEWTON_RTOL * _A * _A, out=inside)
-        alive &= inside
-        if not np.count_nonzero(alive):
-            break
-        # Newton on g = phi^(-1/2) = 1: nu += (1 - g) / g' = (sqrt(phi) - 1) / rate
-        # with rate = -phi' / (2 phi) = sum_ij (w_ij / phi) / denom_j, summed
-        # from weights in [0, 1] so that it does not overflow; on the scaled
-        # sums this is (sqrt(_A^2 phi) - _A) / (_A rate), bit for bit the
-        # same; the floors spare zero blocks a 0/0
-        w /= np.maximum(phi, 1e-300, out=step)
-        w /= denom
-        np.multiply(balls._sum_w(rate), _A, out=rate)
-        np.maximum(rate, 1e-300, out=rate)
-        np.sqrt(phi, out=step)
-        step -= _A
-        step /= rate
-        step += nu
-        np.copyto(nu, np.fmin(np.fmax(step, 0.0, out=step), hi, out=step), where=alive)
-
-    # inside cells have nu = 0, so their factors below are exactly 1
-    np.add(s2, nu, out=denom)
-    p *= np.divide(s2, denom, out=denom)
-    # Force strict feasibility against roundoff (dual values must certify).
-    np.divide(p, balls.axes, out=w)
-    w *= w
-    # _shrink onto the radius _A and scale; _A * scale is exact, _A a power of two
-    np.maximum(np.sqrt(balls._sum_w(phi), out=phi), _A, out=phi)
-    return np.multiply(p, np.divide(_A * scale, phi, out=phi), out=p)
+    r = np.divide(p, bounds)  # _A q_ij / s_j
+    return _shrink(p, np.einsum("ij...,ij...->...", r, r), _A, scale)

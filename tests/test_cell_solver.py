@@ -20,10 +20,11 @@ from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
                     cube_grid, load_minimizer, sample_field, save_minimizer,
                     solve_cell, solve_many)
 from homlab.cell import _Lattice, _poisson_solver, default_step_ratio, slope_unit
-from homlab.projections import Ellipsoids, project_ellipsoid, project_radial
+from homlab.projections import ellipsoid_bounds, project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
 U12 = DistributionSpec.uniform(1.0, 2.0)
+U14 = DistributionSpec.uniform(1.0, 4.0)
 TP = DistributionSpec.two_point(1.0, 0.5, 2.0)
 
 
@@ -455,10 +456,13 @@ def test_heavy_tail_weights_still_certify():
     (2, U12, None),
     (3, U12, None),
     (2, DistributionSpec.lognormal(0.0, 1.0), U12),
-], ids=["2d", "3d", "2d-lognormal-lower"])
+    (2, (U12, U14), None),
+    (3, (U12, U14, U12), None),
+], ids=["2d", "3d", "2d-lognormal-lower", "2d-aniso", "3d-aniso"])
 def test_certificate_is_invariant_under_weight_scaling(d, law, lower):
     # the energy is 1-homogeneous in (Lambda, lam): scaling both by 2^k
-    # is exact in floating point, so the run must not change at all
+    # is exact in floating point, so the run must not change at all; on
+    # anisotropic laws the step weights omega are ratios of the weights
     spec = FieldSpec(dimension=d, structure=IidCubes(), diagonal=law, lower_order=lower)
     xi = np.array([[1.0, 0.5] + [0.0] * (d - 2)])
     prob = cell_problem_on_cube(sample_field(spec, 0), 4.0, xi)
@@ -470,6 +474,7 @@ def test_certificate_is_invariant_under_weight_scaling(d, law, lower):
         assert (rep.iterations, rep.converged, rep.gap) == (
             base.iterations, base.converged, base.gap), k
         assert (rep.primal, rep.dual) == (base.primal * s, base.dual * s), k
+        assert rep.minimizer.tobytes() == base.minimizer.tobytes(), k
 
 
 def test_tiny_heavy_tailed_weights_certify_a_relative_gap():
@@ -524,9 +529,10 @@ def reference_solve(problem, tol, max_iter):
     normalization, warm start, step sizes, check schedule, over-relaxed step
     in the same operation order (the slope carried in the primal iterate
     w = c_p (v + xi.x), 1/h folded into c_p and the step size, rho into the
-    projection's scale) and warm-started ellipsoid multipliers, with each
-    iteration built from _grad, _grad_adjoint and the projections on
-    (m, d, *cells) arrays, and the certificate from _primal_normalized and
+    projection's scale, the anisotropic dual step weighted by
+    omega = (s / max s)^2 per cell and the primal one by kappa per node),
+    with each iteration built from _grad, _grad_adjoint and the projections
+    on (m, d, *cells) arrays, and the certificate from _primal_normalized and
     the array _certified_dual.  Returns (primal, dual, iterations, minimizer)."""
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
@@ -561,7 +567,16 @@ def reference_solve(problem, tol, max_iter):
         p = np.repeat(((xi[:, 0] / xin) * float(lam_n[0, k_star]))[:, None, None], n, axis=2)
     w = (v + slope) * c_p
     wbar, u = w.copy(), np.zeros_like(w)
-    balls = None if iso else Ellipsoids(lam_n)  # carries multipliers across iterations
+    top = lam_n / lam_n.max(axis=0)
+    omega = top ** 2
+    step = np.full(grid.node_shape, c_p * (rho * tau * hd / h))
+    if not iso:  # kappa = 2d / (omega summed over the 2d edges at each interior node)
+        inner = (slice(1, n),) * d
+        near = omega[(slice(None),) + inner].sum(axis=0)
+        for j in range(d):
+            below = tuple(slice(0, n - 1) if k == j else slice(1, n) for k in range(d))
+            near += omega[j][below]
+        step[inner] *= 2 * d / near
     best_primal, best_dual, best_v = math.inf, -math.inf, v
     it, next_check, interval = 0, 0, 20
     while True:
@@ -581,11 +596,13 @@ def reference_solve(problem, tol, max_iter):
             interval = min(int(interval * 1.3) + 1, 250)
         if it >= max_iter:
             break
-        arg = _grad(wbar, 1.0) + p
-        g = project_radial(arg, lam_n[0], rho) if iso else project_ellipsoid(arg, balls, rho)
+        if iso:
+            g = project_radial(_grad(wbar, 1.0) + p, lam_n[0], rho)
+        else:
+            g = project_ellipsoid(_grad(wbar, 1.0) * omega + p, ellipsoid_bounds(lam_n), rho)
         p = p * (1.0 - rho) + g
-        w = w - u  # u is c_p rho tau h^d D^T p / h for the p before this step
-        u = _grad_adjoint(p, 1.0) * (c_p * (rho * tau * hd / h))
+        w = w - u  # u is c_p rho T h^d D^T p / h for the p before this step
+        u = _grad_adjoint(p, 1.0) * step
         wbar = u * (-2.0 / rho) + w
         it += 1
     return primal_rep, dual_rep, it, best_v * c

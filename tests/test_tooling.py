@@ -178,6 +178,14 @@ def test_poisson_solver_stores_no_sparse_factor(d, n):
     assert sum(a.size for a in arrays) <= (n - 1) ** 2 + (n - 1) ** d
 
 
+def test_projections_hold_no_loop():
+    # both projections are closed form: a per-cell iterative solve, such as
+    # a Newton loop on a secular equation, costs far more per call
+    tree = ast.parse((Path(homlab.__file__).parent / "projections.py").read_text(encoding="utf-8"))
+    assert not [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
+
+
 def test_only_run_decides_the_verdict():
     # a handler that set the verdict itself could pass a run its report
     # fails; each returns (passed, n_flagged) for run to apply
