@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 import homlab.projections
 from homlab import (CellProblem, DistributionSpec, FieldSpec, IidCubes, sample_field,
@@ -217,6 +217,31 @@ def test_ellipsoid_is_the_minimizer_in_its_metric():
     assert outside > 20
 
 
+def brentq_projection(p, s):
+    """Independent single-cell oracle from the projection's KKT system in
+    its metric: stationarity gives x = p / (1 + nu), and on an active cell
+    the multiplier nu >= 0 is brentq's root of sum_ij (p_ij / s_j)^2 /
+    (1 + nu)^2 = 1, bracketed by [0, |p/s|_F^2]."""
+    sq = float(((p / s[None]) ** 2).sum())
+    if sq <= 1.0:
+        return p.copy()
+    nu = brentq(lambda x: sq / (1.0 + x) ** 2 - 1.0, 0.0, sq, xtol=1e-15, rtol=1e-15)
+    return p / (1.0 + nu)
+
+
+def test_ellipsoid_against_brentq_oracle():
+    rng_p = keyed_uniform(9, "op", np.arange(2 * 3 * 25)).reshape(2, 3, 25)
+    p = (rng_p - 0.5) * 8.0
+    axes = keyed_uniform(10, "oa", np.arange(3 * 25)).reshape(3, 25) * 3.0 + 0.05
+    q = ellipsoid(p, axes)
+    outside = 0
+    for cell in range(25):
+        want = brentq_projection(p[:, :, cell], axes[:, cell])
+        assert np.allclose(q[:, :, cell], want, atol=1e-12, rtol=1e-12), cell
+        outside += not np.array_equal(want, p[:, :, cell])
+    assert outside > 20
+
+
 def test_ellipsoid_idempotent():
     p = (keyed_uniform(11, "idem", np.arange(1 * 2 * 30)).reshape(1, 2, 30)
          - 0.5) * 20.0
@@ -286,12 +311,28 @@ def test_ellipsoid_out_may_alias_p():
     assert q[:, :, inside].tobytes() == p[:, :, inside].tobytes()
 
 
+def allocating_project_ellipsoid(q, axes, scale):
+    """The shrink of project_ellipsoid written out with fresh arrays: the
+    squares of q / (s / _A) summed row by row, in order, then one factor
+    per cell."""
+    r = q / (axes[None] / _A)
+    total = r[0, 0] * r[0, 0]
+    for i in range(q.shape[0]):
+        for j in range(q.shape[1]):
+            if i or j:
+                total = total + r[i, j] * r[i, j]
+    return q * (scale * (_A / np.maximum(np.sqrt(total), _A)))
+
+
 @pytest.mark.parametrize("low", [-3.0, -120.0])
 @pytest.mark.parametrize("m, d", [(m, d) for d in (1, 2, 3) for m in range(1, 9 // d + 1)])
-def test_ellipsoid_out_is_bit_identical_to_the_shrink_formula(m, d, low):
-    # a solve's calls: the point drifts from call to call, jumps now and then,
-    # and some calls find every cell inside or every cell outside.  Entries of
-    # p/s spread over six decades, so the row-by-row sum of squares rounds
+def test_workspace_keeps_the_bits_of_the_allocating_projection(m, d, low):
+    # project_ellipsoid works in place, in p and one per-cell buffer that
+    # holds the sum of squares and then the factors; it must give the bits
+    # of the allocating formula on a solve's calls: the point drifts from
+    # call to call, jumps now and then, and some calls find every cell
+    # inside or every cell outside.  Entries of p/s spread over six
+    # decades, so each order of the row sums rounds differently
     rng = np.random.default_rng(100 * m + d)
     cells = 40
     axes = 10.0 ** rng.uniform(low, 0.0, (d, cells))
@@ -300,22 +341,17 @@ def test_ellipsoid_out_is_bit_identical_to_the_shrink_formula(m, d, low):
     p = dirs * axes[None] * 10.0 ** rng.uniform(-0.5, 3.0, cells)
     bounds = ellipsoid_bounds(axes)
     kinds = set()
-    for call in range(12):
+    for call in range(24):
         p = p * (1.0 + (0.5 if call % 8 == 7 else 1e-3) * rng.normal(size=p.shape))
         q = p * {5: 1e-8, 6: 1e8}.get(call, 1.0)  # all inside, then all outside
         outside = ell_norm(q, axes) > 1.0
         kinds.add("all outside" if outside.all() else "all inside" if not outside.any()
                   else "mixed")
-        r = q / (axes[None] / _A)
-        total = r[0, 0] * r[0, 0]
-        for i in range(m):
-            for j in range(d):
-                if i or j:
-                    total = total + r[i, j] * r[i, j]
-        want = q * (1.9 * (_A / np.maximum(np.sqrt(total), _A)))
+        scale = 1.0 if call % 2 else 1.9
         with np.errstate(divide="raise", invalid="raise", over="raise"):
+            want = allocating_project_ellipsoid(q, axes, scale)
             got = q.copy()
-            assert project_ellipsoid(got, bounds, 1.9) is got
+            assert project_ellipsoid(got, bounds, scale) is got
         assert got.tobytes() == want.tobytes(), call
     assert kinds == {"all outside", "all inside", "mixed"}
 
