@@ -70,6 +70,18 @@ contracts by |1 - rho| < 1 before it is added), and no real cell, interior
 node or certificate reads them.  omega, kappa and the projection's
 divisors depend on the weights alone, so a solve computes them once; a
 projection carries nothing from one step to the next.
+
+Precision.  A large lattice (_large_lattice: a dual array of at least
+_LARGE_DUAL entries, where arithmetic rather than call overhead sets the
+cost of a step) whose normalized weights are all normal float32 numbers
+iterates in float32: the warm start and check 0 run in float64, then W,
+Wbar, U, G, P and the step arrays are cast to float32.  Every gap check
+still runs in float64, on exact casts of W and P, so the reported bounds
+are float64 functions of the iterate whatever its precision.  float32
+steps can stall a few decades above tol, so the first check after check
+0 whose gap is not strictly below the previous check's casts the iterate
+back to float64, where it stays.  Every other lattice runs in float64
+throughout.
 """
 
 from __future__ import annotations
@@ -79,7 +91,6 @@ import json
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,6 +101,19 @@ from .projections import (ellipsoid_bounds, ellipsoid_weights, project_ellipsoid
                           project_radial)
 
 _RELAXATION = 1.9  # rho of the over-relaxed step, in (0, 2)
+
+# Smallest dual array, m*d*(n+1)^d entries, of a large lattice: there
+# arithmetic, not the overhead of short numpy calls, sets the cost of a
+# step, so its solve goes to the pool and iterates in float32.  Below it
+# the calls hold the GIL and threads slow a solve: four solves on 2 CPUs
+# at workers 1 -> 2 took 3.6 -> 4.0 s at 18,818 entries, tied at 22,050
+# and 24,000 and took 5.9 -> 5.2 s at 25,538 (README, Performance).
+_LARGE_DUAL = 25_000
+
+
+def _large_lattice(m: int, d: int, n: int) -> bool:
+    """Whether the dual array of m rows on n^d cells is large."""
+    return m * d * (n + 1) ** d >= _LARGE_DUAL
 
 
 @dataclass(frozen=True)
@@ -460,20 +484,27 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
         for j, s in enumerate(lat.strides):
             near[s:] += omega[j, :N - s]
         step_w[lat.interior] *= 2 * d / near[lat.interior]  # T = tau kappa
+    else:
+        omega = bounds = None
+    f64_steps = (step_w, radii, omega, bounds)
     grad_views, adjoint_views = lat.diff_views(Wbar, G), lat.adjoint_views(P, U)
     interior, X_in = lat.interior, X[:, lat.interior]
+    # a large lattice iterates in float32 after check 0 (module docstring)
+    single = _large_lattice(m, d, n) and float(lam_n.min()) >= np.finfo(np.float32).tiny
 
     best_primal, best_dual, best_v = math.inf, -math.inf, V
     it = next_check = checks = 0
+    last_gap = math.inf
     interval = 20  # iterations to the second gap check, then 1.3x per check
     while True:
         if it >= next_check or it >= max_iter:
             V = np.zeros((m, N))  # exactly 0 on the boundary
-            V[:, interior] = W[:, interior] / c_p - X_in
+            V[:, interior] = W[:, interior].astype(np.float64, copy=False) / c_p - X_in
             primal_n = hd * float(_cell_norms(lat, V, xi, lam_k, h).sum())
             if primal_n < best_primal:
                 best_primal, best_v = primal_n, V
-            dual_n = _certified_dual(lat, P, lam_k, xi, h, poisson)
+            dual_n = _certified_dual(lat, P.astype(np.float64, copy=False), lam_k, xi, h,
+                                     poisson)
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
             checks += 1
@@ -487,6 +518,15 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             # can only rise: the first such check ends the solve uncertified
             done = (converged or dual_rep == math.inf
                     or not (math.isfinite(primal_n) and math.isfinite(dual_n)))
+            if single and checks > 1 and not gap < last_gap:
+                single = False  # float64 for good
+            last_gap = gap
+            if not done and single != (W.dtype == np.float32):  # cast, rebuild the views
+                dtype = np.float32 if single else np.float64
+                W, Wbar, U, G, P = (a.astype(dtype) for a in (W, Wbar, U, G, P))
+                step_w, radii, omega, bounds = (
+                    a if a is None else a.astype(dtype, copy=False) for a in f64_steps)
+                grad_views, adjoint_views = lat.diff_views(Wbar, G), lat.adjoint_views(P, U)
         if done or it >= max_iter:
             break
         _forward(grad_views)  # G = D Wbar, sigma h^d (grad vbar + xi) on real cells
@@ -538,33 +578,26 @@ def _solve_task(task: SolveTask) -> SolveReport:
     return solve_cell(problem, tol=task.tol)
 
 
-# Smallest dual array, m*d*(n+1)^d entries, whose solve goes to the pool;
-# below it short numpy calls hold the GIL and threads slow a solve.  Four
-# solves on 2 CPUs at workers 1 -> 2: 3.6 -> 4.0 s at 18,818 entries, ties
-# at 22,050 and 24,000, 5.9 -> 5.2 s at 25,538 (README, Performance).
-_POOL_MIN_DUAL = 25_000
-
-
 def solve_many(tasks, workers: int = 1):
     """Yield one SolveReport per task, in task order.
 
     With one worker this is a plain generator that solves each task when
     it is asked for, so a caller that reduces as it goes holds a single
     minimizer at a time.  With more workers, each run of consecutive
-    tasks whose dual array holds at least ``_POOL_MIN_DUAL`` entries goes
-    to a thread pool and every other task is solved in the calling
-    thread, where threads would only trade the GIL.  Every solve goes
-    through this module's ``solve_cell``, which is what instrumentation
-    that rebinds it sees.
+    tasks on large lattices (``_large_lattice``) goes to a thread pool and
+    every other task is solved in the calling thread, where threads would
+    only trade the GIL.  Every solve goes through this module's
+    ``solve_cell``, which is what instrumentation that rebinds it sees.
     """
     if workers <= 1:
         yield from map(_solve_task, tasks)
         return
+    from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
 
     def pooled(task):
         d = task.spec.dimension
         n = cube_grid(d, task.t, task.cells_per_unit).cells
-        return np.atleast_2d(task.xi).shape[0] * d * (n + 1) ** d >= _POOL_MIN_DUAL
+        return _large_lattice(np.atleast_2d(task.xi).shape[0], d, n)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for large, run in itertools.groupby(tasks, pooled):

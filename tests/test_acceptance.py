@@ -249,7 +249,8 @@ def test_criterion_11_gluing_inequality(tmp_path):
 
 def test_criterion_12_reproducibility(tmp_path, monkeypatch):
     # t = 56 is n = 112 at 2 cells per unit, 2 * 113^2 = 25538 dual entries:
-    # large enough for the pool, so its solves run on pool threads at 8 workers
+    # a large lattice, so its solves iterate in float32 and run on pool
+    # threads at 8 workers
     raw = {
         "command": "verify-bounds",
         "field": {"dimension": 2, "structure": {"kind": "iid_cubes"},
@@ -261,7 +262,7 @@ def test_criterion_12_reproducibility(tmp_path, monkeypatch):
         "tol": 1e-2,
         "seed": 0,
     }
-    assert 2 * (2 * 56 + 1) ** 2 >= homlab.cell._POOL_MIN_DUAL
+    assert homlab.cell._large_lattice(1, 2, 112)
     inner, threads = homlab.cell.solve_cell, []
 
     def solve_cell(problem, **kwargs):

@@ -54,7 +54,7 @@ def _grad_adjoint(p: np.ndarray, h: float) -> np.ndarray:
     """Adjoint of _grad onto interior nodes (boundary rows zeroed)."""
     m, d = p.shape[0], p.shape[1]
     n = p.shape[2]
-    u = np.zeros((m,) + (n + 1,) * d)
+    u = np.zeros((m,) + (n + 1,) * d, dtype=p.dtype)
     base = tuple(slice(0, n) for _ in range(d))
     low = (slice(None),) + base
     for j in range(d):
@@ -243,6 +243,27 @@ def test_lattice_laplacian_solves_like_the_kron_sum(d, n):
     # the solution, and with it the residual's roundoff, grows like n^2 |rhs|
     eps = np.finfo(float).eps
     assert np.abs(A @ x - rhs).max() <= 4 * eps * n**2 * np.abs(rhs).max()
+
+
+def test_only_a_pool_loads_concurrent_futures():
+    # the executor, and the logging it imports, load only for workers > 1
+    code = (
+        "import sys, tempfile\n"
+        "import homlab.cli\n"
+        "from homlab.config import parse_config_dict\n"
+        "from homlab.runner import run\n"
+        "cfg = {'command': 'solve-cell', 'field': {'dimension': 2, 'structure':"
+        " {'kind': 'iid_cubes'}, 'diagonal': {'kind': 'uniform', 'a': 1.0, 'b': 2.0}},"
+        " 'xi': 'e1', 't_list': [2], 'n_real': 2, 'tol': 1e-5, 'seed': 0}\n"
+        "for workers in (1, 2):\n"
+        "    with tempfile.TemporaryDirectory() as out:\n"
+        "        assert run(parse_config_dict(cfg), workers=workers, out_dir=out)[0] == 0\n"
+        "    print('concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_only_a_1d_solve_loads_scipy_sparse():
@@ -452,23 +473,28 @@ def test_heavy_tail_weights_still_certify():
     assert rep.gap <= 1e-5
 
 
-@pytest.mark.parametrize("d, law, lower", [
-    (2, U12, None),
-    (3, U12, None),
-    (2, DistributionSpec.lognormal(0.0, 1.0), U12),
-    (2, (U12, U14), None),
-    (3, (U12, U14, U12), None),
-], ids=["2d", "3d", "2d-lognormal-lower", "2d-aniso", "3d-aniso"])
-def test_certificate_is_invariant_under_weight_scaling(d, law, lower):
+@pytest.mark.parametrize("d, law, lower, t", [
+    (2, U12, None, 4.0),
+    (3, U12, None, 4.0),
+    (2, DistributionSpec.lognormal(0.0, 1.0), U12, 4.0),
+    (2, (U12, U14), None, 4.0),
+    (3, (U12, U14, U12), None, 4.0),
+    (3, U12, None, 10.0),
+    (3, (U12, U14, U12), U12, 10.0),
+], ids=["2d", "3d", "2d-lognormal-lower", "2d-aniso", "3d-aniso", "3d-large",
+        "3d-large-aniso-lower"])
+def test_certificate_is_invariant_under_weight_scaling(d, law, lower, t):
     # the energy is 1-homogeneous in (Lambda, lam): scaling both by 2^k
     # is exact in floating point, so the run must not change at all; on
-    # anisotropic laws the step weights omega are ratios of the weights
+    # anisotropic laws the step weights omega are ratios of the weights.
+    # At t = 10 the lattice is large and iterates in float32 (fewer scales
+    # keep the test short)
     spec = FieldSpec(dimension=d, structure=IidCubes(), diagonal=law, lower_order=lower)
     xi = np.array([[1.0, 0.5] + [0.0] * (d - 2)])
-    prob = cell_problem_on_cube(sample_field(spec, 0), 4.0, xi)
+    prob = cell_problem_on_cube(sample_field(spec, 0), t, xi)
     base = solve_cell(prob)
     assert base.converged
-    for k in range(-60, 61):
+    for k in range(-60, 61, 1 if t == 4.0 else 15):
         s = 2.0 ** k
         rep = solve_cell(CellProblem(prob.grid, prob.xi, prob.lam * s, prob.lam0 * s))
         assert (rep.iterations, rep.converged, rep.gap) == (
@@ -524,7 +550,7 @@ def test_relaxation_cuts_iterations_on_degenerate_laws(monkeypatch):
     assert sum(a.iterations for a in relaxed) <= 0.7 * sum(b.iterations for b in plain)
 
 
-def reference_solve(problem, tol, max_iter):
+def reference_solve(problem, tol, max_iter, switches=None):
     """solve_cell without the padded lattice: the same slope and weight
     normalization, warm start, step sizes, check schedule, over-relaxed step
     in the same operation order (the slope carried in the primal iterate
@@ -533,7 +559,12 @@ def reference_solve(problem, tol, max_iter):
     omega = (s / max s)^2 per cell and the primal one by kappa per node),
     with each iteration built from _grad, _grad_adjoint and the projections
     on (m, d, *cells) arrays, and the certificate from _primal_normalized and
-    the array _certified_dual.  Returns (primal, dual, iterations, minimizer)."""
+    the array _certified_dual.  The same precision rule: on a large lattice
+    whose normalized weights are normal float32 numbers the steps after check
+    0 run in float32, until the first check that does not lower the gap; the
+    checks run on float64 casts.  The iteration of each change of precision
+    is appended to ``switches``.  Returns (primal, dual, iterations,
+    minimizer)."""
     grid = problem.grid
     d, n, m, h = grid.dimension, grid.cells, grid.components, grid.h
     hd = h ** d
@@ -577,43 +608,58 @@ def reference_solve(problem, tol, max_iter):
             below = tuple(slice(0, n - 1) if k == j else slice(1, n) for k in range(d))
             near += omega[j][below]
         step[inner] *= 2 * d / near
+    single = (m * d * (n + 1) ** d >= homlab.cell._LARGE_DUAL
+              and lam_n.min() >= np.finfo(np.float32).tiny)
+    weights = [lam_n, omega, step]  # in the iterate's precision
     best_primal, best_dual, best_v = math.inf, -math.inf, v
-    it, next_check, interval = 0, 0, 20
+    it, next_check, interval, checks, last_gap = 0, 0, 20, 0, math.inf
     while True:
         if it >= next_check or it >= max_iter:
-            v = np.zeros_like(w)
-            v[interior] = w[interior] / c_p - slope[interior]
+            v = np.zeros(w.shape)
+            v[interior] = w[interior].astype(float) / c_p - slope[interior]
             primal_n = _primal_normalized(v, xib, lam_n, h, d)
             if primal_n < best_primal:
                 best_primal, best_v = primal_n, v
-            best_dual = max(best_dual, min(_certified_dual(p, lam_n, xi, h, poisson), best_primal))
+            best_dual = max(best_dual, min(_certified_dual(p.astype(float), lam_n, xi, h,
+                                                           poisson), best_primal))
             primal_rep = unit * best_primal + lam0_total
             dual_rep = unit * best_dual + lam0_total
             gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
             if gap <= tol:
                 break
+            checks += 1
+            if single and checks > 1 and not gap < last_gap:
+                single = False
+            last_gap = gap
             next_check = it + interval
             interval = min(int(interval * 1.3) + 1, 250)
         if it >= max_iter:
             break
+        if single != (w.dtype == np.float32):
+            dtype = np.float32 if single else np.float64
+            w, wbar, u, p = (a.astype(dtype) for a in (w, wbar, u, p))
+            weights = [a.astype(dtype) for a in (lam_n, omega, step)]
+            if switches is not None:
+                switches.append(it)
+        lam_it, omega_it, step_it = weights
         if iso:
-            g = project_radial(_grad(wbar, 1.0) + p, lam_n[0], rho)
+            g = project_radial(_grad(wbar, 1.0) + p, lam_it[0], rho)
         else:
-            g = project_ellipsoid(_grad(wbar, 1.0) * omega + p, ellipsoid_bounds(lam_n), rho)
+            g = project_ellipsoid(_grad(wbar, 1.0) * omega_it + p, ellipsoid_bounds(lam_it), rho)
         p = p * (1.0 - rho) + g
         w = w - u  # u is c_p rho T h^d D^T p / h for the p before this step
-        u = _grad_adjoint(p, 1.0) * step
+        u = _grad_adjoint(p, 1.0) * step_it
         wbar = u * (-2.0 / rho) + w
         it += 1
     return primal_rep, dual_rep, it, best_v * c
 
 
-def _bitwise_case(d, m, aniso=False, lower=False, cells_per_unit=2):
+def _bitwise_case(d, m, aniso=False, lower=False, cells_per_unit=2, t=None):
     diagonal = (U12, TP, DistributionSpec.lognormal(0.0, 1.0))[:d] if aniso else TP
     spec = FieldSpec(dimension=d, structure=IidCubes(), diagonal=diagonal,
                      lower_order=U12 if lower else None)
     xi = keyed_uniform(5, "xi", np.arange(m * d)).reshape(m, d) - 0.25
-    t = {1: 8.0, 2: 4.0, 3: 2.0}[d]
+    t = t or {1: 8.0, 2: 4.0, 3: 2.0}[d]
     return cell_problem_on_cube(sample_field(spec, 3), t, xi, cells_per_unit)
 
 
@@ -625,6 +671,8 @@ BITWISE_CASES = {
     "2d-aniso-h-third": dict(d=2, m=2, aniso=True, cells_per_unit=3),
     "3d": dict(d=3, m=1), "3d-m2-lower": dict(d=3, m=2, lower=True),
     "3d-aniso-h-third": dict(d=3, m=1, aniso=True, cells_per_unit=3),
+    # 3 * 21^3 = 27783 dual entries: a large lattice, iterated in float32
+    "3d-large": dict(d=3, m=1, t=10.0), "3d-large-aniso": dict(d=3, m=1, aniso=True, t=10.0),
 }
 
 
@@ -643,6 +691,57 @@ def test_lattice_loop_is_bit_identical_to_reference(name, tol):
         dens = np.sqrt(np.sum(w * w, axis=(0, 1))) + problem.lam0
         density = grid.h ** grid.dimension * dens
         assert problem.energy_density(rep.minimizer).tobytes() == density.tobytes()
+
+
+def test_weights_below_float32_tiny_keep_the_float64_loop(monkeypatch):
+    # a normalized weight that is not a normal float32 would round to 0 or
+    # lose bits as a radius, so that large lattice iterates in float64 as
+    # a small one does: the run is the reference's with float32 ruled out
+    problem = _bitwise_case(**BITWISE_CASES["3d-large"])
+    lam = problem.lam.copy()
+    lam[0, 3, 4, 5] = 1e-39 * lam.max()
+    problem = CellProblem(problem.grid, problem.xi, lam, problem.lam0)
+    reports = [solve_cell(problem, tol=1e-300, max_iter=k) for k in (1, 7, 60)]
+    monkeypatch.setattr(homlab.cell, "_LARGE_DUAL", math.inf)
+    for k, rep in zip((1, 7, 60), reports):
+        primal, dual, iterations, minimizer = reference_solve(problem, 1e-300, k)
+        assert (rep.primal, rep.dual, rep.iterations) == (primal, dual, iterations)
+        assert rep.minimizer.tobytes() == minimizer.tobytes()
+
+
+def _degenerate_problem(law, t=8.0):
+    return cell_problem_on_cube(
+        sample_field(FieldSpec(dimension=2, structure=IidCubes(), diagonal=law), 0, 0),
+        t, np.array([[1.0, 0.0]]))
+
+
+def test_a_stalled_float32_solve_finishes_in_float64(monkeypatch):
+    # with every lattice counted large, every step after check 0 starts in
+    # float32.  Plain float32 stalls on two_point(0.01, 1) at gap 1.6e-5
+    # (60,000 iterations); the switch to float64 certifies each law in at
+    # most 10% more iterations than float64 throughout, on an interval that
+    # overlaps the float64 one
+    problems = [_degenerate_problem(law) for law in DEGENERATE_LAWS.values()]
+    plain = [solve_cell(prob) for prob in problems]
+    monkeypatch.setattr(homlab.cell, "_LARGE_DUAL", 0)
+    for name, prob, b in zip(DEGENERATE_LAWS, problems, plain):
+        a = solve_cell(prob)
+        assert a.converged and b.converged, name
+        assert a.dual <= b.primal and b.dual <= a.primal, name
+        assert a.iterations <= 1.1 * b.iterations, name
+
+
+def test_the_switch_to_float64_is_bit_identical_to_reference(monkeypatch):
+    # on two_point(0.01, 1) the check at iteration 20 does not lower the
+    # gap, so float32 runs from check 0 to there and float64 from there on
+    monkeypatch.setattr(homlab.cell, "_LARGE_DUAL", 0)
+    problem = _degenerate_problem(DEGENERATE_LAWS["two_point(0.01,0.5,1)"])
+    switches = []
+    primal, dual, iterations, minimizer = reference_solve(problem, 1e-5, 60, switches)
+    assert switches == [0, 20]
+    rep = solve_cell(problem, max_iter=60)
+    assert (rep.primal, rep.dual, rep.iterations) == (primal, dual, iterations)
+    assert rep.minimizer.tobytes() == minimizer.tobytes()
 
 
 @pytest.mark.parametrize("aniso", [False, True], ids=["iso", "aniso"])
@@ -796,7 +895,7 @@ def test_concurrent_solves_of_one_size_factor_the_laplacian_once(monkeypatch):
     monkeypatch.setattr(homlab.cell, "splu", slow_counting_splu)
     tasks = [SolveTask(const_spec(d=1), 0, r, 12_600.0, np.array([[1.0]]))
              for r in range(3)]
-    assert 25_201 >= homlab.cell._POOL_MIN_DUAL
+    assert homlab.cell._large_lattice(1, 1, 25_200)
     reports = list(solve_many(tasks, workers=3))
     assert all(rep.converged for rep in reports)
     assert factored == [(25_199, 25_199)]
@@ -811,8 +910,11 @@ def test_only_large_lattices_go_to_the_pool(monkeypatch):
         return problem.grid.side, problem.xi.shape[0]
 
     monkeypatch.setattr(homlab.cell, "solve_cell", recording_solve_cell)
-    # m*d*(n+1)^d = 24642, 25088, 25600 and 12800 dual entries, about 25000
+    # m*d*(n+1)^d = 24642, 25088, 25600 and 12800 dual entries, about the
+    # 25000 of the size rule that also picks each solve's precision
     keys = [(55.0, 1), (55.5, 1), (39.5, 2), (39.5, 1)]
+    assert [homlab.cell._large_lattice(m, 2, cube_grid(2, t).cells) for t, m in keys] == [
+        False, True, True, False]
     tasks = [SolveTask(const_spec(), 0, r, t, np.ones((m, 2)))
              for r, (t, m) in enumerate(keys)]
     assert list(solve_many(tasks, workers=3)) == keys
