@@ -48,9 +48,10 @@ each at its lowest-corner node, so a cell with a coordinate n is a ghost.
 A step along axis j is the flat stride (n+1)^(d-1-j).  The iteration, the
 primal energy and the certificate all run on it, and match the plain
 (m, d, *cells) reference kept in the tests bit for bit.  The certificate's
-Poisson solve is exact in the sine basis when d >= 2, where the interior
-Laplacian is diagonal: 2d dense sine products per solve and no factor; the
-1-d tridiagonal one gets a sparse LU per grid size.
+repair needs no factor: in 1-d the divergence-free points are the
+constants, so it takes the cell mean, and from 2-d on its Poisson solve is
+exact in the sine basis, where the interior Laplacian is diagonal: 2d
+dense sine products per solve.
 With D = h G the raw differences and c_p = sigma h^d / h, the primal
 iterate is W = c_p (v + xi.x), x the node coordinates from the lowest
 corner: D W = sigma h^d (G v + xi) on every real cell, the whole dual
@@ -89,7 +90,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -272,7 +272,7 @@ class _Lattice:
     coordinate below n, ``interior`` the nodes off the boundary."""
 
     def __init__(self, d: int, n: int):
-        self.d = d
+        self.d, self.n = d, n
         self.N = (n + 1) ** d
         self.strides = [(n + 1) ** (d - 1 - j) for j in range(d)]
         self.coords = coords = np.indices((n + 1,) * d).reshape(d, self.N)
@@ -317,73 +317,59 @@ def _cell_norms(lat: _Lattice, V, xi, lam, h) -> np.ndarray:
     return np.sqrt(np.sum(w * w, axis=(0, 1)))
 
 
-# serializes cache misses, so concurrent 1-d solves of one size factor once
-_LU_LOCK = threading.Lock()
-
-
 def splu(A, **options):
-    """scipy.sparse.linalg.splu, imported on the first call: only 1-d
-    repairs factor, so a 2-d or 3-d run never loads scipy.sparse."""
+    """scipy.sparse.linalg.splu, imported on the first call.  Nothing in
+    homlab calls it: perfbench/layertrace.py hooks it, and
+    perfbench/test_bench_format.py deletes it with raising=True."""
     from scipy.sparse.linalg import splu as factor
     return factor(A, **options)
 
 
-@dataclass(frozen=True)
-class _SinePoisson:
-    """Solver of A x = rhs, rhs ((n-1)^d, m) as for a sparse factor, where
-    A = S^(x)d diag(E) S^(x)d: x = S^(x)d ((S^(x)d rhs) / E)."""
-
-    S: np.ndarray      # (n-1, n-1), orthogonal and symmetric
-    inv_E: np.ndarray  # (n-1,)*d, 1 / E
-
-    def _sines(self, x: np.ndarray) -> np.ndarray:
-        """S along every axis of each row of x, (m, (n-1)^d) in C order."""
-        k, d = len(self.S), self.inv_E.ndim
-        for j in range(d - 1):
-            x = self.S @ x.reshape(-1, k, k ** (d - 1 - j))
-        return x.reshape(-1, k) @ self.S  # the last axis; S is symmetric
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        m = rhs.shape[1]
-        y = self._sines(rhs.T).reshape((m,) + self.inv_E.shape) * self.inv_E
-        return self._sines(y).reshape(m, -1).T
-
-
 @lru_cache(maxsize=32)
-def _poisson_solver(d: int, n: int):
-    """Solver of the Dirichlet graph Laplacian on the interior nodes, the
-    kron sum A of T = tridiag(-1, 2, -1) along every axis.  The orthogonal
-    sine matrix S_jk = sqrt(2/n) sin(pi j k / n) diagonalizes T, so S^(x)d
-    diagonalizes A, with eigenvalues E = sum_j (2 - 2 cos(pi k_j / n)).  In
-    1-d, where S would hold n^2 entries and T's LU fills nothing, T is
-    factored instead."""
-    if d == 1:
-        import scipy.sparse as sp
-        T = sp.diags([2.0, -1.0, -1.0], [0, 1, -1], shape=(n - 1, n - 1), format="csc")
-        # symmetric positive definite: a symmetric ordering and no pivoting
-        return splu(T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
+def _sine_basis(d: int, n: int) -> tuple:
+    """(S, 1/E), d >= 2: the Dirichlet graph Laplacian on the interior nodes,
+    the kron sum A of T = tridiag(-1, 2, -1) along every axis, is
+    S^(x)d diag(E) S^(x)d with the orthogonal, symmetric sine matrix
+    S_jk = sqrt(2/n) sin(pi j k / n) and E = sum_j (2 - 2 cos(pi k_j / n)),
+    flat in C order."""
     k = np.arange(1, n)
     eig = 2.0 - 2.0 * np.cos(np.pi / n * k)
-    return _SinePoisson(math.sqrt(2.0 / n) * np.sin(np.pi / n * np.outer(k, k)),
-                        1.0 / sum(np.ix_(*(eig,) * d)))
+    return (math.sqrt(2.0 / n) * np.sin(np.pi / n * np.outer(k, k)),
+            1.0 / sum(np.ix_(*(eig,) * d)).ravel())
 
 
-def _certified_dual(lat: _Lattice, P, lam, xi, h, poisson) -> float:
-    """Lower bound from any dual point, made divergence-free and feasible.
+def _sines(S: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
+    """S along every axis of each row of x, (m, (n-1)^d) in C order, with no
+    axis transposed: A^-1 x = _sines(S, _sines(S, x, d) / E, d)."""
+    shape, k = x.shape, len(S)
+    for j in range(d - 1):
+        x = S @ x.reshape(-1, k, k ** (d - 1 - j))
+    return (x.reshape(-1, k) @ S).reshape(shape)  # the last axis; S is symmetric
 
-    Subtracts the gradient of a discrete Poisson solve so the repaired
-    point annihilates all interior nodes, then rescales it into the
-    dual balls (a relaxed iterate may lie outside them); the resulting
-    value bounds the discrete minimum from below (up to roundoff of the
-    sine transforms, or of the LU in 1-d).
-    """
-    m = P.shape[0]
-    R = np.zeros((m, lat.N))
+
+def _repair(lat: _Lattice, P: np.ndarray, h: float) -> np.ndarray:
+    """The divergence-free part of the dual point P on the real cells,
+    (m, d, cells): p - D psi / h, psi = 0 on the boundary and A psi = h D^T p.
+    In 1-d that is the cell mean of p per row and column, taken as
+    first + mean(p - first), first p on the first cell: a constant p is kept."""
+    p = np.take(P, lat.real, axis=-1)
+    if lat.d == 1:
+        first = p[..., :1]
+        return np.repeat(first + np.mean(p - first, axis=-1, keepdims=True), lat.n, axis=-1)
+    S, inv_E = _sine_basis(lat.d, lat.n)
+    R = np.zeros((P.shape[0], lat.N))
     _adjoint(lat.adjoint_views(P, R))  # D^T p on interior nodes
-    psi = np.zeros((m, lat.N))
-    psi[:, lat.interior] = poisson.solve(R[:, lat.interior].T * h).T
-    ptil = np.take(P, lat.real, axis=-1) - _differences(lat, psi, h)
+    psi = np.zeros_like(R)
+    psi[:, lat.interior] = _sines(S, _sines(S, R[:, lat.interior] * h, lat.d) * inv_E, lat.d)
+    return p - _differences(lat, psi, h)
+
+
+def _certified_dual(lat: _Lattice, P, lam, xi, h) -> float:
+    """Lower bound from any dual point: _repair makes it divergence-free,
+    then it is rescaled into the dual balls (a relaxed iterate may lie
+    outside them).  The value bounds the discrete minimum from below, up to
+    roundoff of the 1-d mean or of the sine transforms."""
+    ptil = _repair(lat, P, h)
     ratio = ptil / lam[None]
     with np.errstate(over="ignore"):  # an infinite norm scales ptil to 0, still a bound
         nb = np.sqrt(np.sum(ratio * ratio, axis=(0, 1)))
@@ -443,8 +429,6 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
     ratio = default_step_ratio(grid, xi)
     tau, sigma = ratio / L, 1.0 / (ratio * L)
 
-    with _LU_LOCK:
-        poisson = _poisson_solver(d, n)
     # Iterate on the padded node lattice (see the module docstring).
     lat = _Lattice(d, n)
     N = lat.N
@@ -503,8 +487,7 @@ def solve_cell(problem: CellProblem, tol: float = 1e-5,
             primal_n = hd * float(_cell_norms(lat, V, xi, lam_k, h).sum())
             if primal_n < best_primal:
                 best_primal, best_v = primal_n, V
-            dual_n = _certified_dual(lat, P.astype(np.float64, copy=False), lam_k, xi, h,
-                                     poisson)
+            dual_n = _certified_dual(lat, P.astype(np.float64, copy=False), lam_k, xi, h)
             # clamp: roundoff in the repair can edge past an exact primal
             best_dual = max(best_dual, min(dual_n, best_primal))
             checks += 1

@@ -204,11 +204,7 @@ class FieldSpec:
                 errs.append(f"laminate axis must lie in 1..{d}, got {st.axis}")
         elif isinstance(st, Periodic):
             tile = st.tile
-            if tile.ndim == d:
-                pass
-            elif tile.ndim == d + 1 and tile.shape[-1] == d:
-                pass
-            else:
+            if not (tile.ndim == d or tile.shape[d:] == (d,)):
                 errs.append(
                     f"periodic tile must have shape dims or dims+({d},), got {tile.shape}"
                 )

@@ -5,21 +5,20 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
-from scipy.sparse.linalg import splu
 
 import homlab.cell
 from homlab import (CellProblem, DistributionSpec, FieldSpec, Grid, IidCubes,
                     Laminate, SolveReport, SolveTask, assemble, cell_problem_on_cube,
                     cube_grid, load_minimizer, sample_field, save_minimizer,
                     solve_cell, solve_many)
-from homlab.cell import _Lattice, _poisson_solver, default_step_ratio, slope_unit
+from homlab.cell import (_Lattice, _repair, _sine_basis, _sines, default_step_ratio,
+                         slope_unit)
 from homlab.projections import ellipsoid_bounds, project_ellipsoid, project_radial
 from homlab.randomness import keyed_uniform
 
@@ -67,25 +66,30 @@ def _grad_adjoint(p: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _certified_dual(p, lam_n, xi, h, poisson) -> float:
+def _certified_dual(p, lam_n, xi, h) -> float:
     """Lower bound from any dual point, made divergence-free and feasible.
 
-    Subtracts the gradient of a discrete Poisson solve so the repaired
-    point annihilates all interior nodes, then rescales it into the
-    dual balls (a relaxed iterate may lie outside them); the resulting
-    value bounds the discrete minimum from below (up to roundoff of the
-    sine transforms, or of the LU in 1-d).
+    In 1-d the divergence-free points are the constants, so the repaired
+    point is the cell mean of p, first + mean(p - first); from 2-d on it
+    subtracts the gradient of a discrete Poisson solve in the cached sine
+    basis, so the repaired point annihilates all interior nodes.  Then it
+    is rescaled into the dual balls (a relaxed iterate may lie outside
+    them); the resulting value bounds the discrete minimum from below.
     """
     m = p.shape[0]
     d = p.shape[1]
     n = p.shape[2]
-    r = _grad_adjoint(p, 1.0)  # D^T p on interior nodes
-    interior = (slice(None),) + tuple(slice(1, n) for _ in range(d))
-    rhs = r[interior].reshape(m, -1).T * h
-    psi_flat = poisson.solve(rhs)
-    psi = np.zeros_like(r)
-    psi[interior] = psi_flat.T.reshape((m,) + (n - 1,) * d)
-    ptil = p - _grad(psi, h)
+    if d == 1:
+        first = p[..., :1]
+        ptil = np.repeat(first + np.mean(p - first, axis=-1, keepdims=True), n, axis=-1)
+    else:
+        r = _grad_adjoint(p, 1.0)  # D^T p on interior nodes
+        interior = (slice(None),) + tuple(slice(1, n) for _ in range(d))
+        S, inv_E = _sine_basis(d, n)
+        y = _sines(S, r[interior].reshape(m, -1) * h, d) * inv_E
+        psi = np.zeros_like(r)
+        psi[interior] = _sines(S, y, d).reshape((m,) + (n - 1,) * d)
+        ptil = p - _grad(psi, h)
     ratio = ptil / lam_n[None]
     nb = np.sqrt(np.sum(ratio * ratio, axis=(0, 1)))
     mx = float(nb.max())
@@ -226,23 +230,18 @@ def test_gradient_adjoint_identity():
                                                      rel=1e-12)
 
 
-@pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 17), (2, 128), (3, 6), (3, 24)])
+@pytest.mark.parametrize("d, n", [(2, 8), (2, 17), (2, 128), (3, 6), (3, 24)])
 def test_lattice_laplacian_solves_like_the_kron_sum(d, n):
-    # 1-d factors T = tridiag(-1, 2, -1) itself; from 2-d on the sine matrix S
-    # along every axis diagonalizes the kron sum A, and no factor is made
-    poisson = _poisson_solver(d, n)
+    # the sine matrix S along every axis diagonalizes the kron sum A, and
+    # each of the m = 2 rows of rhs is solved on its own
+    S, inv_E = _sine_basis(d, n)
+    assert np.abs(S @ S - np.eye(n - 1)).max() <= 1e-14
     A = _kron_laplacian(d, n)
-    rhs = keyed_uniform(3, "rhs", np.arange(2 * (n - 1) ** d)).reshape(-1, 2)
-    x = poisson.solve(rhs)
-    if d == 1:
-        reference = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-        assert x.tobytes() == reference.solve(rhs).tobytes()
-    else:
-        assert np.abs(poisson.S @ poisson.S - np.eye(n - 1)).max() <= 1e-14
+    rhs = keyed_uniform(3, "rhs", np.arange(2 * (n - 1) ** d)).reshape(2, -1)
+    x = _sines(S, _sines(S, rhs, d) * inv_E, d)
     # the solution, and with it the residual's roundoff, grows like n^2 |rhs|
     eps = np.finfo(float).eps
-    assert np.abs(A @ x - rhs).max() <= 4 * eps * n**2 * np.abs(rhs).max()
+    assert np.abs(A @ x.T - rhs.T).max() <= 4 * eps * n**2 * np.abs(rhs).max()
 
 
 def test_only_a_pool_loads_concurrent_futures():
@@ -266,9 +265,9 @@ def test_only_a_pool_loads_concurrent_futures():
     assert proc.stdout.split() == ["False", "True"]
 
 
-def test_only_a_1d_solve_loads_scipy_sparse():
-    # the repair's sine transforms need no sparse matrix from 2-d on; only
-    # the tridiagonal LU of a 1-d repair imports scipy.sparse, on first use
+def test_no_solve_loads_scipy_sparse():
+    # the repair takes the cell mean in 1-d and sine transforms from 2-d on,
+    # so no solve needs a sparse matrix
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -284,13 +283,14 @@ def test_only_a_1d_solve_loads_scipy_sparse():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2])
 def test_repaired_dual_point_is_divergence_free(d, m):
-    # _certified_dual's repair: ptil = P - D psi / h with psi = A^-1 D^T P h
+    # _certified_dual's repair: ptil = P - D psi / h with psi = A^-1 D^T P h,
+    # the cell mean of P in 1-d
     n, h = 7, 0.37
     lat = _Lattice(d, n)
     P = np.zeros((m, d, lat.N))
@@ -298,13 +298,14 @@ def test_repaired_dual_point_is_divergence_free(d, m):
         m, d, -1) - 0.5
     R = np.zeros((m, lat.N))
     homlab.cell._adjoint(lat.adjoint_views(P, R))
-    psi = np.zeros((m, lat.N))
-    psi[:, lat.interior] = _poisson_solver(d, n).solve(R[:, lat.interior].T * h).T
     ptil = np.zeros_like(P)
-    ptil[..., lat.real] = np.take(P, lat.real, axis=-1) - homlab.cell._differences(lat, psi, h)
+    ptil[..., lat.real] = _repair(lat, P, h)
     div = np.zeros((m, lat.N))
     homlab.cell._adjoint(lat.adjoint_views(ptil, div))
     assert np.abs(div[:, lat.interior]).max() <= 1e-12 * np.abs(R[:, lat.interior]).max()
+    if d == 1:  # a constant point, as the closed-form start, is already repaired
+        P[..., lat.real] = keyed_uniform(5, "c", np.arange(m))[:, None, None] - 0.5
+        assert _repair(lat, P, h).tobytes() == np.take(P, lat.real, axis=-1).tobytes()
 
 
 def test_gradient_of_affine_field_is_constant():
@@ -581,7 +582,6 @@ def reference_solve(problem, tol, max_iter, switches=None):
     tau, sigma = ratio / L, 1.0 / (ratio * L)
     rho = homlab.cell._RELAXATION
     c_p = sigma * hd / h
-    poisson = _poisson_solver(d, n)
     x = np.indices(grid.node_shape) * h  # node coordinates from the lowest corner
     slope = sum(xib[:, j] * x[j] for j in range(d))  # xi.x, (m, *(n+1)^d)
     interior = (slice(None),) + (slice(1, n),) * d
@@ -620,8 +620,8 @@ def reference_solve(problem, tol, max_iter, switches=None):
             primal_n = _primal_normalized(v, xib, lam_n, h, d)
             if primal_n < best_primal:
                 best_primal, best_v = primal_n, v
-            best_dual = max(best_dual, min(_certified_dual(p.astype(float), lam_n, xi, h,
-                                                           poisson), best_primal))
+            best_dual = max(best_dual, min(_certified_dual(p.astype(float), lam_n, xi, h),
+                                           best_primal))
             primal_rep = unit * best_primal + lam0_total
             dual_rep = unit * best_dual + lam0_total
             gap = (primal_rep - dual_rep) / abs(primal_rep) if primal_rep else 0.0
@@ -880,25 +880,20 @@ def test_solve_many_yields_in_task_order_at_any_worker_count(monkeypatch):
         assert a.minimizer.tobytes() == b.minimizer.tobytes()
 
 
-def test_concurrent_solves_of_one_size_factor_the_laplacian_once(monkeypatch):
-    # only 1-d repairs factor; n = 25200 makes 25201 dual entries, large
-    # enough for the pool, so the three solves run concurrently
-    factored = []
-    inner = homlab.cell.splu
-
-    def slow_counting_splu(A, **kwargs):
-        factored.append(A.shape)
-        time.sleep(0.1)  # keep the other threads waiting on the cache miss
-        return inner(A, **kwargs)
-
-    homlab.cell._poisson_solver.cache_clear()
-    monkeypatch.setattr(homlab.cell, "splu", slow_counting_splu)
-    tasks = [SolveTask(const_spec(d=1), 0, r, 12_600.0, np.array([[1.0]]))
-             for r in range(3)]
+def test_large_1d_solves_on_the_pool_match_one_worker():
+    # n = 25200 makes 25201 dual entries, large enough for the pool, so the
+    # three solves run concurrently; the 1-d repair is a cell mean, with
+    # nothing cached or shared between them
+    spec = FieldSpec(dimension=1, structure=IidCubes(), diagonal=U12)
+    tasks = [SolveTask(spec, 0, r, 12_600.0, np.array([[1.0]])) for r in range(3)]
     assert homlab.cell._large_lattice(1, 1, 25_200)
-    reports = list(solve_many(tasks, workers=3))
-    assert all(rep.converged for rep in reports)
-    assert factored == [(25_199, 25_199)]
+    serial = list(solve_many(tasks))
+    threaded = list(solve_many(tasks, workers=3))
+    assert all(rep.converged for rep in threaded)
+    for a, b in zip(serial, threaded):
+        assert (a.primal, a.dual, a.gap, a.iterations, a.gap_checks) == (
+            b.primal, b.dual, b.gap, b.iterations, b.gap_checks)
+        assert a.minimizer.tobytes() == b.minimizer.tobytes()
 
 
 def test_only_large_lattices_go_to_the_pool(monkeypatch):

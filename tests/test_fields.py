@@ -130,6 +130,16 @@ def test_spec_validation_errors():
         sample_field(iid_iso(DistributionSpec.pareto(1.0, 0.0)), 0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_periodic_tiles_of_shape_dims_or_dims_plus_d_validate(d):
+    dims = (3, 2, 2)[:d]
+    for shape in (dims, dims + (d,)):
+        assert FieldSpec(dimension=d, structure=Periodic(tile=np.ones(shape))).validate() == []
+    for shape in (dims[:-1] or (3, 3), dims + (d + 1,), dims + (d, 1)):
+        errs = FieldSpec(dimension=d, structure=Periodic(tile=np.ones(shape))).validate()
+        assert f"periodic tile must have shape dims or dims+({d},), got {shape}" in errs
+
+
 def test_constant_field_everywhere():
     fld = sample_field(iid_iso(DistributionSpec.constant(2.0)), 9)
     pts = keyed_uniform(1, "pts", np.arange(60)).reshape(30, 2) * 20 - 10
